@@ -260,22 +260,6 @@ class AlgNum:
         return "<%s>" % (" + ".join(parts) if parts else "0")
 
 
-def nf_arith(a, b, op):
-    """Field arithmetic entry point: op in {"add", "sub", "mul", "inv"}.
-
-    "inv" inverts a (b is ignored and may be None).
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ValueError("unknown op %r" % (op,))
-
-
 class Subfield:
     """A Q-subspace of the ambient field closed under products.
 
@@ -343,11 +327,6 @@ def span_close(gens, base):
         if not fresh:
             return Subfield(field, rows, pivots)
         rows, pivots = linalg.rref(list(rows) + fresh)
-
-
-def contains(sub, a):
-    """Exact membership test of a field element in a subfield."""
-    return sub.contains_num(a)
 
 
 def rel_degree(inner, outer):

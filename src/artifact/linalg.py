@@ -55,71 +55,6 @@ def reduce_against(row, basis, pivots):
     return row
 
 
-def _content(row):
-    g = 0
-    for a in row:
-        if a:
-            g = gcd(g, abs(a))
-            if g == 1:
-                return 1
-    return g
-
-
-def _to_int_row(row):
-    """Clear a row of Fractions to a primitive integer row."""
-    denom = 1
-    for a in row:
-        if a.denominator != 1:
-            denom = denom * a.denominator // gcd(denom, a.denominator)
-    ints = [int(a * denom) for a in row]
-    g = _content(ints)
-    if g > 1:
-        ints = [a // g for a in ints]
-    return ints
-
-
-class IntRowSpace:
-    """Incremental row space over the rationals, held as primitive int rows.
-
-    add() reduces the incoming row against the stored pivots by
-    cross-multiplication (never leaving the integers) and reports whether the
-    row enlarged the span. rank is the number of stored pivot rows.
-    """
-
-    def __init__(self, width):
-        self.width = width
-        self.rows = []      # pivot rows, primitive integers
-        self.pivcols = []   # pivot column of each row, increasing not required
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def add(self, row):
-        """row: sequence of Fraction or int. Returns True on rank increase."""
-        if any(isinstance(a, Fraction) and a.denominator != 1 for a in row):
-            work = _to_int_row([Fraction(a) for a in row])
-        else:
-            work = [int(a) for a in row]
-            g = _content(work)
-            if g > 1:
-                work = [a // g for a in work]
-        for piv, col in zip(self.rows, self.pivcols):
-            lead = work[col]
-            if lead:
-                pl = piv[col]
-                work = [pl * a - lead * b for a, b in zip(work, piv)]
-                g = _content(work)
-                if g > 1:
-                    work = [a // g for a in work]
-        lead = next((j for j, a in enumerate(work) if a), None)
-        if lead is None:
-            return False
-        self.rows.append(work)
-        self.pivcols.append(lead)
-        return True
-
-
 def _sparse_content(entries):
     g = 0
     for a in entries.values():

@@ -8,6 +8,10 @@ module extracts the numbers that drive the generating series:
 * the gcd tower e_i with quotients N_i read off the dead-end values,
 * one (M_rho, ell) pair per field jump.
 
+m and M are integer sums over curvette multiplicities, which the proximity
+relation of the recorded blow-ups gives (resolution.curvette_mults); no
+blow-up is replayed and no matrix is inverted.
+
 From these it assembles three series as exact products of binomials
 (1 - t^a)^s: the characteristic series of the rational semigroup of values,
 the dimension series of the valuation filtration on the local ring, and the
@@ -21,7 +25,6 @@ from math import gcd
 
 from .errors import (BadSemigroupData, IndexOutOfRange, MissingDelta,
                      TruncationInconclusive, TruncationTooShort)
-from .ratfunc import RatFunc
 from . import resolution as _res
 
 
@@ -72,11 +75,12 @@ def big_M(graph, recs, m_map, tower):
                                   at each blown-up point up to rho_j)
 
     and the shared-chain sums vanish for jumps the component does not sit
-    above, so only those actually below it contribute.
+    above, so only those actually below it contribute. The transversal
+    curve's multiplicities come from the proximity relation
+    (resolution.curvette_mults).
     """
     if not tower:
         return {v.id: int(m_map[v.id]) for v in graph.vertices}
-    strat = _res._PlainScalars(graph.ambient)
     branch_mults = [rec.branch_mult for rec in recs]
     out = {}
     for v in graph.vertices:
@@ -84,10 +88,7 @@ def big_M(graph, recs, m_map, tower):
         below = [(rho, ell) for rho, ell in tower if rho < w_id]
         total = int(m_map[w_id])
         if below:
-            const = _res._auto_constant(graph, recs, w_id)
-            x, y = _res._curvette_state(graph, recs, w_id, const)
-            mults = _res._strict_mults_state(
-                RatFunc.of(x), RatFunc.of(y), recs, strat)
+            mults = _res.curvette_mults(recs, w_id)
             for j, (rho, ell) in enumerate(below):
                 later = 1
                 for _rho_q, ell_q in below[j + 1:]:
@@ -184,31 +185,21 @@ class NumericalData:
 def value_maps(graph, recs, mode="curve"):
     """Per-vertex value maps (m, M) of the chosen valuation.
 
-    m is the value of a transversal curve at each component: Noether
-    intersection numbers of the branch for mode "curve", the last-component
-    column of minus the inverse intersection matrix for mode "divisorial"
-    (which also covers extended runs and reduced graphs of
-    generic-coefficient families). M weights m with the conjugate-orbit
-    contributions below each field jump.
+    m is the value of a transversal curve at each component, from the
+    proximity relation of the records (resolution.m_values). One formula
+    serves both modes: a fully resolved branch (mode "curve", case I only)
+    is a curvette at the last component, whose divisorial valuation is the
+    one of mode "divisorial" (which also covers extended runs and reduced
+    graphs of generic-coefficient families). M weights m with the
+    conjugate-orbit contributions below each field jump.
     """
     if mode not in ("curve", "divisorial"):
         raise ValueError("mode must be 'curve' or 'divisorial'")
-    if mode == "curve":
-        if graph.case != "I":
-            raise ValueError(
-                "curve data needs a fully resolved branch, not a reduced "
-                "family graph")
-        m_map = _res.m_values(graph, recs)
-    else:
-        inv = _res.minus_inverse(_res.intersection_matrix(graph))
-        col = [row[graph.delta()] for row in inv]
-        m_map = {}
-        for i, val in enumerate(col):
-            if val.denominator != 1:
-                raise BadSemigroupData(
-                    "divisor column entry %s is not an intersection number"
-                    % (val,))
-            m_map[i] = int(val)
+    if mode == "curve" and graph.case != "I":
+        raise ValueError(
+            "curve data needs a fully resolved branch, not a reduced "
+            "family graph")
+    m_map = _res.m_values(graph, recs)
     return m_map, big_M(graph, recs, m_map, graph.splittings)
 
 
@@ -216,13 +207,14 @@ def numerical_data(graph, recs, mode="curve"):
     """Assemble the NumericalData of a resolved branch.
 
     mode "curve": values of the branch's own valuation; needs a fully
-    resolved branch (case I graph from a plain run, no extra blow-ups), m
-    comes from transversal-curve intersections.
+    resolved branch (case I graph from a plain run, no extra blow-ups).
 
     mode "divisorial": values of the divisorial valuation at the graph's
-    last component; m is the column of minus the inverse intersection
-    matrix at that component, which also covers extended runs and reduced
-    graphs of generic-coefficient families.
+    last component, which also covers extended runs and reduced graphs of
+    generic-coefficient families.
+
+    Both take m and M from the proximity relation of the records (see
+    value_maps); the modes differ only in whether M_delta is kept.
     """
     m_map, M_map = value_maps(graph, recs, mode)
     sigmas = graph.dead_end_leaves()

@@ -179,16 +179,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        result = Poly(self.ring, [self.ring.one()])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def scale(self, s):
         return Poly(self.ring, [c * s for c in self.coeffs])
 

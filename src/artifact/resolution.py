@@ -23,6 +23,7 @@ from math import gcd
 
 from . import linalg
 from .errors import (
+    ArtifactError,
     BadConstant,
     DivisionByZero,
     GenericCenter,
@@ -47,10 +48,6 @@ class _Sentinel:
 
 GENERIC = _Sentinel("GENERIC")
 AT_INFINITY = _Sentinel("AT_INFINITY")
-
-# A multiplicity sequence is a plain list of non-negative ints, one entry per
-# reference record, zero from the first divergence on.
-MultiplicitySequence = list
 
 
 class BranchParam:
@@ -134,16 +131,6 @@ def normalize(p):
             "gcd of tau exponents is %d; the parametrization traverses the "
             "branch %d times" % (g, g))
     return p
-
-
-def series_order(s):
-    """Least tau exponent with a nonzero coefficient; INFINITY for zero.
-
-    Arithmetic is exact, so INFINITY certifies literal vanishing.
-    """
-    if isinstance(s, (Poly, RatFunc)):
-        return s.order()
-    raise TypeError("expected a polynomial or rational function in tau")
 
 
 # --- scalar strategies: plain number field vs one transcendental parameter
@@ -379,12 +366,14 @@ def _assign_tags(n, edges, splittings):
                 nxt = [x for x in adj[cur] if x != prev]
                 if not nxt:
                     break
-                assert len(nxt) == 1, "side branch is not a chain"
+                if len(nxt) != 1:
+                    raise ArtifactError("side branch at vertex %d is not a "
+                                        "chain" % gv)
                 prev, cur = cur, nxt[0]
             chains.append((gv, walk))
     attach_points = [gv for gv, _ in chains]
-    assert len(attach_points) == len(set(attach_points)), \
-        "several dead-end chains at one vertex"
+    if len(attach_points) != len(set(attach_points)):
+        raise ArtifactError("several dead-end chains at one vertex")
     chains.sort(key=lambda c: geodesic.index(c[0]))
     for i, (gv, walk) in enumerate(chains, start=1):
         tags[gv].add(("RUPTURE", i))
@@ -628,24 +617,6 @@ def _curvette_state(graph, recs, sigma, constant):
     return _blow_down(steps, a, b, lambda s: s)
 
 
-def _auto_constant(graph, recs, sigma):
-    """Smallest positive integer avoiding the special points on sigma."""
-    chart, shift, center = _landing_info(graph, recs, sigma)
-    c = 1
-    while True:
-        ok = True
-        eff = graph.ambient.from_fraction(c)
-        if shift is not None and shift:
-            eff = eff + shift
-        if isinstance(center, AlgNum) and eff == center:
-            ok = False
-        if sigma >= 1 and not eff:
-            ok = False
-        if ok:
-            return graph.ambient.from_fraction(c)
-        c += 1
-
-
 def curvette_param(graph, recs, sigma, c):
     """Parametrization of the transversal curve {w = c} at component sigma,
     blown down to the base coordinates.
@@ -670,17 +641,8 @@ def curvette_param(graph, recs, sigma, c):
     if sigma >= 1 and not eff:
         raise BadConstant("constant hits the corner with an older component")
     x, y = _curvette_state(graph, recs, sigma, c)
-    return _poly_state_to_param(x, y, ambient)
-
-
-def _poly_state_to_param(x, y, ambient):
-    if sum(1 for c in x.coeffs if c) != 1:
-        raise UnrepresentableCurvette(
-            "x part %r needs a root extraction to present as a "
-            "parametrization" % (x,))
-    x_order = x.order()
-    terms = [(e, c) for e, c in enumerate(y.coeffs) if c]
-    return BranchParam(ambient, x_order, terms, x_coeff=x.coeff(x_order))
+    return _state_to_param(RatFunc.of(x), RatFunc.of(y), ambient,
+                           _PlainScalars(ambient))
 
 
 class GenericCurvette:
@@ -779,21 +741,15 @@ def _intersect_states(ua, wa, ub, wb, bound):
         total += int(ma) * int(mb)
         if total > bound:
             return INFINITY
-        if ua.order() <= wa.order():
-            chart = "A"
-            wa2 = wa / ua
-            ca = wa2.value0()
-            ua2 = ua
+        chart, ua, wa = _chart_step(ua, wa)
+        ca = None
+        if chart == "A":
+            ca = wa.value0()
             if ca:
-                wa2 = wa2 - ca
-        else:
-            chart = "B"
-            ua2, wa2 = wa, ua / wa
-            ca = None
+                wa = wa - ca
         nxt = _replay_step(ub, wb, chart, ca)
         if nxt is None:
             return total
-        ua, wa = ua2, wa2
         ub, wb = nxt
 
 
@@ -817,25 +773,39 @@ def intersect_noether(a, b):
     return _intersect_states(ua, wa, ub, wb, bound)
 
 
+# --- value maps and intersection matrices from the recorded graph
+
+
+def curvette_mults(recs, w):
+    """Multiplicities of a curvette at component w at the points 0..w.
+
+    The curvette is smooth at point w and meets its component at a general
+    point; below that, the proximity equalities give each point's
+    multiplicity as the sum over the points proximate to it, the later
+    points lying on the component it creates (Casas-Alvero, Singularities
+    of Plane Curves, 2000).
+    """
+    x = [0] * (w + 1)
+    x[w] = 1
+    for j in range(w, 0, -1):
+        for h in recs[j].host_components:
+            x[h] += x[j]
+    return x
+
+
 def m_values(graph, recs):
-    """Value of the branch's valuation on a transversal curve at each
-    component, computed by joint replay against exact curvette states."""
-    strat = _strategy_for(graph.branch)
-    branch = graph.branch
-    out = {}
-    for v in graph.vertices:
-        sigma = v.id
-        const = _auto_constant(graph, recs, sigma)
-        x, y = _curvette_state(graph, recs, sigma, const)
-        if isinstance(strat, _OneParamScalars):
-            x = x.map_coeffs(strat.lift, strat.ring)
-            y = y.map_coeffs(strat.lift, strat.ring)
-        ua, wa = _initial_state(branch, strat)
-        val = _intersect_states(ua, wa, RatFunc.of(x), RatFunc.of(y),
-                                bound=10 ** 9)
-        assert val is not INFINITY, "curvette coincides with the branch"
-        out[sigma] = val
-    return out
+    """Value of the last component's valuation on a curvette at each
+    component: Noether's sum of multiplicity products over the shared
+    points 0..w of curvettes at w and at the last component.
+
+    A fully resolved branch has the multiplicities of a curvette at the
+    last component, so the same numbers are its own values in curve mode.
+    They also form the last column of minus the inverse intersection
+    matrix.
+    """
+    last = curvette_mults(recs, graph.delta())
+    return {v.id: sum(a * b for a, b in zip(curvette_mults(recs, v.id), last))
+            for v in graph.vertices}
 
 
 def intersection_matrix(graph):
@@ -852,7 +822,7 @@ def intersection_matrix(graph):
 
 def minus_inverse(mat):
     """Negated exact inverse of the intersection matrix; its delta column
-    reproduces the branch values on transversal curves."""
+    equals m_values, by Gauss-Jordan elimination instead of proximity."""
     inv = linalg.invert(mat)
     return [[-x for x in row] for row in inv]
 

@@ -113,6 +113,13 @@ DIVISORIAL_TARGETS = [
     ("cusp_two_extra_steps", BranchParam(Q, 2, [(3, 1)]), 2),
 ]
 
+GENERIC_FAMILIES = [
+    BranchParam(Q, 2, [(3, GENERIC)]),
+    BranchParam(Q, 2, [(3, 1), (5, GENERIC)]),
+    BranchParam(Q, 4, [(6, GENERIC), (7, 1)]),
+    BranchParam(SQ2, 2, [(3, GENERIC), (4, _Z2)]),
+]
+
 
 def _curve_data(p):
     graph, recs = resolve(p)
@@ -213,8 +220,12 @@ def test_criterion_05_symmetry_and_stabilization_of_dims():
 
 
 def test_criterion_06_minus_inverse_matches_noether_values():
-    for name, p in CORPUS:
-        graph, recs = resolve(p)
+    runs = [(name, resolve(p)) for name, p in CORPUS]
+    runs += [(name, resolve(p, extra_steps=extra))
+             for name, p, extra in DIVISORIAL_TARGETS]
+    runs += [("generic%d" % i, resolve(p))
+             for i, p in enumerate(GENERIC_FAMILIES)]
+    for name, (graph, recs) in runs:
         mat = intersection_matrix(graph)
         assert is_negative_definite(mat), name
         inv = minus_inverse(mat)
@@ -222,8 +233,10 @@ def test_criterion_06_minus_inverse_matches_noether_values():
         delta = graph.delta()
         assert [row[delta] for row in inv] == [m[v] for v in sorted(m)], name
     print("ACCEPTANCE 6: PASS - negative-definite intersection matrices; "
-          "minus-inverse branch column equals the blow-down values on all "
-          "%d corpus branches" % len(CORPUS))
+          "minus-inverse last column equals the proximity values on all %d "
+          "corpus branches, %d divisorial targets and %d generic-marker "
+          "families" % (len(CORPUS), len(DIVISORIAL_TARGETS),
+                        len(GENERIC_FAMILIES)))
 
 
 def test_criterion_07_divisorial_targets_equal_oracle():
@@ -248,12 +261,6 @@ def test_criterion_07_divisorial_targets_equal_oracle():
 
 
 def test_criterion_08_generic_markers_scale_divisorial_values():
-    branches = [
-        BranchParam(Q, 2, [(3, GENERIC)]),
-        BranchParam(Q, 2, [(3, 1), (5, GENERIC)]),
-        BranchParam(Q, 4, [(6, GENERIC), (7, 1)]),
-        BranchParam(SQ2, 2, [(3, GENERIC), (4, _Z2)]),
-    ]
     rng = random.Random(20260814)
 
     def random_poly():
@@ -265,7 +272,7 @@ def test_criterion_08_generic_markers_scale_divisorial_values():
         return PolyXY(terms)
 
     contacts = set()
-    for p in branches:
+    for p in GENERIC_FAMILIES:
         graph, recs = resolve(p)
         assert graph.case == "III"
         n = graph.n_case3
@@ -274,11 +281,11 @@ def test_criterion_08_generic_markers_scale_divisorial_values():
         for _ in range(20):
             f = random_poly()
             assert value_of(f, p)[0] == n * divisorial_value(f, gc)
-    assert len(branches) >= 3
+    assert len(GENERIC_FAMILIES) >= 3
     assert max(contacts) >= 2
     print("ACCEPTANCE 8: PASS - %d generic-marker families, surrogate order "
           "equals n times the reduced divisorial value on 20 random "
-          "polynomials each" % len(branches))
+          "polynomials each" % len(GENERIC_FAMILIES))
 
 
 def test_criterion_09_conjugation_invariance():

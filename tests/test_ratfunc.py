@@ -77,10 +77,7 @@ def test_poly_exact_division():
         qpoly(1, 1) / qpoly(0, 1)
 
 
-def test_poly_pow_evaluate_scale():
-    p = qpoly(1, 1)
-    assert p ** 3 == qpoly(1, 3, 3, 1)
-    assert p ** 0 == qpoly(1)
+def test_poly_evaluate_scale():
     assert qpoly(1, 2, 3).evaluate(Fraction(2)) == 17
     u = qpoly(0, 2, 4)
     assert u.scale_arg(Fraction(1, 2)) == qpoly(0, 1, 1)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import linalg
 from artifact.errors import (
+    ArtifactError,
     BadConstant,
     GenericCenter,
     NotARoot,
@@ -22,9 +23,10 @@ from artifact.errors import (
     UnrepresentableCurvette,
 )
 from artifact.exactfield import AmbientField
-from artifact.ratfunc import INFINITY, Poly
+from artifact.ratfunc import INFINITY, Poly, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
+    _assign_tags,
     GENERIC,
     BranchParam,
     blow_up_once,
@@ -39,7 +41,6 @@ from artifact.resolution import (
     normalize,
     proximity_check,
     resolve,
-    series_order,
     strict_mults,
 )
 
@@ -110,14 +111,13 @@ def test_normalize_rejections():
 
 def test_series_order():
     t = Poly.monomial(Q, Q.one(), 1)
-    assert series_order(t ** 4 + t ** 9) == 4
-    assert series_order(t - t) == INFINITY
+    assert (t * t * t * t + Poly.monomial(Q, Q.one(), 9)).order() == 4
+    assert (t - t).order() == INFINITY
     z = SQ2.gen()
     s = Poly.monomial(SQ2, z, 1)
     tt = Poly.monomial(SQ2, SQ2.one(), 1)
-    assert series_order(s * s - 2 * (tt * tt)) == INFINITY
-    with pytest.raises(TypeError):
-        series_order(7)
+    assert (s * s - 2 * (tt * tt)).order() == INFINITY
+    assert (RatFunc.of(s) / RatFunc.of(tt * tt)).order() == -1
 
 
 # --- single blow-ups
@@ -341,6 +341,14 @@ def test_resolve_step_cap():
         resolve(cusp(), max_steps=2)
 
 
+def test_assign_tags_rejects_trees_of_no_branch():
+    # a side branch that forks, then two dead-end chains at one vertex
+    with pytest.raises(ArtifactError, match="not a chain"):
+        _assign_tags(6, {(0, 1), (1, 5), (1, 2), (2, 3), (2, 4)}, [])
+    with pytest.raises(ArtifactError, match="several dead-end chains"):
+        _assign_tags(5, {(0, 1), (1, 4), (1, 2), (1, 3)}, [])
+
+
 # --- strict multiplicities and intersection numbers
 
 
@@ -486,8 +494,11 @@ def test_minus_inverse_delta_column_matches_curvette_values():
         BranchParam(Q, 4, [(6, 1), (7, 1)]),
         BranchParam(field, 1, [(1, s2), (2, s3)]),
     ]
-    for p in branches:
-        graph, recs = resolve(p)
+    runs = [resolve(p) for p in branches]
+    # divisorial runs: past the resolution, and a generic-marker family
+    runs.append(resolve(cusp(), extra_steps=2))
+    runs.append(resolve(BranchParam(Q, 2, [(3, 1), (5, GENERIC)])))
+    for graph, recs in runs:
         mat = intersection_matrix(graph)
         assert linalg.is_negative_definite(mat)
         inv = minus_inverse(mat)

@@ -191,7 +191,12 @@ def load_input(path):
 
 @dataclass(frozen=True)
 class Analysis:
-    """Resolved and assembled state shared by all commands."""
+    """Resolved and assembled state shared by all commands.
+
+    build_analysis picks the valuation; the commands read it from here: nd
+    carries M_delta for a divisorial valuation, nd.partial marks an abstract
+    splitting stream, and n is set for a curve-mode generic marker.
+    """
 
     doc: InputDoc
     branch: BranchParam
@@ -212,23 +217,19 @@ def build_analysis(doc):
         else:
             terms.append((exp, field.element(coeff)))
     branch = BranchParam(field, doc.x_order, terms)
-    extra = doc.extra_steps if doc.mode == "divisorial" else 0
-    graph, recs = resolve(branch, extra_steps=extra)
+    graph, recs = resolve(branch, extra_steps=doc.extra_steps)
     n = None
-    if doc.mode == "divisorial":
-        nd = numerical_data(graph, recs, mode="divisorial")
-        series = divisorial_series(nd)
-    elif doc.mode == "case2":
-        nd = case_II_data(numerical_data(graph, recs), doc.splitting_prefix)
-        series = classical_series(nd)
-    elif graph.case == "III":
+    if doc.mode == "curve" and graph.case == "III":
         # a generic marker: the valuation is n times the divisorial
         # valuation at the last component of the reduced family
+        n = graph.n_case3
+    if doc.mode == "divisorial" or n is not None:
         nd = numerical_data(graph, recs, mode="divisorial")
         series = divisorial_series(nd)
-        n = graph.n_case3
     else:
         nd = numerical_data(graph, recs)
+        if doc.mode == "case2":
+            nd = case_II_data(nd, doc.splitting_prefix)
         series = classical_series(nd)
     return Analysis(doc=doc, branch=branch, graph=graph, recs=recs, nd=nd,
                     series=series, n=n)
@@ -236,7 +237,7 @@ def build_analysis(doc):
 
 def default_truncate(analysis):
     """Expansion length when neither flag nor file names one."""
-    if analysis.doc.mode == "case2" or analysis.graph.case == "III":
+    if analysis.nd.partial or analysis.graph.case == "III":
         return 40
     return analysis.nd.Delta + 10
 
@@ -333,10 +334,7 @@ class ReportDoc:
 
 def build_report(analysis, truncate, verification=None):
     graph = analysis.graph
-    mode = "curve" if analysis.doc.mode == "case2" else analysis.doc.mode
-    value_mode = "divisorial" if (mode == "divisorial"
-                                  or graph.case == "III") else "curve"
-    m_map, M_map = value_maps(graph, analysis.recs, value_mode)
+    m_map, M_map = value_maps(graph, analysis.recs)
     vertices = [{
         "id": v.id,
         "kind": _tag_text(v.tags),
@@ -451,17 +449,16 @@ def run_verification(analysis, max_order):
     streams have no complete formula to compare, and a curve-mode generic
     marker should be verified through its divisorial reduction.
     """
-    doc = analysis.doc
-    if doc.mode == "case2":
+    if analysis.nd.partial:
         raise ValueError("cannot verify a partial splitting stream: the "
                          "series is a truncation by construction")
-    expected = expand(analysis.series, max_order).coeffs
-    if doc.mode == "divisorial":
-        gc = generic_curvette(analysis.graph, analysis.recs)
-        observed = divisorial_filtration_dims(gc, max_order).dims
-    elif analysis.graph.case == "III":
+    if analysis.n is not None:
         raise ValueError("cannot verify a generic-marker branch; verify the "
                          "divisorial target of its reduced family instead")
+    expected = expand(analysis.series, max_order).coeffs
+    if analysis.nd.M_delta is not None:
+        gc = generic_curvette(analysis.graph, analysis.recs)
+        observed = divisorial_filtration_dims(gc, max_order).dims
     else:
         observed = filtration_dims(analysis.branch, max_order).dims
     first_mismatch = None

@@ -135,33 +135,18 @@ def invert(matrix):
     return [row[n:] for row in aug]
 
 
-def determinant(matrix):
-    """Exact determinant over Fraction (fraction elimination)."""
-    n = len(matrix)
+def is_negative_definite(matrix):
+    """A symmetric matrix is negative definite exactly when every pivot of
+    elimination without row exchanges is negative (the k-th pivot is the
+    ratio of the k-th and (k-1)-th leading principal minors)."""
     work = [[Fraction(a) for a in row] for row in matrix]
-    det = Fraction(1)
+    n = len(work)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = work[col][col]
+        pivot = work[col][col]
+        if pivot >= 0:
+            return False
         for r in range(col + 1, n):
             if work[r][col]:
-                f = work[r][col] / inv
+                f = work[r][col] / pivot
                 work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return det
-
-
-def is_negative_definite(matrix):
-    """Leading principal minors alternate in sign starting negative."""
-    n = len(matrix)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in matrix[:k]]
-        d = determinant(minor)
-        if (-1) ** k * d <= 0:
-            return False
     return True

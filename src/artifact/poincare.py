@@ -10,7 +10,10 @@ module extracts the numbers that drive the generating series:
 
 m and M are integer sums over curvette multiplicities, which the proximity
 relation of the recorded blow-ups gives (resolution.curvette_mults); no
-blow-up is replayed and no matrix is inverted.
+blow-up is replayed and no matrix is inverted. NumericalData is given the
+values at the dead ends, ruptures, jumps and last component, and derives the
+gcd tower e, N, the product ell_total, the conductor c and the
+stabilization order Delta from them itself.
 
 From these it assembles three series as exact products of binomials
 (1 - t^a)^s: the characteristic series of the rational semigroup of values,
@@ -20,7 +23,7 @@ binomial refactorization, conductor bounds and the symmetry test are all
 exact integer computations.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .errors import (BadSemigroupData, IndexOutOfRange, MissingDelta,
@@ -110,47 +113,40 @@ def _conductor_pair(M_sigma, N, splitting):
 class NumericalData:
     """Invariant bundle of one branch (or one divisorial target).
 
-    m_sigma / M_sigma: representative and orbit-summed values at the dead
-    ends sigma_0..sigma_g; M_tau: orbit sums at the rupture components
-    tau_1..tau_g; e, N: gcd tower and quotients of M_sigma; splitting: one
-    (M_rho, ell) pair per field jump, in creation order; M_delta: orbit sum
-    at the last component (divisorial targets only); ell_total: product of
-    the ell_j; Delta: c_conductor plus sum of (ell_j - 1) M_rho_j, the order
-    from which the filtration dimensions stabilize at ell_total; partial:
-    the splitting list is a finite prefix of an infinite one, so products
-    built from it are truncations.
+    Given: m_sigma / M_sigma: representative and orbit-summed values at the
+    dead ends sigma_0..sigma_g; M_tau: orbit sums at the rupture components
+    tau_1..tau_g; splitting: one (M_rho, ell) pair per field jump, in
+    creation order; M_delta: orbit sum at the last component (divisorial
+    targets only); partial: the splitting list is a finite prefix of an
+    infinite one, so products built from it are truncations.
+
+    Derived here, once, and not accepted by the constructor: e, N: gcd tower
+    and quotients of M_sigma; ell_total: product of the ell_j; c_conductor:
+    conductor of the semigroup of the M_sigma; Delta: c_conductor plus sum
+    of (ell_j - 1) M_rho_j, the order from which the filtration dimensions
+    stabilize at ell_total.
     """
 
     m_sigma: tuple
     M_sigma: tuple
     M_tau: tuple
-    e: tuple
-    N: tuple
     splitting: tuple
-    ell_total: int
-    Delta: int
-    c_conductor: int
     M_delta: int = None
     partial: bool = False
+    e: tuple = field(init=False)
+    N: tuple = field(init=False)
+    ell_total: int = field(init=False)
+    c_conductor: int = field(init=False)
+    Delta: int = field(init=False)
 
     def __post_init__(self):
         g = len(self.M_tau)
         if len(self.m_sigma) != g + 1 or len(self.M_sigma) != g + 1:
             raise BadSemigroupData("dead-end and rupture counts disagree")
-        if len(self.e) != g + 1 or len(self.N) != g:
-            raise BadSemigroupData("gcd tower length disagrees")
         if any(x < 1 for x in self.m_sigma + self.M_sigma + self.M_tau):
             raise BadSemigroupData("values must be positive")
-        if self.e[-1] != 1:
-            raise BadSemigroupData("gcd tower does not end at 1")
-        running = 0
-        for i, M in enumerate(self.M_sigma):
-            running = gcd(running, M)
-            if running != self.e[i]:
-                raise BadSemigroupData("gcd tower does not match M values")
-        for i, n in enumerate(self.N):
-            if n < 2:
-                raise BadSemigroupData("tower quotient below 2")
+        e, N = char_invariants(self.M_sigma)
+        for i, n in enumerate(N):
             if self.M_tau[i] != n * self.M_sigma[i + 1]:
                 raise BadSemigroupData(
                     "rupture value is not the quotient times the dead-end "
@@ -160,18 +156,15 @@ class NumericalData:
             if M_rho < 1 or l_j < 2:
                 raise BadSemigroupData("invalid splitting entry")
             ell *= l_j
-        if ell != self.ell_total:
-            raise BadSemigroupData("ell_total is not the product of the "
-                                   "splitting degrees")
-        c, delta = _conductor_pair(self.M_sigma, self.N, self.splitting)
-        if c != self.c_conductor or delta != self.Delta:
-            raise BadSemigroupData("conductor bounds disagree with the "
-                                   "values")
-        if self.Delta < 0:
+        c, delta = _conductor_pair(self.M_sigma, N, self.splitting)
+        if delta < 0:
             raise BadSemigroupData("stabilization order must not be "
                                    "negative")
         if self.M_delta is not None and self.M_delta < 1:
             raise BadSemigroupData("divisor value must be positive")
+        for name, value in (("e", e), ("N", N), ("ell_total", ell),
+                            ("c_conductor", c), ("Delta", delta)):
+            object.__setattr__(self, name, value)
 
     @property
     def g(self):
@@ -182,23 +175,16 @@ class NumericalData:
         return len(self.splitting)
 
 
-def value_maps(graph, recs, mode="curve"):
-    """Per-vertex value maps (m, M) of the chosen valuation.
+def value_maps(graph, recs):
+    """Per-vertex value maps (m, M).
 
     m is the value of a transversal curve at each component, from the
     proximity relation of the records (resolution.m_values). One formula
-    serves both modes: a fully resolved branch (mode "curve", case I only)
-    is a curvette at the last component, whose divisorial valuation is the
-    one of mode "divisorial" (which also covers extended runs and reduced
-    graphs of generic-coefficient families). M weights m with the
-    conjugate-orbit contributions below each field jump.
+    serves every valuation: a fully resolved branch is a curvette at the
+    last component, whose divisorial valuation is the one of that
+    component. M weights m with the conjugate-orbit contributions below
+    each field jump.
     """
-    if mode not in ("curve", "divisorial"):
-        raise ValueError("mode must be 'curve' or 'divisorial'")
-    if mode == "curve" and graph.case != "I":
-        raise ValueError(
-            "curve data needs a fully resolved branch, not a reduced "
-            "family graph")
     m_map = _res.m_values(graph, recs)
     return m_map, big_M(graph, recs, m_map, graph.splittings)
 
@@ -213,26 +199,25 @@ def numerical_data(graph, recs, mode="curve"):
     last component, which also covers extended runs and reduced graphs of
     generic-coefficient families.
 
-    Both take m and M from the proximity relation of the records (see
-    value_maps); the modes differ only in whether M_delta is kept.
+    Both take m and M from value_maps; the modes differ only in whether
+    M_delta is kept.
     """
-    m_map, M_map = value_maps(graph, recs, mode)
+    if mode not in ("curve", "divisorial"):
+        raise ValueError("mode must be 'curve' or 'divisorial'")
+    if mode == "curve" and graph.case != "I":
+        raise ValueError(
+            "curve data needs a fully resolved branch, not a reduced "
+            "family graph")
+    m_map, M_map = value_maps(graph, recs)
     sigmas = graph.dead_end_leaves()
-    taus = graph.ruptures()
-    m_sigma = tuple(int(m_map[v]) for v in sigmas)
-    M_sigma = tuple(int(M_map[v]) for v in sigmas)
-    M_tau = tuple(int(M_map[v]) for v in taus)
-    e, N = char_invariants(M_sigma)
-    splitting = tuple((int(M_map[rho]), int(ell))
-                      for rho, ell in graph.splittings)
-    ell_total = 1
-    for _M_rho, l_j in splitting:
-        ell_total *= l_j
-    c, delta = _conductor_pair(M_sigma, N, splitting)
     M_delta = int(M_map[graph.delta()]) if mode == "divisorial" else None
-    return NumericalData(m_sigma=m_sigma, M_sigma=M_sigma, M_tau=M_tau,
-                         e=e, N=N, splitting=splitting, ell_total=ell_total,
-                         Delta=delta, c_conductor=c, M_delta=M_delta)
+    return NumericalData(
+        m_sigma=tuple(int(m_map[v]) for v in sigmas),
+        M_sigma=tuple(int(M_map[v]) for v in sigmas),
+        M_tau=tuple(int(M_map[v]) for v in graph.ruptures()),
+        splitting=tuple((int(M_map[rho]), int(ell))
+                        for rho, ell in graph.splittings),
+        M_delta=M_delta)
 
 
 def case_II_data(nd, prefix):
@@ -240,13 +225,7 @@ def case_II_data(nd, prefix):
     prefix of an infinite list; the result is flagged partial, so series
     built from it are truncations of the true products."""
     extra = tuple((int(M_rho), int(ell)) for M_rho, ell in prefix)
-    splitting = nd.splitting + extra
-    ell_total = 1
-    for _M_rho, l_j in splitting:
-        ell_total *= l_j
-    c, delta = _conductor_pair(nd.M_sigma, nd.N, splitting)
-    return replace(nd, splitting=splitting, ell_total=ell_total,
-                   Delta=delta, c_conductor=c, partial=True)
+    return replace(nd, splitting=nd.splitting + extra, partial=True)
 
 
 # --- series as binomial products --------------------------------------------
@@ -377,7 +356,7 @@ def conductor_delta(nd):
     """(c, Delta): least value with c + Z>=0 inside the semigroup of the
     M_sigma, and the stabilization order Delta = c plus the jump
     corrections."""
-    return _conductor_pair(nd.M_sigma, nd.N, nd.splitting)
+    return nd.c_conductor, nd.Delta
 
 
 def symmetry_check(expansion, Delta, ell_total):

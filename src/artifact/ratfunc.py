@@ -204,10 +204,6 @@ class Poly:
             acc = acc * at + c
         return acc
 
-    def map_coeffs(self, fn, new_ring=None):
-        ring = new_ring if new_ring is not None else self.ring
-        return Poly(ring, [fn(c) for c in self.coeffs])
-
     def pdivmod(self, other):
         """Quotient and remainder; the divisor's leading coefficient must
         be invertible (field scalars)."""

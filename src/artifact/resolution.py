@@ -290,16 +290,6 @@ class QuotientGraph:
         self.ambient = ambient
         self.fields = tuple(fields)
 
-    def neighbors(self):
-        adj = {v.id: [] for v in self.vertices}
-        for a, b in sorted(self.edges):
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
-    def tags_of(self, vid):
-        return self.vertices[vid].tags
-
     def delta(self):
         return len(self.vertices) - 1
 

@@ -327,3 +327,98 @@ def test_exit_code_3_on_validation_trouble(tmp_path, capsys):
     assert cli.main(["analyze", write_doc(tmp_path, squareful,
                                           "s.json")]) == 3
     capsys.readouterr()
+
+
+# --- mode x case matrix ----------------------------------------------------------
+
+# x = t^2, y = t^3 (case I) and x = t^2, y = t^3 + generic t^5 (case III)
+PLAIN_CUSP_BRANCH = {"x_order": 2, "y_terms": [{"exp": 3, "coeff": ["1"]}]}
+GENERIC_TAIL_BRANCH = {"x_order": 2,
+                       "y_terms": [{"exp": 3, "coeff": ["1"]},
+                                   {"exp": 5, "coeff": "generic"}]}
+
+
+def matrix_doc(tmp_path, branch, mode):
+    return write_doc(tmp_path, {"ambient": CUSP["ambient"], "branch": branch,
+                                "mode": mode})
+
+
+def run_cli(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_mode_case_matrix_curve(tmp_path, capsys):
+    path = matrix_doc(tmp_path, PLAIN_CUSP_BRANCH, "curve")
+    code, out, _err = run_cli(capsys, ["analyze", path])
+    assert code == 0
+    assert "n:" not in out
+    # Delta = 2
+    assert "expansion (v = 0..12):" in out
+
+    path = matrix_doc(tmp_path, GENERIC_TAIL_BRANCH, "curve")
+    code, out, _err = run_cli(capsys, ["analyze", path])
+    assert code == 0
+    assert "case: III" in out and "\nn: 1 " in out
+    assert "M_delta = 8" in out
+    assert "expansion (v = 0..40):" in out
+    code, _out, err = run_cli(capsys, ["verify", path, "--max-order", "8"])
+    assert code == 3 and "generic-marker" in err
+
+
+def test_mode_case_matrix_divisorial(tmp_path, capsys):
+    mode = {"divisorial": {"extra_steps": 1}}
+    path = matrix_doc(tmp_path, PLAIN_CUSP_BRANCH, mode)
+    code, out, _err = run_cli(capsys, ["analyze", path])
+    assert code == 0
+    assert "M_delta = 7" in out
+    # Delta = 2
+    assert "expansion (v = 0..12):" in out
+    code, out, _err = run_cli(capsys, ["verify", path, "--max-order", "12"])
+    assert code == 0 and "match: yes" in out
+
+    path = matrix_doc(tmp_path, GENERIC_TAIL_BRANCH, mode)
+    code, out, _err = run_cli(capsys, ["analyze", path])
+    assert code == 0
+    assert "case: III" in out and "\nn:" not in out
+    assert "M_delta = 8" in out
+    assert "expansion (v = 0..40):" in out
+    code, out, _err = run_cli(capsys, ["verify", path, "--max-order", "12"])
+    assert code == 0 and "match: yes" in out
+
+
+def test_mode_case_matrix_case2(tmp_path, capsys):
+    mode = {"case2": {"splitting": [{"M_rho": 7, "ell": 2}]}}
+    path = matrix_doc(tmp_path, PLAIN_CUSP_BRANCH, mode)
+    code, out, _err = run_cli(capsys, ["analyze", path])
+    assert code == 0
+    assert "(partial product)" in out
+    assert "expansion (v = 0..40):" in out
+    code, _out, err = run_cli(capsys, ["verify", path])
+    assert code == 3 and "partial splitting stream" in err
+
+    path = matrix_doc(tmp_path, GENERIC_TAIL_BRANCH, mode)
+    for argv in (["analyze", path], ["verify", path]):
+        code, _out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert "curve data needs a fully resolved branch" in err
+
+
+# --- reducible moduli ------------------------------------------------------------
+
+def test_reducible_modulus_runs_over_the_etale_algebra(tmp_path, capsys):
+    # z^2 - 1 = (z - 1)(z + 1): L = Q[z]/(p) is Q x Q, not a field; no
+    # inversion meets a zero divisor, so the run completes over the algebra
+    doc = {"ambient": {"var": "z", "min_poly": ["-1", "0", "1"]},
+           "branch": {"x_order": 2,
+                      "y_terms": [{"exp": 3, "coeff": ["1", "0"]},
+                                  {"exp": 4, "coeff": ["0", "1"]}]},
+           "mode": "curve"}
+    path = write_doc(tmp_path, doc)
+    code, out, _err = run_cli(capsys, ["analyze", path])
+    assert code == 0
+    assert "  3: SPLITTING(1)  self_int=-2  [K:Q]=1  m=7  M=7" in out
+    assert "  4: DELTA  self_int=-1  [K:Q]=2  m=8  M=15" in out
+    code, out, _err = run_cli(capsys, ["verify", path])
+    assert code == 0 and "match: yes" in out

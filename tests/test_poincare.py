@@ -259,15 +259,18 @@ def test_numerical_data_validation_catches_tampering():
     with pytest.raises(BadSemigroupData):
         replace(nd, M_tau=(5,))
     with pytest.raises(BadSemigroupData):
-        replace(nd, e=(3, 1))
-    with pytest.raises(BadSemigroupData):
-        replace(nd, ell_total=3)
-    with pytest.raises(BadSemigroupData):
-        replace(nd, Delta=5)
-    with pytest.raises(BadSemigroupData):
         replace(nd, M_delta=0)
     with pytest.raises(BadSemigroupData):
-        replace(nd, N=(1,), M_tau=(3,))
+        replace(nd, M_tau=(3,))
+    # the derived values cannot be passed in, so they cannot disagree
+    for name, value in (("e", (3, 1)), ("N", (1,)), ("ell_total", 3),
+                        ("c_conductor", 2), ("Delta", 5)):
+        with pytest.raises(ValueError):
+            replace(nd, **{name: value})
+        with pytest.raises(TypeError):
+            NumericalData(m_sigma=nd.m_sigma, M_sigma=nd.M_sigma,
+                          M_tau=nd.M_tau, splitting=nd.splitting,
+                          **{name: value})
 
 
 # --- numerical data, divisorial mode -----------------------------------------

@@ -484,6 +484,21 @@ def test_intersection_matrix_cusp():
     assert linalg.is_negative_definite(mat)
 
 
+def test_is_negative_definite_small_matrices():
+    assert linalg.is_negative_definite([])
+    assert linalg.is_negative_definite([[-2, 1], [1, -1]])
+    # indefinite: leading minors -1, -3
+    assert not linalg.is_negative_definite([[-1, 2], [2, -1]])
+    # zero leading minor, although the whole determinant is negative
+    assert not linalg.is_negative_definite([[0, 1], [1, 0]])
+    # zero second minor, the first is negative
+    assert not linalg.is_negative_definite([[-1, 1, 0], [1, -1, 0],
+                                            [0, 0, -1]])
+    # positive definite
+    assert not linalg.is_negative_definite([[2, 1], [1, 2]])
+    assert not linalg.is_negative_definite([[1]])
+
+
 def test_minus_inverse_delta_column_matches_curvette_values():
     field, s2, s3 = biquadratic()
     branches = [

@@ -30,6 +30,13 @@ from .poincare import (case_II_data, classical_series, divisorial_series,
 from .resolution import GENERIC, BranchParam, generic_curvette, resolve
 
 
+# Largest accepted expansion length and oracle order: each sizes a list (the
+# expansion, the oracle's row blocks), so an unbounded value is an unbounded
+# allocation.
+MAX_TRUNCATE = 100000
+MAX_ORDER = 400
+
+
 # --- input documents ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -69,11 +76,13 @@ def _require(obj, key, where):
     return obj[key]
 
 
-def _as_int(value, where, minimum=None):
+def _as_int(value, where, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseFailure("%s must be an integer" % where)
     if minimum is not None and value < minimum:
         raise ParseFailure("%s must be >= %d" % (where, minimum))
+    if maximum is not None and value > maximum:
+        raise ParseFailure("%s must be <= %d" % (where, maximum))
     return value
 
 
@@ -165,7 +174,7 @@ def parse_input(raw):
         options = _as_object(top["options"], "options", ("truncate",))
         if "truncate" in options:
             truncate = _as_int(options["truncate"], "options.truncate",
-                               minimum=0)
+                               0, MAX_TRUNCATE)
 
     return InputDoc(var=var, min_poly=min_poly, x_order=x_order,
                     y_terms=tuple(y_terms), mode=mode,
@@ -244,9 +253,7 @@ def default_truncate(analysis):
 
 def _pick_truncate(analysis, flag_value):
     if flag_value is not None:
-        if flag_value < 0:
-            raise ParseFailure("--truncate must be >= 0")
-        return flag_value
+        return _as_int(flag_value, "--truncate", 0, MAX_TRUNCATE)
     if analysis.doc.truncate is not None:
         return analysis.doc.truncate
     return default_truncate(analysis)
@@ -515,8 +522,7 @@ def cmd_graph(path):
 
 
 def cmd_verify(path, max_order=30):
-    if max_order < 0:
-        raise ParseFailure("--max-order must be >= 0")
+    _as_int(max_order, "--max-order", 0, MAX_ORDER)
     analysis = build_analysis(load_input(path))
     block = run_verification(analysis, max_order)
     print(render_verification(block))

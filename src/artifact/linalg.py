@@ -4,9 +4,10 @@ Two consumers with different scale:
 
 * Subfield bookkeeping works on tiny matrices (dimension of the ambient
   field), where plain Fraction reduced row echelon is the clearest tool.
-* The brute-force filtration oracle feeds thousands of rows; those are cleared
-  to integers once and reduced fraction-free (cross-multiplication plus
-  content stripping), which keeps the arithmetic in machine/big integers.
+* The brute-force filtration oracle feeds thousands of rows to
+  SparseRowSpace. They hold integers only: the oracle clears each monomial
+  column of denominators once, and the rows are reduced fraction-free
+  (cross-multiplication plus content stripping).
 """
 
 from fractions import Fraction
@@ -55,23 +56,27 @@ def reduce_against(row, basis, pivots):
     return row
 
 
-def _sparse_content(entries):
+def _primitive(entries):
+    """The sparse integer row divided by the gcd of its entries."""
     g = 0
     for a in entries.values():
-        g = gcd(g, abs(a))
+        g = gcd(g, a)
         if g == 1:
-            return 1
-    return g
+            return entries
+    if g > 1:
+        return {c: v // g for c, v in entries.items()}
+    return entries
 
 
 class SparseRowSpace:
     """Incremental row space held as sparse primitive integer rows.
 
-    Rows come in as {column: value} dicts with Fraction or int values and
-    orderable column keys; they are cleared to primitive integers and
-    reduced fraction-free against the stored pivot rows. add() reports
-    whether the row enlarged the span. The filtration oracle uses this with
-    monomial tuples as columns, so no global width is ever fixed.
+    Rows come in as {column: int} dicts with orderable column keys and are
+    reduced fraction-free (cross-multiplication plus content stripping)
+    against the stored pivot rows. add() reports whether the row enlarged
+    the span. The filtration oracle feeds it integer rows, each monomial
+    column already cleared of denominators, with monomial indices as
+    columns, so no global width is ever fixed.
     """
 
     def __init__(self):
@@ -83,18 +88,8 @@ class SparseRowSpace:
         return len(self.rows)
 
     def add(self, row):
-        """row: {column: Fraction | int}. Returns True on rank increase."""
-        denom = 1
-        cleaned = {}
-        for col, val in row.items():
-            f = Fraction(val)
-            if f:
-                cleaned[col] = f
-                denom = denom * f.denominator // gcd(denom, f.denominator)
-        work = {c: int(v * denom) for c, v in cleaned.items()}
-        g = _sparse_content(work)
-        if g > 1:
-            work = {c: v // g for c, v in work.items()}
+        """row: {column: int}. Returns True on rank increase."""
+        work = _primitive({c: v for c, v in row.items() if v})
         for piv, col in zip(self.rows, self.pivcols):
             lead = work.get(col)
             if lead:
@@ -102,10 +97,7 @@ class SparseRowSpace:
                 merged = {c: pl * v for c, v in work.items()}
                 for c, v in piv.items():
                     merged[c] = merged.get(c, 0) - lead * v
-                work = {c: v for c, v in merged.items() if v}
-                g = _sparse_content(work)
-                if g > 1:
-                    work = {c: v // g for c, v in work.items()}
+                work = _primitive({c: v for c, v in merged.items() if v})
         if not work:
             return False
         self.rows.append(work)

@@ -14,14 +14,17 @@ Two kinds of questions are answered:
   polynomial-in-c coefficient on a generic transversal curve;
 * dimensions: filtration_dims and divisorial_filtration_dims compute, for
   each level v, the rational dimension of the space of polynomials of value
-  exactly v modulo those of higher value, by exact fraction-free rank
-  computations on the coefficient matrices of the substitution map.
+  exactly v modulo those of higher value, by exact rank computations on the
+  coefficient matrix of the substitution map. Each monomial column of that
+  matrix is cleared of denominators once, right after substitution, so the
+  elimination runs over the integers only.
 
 All arithmetic is exact; a zero is a proven zero.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import GenericCenter
 from .linalg import SparseRowSpace
@@ -106,19 +109,13 @@ class FiltrationReport:
     """Levelwise dimensions of a value filtration, computed by brute force.
 
     dims[v] is the rational dimension of the space of polynomial classes of
-    value exactly v, for v = 0..V. D_used records the total degree bound on
-    the monomials that entered the rank computation; degree bound V is always
-    sufficient because both coordinate images have order at least one, so any
-    monomial of higher total degree has value beyond V. mode tells which kind
-    of valuation produced the numbers. witness_basis is an optional tuple of
-    representatives per level and is not populated by this module.
+    value exactly v, for v = 0..V. mode tells which kind of valuation
+    produced the numbers.
     """
 
     V: int
-    D_used: int
     dims: tuple
     mode: str
-    witness_basis: tuple = None
 
     def __post_init__(self):
         if self.mode not in ("curve", "divisorial"):
@@ -215,12 +212,28 @@ def divisorial_value(f, gc):
 
 # --- filtration dimensions by rank growth ------------------------------------
 
-def _monomial_columns(x, y, bound):
-    """Substitution images of every coordinate monomial of value <= bound.
+def _coords(c):
+    """Rational coordinates of one tau-coefficient as (key, Fraction) pairs.
 
-    Returns (labels, columns): labels are the (i, j) exponent pairs in a
-    fixed lexicographic order, columns the tau-polynomials x^i y^j truncated
-    past tau^bound. Monomials of larger value are omitted: their images
+    An ambient-field element gives its power-basis coordinates; a polynomial
+    in the curvette constant c gives one pair per (c power, field
+    coordinate).
+    """
+    if isinstance(c, Poly):
+        return [((cpow, k), q) for cpow, alg in enumerate(c.coeffs)
+                for k, q in enumerate(alg.coords)]
+    return enumerate(c.coords)
+
+
+def _monomial_columns(x, y, bound):
+    """Integer columns of the substitution map, one per coordinate monomial
+    x^i y^j of value <= bound, in lexicographic (i, j) order.
+
+    A column lists the nonzero (tau order, coordinate key, integer) entries
+    of the image x^i y^j up to tau^bound, every entry multiplied by the one
+    lcm of the column's denominators. Scaling a column by a nonzero integer
+    changes the rank of no stack of row blocks, so every dimension
+    difference is kept. Monomials of larger value are omitted: their images
     vanish to order beyond the bound, so they lie in every kernel under
     inspection and cannot change any dimension difference.
     """
@@ -232,77 +245,62 @@ def _monomial_columns(x, y, bound):
     jmax = 0 if oy is INFINITY else bound // oy
     xs = _powers(x, imax, bound)
     ys = _powers(y, jmax, bound)
-    labels = []
-    cols = []
     for i in range(imax + 1):
         rest = bound - i * ox
         jtop = 0 if oy is INFINITY else rest // oy
         for j in range(jtop + 1):
-            labels.append((i, j))
-            cols.append(_truncated(xs[i] * ys[j], bound))
-    return labels, cols
+            image = _truncated(xs[i] * ys[j], bound)
+            entries = [(v, key, q) for v, c in enumerate(image.coeffs)
+                       for key, q in _coords(c) if q]
+            scale = lcm(*(q.denominator for _v, _key, q in entries))
+            yield [(v, key, q.numerator * (scale // q.denominator))
+                   for v, key, q in entries]
 
 
-def _dimension_profile(columns, V, coordinate_rows):
+def _filtration(x, y, V, mode):
     """Levelwise rank growth of the stacked tau-coefficient blocks.
 
     The map from polynomial coefficients to the first v tau-coefficients of
-    the substitution has one block of rows per tau-order; the dimension of
-    value-v classes equals rank(first v+1 blocks) - rank(first v blocks),
-    i.e. the number of independent rows the tau^v block adds. coordinate_rows
-    explodes one tau-coefficient into (key, rational) pairs naming its
-    rational coordinates; rows are fed in sorted key order so the profile is
-    deterministic.
+    the substitution has one block of rows per tau-order, one row per
+    rational coordinate key; the dimension of value-v classes equals
+    rank(first v+1 blocks) - rank(first v blocks), i.e. the number of
+    independent rows the tau^v block adds. Rows are fed in sorted key order
+    so the profile is deterministic.
     """
+    V = int(V)
+    if V < 0:
+        raise ValueError("max order must be non-negative")
+    blocks = [{} for _ in range(V + 1)]
+    for ci, column in enumerate(_monomial_columns(x, y, V)):
+        for v, key, a in column:
+            blocks[v].setdefault(key, {})[ci] = a
     space = SparseRowSpace()
     dims = []
-    for v in range(V + 1):
-        rows = {}
-        for ci, poly in enumerate(columns):
-            for key, val in coordinate_rows(poly.coeff(v)):
-                if val:
-                    rows.setdefault(key, {})[ci] = val
+    for rows in blocks:
         added = 0
         for key in sorted(rows):
             if space.add(rows[key]):
                 added += 1
         dims.append(added)
-    return dims
-
-
-def _algnum_rows(coefficient):
-    return tuple(enumerate(coefficient.coords))
-
-
-def _cpoly_rows(coefficient):
-    out = []
-    for cpow, alg in enumerate(coefficient.coeffs):
-        for k, val in enumerate(alg.coords):
-            out.append(((cpow, k), val))
-    return tuple(out)
+    return FiltrationReport(V=V, dims=tuple(dims), mode=mode)
 
 
 def filtration_dims(branch, V):
     """Dimensions of the value filtration of the branch, levels 0..V.
 
     Assembles the rational-linear map sending a polynomial in the base
-    coordinates (through total degree V, which is sufficient) to the first
-    tau-coefficients of its restriction to the branch, each coefficient an
-    ambient-field element read as a rational vector. The dimension at level
-    v is the rank added by the tau^v coefficient block, computed by exact
-    fraction-free elimination. The branch must be concrete: a generic
-    coefficient marker has no rational coordinate matrix.
+    coordinates to the first tau-coefficients of its restriction to the
+    branch, each coefficient an ambient-field element read as a rational
+    vector. The dimension at level v is the rank added by the tau^v
+    coefficient block, computed by exact integer elimination. The branch
+    must be concrete: a generic coefficient marker has no rational
+    coordinate matrix.
     """
-    V = int(V)
-    if V < 0:
-        raise ValueError("max order must be non-negative")
     if branch.has_generic:
         raise GenericCenter("filtration dimensions need a concrete branch")
     strat = _res._PlainScalars(branch.ambient)
     u, w = _res._initial_state(branch, strat)
-    _labels, cols = _monomial_columns(u.num, w.num, V)
-    dims = _dimension_profile(cols, V, _algnum_rows)
-    return FiltrationReport(V=V, D_used=V, dims=tuple(dims), mode="curve")
+    return _filtration(u.num, w.num, V, "curve")
 
 
 def divisorial_filtration_dims(gc, V):
@@ -314,13 +312,7 @@ def divisorial_filtration_dims(gc, V):
     "value > v" means every c-coefficient vanishes. The rows of one tau-block
     are therefore indexed by (c power, field coordinate) pairs.
     """
-    V = int(V)
-    if V < 0:
-        raise ValueError("max order must be non-negative")
-    _labels, cols = _monomial_columns(gc.x, gc.y, V)
-    dims = _dimension_profile(cols, V, _cpoly_rows)
-    return FiltrationReport(V=V, D_used=V, dims=tuple(dims),
-                            mode="divisorial")
+    return _filtration(gc.x, gc.y, V, "divisorial")
 
 
 def observed_semigroup(branch, V):

@@ -206,8 +206,8 @@ def numerical_data(graph, recs, mode="curve"):
         raise ValueError("mode must be 'curve' or 'divisorial'")
     if mode == "curve" and graph.case != "I":
         raise ValueError(
-            "curve data needs a fully resolved branch, not a reduced "
-            "family graph")
+            "a generic marker leaves a reduced family graph (case III), "
+            "which has only divisorial data")
     m_map, M_map = value_maps(graph, recs)
     sigmas = graph.dead_end_leaves()
     M_delta = int(M_map[graph.delta()]) if mode == "divisorial" else None

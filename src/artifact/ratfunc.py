@@ -3,9 +3,9 @@
 Coefficients are duck-typed: anything with +, -, *, ==, bool (and / where a
 fraction field is needed) works. A small ring adapter supplies zero(), one()
 and from_fraction(); AmbientField already satisfies that protocol for number
-field scalars, and the adapters below cover plain rationals and the nested
-constructions used elsewhere: polynomials in one extra variable (generic
-curvette constants) and their fraction fields (one-parameter families).
+field scalars, and the adapters below cover the nested constructions used
+elsewhere: polynomials in one extra variable (generic curvette constants)
+and their fraction fields (one-parameter families).
 
 RatFunc requires its coefficient ring to be a field adapter; quotients of
 polynomials over a mere PolyRing are never formed.
@@ -16,28 +16,6 @@ from fractions import Fraction
 from .errors import DivisionByZero
 
 INFINITY = float("inf")
-
-
-class Rationals:
-    """Ring adapter for Fraction scalars."""
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_fraction(self, q):
-        return Fraction(q)
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Rationals")
-
-    def __repr__(self):
-        return "Rationals()"
 
 
 class PolyRing:

@@ -25,7 +25,6 @@ from . import linalg
 from .errors import (
     ArtifactError,
     BadConstant,
-    DivisionByZero,
     GenericCenter,
     NotARoot,
     NotIrreducibleParam,
@@ -199,15 +198,24 @@ def _initial_state(p, strat):
     return u, w
 
 
-def _chart_step(u, w):
+def _chart_step(u, w, is_generic=None):
     """One blow-up, chosen so the strict transform stays at finite distance.
 
-    Returns (chart, u2, w2) with the new exceptional set {u2 = 0} and w2 not
-    yet translated; in chart B the landing coordinate is always 0.
+    Returns (chart, c, u2, w2): the new exceptional set is {u2 = 0}, c is
+    the landing coordinate (always 0 in chart B) and w2 is already
+    translated by c, so the new point is again the origin. A center for
+    which is_generic(c) holds ends every run, so w2 is left untranslated
+    there: that translation would be arithmetic in the parameter field
+    whose result no caller reads.
     """
     if u.order() <= w.order():
-        return "A", u, w / u
-    return "B", w, u / w
+        chart, u2, w2 = "A", u, w / u
+    else:
+        chart, u2, w2 = "B", w, u / w
+    c = w2.value0()
+    if c and not (is_generic and is_generic(c)):
+        w2 = w2 - c
+    return chart, c, u2, w2
 
 
 def _tail_ok(u, w, sub, strat):
@@ -441,8 +449,7 @@ def resolve(p, extra_steps=0, max_steps=None):
             edges.add(tuple(sorted((h, new_id))))
         if len(hosts) == 2:
             edges.discard(tuple(sorted(hosts)))
-        chart, u, w = _chart_step(u, w)
-        c_scal = w.value0()
+        chart, c_scal, u, w = _chart_step(u, w, strat.is_generic)
         if strat.is_generic(c_scal):
             case3_n = int(u.order())
             terminal = TerminalData(chart=chart, shift=GENERIC, mult=None,
@@ -456,8 +463,6 @@ def resolve(p, extra_steps=0, max_steps=None):
                 splittings.append((new_id, rel_degree(sub, grown)))
                 sub = grown
                 jumped = True
-            if c_scal:
-                w = w - c_scal
             second = labels[1] if not center else None
             shift = center
         else:
@@ -510,16 +515,10 @@ def blow_up_once(p):
     strat = _strategy_for(p)
     u, w = _initial_state(p, strat)
     mult = int(min(u.order(), w.order()))
-    chart, u2, w2 = _chart_step(u, w)
-    c_scal = w2.value0()
+    chart, c_scal, u2, w2 = _chart_step(u, w, strat.is_generic)
     if strat.is_generic(c_scal):
         raise GenericCenter("blown-up center carries the generic coefficient")
-    if chart == "A":
-        center = strat.as_algnum(c_scal)
-        if c_scal:
-            w2 = w2 - c_scal
-    else:
-        center = AT_INFINITY
+    center = strat.as_algnum(c_scal) if chart == "A" else AT_INFINITY
     return center, _state_to_param(u2, w2, p.ambient, strat), mult
 
 
@@ -671,24 +670,11 @@ def generic_curvette(graph, recs, sigma=None):
 
 def _replay_step(u, w, chart, shift_scalar):
     """Transform a state through a recorded blow-up; returns the new state or
-    None when the carrier does not pass through the recorded point."""
-    if chart == "A":
-        if not u:
-            return None
-        w2 = w / u
-        try:
-            val = w2.value0()
-        except DivisionByZero:
-            return None
-        if shift_scalar is not None and val != shift_scalar:
-            return None
-        if val:
-            w2 = w2 - val
-        return u, w2
-    if not w:
-        return None
-    u2, w2 = w, u / w
-    if u2.order() < 1 or w2.order() < 1:
+    None when the carrier does not pass through the recorded point: its own
+    blow-up lands in the other chart, or (when a shift is given) at another
+    point of the chart."""
+    chart2, c, u2, w2 = _chart_step(u, w)
+    if chart2 != chart or (shift_scalar is not None and c != shift_scalar):
         return None
     return u2, w2
 
@@ -731,12 +717,7 @@ def _intersect_states(ua, wa, ub, wb, bound):
         total += int(ma) * int(mb)
         if total > bound:
             return INFINITY
-        chart, ua, wa = _chart_step(ua, wa)
-        ca = None
-        if chart == "A":
-            ca = wa.value0()
-            if ca:
-                wa = wa - ca
+        chart, ca, ua, wa = _chart_step(ua, wa)
         nxt = _replay_step(ub, wb, chart, ca)
         if nxt is None:
             return total

@@ -277,8 +277,7 @@ def test_verify_reports_first_mismatch(tmp_path, capsys, monkeypatch):
         real = oracle.filtration_dims(branch, V)
         dims = list(real.dims)
         dims[5] += 1
-        return FiltrationReport(V=V, D_used=V, dims=tuple(dims),
-                                mode="curve")
+        return FiltrationReport(V=V, dims=tuple(dims), mode="curve")
 
     monkeypatch.setattr(cli, "filtration_dims", shifted)
     code = cli.main(["verify", write_doc(tmp_path, CUSP),
@@ -316,6 +315,24 @@ def test_exit_code_2_on_bad_flags(tmp_path, capsys):
     assert cli.main([]) == 2
     assert cli.main(["analyze", path, "--truncate", "-1"]) == 2
     capsys.readouterr()
+
+
+def test_list_sizing_inputs_are_capped(tmp_path, capsys):
+    # one past each cap: rejected before any list of that length is built
+    path = write_doc(tmp_path, CUSP)
+    too_long = str(cli.MAX_TRUNCATE + 1)
+    for argv in (["analyze", path, "--truncate", too_long],
+                 ["report", path, "--json", "--truncate", too_long],
+                 ["verify", path, "--max-order", str(cli.MAX_ORDER + 1)]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "must be <=" in err
+    doc = json.loads(json.dumps(CUSP))
+    doc["options"]["truncate"] = cli.MAX_TRUNCATE + 1
+    code, _out, err = run_cli(capsys, ["analyze", write_doc(tmp_path, doc,
+                                                             "t.json")])
+    assert code == 2
+    assert "options.truncate must be <= %d" % cli.MAX_TRUNCATE in err
 
 
 def test_exit_code_3_on_validation_trouble(tmp_path, capsys):
@@ -402,7 +419,8 @@ def test_mode_case_matrix_case2(tmp_path, capsys):
     for argv in (["analyze", path], ["verify", path]):
         code, _out, err = run_cli(capsys, argv)
         assert code == 3
-        assert "curve data needs a fully resolved branch" in err
+        assert "a generic marker leaves a reduced family graph (case III), " \
+            "which has only divisorial data" in err
 
 
 # --- reducible moduli ------------------------------------------------------------

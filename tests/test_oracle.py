@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact.errors import GenericCenter
 from artifact.exactfield import AmbientField
-from artifact.linalg import SparseRowSpace
+from artifact.linalg import SparseRowSpace, rref
 from artifact.oracle import (
     FiltrationReport,
     PolyXY,
@@ -40,6 +40,8 @@ from artifact.resolution import (
     generic_curvette,
     resolve,
 )
+
+from test_acceptance import CORPUS, DIVISORIAL_TARGETS
 
 Q = AmbientField([0, 1])
 SQ2 = AmbientField([-2, 0, 1])
@@ -111,34 +113,37 @@ def test_sparse_row_space_tracks_rank():
     assert space.rank == 0
     assert space.add({0: 1, 2: 3})
     assert space.add({0: 2, 1: 1})
-    # (first) - (second)/2, written with fractions
-    assert not space.add({1: Fraction(-1, 2), 2: 3})
+    # 2 (first) - (second), i.e. the row {1: -1/2, 2: 3} scaled by 2
+    assert not space.add({1: -1, 2: 6})
     assert not space.add({})
-    assert not space.add({0: 0, 5: Fraction(0)})
-    assert space.add({5: Fraction(7, 3)})
+    assert not space.add({0: 0, 5: 0})
+    assert space.add({5: 7})
     assert space.rank == 3
     # dependent on all three
     assert not space.add({0: 3, 1: 1, 2: 3, 5: 14})
 
 
 def test_sparse_row_space_rejects_exact_combinations():
+    # the rows {0: 1/3, 1: 1} and {1: 2/7, 2: 1} scaled by 3 and 7; the
+    # probe 14 (first) + 6 (second) is 6 times the sum of the unscaled rows,
+    # scaled by 7, and the last probe changes one of its entries
     space = SparseRowSpace()
-    space.add({0: Fraction(1, 3), 1: 1})
-    space.add({1: Fraction(2, 7), 2: 1})
-    assert not space.add({0: 2, 1: 6 + Fraction(12, 7), 2: 6})
-    assert space.add({0: 2, 1: 6 + Fraction(12, 7), 2: 5})
+    space.add({0: 1, 1: 3})
+    space.add({1: 2, 2: 7})
+    assert not space.add({0: 14, 1: 54, 2: 42})
+    assert space.add({0: 14, 1: 54, 2: 35})
 
 
 # --- report validation ---------------------------------------------------------
 
 def test_filtration_report_validates():
-    FiltrationReport(V=1, D_used=1, dims=(1, 0), mode="curve")
+    FiltrationReport(V=1, dims=(1, 0), mode="curve")
     with pytest.raises(ValueError):
-        FiltrationReport(V=1, D_used=1, dims=(1, 0), mode="orbifold")
+        FiltrationReport(V=1, dims=(1, 0), mode="orbifold")
     with pytest.raises(ValueError):
-        FiltrationReport(V=2, D_used=2, dims=(1, 0), mode="curve")
+        FiltrationReport(V=2, dims=(1, 0), mode="curve")
     with pytest.raises(ValueError):
-        FiltrationReport(V=1, D_used=1, dims=(1, -1), mode="divisorial")
+        FiltrationReport(V=1, dims=(1, -1), mode="divisorial")
 
 
 # --- orders along a branch -----------------------------------------------------
@@ -175,8 +180,7 @@ def test_value_of_handles_generic_markers():
 def test_filtration_dims_smooth_line():
     report = filtration_dims(smooth_line(), 5)
     assert report.dims == (1, 1, 1, 1, 1, 1)
-    assert report.V == 5 and report.D_used == 5
-    assert report.mode == "curve" and report.witness_basis is None
+    assert report.V == 5 and report.mode == "curve"
 
 
 def test_filtration_dims_cusp():
@@ -268,7 +272,7 @@ def test_divisorial_filtration_first_blow_up():
     _g, _r, first = curvette_at_end(smooth_line())
     report = divisorial_filtration_dims(first, 3)
     assert report.dims == (1, 2, 3, 4)
-    assert report.mode == "divisorial" and report.D_used == 3
+    assert report.V == 3 and report.mode == "divisorial"
 
 
 def test_divisorial_filtration_second_blow_up_along_y0():
@@ -314,6 +318,89 @@ def test_divisorial_dims_match_divisorial_series():
         gc = generic_curvette(graph, recs)
         assert divisorial_filtration_dims(gc, V).dims == \
             expand(divisorial_series(nd), V).coeffs
+
+
+# --- the integer profile against stacked Fraction blocks --------------------------
+
+def _rational_coords(c):
+    """(key, Fraction) coordinates of a tau-coefficient: an ambient-field
+    element, or a polynomial in the curvette constant."""
+    if isinstance(c, Poly):
+        return [((e, k), q) for e, a in enumerate(c.coeffs)
+                for k, q in enumerate(a.coords)]
+    return list(enumerate(c.coords))
+
+
+def stacked_block_dims(x, y, V):
+    """dims[v] = rank(blocks 0..v) - rank(blocks 0..v-1) of the Fraction
+    matrix over every monomial of total degree <= V, by linalg.rref."""
+    def cut(p):
+        return Poly(p.ring, p.coeffs[:V + 1])
+
+    images = []
+    xi = Poly(x.ring, [x.ring.one()])
+    for i in range(V + 1):
+        img = xi
+        for _j in range(V + 1 - i):
+            if img:
+                images.append(img)
+            img = cut(img * y)
+        xi = cut(xi * x)
+    dims = []
+    basis = []
+    for v in range(V + 1):
+        block = {}
+        for col, img in enumerate(images):
+            for key, q in _rational_coords(img.coeff(v)):
+                block.setdefault(key, [Fraction(0)] * len(images))[col] = q
+        grown, _pivots = rref(basis + list(block.values()))
+        dims.append(len(grown) - len(basis))
+        basis = grown
+    return tuple(dims)
+
+
+# corpus branches plus two whose coordinates carry several denominators
+FRACTIONAL = [
+    ("q_thirds", BranchParam(Q, 2, [(3, Q.from_fraction(Fraction(1, 3))),
+                                    (4, Q.from_fraction(Fraction(2, 5)))])),
+    ("sq2_halves", BranchParam(SQ2, 2, [
+        (3, 1), (5, SQ2.gen() / SQ2.from_fraction(2)),
+        (6, SQ2.from_fraction(Fraction(3, 7)))])),
+]
+
+
+@pytest.mark.parametrize("name,p", CORPUS + FRACTIONAL,
+                         ids=[n for n, _p in CORPUS + FRACTIONAL])
+def test_filtration_dims_match_stacked_fraction_blocks(name, p):
+    x = Poly.monomial(p.ambient, p.x_coeff, p.x_order)
+    coeffs = [p.ambient.zero()] * (p.y_terms[-1][0] + 1 if p.y_terms else 0)
+    for exp, c in p.y_terms:
+        coeffs[exp] = c
+    y = Poly(p.ambient, coeffs)
+    V = 16
+    assert filtration_dims(p, V).dims == stacked_block_dims(x, y, V)
+
+
+# divisorial targets plus two on which clearing each column per level
+# instead of once changes the dims
+FRACTIONAL_TARGETS = [
+    ("q_halves", BranchParam(Q, 4, [(6, Q.from_fraction(Fraction(1, 2))),
+                                    (9, Q.from_fraction(3))]), 0),
+    ("q_sevenths", BranchParam(Q, 3, [(6, Q.from_fraction(Fraction(1, 7))),
+                                      (7, Q.from_fraction(Fraction(2, 5)))]),
+     1),
+]
+
+
+@pytest.mark.parametrize(
+    "name,p,extra", DIVISORIAL_TARGETS + FRACTIONAL_TARGETS,
+    ids=[n for n, _p, _e in DIVISORIAL_TARGETS + FRACTIONAL_TARGETS])
+def test_divisorial_dims_match_stacked_fraction_blocks(name, p, extra):
+    graph, recs = resolve(p, extra_steps=extra)
+    gc = generic_curvette(graph, recs)
+    V = 16
+    assert divisorial_filtration_dims(gc, V).dims == \
+        stacked_block_dims(gc.x, gc.y, V)
 
 
 # --- generic markers against scaled divisorial values ------------------------------

@@ -13,8 +13,27 @@ from artifact.ratfunc import (
     Poly,
     PolyRing,
     RatFunc,
-    Rationals,
 )
+
+
+class Rationals:
+    """Ring adapter for Fraction scalars."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def from_fraction(self, q):
+        return Fraction(q)
+
+    def __eq__(self, other):
+        return isinstance(other, Rationals)
+
+    def __hash__(self):
+        return hash("Rationals")
+
 
 Q = Rationals()
 

@@ -35,6 +35,12 @@ from .resolution import GENERIC, BranchParam, generic_curvette, resolve
 # allocation.
 MAX_TRUNCATE = 100000
 MAX_ORDER = 400
+# Largest accepted tau exponent, extra blow-up count and field degree: the
+# first two set the number of blow-ups, the degree the size of every field
+# element, and each drives the run time of resolve.
+MAX_EXPONENT = 1000
+MAX_EXTRA_STEPS = 1000
+MAX_DEGREE = 32
 
 
 # --- input documents ----------------------------------------------------------
@@ -110,7 +116,7 @@ def _parse_mode(value):
         args = _as_object(mode_obj["divisorial"], "mode.divisorial",
                           ("extra_steps",))
         extra = _as_int(_require(args, "extra_steps", "mode.divisorial"),
-                        "extra_steps", minimum=0)
+                        "extra_steps", 0, MAX_EXTRA_STEPS)
         return "divisorial", extra, ()
     args = _as_object(mode_obj["case2"], "mode.case2", ("splitting",))
     raw = _require(args, "splitting", "mode.case2")
@@ -140,6 +146,9 @@ def parse_input(raw):
         raise ParseFailure(
             "ambient.min_poly must list coefficients of a degree >= 1 "
             "polynomial, lowest degree first")
+    if len(raw_poly) - 1 > MAX_DEGREE:
+        raise ParseFailure("ambient.min_poly degree must be <= %d"
+                           % MAX_DEGREE)
     min_poly = tuple(_as_fraction(a, "ambient.min_poly[%d]" % k)
                      for k, a in enumerate(raw_poly))
     degree = len(min_poly) - 1
@@ -147,7 +156,7 @@ def parse_input(raw):
     branch = _as_object(_require(top, "branch", "input"), "branch",
                         ("x_order", "y_terms"))
     x_order = _as_int(_require(branch, "x_order", "branch"), "branch.x_order",
-                      minimum=1)
+                      1, MAX_EXPONENT)
     raw_terms = _require(branch, "y_terms", "branch")
     if not isinstance(raw_terms, list):
         raise ParseFailure("branch.y_terms must be a list")
@@ -155,7 +164,8 @@ def parse_input(raw):
     for k, item in enumerate(raw_terms):
         where = "branch.y_terms[%d]" % k
         term = _as_object(item, where, ("exp", "coeff"))
-        exp = _as_int(_require(term, "exp", where), where + ".exp", minimum=1)
+        exp = _as_int(_require(term, "exp", where), where + ".exp",
+                      1, MAX_EXPONENT)
         coeff = _require(term, "coeff", where)
         if coeff == "generic":
             y_terms.append((exp, GENERIC))
@@ -304,104 +314,75 @@ def _tag_text(tags):
     return ",".join(rendered)
 
 
-@dataclass(frozen=True)
-class ReportDoc:
-    """Assembled report: graph summary, invariants, series, verification.
+def build_report(analysis, truncate):
+    """The JSON report document.
 
-    graph holds one row per vertex (id, kind, self_int, field_dim, m, M) plus
-    the edge list and the vertex the branch arrow attaches to; invariants the
-    numerical bundle; series the ordered binomial factors, display formula,
-    partial flag, truncation length and expansion. verification is None until
-    a differential run fills it.
+    graph holds one row per vertex (id, kind, self_int, field_dim, m, M),
+    the edge list, the geodesic and the vertex the branch arrow attaches to;
+    invariants the numerical bundle; series the ordered binomial factors,
+    display formula, partial flag, truncation length and the expansion over
+    levels 0..truncate. verification is always None: `verify` prints its
+    own block.
     """
-
-    case: str
-    mode: str
-    n: int
-    graph: dict
-    invariants: dict
-    series: dict
-    verification: dict = None
-
-    def __post_init__(self):
-        if len(self.series["expansion"]) != self.series["truncate"] + 1:
-            raise ValueError("expansion must list levels 0..truncate")
-
-    def to_dict(self):
-        return {
-            "case": self.case,
-            "mode": self.mode,
-            "n": self.n,
-            "graph": self.graph,
-            "invariants": self.invariants,
-            "series": self.series,
-            "verification": self.verification,
-        }
-
-
-def build_report(analysis, truncate, verification=None):
     graph = analysis.graph
     m_map, M_map = value_maps(graph, analysis.recs)
-    vertices = [{
-        "id": v.id,
-        "kind": _tag_text(v.tags),
-        "self_int": v.self_int,
-        "field_dim": v.field_dim,
-        "m": m_map[v.id],
-        "M": M_map[v.id],
-    } for v in graph.vertices]
     nd = analysis.nd
-    invariants = {
-        "m_sigma": list(nd.m_sigma),
-        "M_sigma": list(nd.M_sigma),
-        "M_tau": list(nd.M_tau),
-        "e": list(nd.e),
-        "N": list(nd.N),
-        "splitting": [[M_rho, ell] for M_rho, ell in nd.splitting],
-        "ell_total": nd.ell_total,
-        "c": nd.c_conductor,
-        "Delta": nd.Delta,
-        "M_delta": nd.M_delta,
-    }
-    expansion = expand(analysis.series, truncate)
-    series = {
-        "factors": ordered_factors(analysis.series),
-        "formula": formula_text(analysis.series),
-        "partial": analysis.series.partial,
-        "truncate": truncate,
-        "expansion": list(expansion.coeffs),
-    }
-    return ReportDoc(
-        case=graph.case,
-        mode=analysis.doc.mode,
-        n=analysis.n,
-        graph={
-            "vertices": vertices,
+    return {
+        "case": graph.case,
+        "mode": analysis.doc.mode,
+        "n": analysis.n,
+        "graph": {
+            "vertices": [{
+                "id": v.id,
+                "kind": _tag_text(v.tags),
+                "self_int": v.self_int,
+                "field_dim": v.field_dim,
+                "m": m_map[v.id],
+                "M": M_map[v.id],
+            } for v in graph.vertices],
             "edges": [list(e) for e in sorted(graph.edges)],
             "geodesic": list(graph.geodesic),
             "branch_vertex": graph.delta(),
         },
-        invariants=invariants,
-        series=series,
-        verification=verification,
-    )
+        "invariants": {
+            "m_sigma": list(nd.m_sigma),
+            "M_sigma": list(nd.M_sigma),
+            "M_tau": list(nd.M_tau),
+            "e": list(nd.e),
+            "N": list(nd.N),
+            "splitting": [[M_rho, ell] for M_rho, ell in nd.splitting],
+            "ell_total": nd.ell_total,
+            "c": nd.c_conductor,
+            "Delta": nd.Delta,
+            "M_delta": nd.M_delta,
+        },
+        "series": {
+            "factors": ordered_factors(analysis.series),
+            "formula": formula_text(analysis.series),
+            "partial": analysis.series.partial,
+            "truncate": truncate,
+            "expansion": list(expand(analysis.series, truncate).coeffs),
+        },
+        "verification": None,
+    }
 
 
 def render_text(report):
     lines = []
-    lines.append("case: %s" % report.case)
-    lines.append("mode: %s" % report.mode)
-    if report.n is not None:
+    lines.append("case: %s" % report["case"])
+    lines.append("mode: %s" % report["mode"])
+    if report["n"] is not None:
         lines.append("n: %d (the valuation is n times the divisorial "
-                     "valuation at the marked component)" % report.n)
+                     "valuation at the marked component)" % report["n"])
+    graph = report["graph"]
     lines.append("vertices:")
-    for row in report.graph["vertices"]:
+    for row in graph["vertices"]:
         lines.append("  %(id)d: %(kind)s  self_int=%(self_int)d  "
                      "[K:Q]=%(field_dim)d  m=%(m)d  M=%(M)d" % row)
-    edges = ", ".join("%d-%d" % (a, b) for a, b in report.graph["edges"])
+    edges = ", ".join("%d-%d" % (a, b) for a, b in graph["edges"])
     lines.append("edges: %s" % (edges if edges else "none"))
-    lines.append("branch meets vertex %d" % report.graph["branch_vertex"])
-    inv = report.invariants
+    lines.append("branch meets vertex %d" % graph["branch_vertex"])
+    inv = report["invariants"]
     lines.append("invariants:")
     for key in ("m_sigma", "M_sigma", "M_tau", "e", "N"):
         lines.append("  %s = %s" % (key, inv[key]))
@@ -409,23 +390,22 @@ def render_text(report):
     lines.append("  ell_total = %d  c = %d  Delta = %d  M_delta = %s"
                  % (inv["ell_total"], inv["c"], inv["Delta"],
                     inv["M_delta"]))
-    series = report.series
+    series = report["series"]
     partial_note = "  (partial product)" if series["partial"] else ""
     lines.append("series: %s%s" % (series["formula"], partial_note))
     lines.append("factors: %s" % json.dumps(series["factors"]))
     lines.append("expansion (v = 0..%d): %s"
                  % (series["truncate"],
                     " ".join(str(a) for a in series["expansion"])))
-    if report.verification is not None:
-        lines.append(render_verification(report.verification))
     return "\n".join(lines)
 
 
 def render_dot(report):
     """DOT text: geodesic vertices first, then the dead-end chains, plus an
     arrowhead marker for the branch."""
-    rows = {row["id"]: row for row in report.graph["vertices"]}
-    geodesic = report.graph["geodesic"]
+    graph = report["graph"]
+    rows = {row["id"]: row for row in graph["vertices"]}
+    geodesic = graph["geodesic"]
     order = list(geodesic) + [i for i in sorted(rows) if i not in geodesic]
     lines = ["digraph quotient_graph {"]
     lines.append("  edge [dir=none];")
@@ -436,10 +416,10 @@ def render_dot(report):
         lines.append("  v%d [label=\"%s\", self_int=%d];"
                      % (vid, label, row["self_int"]))
     lines.append("  branch [shape=none, label=\"branch\"];")
-    for a, b in report.graph["edges"]:
+    for a, b in graph["edges"]:
         lines.append("  v%d -> v%d;" % (a, b))
     lines.append("  v%d -> branch [dir=forward, arrowhead=normal];"
-                 % report.graph["branch_vertex"])
+                 % graph["branch_vertex"])
     lines.append("}")
     return "\n".join(lines)
 
@@ -500,24 +480,23 @@ def render_verification(block):
 
 # --- command dispatch ----------------------------------------------------------------
 
-def cmd_analyze(path, truncate=None):
+def _report(path, truncate):
     analysis = build_analysis(load_input(path))
-    report = build_report(analysis, _pick_truncate(analysis, truncate))
-    print(render_text(report))
+    return build_report(analysis, _pick_truncate(analysis, truncate))
+
+
+def cmd_analyze(path, truncate=None):
+    print(render_text(_report(path, truncate)))
     return 0
 
 
 def cmd_report(path, truncate=None):
-    analysis = build_analysis(load_input(path))
-    report = build_report(analysis, _pick_truncate(analysis, truncate))
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    print(json.dumps(_report(path, truncate), sort_keys=True, indent=2))
     return 0
 
 
 def cmd_graph(path):
-    analysis = build_analysis(load_input(path))
-    report = build_report(analysis, _pick_truncate(analysis, None))
-    print(render_dot(report))
+    print(render_dot(_report(path, None)))
     return 0
 
 

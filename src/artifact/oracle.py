@@ -132,20 +132,24 @@ def _poly_one(ring):
     return Poly(ring, [ring.one()])
 
 
-def _truncated(p, bound):
-    if p.degree() <= bound:
-        return p
-    return Poly(p.ring, p.coeffs[:bound + 1])
+def _mul_upto(a, b, bound):
+    """a * b up to tau^bound; the products of terms past it are skipped."""
+    ring = a.ring
+    out = [ring.zero()] * min(len(a.coeffs) + len(b.coeffs) - 1, bound + 1)
+    for i, ca in enumerate(a.coeffs[:bound + 1]):
+        if ca:
+            for j, cb in enumerate(b.coeffs[:bound + 1 - i]):
+                if cb:
+                    out[i + j] = out[i + j] + ca * cb
+    return Poly(ring, out)
 
 
 def _powers(base, top, bound=None):
     """[base^0, .., base^top], each truncated past tau^bound when given."""
     out = [_poly_one(base.ring)]
     for _ in range(top):
-        nxt = out[-1] * base
-        if bound is not None:
-            nxt = _truncated(nxt, bound)
-        out.append(nxt)
+        out.append(out[-1] * base if bound is None
+                   else _mul_upto(out[-1], base, bound))
     return out
 
 
@@ -249,7 +253,7 @@ def _monomial_columns(x, y, bound):
         rest = bound - i * ox
         jtop = 0 if oy is INFINITY else rest // oy
         for j in range(jtop + 1):
-            image = _truncated(xs[i] * ys[j], bound)
+            image = _mul_upto(xs[i], ys[j], bound)
             entries = [(v, key, q) for v, c in enumerate(image.coeffs)
                        for key, q in _coords(c) if q]
             scale = lcm(*(q.denominator for _v, _key, q in entries))

@@ -242,28 +242,28 @@ def _tail_ok(u, w, sub, strat):
 class InfNearRecord:
     """One blown-up infinitely near point of the branch.
 
-    chart and shift describe the blow-up that CREATED this point's component:
-    which standard chart the strict transform landed in and the translation
-    applied there (0 for chart B, None for the seed point).
+    chart and center describe the blow-up that CREATED this point's
+    component: the standard chart the strict transform landed in and its
+    coordinate there (AT_INFINITY in chart B; both None for the seed point).
+    field_after is the coordinate subfield once the point is reached, and
+    host_components lists the components the point lies on.
     """
 
-    step: int
     center: object          # AlgNum | AT_INFINITY | None (seed point)
     branch_mult: int
     field_after: Subfield
     host_components: tuple
     chart: object = None    # "A" | "B" | None
-    shift: object = None    # AlgNum | None
 
 
 @dataclass(frozen=True)
 class TerminalData:
-    """Landing data of the first point that is not blown up."""
+    """Landing data of the first point that is not blown up: its chart, its
+    center (GENERIC at a parameter-dependent stop) and the branch's
+    multiplicity there (None at a generic stop)."""
 
     chart: object
-    shift: object           # AlgNum | GENERIC
     mult: object            # int | None (generic stop)
-    field: object
     center: object
 
 
@@ -283,10 +283,13 @@ class QuotientGraph:
     sit on one vertex. splittings lists (vertex id, field degree) in creation
     order. For a run stopped at a parameter-dependent center, case is "III"
     and n_case3 is the contact order of the family with the last component.
+    terminal is the landing data of the first point not blown up, branch the
+    normalized parametrization and ambient its field. The subfield of
+    component k is the field_after of the k-th record.
     """
 
     def __init__(self, vertices, edges, geodesic, case, n_case3, splittings,
-                 terminal, branch, ambient, fields):
+                 terminal, branch, ambient):
         self.vertices = tuple(vertices)
         self.edges = frozenset(tuple(sorted(e)) for e in edges)
         self.geodesic = tuple(geodesic)
@@ -296,7 +299,6 @@ class QuotientGraph:
         self.terminal = terminal
         self.branch = branch
         self.ambient = ambient
-        self.fields = tuple(fields)
 
     def delta(self):
         return len(self.vertices) - 1
@@ -416,11 +418,10 @@ def resolve(p, extra_steps=0, max_steps=None):
     records = []
     selfints = []
     edges = set()
-    fields = []
     splittings = []
     labels = (None, None)
     mult0 = min(u.order(), w.order())
-    pending = InfNearRecord(step=0, center=None, branch_mult=int(mult0),
+    pending = InfNearRecord(center=None, branch_mult=int(mult0),
                             field_after=sub, host_components=())
     jumped = False
     extra_left = extra_steps
@@ -433,16 +434,13 @@ def resolve(p, extra_steps=0, max_steps=None):
                 and u.order() == 1 and _tail_ok(u, w, sub, strat):
             if extra_left == 0:
                 terminal = TerminalData(chart=pending.chart,
-                                        shift=pending.shift,
                                         mult=pending.branch_mult,
-                                        field=pending.field_after,
                                         center=pending.center)
                 break
             extra_left -= 1
         records.append(pending)
         new_id = i
         selfints.append(-1)
-        fields.append(pending.field_after)
         hosts = pending.host_components
         for h in hosts:
             selfints[h] -= 1
@@ -452,8 +450,7 @@ def resolve(p, extra_steps=0, max_steps=None):
         chart, c_scal, u, w = _chart_step(u, w, strat.is_generic)
         if strat.is_generic(c_scal):
             case3_n = int(u.order())
-            terminal = TerminalData(chart=chart, shift=GENERIC, mult=None,
-                                    field=sub, center=GENERIC)
+            terminal = TerminalData(chart=chart, mult=None, center=GENERIC)
             break
         jumped = False
         if chart == "A":
@@ -464,18 +461,15 @@ def resolve(p, extra_steps=0, max_steps=None):
                 sub = grown
                 jumped = True
             second = labels[1] if not center else None
-            shift = center
         else:
             center = AT_INFINITY
             second = labels[0]
-            shift = ambient.zero()
         labels = (new_id, second)
         hosts_next = (new_id,) if second is None else (new_id, second)
         mult = min(u.order(), w.order())
-        pending = InfNearRecord(step=i + 1, center=center,
-                                branch_mult=int(mult), field_after=sub,
-                                host_components=hosts_next, chart=chart,
-                                shift=shift)
+        pending = InfNearRecord(center=center, branch_mult=int(mult),
+                                field_after=sub, host_components=hosts_next,
+                                chart=chart)
     else:
         raise ResolutionStuck(
             "no stable point within %d blow-ups" % max_steps)
@@ -483,10 +477,11 @@ def resolve(p, extra_steps=0, max_steps=None):
     n = len(selfints)
     tags, geodesic = _assign_tags(n, edges, splittings)
     vertices = [Vertex(id=k, tags=frozenset(tags[k]), self_int=selfints[k],
-                       field_dim=fields[k].dim) for k in range(n)]
+                       field_dim=records[k].field_after.dim)
+                for k in range(n)]
     case = "III" if case3_n is not None else "I"
     graph = QuotientGraph(vertices, edges, geodesic, case, case3_n,
-                          splittings, terminal, p, ambient, fields)
+                          splittings, terminal, p, ambient)
     return graph, records
 
 
@@ -549,35 +544,36 @@ def _state_to_param(u, w, ambient, strat):
 # --- curvettes: blow-downs of constant sections
 
 
+def _shift(point):
+    """Translation applied where a blow-up lands: the center in chart A,
+    None (no translation) in chart B and at the seed point."""
+    return point.center if point.chart == "A" else None
+
+
+def _landing(graph, recs, sigma):
+    """The point where the branch lands on component sigma: record sigma+1,
+    or the terminal past the last record."""
+    return recs[sigma + 1] if sigma + 1 < len(recs) else graph.terminal
+
+
 def _landing_info(graph, recs, sigma):
     """(chart, shift or None, landing center) of the branch on component
-    sigma; shift None means the raw chart is used (landing outside
-    K_sigma)."""
-    r = len(recs)
-    if sigma + 1 < r:
-        rec = recs[sigma + 1]
-        chart, shift, center = rec.chart, rec.shift, rec.center
-    else:
-        t = graph.terminal
-        chart, shift, center = t.chart, t.shift, t.center
-    sub = graph.fields[sigma]
-    if shift is GENERIC or not sub.contains_num(shift):
-        return chart, None, center
-    return chart, shift, center
+    sigma; shift None means the raw chart is used (chart B, or a landing
+    outside K_sigma)."""
+    point = _landing(graph, recs, sigma)
+    shift = _shift(point)
+    if shift is GENERIC or (shift is not None and
+                            not recs[sigma].field_after.contains_num(shift)):
+        shift = None
+    return point.chart, shift, point.center
 
 
 def _down_steps(graph, recs, sigma, top_shift):
     """(chart, shift) per blow-down level, topmost first; top_shift replaces
     the recorded translation at the component's own level (None = raw)."""
-    r = len(recs)
-    steps = []
-    for k in range(sigma + 1, 0, -1):
-        if k == sigma + 1:
-            chart = recs[k].chart if k < r else graph.terminal.chart
-            steps.append((chart, top_shift))
-        else:
-            steps.append((recs[k].chart, recs[k].shift))
-    return steps
+    top = (_landing(graph, recs, sigma).chart, top_shift)
+    return [top] + [(recs[k].chart, _shift(recs[k]))
+                    for k in range(sigma, 0, -1)]
 
 
 def _blow_down(steps, a, b, lift):
@@ -586,7 +582,7 @@ def _blow_down(steps, a, b, lift):
     ring = a.ring
     for chart, shift in steps:
         bb = b
-        if shift is not None and shift:
+        if shift:
             bb = b + Poly(ring, [lift(shift)])
         if chart == "A":
             a, b = a, a * bb
@@ -620,11 +616,10 @@ def curvette_param(graph, recs, sigma, c):
     ambient = graph.ambient
     if isinstance(c, (int, Fraction)):
         c = ambient.from_fraction(c)
-    sub = graph.fields[sigma]
-    if not sub.contains_num(c):
+    if not recs[sigma].field_after.contains_num(c):
         raise BadConstant("constant %r outside the component's subfield" % (c,))
     _chart, shift, center = _landing_info(graph, recs, sigma)
-    eff = c + shift if (shift is not None and shift) else c
+    eff = c + shift if shift else c
     if shift is not None and isinstance(center, AlgNum) and eff == center:
         raise BadConstant("constant hits the branch's landing point")
     if sigma >= 1 and not eff:
@@ -682,9 +677,9 @@ def _replay_step(u, w, chart, shift_scalar):
 def _strict_mults_state(u, w, recs, strat):
     out = [int(min(u.order(), w.order()))]
     for rec in recs[1:]:
-        shift = None
-        if rec.chart == "A":
-            shift = strat.lift(rec.shift)
+        shift = _shift(rec)
+        if shift is not None:
+            shift = strat.lift(shift)
         nxt = _replay_step(u, w, rec.chart, shift)
         if nxt is None:
             out.extend([0] * (len(recs) - len(out)))

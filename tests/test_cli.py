@@ -209,7 +209,7 @@ def test_report_round_trips_the_invariants(tmp_path, capsys):
     assert cli.main(["report", path, "--json"]) == 0
     reported = json.loads(capsys.readouterr().out)["invariants"]
     analysis = cli.build_analysis(cli.load_input(path))
-    fresh = cli.build_report(analysis, 5).invariants
+    fresh = cli.build_report(analysis, 5)["invariants"]
     assert reported == fresh
     assert reported["splitting"] == [[1, 2]]
     assert reported["ell_total"] == 2
@@ -333,6 +333,35 @@ def test_list_sizing_inputs_are_capped(tmp_path, capsys):
                                                              "t.json")])
     assert code == 2
     assert "options.truncate must be <= %d" % cli.MAX_TRUNCATE in err
+    # one past each cap on the run time of resolve
+    x_order = json.loads(json.dumps(CUSP))
+    x_order["branch"]["x_order"] = cli.MAX_EXPONENT + 1
+    y_exp = json.loads(json.dumps(CUSP))
+    y_exp["branch"]["y_terms"][0]["exp"] = cli.MAX_EXPONENT + 1
+    extra = json.loads(json.dumps(DIVISORIAL_CUSP))
+    extra["mode"]["divisorial"]["extra_steps"] = cli.MAX_EXTRA_STEPS + 1
+    degree = json.loads(json.dumps(CUSP))
+    degree["ambient"]["min_poly"] = ["-2"] + ["0"] * (cli.MAX_DEGREE) + ["1"]
+    degree["branch"]["y_terms"][0]["coeff"] = ["1"] + ["0"] * cli.MAX_DEGREE
+    for doc, message in (
+            (x_order, "branch.x_order must be <= %d" % cli.MAX_EXPONENT),
+            (y_exp, "branch.y_terms[0].exp must be <= %d" % cli.MAX_EXPONENT),
+            (extra, "extra_steps must be <= %d" % cli.MAX_EXTRA_STEPS),
+            (degree, "ambient.min_poly degree must be <= %d"
+             % cli.MAX_DEGREE)):
+        code, out, err = run_cli(capsys, ["analyze", write_doc(tmp_path, doc,
+                                                                "c.json")])
+        assert code == 2 and out == ""
+        assert message in err
+    # the caps themselves still parse
+    x_order["branch"]["x_order"] = cli.MAX_EXPONENT
+    y_exp["branch"]["y_terms"][0]["exp"] = cli.MAX_EXPONENT
+    extra["mode"]["divisorial"]["extra_steps"] = cli.MAX_EXTRA_STEPS
+    degree["ambient"]["min_poly"] = degree["ambient"]["min_poly"][1:]
+    degree["branch"]["y_terms"][0]["coeff"] = ["1"] + ["0"] * (
+        cli.MAX_DEGREE - 1)
+    for doc in (x_order, y_exp, extra, degree):
+        cli.parse_input(doc)
 
 
 def test_exit_code_3_on_validation_trouble(tmp_path, capsys):

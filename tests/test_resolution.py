@@ -27,6 +27,7 @@ from artifact.ratfunc import INFINITY, Poly, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
     _assign_tags,
+    _shift,
     GENERIC,
     BranchParam,
     blow_up_once,
@@ -177,7 +178,7 @@ def test_resolve_smooth_line():
     assert len(recs) == 1
     assert recs[0].center is None and recs[0].branch_mult == 1
     assert recs[0].host_components == ()
-    assert graph.terminal.chart == "A" and graph.terminal.shift == 0
+    assert graph.terminal.chart == "A" and graph.terminal.center == 0
     assert graph.terminal.mult == 1
     assert proximity_check(recs, graph.terminal)
 
@@ -198,8 +199,9 @@ def test_resolve_cusp():
     assert [r.host_components for r in recs] == [(), (0,), (1, 0)]
     assert recs[1].center == 0 and recs[2].center is AT_INFINITY
     assert [r.chart for r in recs] == [None, "A", "B"]
-    assert recs[1].shift == 0 and recs[2].shift == 0
-    assert graph.terminal.chart == "A" and graph.terminal.shift == 1
+    # chart A translates by the center, chart B not at all
+    assert [_shift(r) for r in recs] == [None, 0, None]
+    assert graph.terminal.chart == "A" and _shift(graph.terminal) == 1
     assert graph.delta() == 2
     assert graph.dead_end_leaves() == [0, 1]
     assert graph.ruptures() == [2]
@@ -219,9 +221,9 @@ def test_resolve_sqrt2_line():
         {("INITIAL",), ("DEAD_END", 0), ("SPLITTING", 1)},
         {("DELTA",)},
     ]
-    assert recs[1].center == z and recs[1].shift == z
+    assert recs[1].chart == "A" and recs[1].center == z
     assert recs[1].field_after.dim == 2
-    assert graph.terminal.shift == 0 and graph.terminal.center == 0
+    assert graph.terminal.chart == "A" and graph.terminal.center == 0
     assert proximity_check(recs, graph.terminal)
 
 
@@ -251,7 +253,7 @@ def test_resolve_sqrt2_cusp_stays_rational():
     assert graph.edges == {(0, 2), (1, 2)}
     assert [r.branch_mult for r in recs] == [2, 1, 1]
     assert recs[1].center == 0 and recs[2].center is AT_INFINITY
-    assert graph.terminal.shift == Fraction(1, 2)
+    assert graph.terminal.center == Fraction(1, 2)
     assert proximity_check(recs, graph.terminal)
 
 
@@ -275,7 +277,7 @@ def test_resolve_cusp_with_sqrt2_tail():
     assert [r.chart for r in recs] == [None, "A", "B", "A", "A"]
     assert recs[3].center == 1 and recs[4].center == -2 * z
     assert recs[4].field_after.dim == 2
-    assert graph.terminal.shift == 10 and graph.terminal.center == 10
+    assert graph.terminal.chart == "A" and graph.terminal.center == 10
     assert proximity_check(recs, graph.terminal)
 
 
@@ -295,7 +297,7 @@ def test_resolve_two_rupture_branch():
     assert [r.branch_mult for r in recs] == [4, 2, 2, 1, 1]
     assert graph.dead_end_leaves() == [0, 1, 3]
     assert graph.ruptures() == [2, 4]
-    assert graph.terminal.shift == Fraction(1, 4)
+    assert graph.terminal.center == Fraction(1, 4)
     assert proximity_check(recs, graph.terminal)
 
 
@@ -314,7 +316,7 @@ def test_resolve_biquadratic_tower():
     ]
     assert recs[1].center == s2 and recs[2].center == s3
     assert [r.chart for r in recs] == [None, "A", "A"]
-    assert graph.terminal.shift == 0
+    assert graph.terminal.center == 0
     assert proximity_check(recs, graph.terminal)
 
 
@@ -326,7 +328,7 @@ def test_resolve_extra_steps_extends_chain():
     assert tag_sets(graph)[3] == {("PLAIN",)}
     assert tag_sets(graph)[4] == {("DELTA",)}
     assert [r.branch_mult for r in recs] == [2, 1, 1, 1, 1]
-    assert graph.terminal.shift == 0
+    assert graph.terminal.center == 0
     assert m_values(graph, recs) == {0: 2, 1: 3, 2: 6, 3: 7, 4: 8}
     assert proximity_check(recs, graph.terminal)
 
@@ -531,7 +533,7 @@ def test_case_iii_transverse_line():
     assert graph.case == "III" and graph.n_case3 == 1
     assert len(graph.vertices) == 1
     assert tag_sets(graph) == [{("INITIAL",), ("DEAD_END", 0), ("DELTA",)}]
-    assert graph.terminal.shift is GENERIC and graph.terminal.mult is None
+    assert graph.terminal.center is GENERIC and graph.terminal.mult is None
 
 
 def test_case_iii_cusp_prefix():

@@ -444,7 +444,8 @@ def run_verification(analysis, max_order):
                          "divisorial target of its reduced family instead")
     expected = expand(analysis.series, max_order).coeffs
     if analysis.nd.M_delta is not None:
-        gc = generic_curvette(analysis.graph, analysis.recs)
+        gc = generic_curvette(analysis.graph, analysis.recs,
+                              bound=max_order)
         observed = divisorial_filtration_dims(gc, max_order).dims
     else:
         observed = filtration_dims(analysis.branch, max_order).dims

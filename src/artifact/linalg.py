@@ -4,10 +4,12 @@ Two consumers with different scale:
 
 * Subfield bookkeeping works on tiny matrices (dimension of the ambient
   field), where plain Fraction reduced row echelon is the clearest tool.
-* The brute-force filtration oracle feeds thousands of rows to
-  SparseRowSpace. They hold integers only: the oracle clears each monomial
-  column of denominators once, and the rows are reduced fraction-free
-  (cross-multiplication plus content stripping).
+* The brute-force filtration oracle feeds thousands of monomial columns to
+  SparseRowSpace, a column echelon keyed by lead. The columns hold
+  integers only: the oracle clears each column of denominators once, and
+  a column is reduced fraction-free (cross-multiplication plus content
+  stripping), each time only against the stored column that shares its
+  lead.
 """
 
 from fractions import Fraction
@@ -69,40 +71,43 @@ def _primitive(entries):
 
 
 class SparseRowSpace:
-    """Incremental row space held as sparse primitive integer rows.
+    """Incremental span held as an echelon of sparse primitive integer
+    vectors, keyed by lead.
 
-    Rows come in as {column: int} dicts with orderable column keys and are
-    reduced fraction-free (cross-multiplication plus content stripping)
-    against the stored pivot rows. add() reports whether the row enlarged
-    the span. The filtration oracle feeds it integer rows, each monomial
-    column already cleared of denominators, with monomial indices as
-    columns, so no global width is ever fixed.
+    Vectors come in as {key: int} dicts with orderable keys; the lead of a
+    vector is its least key with a nonzero entry, and no two stored vectors
+    share a lead. add() reduces a vector fraction-free (cross-multiplication
+    plus content stripping) only while its lead is a stored one, found by
+    dict lookup; every step removes the lead and brings in larger keys only,
+    so the lead grows until the vector vanishes or lands on a free lead,
+    under which it is stored. The filtration oracle feeds it monomial
+    columns keyed by (tau order, coordinate key), and counts the stored
+    leads per tau order.
     """
 
     def __init__(self):
-        self.rows = []      # primitive integer dicts
-        self.pivcols = []   # chosen pivot column per row
+        self.rows = {}      # lead -> primitive integer dict with that lead
 
     @property
     def rank(self):
         return len(self.rows)
 
     def add(self, row):
-        """row: {column: int}. Returns True on rank increase."""
+        """row: {key: int}. Returns True on rank increase."""
         work = _primitive({c: v for c, v in row.items() if v})
-        for piv, col in zip(self.rows, self.pivcols):
-            lead = work.get(col)
-            if lead:
-                pl = piv[col]
-                merged = {c: pl * v for c, v in work.items()}
-                for c, v in piv.items():
-                    merged[c] = merged.get(c, 0) - lead * v
-                work = _primitive({c: v for c, v in merged.items() if v})
-        if not work:
-            return False
-        self.rows.append(work)
-        self.pivcols.append(min(work))
-        return True
+        while work:
+            lead = min(work)
+            piv = self.rows.get(lead)
+            if piv is None:
+                self.rows[lead] = work
+                return True
+            g = gcd(work[lead], piv[lead])
+            a, b = piv[lead] // g, work[lead] // g
+            merged = {c: a * v for c, v in work.items()}
+            for c, v in piv.items():
+                merged[c] = merged.get(c, 0) - b * v
+            work = _primitive({c: v for c, v in merged.items() if v})
+        return False
 
 
 def invert(matrix):

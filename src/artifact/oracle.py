@@ -15,9 +15,12 @@ Two kinds of questions are answered:
 * dimensions: filtration_dims and divisorial_filtration_dims compute, for
   each level v, the rational dimension of the space of polynomials of value
   exactly v modulo those of higher value, by exact rank computations on the
-  coefficient matrix of the substitution map. Each monomial column of that
-  matrix is cleared of denominators once, right after substitution, so the
-  elimination runs over the integers only.
+  coefficient matrix of the substitution map. Only what levels 0..V read is
+  computed: the images are cut past tau^V, a parametrization x = tau^m
+  turns the image of x^i y^j into that of y^j shifted by i*m orders, and
+  each monomial column is cleared of denominators once, right after
+  substitution. The columns are then brought to an integer column echelon
+  keyed by lead, whose leads per level are the dimensions.
 
 All arithmetic is exact; a zero is a proven zero.
 """
@@ -132,24 +135,12 @@ def _poly_one(ring):
     return Poly(ring, [ring.one()])
 
 
-def _mul_upto(a, b, bound):
-    """a * b up to tau^bound; the products of terms past it are skipped."""
-    ring = a.ring
-    out = [ring.zero()] * min(len(a.coeffs) + len(b.coeffs) - 1, bound + 1)
-    for i, ca in enumerate(a.coeffs[:bound + 1]):
-        if ca:
-            for j, cb in enumerate(b.coeffs[:bound + 1 - i]):
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-    return Poly(ring, out)
-
-
 def _powers(base, top, bound=None):
     """[base^0, .., base^top], each truncated past tau^bound when given."""
     out = [_poly_one(base.ring)]
     for _ in range(top):
         out.append(out[-1] * base if bound is None
-                   else _mul_upto(out[-1], base, bound))
+                   else out[-1].mul_upto(base, bound))
     return out
 
 
@@ -229,63 +220,81 @@ def _coords(c):
     return enumerate(c.coords)
 
 
+def _integer_column(image):
+    """The nonzero ((tau order, coordinate key), integer) entries of a
+    tau-polynomial image in increasing order, every entry multiplied by
+    the one lcm of the image's denominators."""
+    entries = [((v, key), q) for v, c in enumerate(image.coeffs)
+               for key, q in _coords(c) if q]
+    scale = lcm(*(q.denominator for _at, q in entries))
+    return [(at, q.numerator * (scale // q.denominator))
+            for at, q in entries]
+
+
 def _monomial_columns(x, y, bound):
     """Integer columns of the substitution map, one per coordinate monomial
-    x^i y^j of value <= bound, in lexicographic (i, j) order.
+    x^i y^j of value <= bound, in reverse lexicographic (i, j) order: the
+    short columns of high value come first, and the long ones are reduced
+    against them.
 
-    A column lists the nonzero (tau order, coordinate key, integer) entries
-    of the image x^i y^j up to tau^bound, every entry multiplied by the one
-    lcm of the column's denominators. Scaling a column by a nonzero integer
-    changes the rank of no stack of row blocks, so every dimension
-    difference is kept. Monomials of larger value are omitted: their images
-    vanish to order beyond the bound, so they lie in every kernel under
-    inspection and cannot change any dimension difference.
+    A column is a {(tau order, coordinate key): int} dict of the nonzero
+    entries of the image x^i y^j up to tau^bound. Every power is cut at
+    tau^bound. When x is exactly tau^m (every branch parametrization, and
+    the curvettes whose x part is tau^m), each y^j is turned into an
+    integer column once, and the column of x^i y^j is that one shifted up
+    by i*m orders and cut at the bound; no x power and no product is
+    formed. Otherwise the column is the cut product of x^i and y^j, cleared
+    of its own denominators. Either way every column is a nonzero integer
+    multiple of the image, which changes the rank of no set of leading
+    rows, so every dimension difference is kept. Monomials of larger value
+    are omitted: their images vanish to order beyond the bound, so they lie
+    in every kernel under inspection and cannot change any dimension
+    difference. An x that vanishes up to the bound (a curvette cut at
+    tau^bound) leaves the powers of y alone.
     """
     ox = x.order()
     oy = y.order()
-    if ox is INFINITY or ox < 1:
+    if ox < 1:
         raise ValueError("x image must vanish at the origin")
-    imax = bound // ox
-    jmax = 0 if oy is INFINITY else bound // oy
-    xs = _powers(x, imax, bound)
-    ys = _powers(y, jmax, bound)
-    for i in range(imax + 1):
-        rest = bound - i * ox
-        jtop = 0 if oy is INFINITY else rest // oy
-        for j in range(jtop + 1):
-            image = _mul_upto(xs[i], ys[j], bound)
-            entries = [(v, key, q) for v, c in enumerate(image.coeffs)
-                       for key, q in _coords(c) if q]
-            scale = lcm(*(q.denominator for _v, _key, q in entries))
-            yield [(v, key, q.numerator * (scale // q.denominator))
-                   for v, key, q in entries]
+    imax = 0 if ox is INFINITY else bound // ox
+    ys = _powers(y, 0 if oy is INFINITY else bound // oy, bound)
+    monic = ox is INFINITY or (x.degree() == ox
+                               and x.coeffs[ox] == x.ring.one())
+    if monic:
+        y_columns = [_integer_column(yj) for yj in ys]
+    else:
+        xs = _powers(x, imax, bound)
+    for i in reversed(range(imax + 1)):
+        shift = 0 if ox is INFINITY else i * ox
+        jtop = 0 if oy is INFINITY else (bound - shift) // oy
+        for j in reversed(range(jtop + 1)):
+            if monic:
+                yield {(v + shift, key): a for (v, key), a in y_columns[j]
+                       if v + shift <= bound}
+            else:
+                yield dict(_integer_column(xs[i].mul_upto(ys[j], bound)))
 
 
 def _filtration(x, y, V, mode):
-    """Levelwise rank growth of the stacked tau-coefficient blocks.
+    """Levelwise dimensions from a column echelon of the substitution map.
 
-    The map from polynomial coefficients to the first v tau-coefficients of
-    the substitution has one block of rows per tau-order, one row per
-    rational coordinate key; the dimension of value-v classes equals
-    rank(first v+1 blocks) - rank(first v blocks), i.e. the number of
-    independent rows the tau^v block adds. Rows are fed in sorted key order
-    so the profile is deterministic.
+    Row (v, key) of the map holds the rational coordinate key of the tau^v
+    coefficient, so the rows of levels <= v come first in (v, key) order.
+    The dimension of value-v classes is rank(rows of levels <= v) -
+    rank(rows of levels < v). Column operations keep every such rank, and
+    in a column echelon (distinct least rows, the leads) the rank of the
+    rows of levels <= v is the number of leads at those levels; so dims[v]
+    is the number of leads at level v.
     """
     V = int(V)
     if V < 0:
         raise ValueError("max order must be non-negative")
-    blocks = [{} for _ in range(V + 1)]
-    for ci, column in enumerate(_monomial_columns(x, y, V)):
-        for v, key, a in column:
-            blocks[v].setdefault(key, {})[ci] = a
     space = SparseRowSpace()
-    dims = []
-    for rows in blocks:
-        added = 0
-        for key in sorted(rows):
-            if space.add(rows[key]):
-                added += 1
-        dims.append(added)
+    for column in _monomial_columns(x, y, V):
+        space.add(column)
+    dims = [0] * (V + 1)
+    for level, _key in space.rows:
+        dims[level] += 1
     return FiltrationReport(V=V, dims=tuple(dims), mode=mode)
 
 
@@ -314,7 +323,8 @@ def divisorial_filtration_dims(gc, V):
     of a branch: each tau-coefficient of the substitution is a polynomial in
     the indeterminate constant c with ambient-field coefficients, and
     "value > v" means every c-coefficient vanishes. The rows of one tau-block
-    are therefore indexed by (c power, field coordinate) pairs.
+    are therefore indexed by (c power, field coordinate) pairs. A curvette
+    cut past tau^V (generic_curvette with bound=V) gives the same dims.
     """
     return _filtration(gc.x, gc.y, V, "divisorial")
 

@@ -157,6 +157,19 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def mul_upto(self, other, bound):
+        """self * other up to the variable's power bound; the products of
+        terms past it are skipped. Cutting is a ring map, so the kept
+        coefficients are those of the full product."""
+        out = [self.ring.zero()] * min(
+            len(self.coeffs) + len(other.coeffs) - 1, bound + 1)
+        for i, a in enumerate(self.coeffs[:bound + 1]):
+            if a:
+                for j, b in enumerate(other.coeffs[:bound + 1 - i]):
+                    if b:
+                        out[i + j] = out[i + j] + a * b
+        return Poly(self.ring, out)
+
     def scale(self, s):
         return Poly(self.ring, [c * s for c in self.coeffs])
 

@@ -576,18 +576,27 @@ def _down_steps(graph, recs, sigma, top_shift):
                     for k in range(sigma, 0, -1)]
 
 
-def _blow_down(steps, a, b, lift):
+def _blow_down(steps, a, b, lift, bound=None):
     """Undo the recorded blow-ups on a polynomial state; lift embeds the
-    recorded translation constants into the state's coefficient scalars."""
+    recorded translation constants into the state's coefficient scalars.
+    With a bound, the state is cut past tau^bound and so is every product;
+    cutting is a ring map, so the coefficients up to tau^bound are exact."""
     ring = a.ring
+    if bound is not None:
+        a = Poly(ring, a.coeffs[:bound + 1])
+        b = Poly(ring, b.coeffs[:bound + 1])
+
+    def mul(p, q):
+        return p * q if bound is None else p.mul_upto(q, bound)
+
     for chart, shift in steps:
         bb = b
         if shift:
             bb = b + Poly(ring, [lift(shift)])
         if chart == "A":
-            a, b = a, a * bb
+            a, b = a, mul(a, bb)
         else:
-            a, b = a * bb, a
+            a, b = mul(a, bb), a
     return a, b
 
 
@@ -646,9 +655,13 @@ class GenericCurvette:
         self.component = component
 
 
-def generic_curvette(graph, recs, sigma=None):
+def generic_curvette(graph, recs, sigma=None, bound=None):
     """Curvette at sigma (default: the last component) with the constant kept
-    as an indeterminate, for exact divisorial value computations."""
+    as an indeterminate, for exact divisorial value computations.
+
+    With a bound, x and y are the curvette's coordinates cut past
+    tau^bound, which is all the filtration dimensions of levels 0..bound
+    read; divisorial_value needs the whole curvette (no bound)."""
     if sigma is None:
         sigma = graph.delta()
     cring = PolyRing(graph.ambient, "c")
@@ -656,7 +669,8 @@ def generic_curvette(graph, recs, sigma=None):
     steps = _down_steps(graph, recs, sigma, shift)
     a = Poly.monomial(cring, cring.one(), 1)
     b = Poly(cring, [cring.gen()])
-    x, y = _blow_down(steps, a, b, lambda s: Poly(graph.ambient, [s]))
+    x, y = _blow_down(steps, a, b, lambda s: Poly(graph.ambient, [s]),
+                      bound)
     return GenericCurvette(x, y, cring, graph.ambient, sigma)
 
 

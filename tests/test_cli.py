@@ -269,6 +269,50 @@ def test_verify_divisorial_target(tmp_path, capsys):
     assert "match: yes" in capsys.readouterr().out
 
 
+def _divisorial_doc(min_poly, x_order, terms, extra_steps):
+    return {"ambient": {"var": "z", "min_poly": min_poly},
+            "branch": {"x_order": x_order,
+                       "y_terms": [{"exp": e, "coeff": c} for e, c in terms]},
+            "mode": {"divisorial": {"extra_steps": extra_steps}}}
+
+
+def _cusp_ladder_doc(k, extra_steps):
+    return _divisorial_doc(["0", "1"], 2, [(2 * k + e, ["1"])
+                                           for e in (1, 2, 3)], extra_steps)
+
+
+# the divisorial targets of the acceptance corpus and of the cusp ladder,
+# with the oracle dims at max order 1 that the uncut curvette gives
+LOW_ORDER_TARGETS = [
+    ("first_blowup", _divisorial_doc(["0", "1"], 1, [], 0), "1 2"),
+    ("second_blowup_along_y0", _divisorial_doc(["0", "1"], 1, [], 1), "1 1"),
+    ("cusp_first_rupture",
+     _divisorial_doc(["0", "1"], 2, [(3, ["1"])], 0), "1 0"),
+    ("past_splitting_sq2_line",
+     _divisorial_doc(["-2", "0", "1"], 1, [(1, ["0", "1"])], 0), "1 2"),
+    ("past_splitting_sq2_tail",
+     _divisorial_doc(["-2", "0", "1"], 2,
+                     [(3, ["1", "0"]), (4, ["0", "1"])], 1), "1 0"),
+    ("cusp_two_extra_steps",
+     _divisorial_doc(["0", "1"], 2, [(3, ["1"])], 2), "1 0"),
+    ("cusp_k8_div1", _cusp_ladder_doc(8, 1), "1 0"),
+    ("cusp_k12_div2", _cusp_ladder_doc(12, 2), "1 0"),
+    ("cusp_k16_div3", _cusp_ladder_doc(16, 3), "1 0"),
+]
+
+
+@pytest.mark.parametrize("name,doc,dims", LOW_ORDER_TARGETS,
+                         ids=[n for n, _d, _x in LOW_ORDER_TARGETS])
+def test_verify_divisorial_targets_at_max_order_0_and_1(tmp_path, capsys,
+                                                        name, doc, dims):
+    path = write_doc(tmp_path, doc)
+    for V, want in (("0", "1"), ("1", dims)):
+        code, out, err = run_cli(capsys, ["verify", path, "--max-order", V])
+        assert (code, err) == (0, "")
+        assert out == ("verification (max_order=%s):\n  oracle: %s\n"
+                       "  series: %s\n  match: yes\n" % (V, want, want))
+
+
 def test_verify_reports_first_mismatch(tmp_path, capsys, monkeypatch):
     from artifact import oracle
 

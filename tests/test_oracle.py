@@ -8,7 +8,9 @@ against the independent binomial-product pipeline, which is exercised
 explicitly in the differential tests at the bottom.
 """
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from artifact.linalg import SparseRowSpace, rref
 from artifact.oracle import (
     FiltrationReport,
     PolyXY,
+    _monomial_columns,
     divisorial_filtration_dims,
     divisorial_value,
     filtration_dims,
@@ -132,6 +135,29 @@ def test_sparse_row_space_rejects_exact_combinations():
     space.add({1: 2, 2: 7})
     assert not space.add({0: 14, 1: 54, 2: 42})
     assert space.add({0: 14, 1: 54, 2: 35})
+
+
+def test_column_echelon_counts_leads_per_level():
+    # keys are (level, coordinate); the second column shares the first's
+    # lead and is twice it up to level 1, so it is stored at level 2; the
+    # fourth loses its lead (1, 0) to the third and keeps level 1
+    columns = [
+        {(0, 0): 1, (1, 0): 2, (1, 1): 1},
+        {(0, 0): 2, (1, 0): 4, (1, 1): 2, (2, 1): 3},
+        {(1, 0): 1, (2, 0): 5},
+        {(1, 0): 3, (1, 1): 1, (2, 0): 15},
+    ]
+    space = SparseRowSpace()
+    assert [space.add(c) for c in columns] == [True] * 4
+    assert sorted(space.rows) == [(0, 0), (1, 0), (1, 1), (2, 1)]
+    assert space.rows[(2, 1)] == {(2, 1): 1}
+    leads = Counter(level for level, _key in space.rows)
+    keys = sorted({k for c in columns for k in c})
+    ranks = [len(rref([[c.get(k, 0) for c in columns]
+                       for k in keys if k[0] <= v])[0]) for v in range(3)]
+    assert [leads[v] for v in range(3)] == \
+        [ranks[0], ranks[1] - ranks[0], ranks[2] - ranks[1]] == [1, 2, 1]
+    assert not space.add({(1, 0): 1, (1, 1): 1, (2, 0): 5, (2, 1): 7})
 
 
 # --- report validation ---------------------------------------------------------
@@ -401,6 +427,158 @@ def test_divisorial_dims_match_stacked_fraction_blocks(name, p, extra):
     V = 16
     assert divisorial_filtration_dims(gc, V).dims == \
         stacked_block_dims(gc.x, gc.y, V)
+
+
+# --- shifted columns and the column echelon against the row-block reference -----
+
+def branch_xy(p):
+    x = Poly.monomial(p.ambient, p.x_coeff, p.x_order)
+    coeffs = [p.ambient.zero()] * (p.y_terms[-1][0] + 1 if p.y_terms else 0)
+    for exp, c in p.y_terms:
+        coeffs[exp] = c
+    return x, Poly(p.ambient, coeffs)
+
+
+def product_columns(x, y, V):
+    """{(i, j): integer column} for every monomial x^i y^j of value <= V:
+    the product of the powers x^i and y^j up to tau^V, keyed by (tau
+    order, coordinate key) and cleared of its own denominators."""
+    def cut(p):
+        return Poly(p.ring, p.coeffs[:V + 1])
+
+    ox, oy = x.order(), y.order()
+    xs = [Poly(x.ring, [x.ring.one()])]
+    ys = list(xs)
+    while ox is not INFINITY and len(xs) * ox <= V:
+        xs.append(cut(xs[-1] * x))
+    while oy is not INFINITY and len(ys) * oy <= V:
+        ys.append(cut(ys[-1] * y))
+    out = {}
+    for i, xi in enumerate(xs):
+        for j, yj in enumerate(ys):
+            if (i * ox if i else 0) + (j * oy if j else 0) > V:
+                continue
+            image = xi.mul_upto(yj, V)
+            entries = {(v, key): q for v, c in enumerate(image.coeffs)
+                       for key, q in _rational_coords(c) if q}
+            scale = lcm(*(q.denominator for q in entries.values()))
+            out[(i, j)] = {k: int(q * scale) for k, q in entries.items()}
+    return out
+
+
+def _primitive_up_to_sign(column):
+    g = 0
+    for a in column.values():
+        g = gcd(g, a)
+    sign = -1 if column and column[min(column)] < 0 else 1
+    return {k: sign * a // g for k, a in column.items()}
+
+
+class ScanRowSpace:
+    """The elimination the column echelon replaced: a row is reduced
+    against every stored row in turn, by its stored pivot column."""
+
+    def __init__(self):
+        self.rows = []
+        self.pivcols = []
+
+    def add(self, row):
+        work = {c: v for c, v in row.items() if v}
+        for piv, col in zip(self.rows, self.pivcols):
+            lead = work.get(col)
+            if lead:
+                merged = {c: piv[col] * v for c, v in work.items()}
+                for c, v in piv.items():
+                    merged[c] = merged.get(c, 0) - lead * v
+                work = _primitive_up_to_sign(
+                    {c: v for c, v in merged.items() if v})
+        if not work:
+            return False
+        self.rows.append(work)
+        self.pivcols.append(min(work))
+        return True
+
+
+def row_block_dims(x, y, V):
+    """dims[v] = the number of independent rows that the tau^v block adds:
+    the product-built columns are transposed into one row per (level,
+    coordinate key) and fed level by level, in sorted key order."""
+    blocks = [{} for _ in range(V + 1)]
+    columns = product_columns(x, y, V)
+    for ci, ij in enumerate(sorted(columns)):
+        for (v, key), a in columns[ij].items():
+            blocks[v].setdefault(key, {})[ci] = a
+    space = ScanRowSpace()
+    dims = []
+    for rows in blocks:
+        added = 0
+        for key in sorted(rows):
+            if space.add(rows[key]):
+                added += 1
+        dims.append(added)
+    return tuple(dims)
+
+
+def _workload_V(p):
+    return 30 if p.ambient.degree == 1 else 40
+
+
+# the curve documents of the oracle_quartic benchmark ladders, up to sign
+QUARTIC_DOCS = [(name, dict(CORPUS)[name], V) for name, V in
+                (("biq_cusp", 40), ("qrt_cusp", 40), ("biq_two_jumps", 32))]
+
+# x = sqrt(2) tau^2 is no shift of tau^2: its columns are products
+SCALED_X = [("sq2_scaled_x", BranchParam(SQ2, 2, [(3, 1), (4, SQ2.gen())],
+                                         x_coeff=SQ2.gen()), 16)]
+
+
+@pytest.mark.parametrize(
+    "name,p,V",
+    [(n, p, 16) for n, p in CORPUS + FRACTIONAL] + QUARTIC_DOCS + SCALED_X,
+    ids=[n for n, _p in CORPUS + FRACTIONAL]
+    + ["%s_V%d" % (n, V) for n, _p, V in QUARTIC_DOCS] + ["sq2_scaled_x"])
+def test_shifted_columns_equal_product_columns(name, p, V):
+    x, y = branch_xy(p)
+    ref = product_columns(x, y, V)
+    got = list(_monomial_columns(x, y, V))
+    assert len(got) == len(ref)
+    assert [_primitive_up_to_sign(c) for c in got] == \
+        [_primitive_up_to_sign(ref[ij]) for ij in sorted(ref, reverse=True)]
+
+
+@pytest.mark.parametrize("name,p", CORPUS, ids=[n for n, _p in CORPUS])
+def test_curve_dims_equal_row_block_reference(name, p):
+    V = _workload_V(p)
+    assert filtration_dims(p, V).dims == row_block_dims(*branch_xy(p), V)
+
+
+@pytest.mark.parametrize("name,p,extra", DIVISORIAL_TARGETS,
+                         ids=[n for n, _p, _e in DIVISORIAL_TARGETS])
+def test_divisorial_dims_equal_row_block_reference(name, p, extra):
+    graph, recs = resolve(p, extra_steps=extra)
+    exact = generic_curvette(graph, recs)
+    cut = generic_curvette(graph, recs, bound=30)
+    assert divisorial_filtration_dims(cut, 30).dims == \
+        row_block_dims(exact.x, exact.y, 30)
+
+
+CUSP_LADDER_TARGETS = [
+    ("cusp_k%d_div%d" % (k, extra),
+     BranchParam(Q, 2, [(2 * k + 1, 1), (2 * k + 2, 1), (2 * k + 3, 1)]),
+     extra)
+    for k, extra in ((8, 1), (12, 2), (16, 3))]
+
+
+@pytest.mark.parametrize(
+    "name,p,extra", DIVISORIAL_TARGETS + CUSP_LADDER_TARGETS,
+    ids=[n for n, _p, _e in DIVISORIAL_TARGETS + CUSP_LADDER_TARGETS])
+def test_generic_curvette_with_bound_is_the_cut_curvette(name, p, extra):
+    graph, recs = resolve(p, extra_steps=extra)
+    exact = generic_curvette(graph, recs)
+    for V in sorted({0, 1, exact.x.order() - 1, 16, 30}):
+        cut = generic_curvette(graph, recs, bound=V)
+        assert cut.x == Poly(exact.ring, exact.x.coeffs[:V + 1]), V
+        assert cut.y == Poly(exact.ring, exact.y.coeffs[:V + 1]), V
 
 
 # --- generic markers against scaled divisorial values ------------------------------

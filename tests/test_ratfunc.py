@@ -103,6 +103,16 @@ def test_poly_evaluate_scale():
     assert qpoly(1, 1).shifted(2) == qpoly(0, 0, 1, 1)
 
 
+def test_poly_mul_upto_is_the_cut_product():
+    p = qpoly(1, 2, 0, 3)
+    q = qpoly(0, 1, -1)
+    full = p * q
+    for bound in range(8):
+        assert p.mul_upto(q, bound) == Poly(Q, full.coeffs[:bound + 1])
+    assert p.mul_upto(qpoly(), 3) == qpoly()
+    assert qpoly(0, 0, 1).mul_upto(qpoly(0, 1), 2) == qpoly()
+
+
 def test_ratfunc_canonical_form():
     field = AmbientField([-2, 0, 1])
     z = field.gen()

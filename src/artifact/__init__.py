@@ -15,16 +15,9 @@ from .resolution import (
     BranchParam,
     GenericCurvette,
     QuotientGraph,
-    case_III_reduce,
-    conjugate_param,
-    curvette_param,
     generic_curvette,
-    intersect_noether,
-    intersection_matrix,
     m_values,
-    minus_inverse,
     normalize,
-    proximity_check,
     resolve,
 )
 from .poincare import (
@@ -84,13 +77,10 @@ __all__ = [
     "SeriesProduct",
     "Subfield",
     "binomial_factorization",
-    "case_III_reduce",
     "case_II_data",
     "char_invariants",
     "classical_series",
     "conductor_delta",
-    "conjugate_param",
-    "curvette_param",
     "divisorial_filtration_dims",
     "divisorial_series",
     "divisorial_value",
@@ -99,17 +89,13 @@ __all__ = [
     "filtration_dims",
     "gaps",
     "generic_curvette",
-    "intersect_noether",
-    "intersection_matrix",
     "m_values",
     "membership",
     "minimal_generator_check",
-    "minus_inverse",
     "normalize",
     "numerical_data",
     "observed_semigroup",
     "partial_series",
-    "proximity_check",
     "resolve",
     "semigroup_series",
     "symmetry_check",

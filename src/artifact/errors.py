@@ -34,23 +34,11 @@ class TruncationTooShort(ArtifactError):
 
 
 class GenericCenter(ArtifactError):
-    """A single blow-up step ran into a generic-coefficient center."""
-
-
-class BadConstant(ArtifactError):
-    """Curvette constant collides with a recorded point or leaves the field."""
-
-
-class UnrepresentableCurvette(ArtifactError):
-    """The blow-down exists but has no finite Puiseux form over the field."""
+    """A computation on a concrete branch met a generic coefficient."""
 
 
 class SingularMatrix(ArtifactError):
     """Matrix inversion was requested for a singular matrix."""
-
-
-class NotARoot(ArtifactError):
-    """Conjugation target does not satisfy the defining polynomial."""
 
 
 class BadSemigroupData(ArtifactError):

@@ -279,10 +279,6 @@ class Subfield:
         one = [Fraction(1)] + [Fraction(0)] * (field.degree - 1)
         return Subfield(field, [one], [0])
 
-    @staticmethod
-    def full(field):
-        return span_close([field.gen()], Subfield.rationals(field))
-
     def contains_num(self, a):
         if not isinstance(a, AlgNum) or a.field != self.field:
             raise ValueError("element does not live in this ambient field")

@@ -113,7 +113,10 @@ class SparseRowSpace:
 def invert(matrix):
     """Exact inverse of a square rational matrix via Gauss-Jordan.
 
-    Raises SingularMatrix when no inverse exists.
+    Raises SingularMatrix when no inverse exists. Only the tests' reference
+    resolution.minus_inverse calls it. It stays because the benchmark's
+    tracer (bench/spans.py) looks it up by name, until the benchmark is
+    revised.
     """
     n = len(matrix)
     aug = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)]
@@ -131,19 +134,3 @@ def invert(matrix):
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
 
-
-def is_negative_definite(matrix):
-    """A symmetric matrix is negative definite exactly when every pivot of
-    elimination without row exchanges is negative (the k-th pivot is the
-    ratio of the k-th and (k-1)-th leading principal minors)."""
-    work = [[Fraction(a) for a in row] for row in matrix]
-    n = len(work)
-    for col in range(n):
-        pivot = work[col][col]
-        if pivot >= 0:
-            return False
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] / pivot
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return True

@@ -183,12 +183,6 @@ class Poly:
             out.append(c * power)
         return Poly(self.ring, out)
 
-    def shifted(self, k):
-        """Multiply by the variable to the power k >= 0."""
-        if not self.coeffs:
-            return self
-        return Poly(self.ring, [self.ring.zero()] * k + list(self.coeffs))
-
     def evaluate(self, at):
         acc = self.ring.zero()
         for c in reversed(self.coeffs):

@@ -24,15 +24,12 @@ from math import gcd
 from . import linalg
 from .errors import (
     ArtifactError,
-    BadConstant,
     GenericCenter,
-    NotARoot,
     NotIrreducibleParam,
     ResolutionStuck,
-    UnrepresentableCurvette,
 )
-from .exactfield import AlgNum, Subfield, rel_degree, span_close
-from .ratfunc import INFINITY, FractionField, Poly, PolyRing, RatFunc
+from .exactfield import Subfield, rel_degree, span_close
+from .ratfunc import FractionField, Poly, PolyRing, RatFunc
 
 
 class _Sentinel:
@@ -147,7 +144,8 @@ class _PlainScalars:
             raise GenericCenter("generic coefficient in a concrete run")
         return coeff
 
-    def is_generic(self, scalar):
+    @staticmethod
+    def is_generic(scalar):
         return False
 
     def as_algnum(self, scalar):
@@ -198,7 +196,7 @@ def _initial_state(p, strat):
     return u, w
 
 
-def _chart_step(u, w, is_generic=None):
+def _chart_step(u, w, is_generic):
     """One blow-up, chosen so the strict transform stays at finite distance.
 
     Returns (chart, c, u2, w2): the new exceptional set is {u2 = 0}, c is
@@ -213,7 +211,7 @@ def _chart_step(u, w, is_generic=None):
     else:
         chart, u2, w2 = "B", w, u / w
     c = w2.value0()
-    if c and not (is_generic and is_generic(c)):
+    if c and not is_generic(c):
         w2 = w2 - c
     return chart, c, u2, w2
 
@@ -392,7 +390,7 @@ def _default_cap(p, extra_steps):
     return 50 + 10 * (p.x_order + top + p.ambient.degree) + extra_steps
 
 
-def resolve(p, extra_steps=0, max_steps=None):
+def resolve(p, extra_steps=0):
     """Run the blow-up process to its field-aware end.
 
     Returns (QuotientGraph, records). Records list exactly the blown-up
@@ -409,8 +407,7 @@ def resolve(p, extra_steps=0, max_steps=None):
     """
     p = normalize(p)
     strat = _strategy_for(p)
-    if max_steps is None:
-        max_steps = _default_cap(p, extra_steps)
+    max_steps = _default_cap(p, extra_steps)
     u, w = _initial_state(p, strat)
     ambient = p.ambient
     sub = Subfield.rationals(ambient)
@@ -485,62 +482,6 @@ def resolve(p, extra_steps=0, max_steps=None):
     return graph, records
 
 
-def case_III_reduce(p):
-    """Resolve a GENERIC-bearing branch up to the parameter-dependent center.
-
-    Returns (reduced graph, contact order n): the family's valuation is n
-    times the divisorial valuation of the last component of that graph.
-    """
-    if not p.has_generic:
-        raise ValueError("no generic coefficient to reduce")
-    graph, _records = resolve(p)
-    return graph, graph.n_case3
-
-
-def blow_up_once(p):
-    """One blow-up of the origin, as parametrization data.
-
-    Returns (center, next, mult): the coordinate of the blown-up point on the
-    new component (AT_INFINITY for a landing in the second chart), the
-    translated strict transform, and the multiplicity at the blown point.
-    Raises GenericCenter when the center depends on a GENERIC coefficient and
-    UnrepresentableCurvette when the strict transform's x part is not an
-    exact monomial.
-    """
-    strat = _strategy_for(p)
-    u, w = _initial_state(p, strat)
-    mult = int(min(u.order(), w.order()))
-    chart, c_scal, u2, w2 = _chart_step(u, w, strat.is_generic)
-    if strat.is_generic(c_scal):
-        raise GenericCenter("blown-up center carries the generic coefficient")
-    center = strat.as_algnum(c_scal) if chart == "A" else AT_INFINITY
-    return center, _state_to_param(u2, w2, p.ambient, strat), mult
-
-
-def _state_to_param(u, w, ambient, strat):
-    if u.den.degree() != 0 or w.den.degree() != 0:
-        raise UnrepresentableCurvette(
-            "strict transform is not polynomial in tau")
-    lam = strat.ring.gen() if isinstance(strat, _OneParamScalars) else None
-
-    def down(scalar):
-        if strat.is_generic(scalar):
-            if lam is not None and scalar == lam:
-                return GENERIC
-            raise UnrepresentableCurvette(
-                "coefficient mixes the generic marker with field elements")
-        return strat.as_algnum(scalar)
-
-    xpoly = u.num
-    if sum(1 for c in xpoly.coeffs if c) != 1:
-        raise UnrepresentableCurvette(
-            "x part %r is not an exact monomial" % (xpoly,))
-    x_order = xpoly.order()
-    x_coeff = down(xpoly.coeff(x_order))
-    terms = [(e, down(c)) for e, c in enumerate(w.num.coeffs) if c]
-    return BranchParam(ambient, x_order, terms, x_coeff=x_coeff)
-
-
 # --- curvettes: blow-downs of constant sections
 
 
@@ -550,92 +491,17 @@ def _shift(point):
     return point.center if point.chart == "A" else None
 
 
-def _landing(graph, recs, sigma):
-    """The point where the branch lands on component sigma: record sigma+1,
-    or the terminal past the last record."""
-    return recs[sigma + 1] if sigma + 1 < len(recs) else graph.terminal
-
-
 def _landing_info(graph, recs, sigma):
-    """(chart, shift or None, landing center) of the branch on component
-    sigma; shift None means the raw chart is used (chart B, or a landing
-    outside K_sigma)."""
-    point = _landing(graph, recs, sigma)
+    """(chart, shift or None, center) of the point where the branch lands on
+    component sigma: record sigma+1, or the terminal past the last record.
+    shift None means the raw chart is used (chart B, or a landing outside
+    K_sigma)."""
+    point = recs[sigma + 1] if sigma + 1 < len(recs) else graph.terminal
     shift = _shift(point)
     if shift is GENERIC or (shift is not None and
                             not recs[sigma].field_after.contains_num(shift)):
         shift = None
     return point.chart, shift, point.center
-
-
-def _down_steps(graph, recs, sigma, top_shift):
-    """(chart, shift) per blow-down level, topmost first; top_shift replaces
-    the recorded translation at the component's own level (None = raw)."""
-    top = (_landing(graph, recs, sigma).chart, top_shift)
-    return [top] + [(recs[k].chart, _shift(recs[k]))
-                    for k in range(sigma, 0, -1)]
-
-
-def _blow_down(steps, a, b, lift, bound=None):
-    """Undo the recorded blow-ups on a polynomial state; lift embeds the
-    recorded translation constants into the state's coefficient scalars.
-    With a bound, the state is cut past tau^bound and so is every product;
-    cutting is a ring map, so the coefficients up to tau^bound are exact."""
-    ring = a.ring
-    if bound is not None:
-        a = Poly(ring, a.coeffs[:bound + 1])
-        b = Poly(ring, b.coeffs[:bound + 1])
-
-    def mul(p, q):
-        return p * q if bound is None else p.mul_upto(q, bound)
-
-    for chart, shift in steps:
-        bb = b
-        if shift:
-            bb = b + Poly(ring, [lift(shift)])
-        if chart == "A":
-            a, b = a, mul(a, bb)
-        else:
-            a, b = mul(a, bb), a
-    return a, b
-
-
-def _curvette_state(graph, recs, sigma, constant):
-    """Exact polynomial state (x(tau), y(tau)) of the section {w = constant}
-    in the chart of component sigma, blown down to the base coordinates."""
-    _chart, shift, _center = _landing_info(graph, recs, sigma)
-    steps = _down_steps(graph, recs, sigma, shift)
-    ambient = graph.ambient
-    a = Poly.monomial(ambient, ambient.one(), 1)
-    b = Poly(ambient, [constant])
-    return _blow_down(steps, a, b, lambda s: s)
-
-
-def curvette_param(graph, recs, sigma, c):
-    """Parametrization of the transversal curve {w = c} at component sigma,
-    blown down to the base coordinates.
-
-    c must lie in the subfield attached to sigma and avoid the branch's
-    landing point and the corner with the older components. The constant is
-    read in the coordinate translated to the branch's landing point whenever
-    that point's coordinate lies in the subfield (then c = 0 is the branch
-    itself); otherwise in the raw chart, which keeps all blow-down
-    coefficients inside the subfield.
-    """
-    ambient = graph.ambient
-    if isinstance(c, (int, Fraction)):
-        c = ambient.from_fraction(c)
-    if not recs[sigma].field_after.contains_num(c):
-        raise BadConstant("constant %r outside the component's subfield" % (c,))
-    _chart, shift, center = _landing_info(graph, recs, sigma)
-    eff = c + shift if shift else c
-    if shift is not None and isinstance(center, AlgNum) and eff == center:
-        raise BadConstant("constant hits the branch's landing point")
-    if sigma >= 1 and not eff:
-        raise BadConstant("constant hits the corner with an older component")
-    x, y = _curvette_state(graph, recs, sigma, c)
-    return _state_to_param(RatFunc.of(x), RatFunc.of(y), ambient,
-                           _PlainScalars(ambient))
 
 
 class GenericCurvette:
@@ -659,98 +525,37 @@ def generic_curvette(graph, recs, sigma=None, bound=None):
     """Curvette at sigma (default: the last component) with the constant kept
     as an indeterminate, for exact divisorial value computations.
 
+    The section (u, w) = (tau, c) in the coordinate of _landing_info is
+    blown down from sigma's own blow-up to the first: w is translated back
+    by the center, then (u, w) -> (u, u*w) in chart A, (u*w, u) in chart B.
+
     With a bound, x and y are the curvette's coordinates cut past
     tau^bound, which is all the filtration dimensions of levels 0..bound
-    read; divisorial_value needs the whole curvette (no bound)."""
+    read; divisorial_value needs the whole curvette (no bound). Cutting is
+    a ring map, so the coefficients up to tau^bound are exact."""
     if sigma is None:
         sigma = graph.delta()
-    cring = PolyRing(graph.ambient, "c")
-    _chart, shift, _center = _landing_info(graph, recs, sigma)
-    steps = _down_steps(graph, recs, sigma, shift)
-    a = Poly.monomial(cring, cring.one(), 1)
-    b = Poly(cring, [cring.gen()])
-    x, y = _blow_down(steps, a, b, lambda s: Poly(graph.ambient, [s]),
-                      bound)
-    return GenericCurvette(x, y, cring, graph.ambient, sigma)
+    ambient = graph.ambient
+    cring = PolyRing(ambient, "c")
+    chart, shift, _center = _landing_info(graph, recs, sigma)
+    steps = [(chart, shift)] + [(recs[k].chart, _shift(recs[k]))
+                                for k in range(sigma, 0, -1)]
+    u = Poly.monomial(cring, cring.one(), 1)
+    w = Poly(cring, [cring.gen()])
+    if bound is not None:   # w = c needs no cut: bound >= 0
+        u = Poly(cring, u.coeffs[:bound + 1])
 
+    def mul(p, q):
+        return p * q if bound is None else p.mul_upto(q, bound)
 
-# --- multiplicity sequences and intersection numbers by joint replay
-
-
-def _replay_step(u, w, chart, shift_scalar):
-    """Transform a state through a recorded blow-up; returns the new state or
-    None when the carrier does not pass through the recorded point: its own
-    blow-up lands in the other chart, or (when a shift is given) at another
-    point of the chart."""
-    chart2, c, u2, w2 = _chart_step(u, w)
-    if chart2 != chart or (shift_scalar is not None and c != shift_scalar):
-        return None
-    return u2, w2
-
-
-def _strict_mults_state(u, w, recs, strat):
-    out = [int(min(u.order(), w.order()))]
-    for rec in recs[1:]:
-        shift = _shift(rec)
-        if shift is not None:
-            shift = strat.lift(shift)
-        nxt = _replay_step(u, w, rec.chart, shift)
-        if nxt is None:
-            out.extend([0] * (len(recs) - len(out)))
-            break
-        u, w = nxt
-        out.append(int(min(u.order(), w.order())))
-    return out
-
-
-def strict_mults(carrier, reference):
-    """Multiplicities of the carrier's strict transforms at the reference
-    branch's blown-up points; 0 from the first point not shared on.
-
-    The carrier is replayed exactly as given (no coordinate swap), so axes
-    such as (tau, 0) and (0, tau) keep their geometric meaning relative to
-    the reference.
-    """
-    strat = _PlainScalars(carrier.ambient)
-    u, w = _initial_state(carrier, strat)
-    return _strict_mults_state(u, w, reference, strat)
-
-
-def _intersect_states(ua, wa, ub, wb, bound):
-    """Joint replay along the first state's own blow-up chain; returns the
-    accumulated product sum, or INFINITY once it exceeds bound."""
-    total = 0
-    while True:
-        ma = min(ua.order(), wa.order())
-        mb = min(ub.order(), wb.order())
-        total += int(ma) * int(mb)
-        if total > bound:
-            return INFINITY
-        chart, ca, ua, wa = _chart_step(ua, wa)
-        nxt = _replay_step(ub, wb, chart, ca)
-        if nxt is None:
-            return total
-        ub, wb = nxt
-
-
-def intersect_noether(a, b):
-    """Intersection number of two branches as the sum over shared infinitely
-    near points of the multiplicity products; INFINITY when they are the
-    same branch (certified by exceeding the degree bound of two distinct
-    local curves). Both arguments are taken literally, without coordinate
-    swaps."""
-    if a.has_generic or b.has_generic:
-        raise ValueError("intersection of generic-marker branches is not "
-                         "defined here")
-    if a.ambient != b.ambient:
-        raise ValueError("branches live over different ambient fields")
-    na = a.y_terms[-1][0] if a.y_terms else a.x_order
-    nb = b.y_terms[-1][0] if b.y_terms else b.x_order
-    bound = (a.x_order + na) * (b.x_order + nb)
-    strat = _PlainScalars(a.ambient)
-    ua, wa = _initial_state(a, strat)
-    ub, wb = _initial_state(b, strat)
-    return _intersect_states(ua, wa, ub, wb, bound)
+    for chart, shift in steps:
+        if shift:
+            w = w + Poly(cring, [Poly(ambient, [shift])])
+        if chart == "A":
+            w = mul(u, w)
+        else:
+            u, w = mul(u, w), u
+    return GenericCurvette(u, w, cring, ambient, sigma)
 
 
 # --- value maps and intersection matrices from the recorded graph
@@ -788,56 +593,11 @@ def m_values(graph, recs):
             for v in graph.vertices}
 
 
-def intersection_matrix(graph):
-    """Integer matrix of component self-intersections and adjacencies."""
-    n = len(graph.vertices)
-    mat = [[0] * n for _ in range(n)]
-    for v in graph.vertices:
-        mat[v.id][v.id] = v.self_int
-    for a, b in graph.edges:
-        mat[a][b] = 1
-        mat[b][a] = 1
-    return mat
-
-
 def minus_inverse(mat):
     """Negated exact inverse of the intersection matrix; its delta column
-    equals m_values, by Gauss-Jordan elimination instead of proximity."""
+    equals m_values, by Gauss-Jordan elimination instead of proximity.
+
+    Only the tests call it. It stays because the benchmark's tracer
+    (bench/spans.py) looks it up by name, until the benchmark is revised."""
     inv = linalg.invert(mat)
     return [[-x for x in row] for row in inv]
-
-
-def conjugate_param(p, root_image):
-    """Apply the coefficient map sending the field generator to another root
-    of the defining polynomial."""
-    ambient = p.ambient
-    acc = ambient.zero()
-    for coeff in reversed(ambient.min_poly):
-        acc = acc * root_image + ambient.from_fraction(coeff)
-    if acc:
-        raise NotARoot("%r is not a root of the defining polynomial"
-                       % (root_image,))
-
-    def mapped(c):
-        if c is GENERIC:
-            return c
-        return c.evaluate(root_image)
-
-    return BranchParam(ambient, p.x_order,
-                       [(e, mapped(c)) for e, c in p.y_terms],
-                       x_coeff=mapped(p.x_coeff))
-
-
-def proximity_check(recs, terminal):
-    """Each point's multiplicity equals the sum of the multiplicities at the
-    points lying on the component it creates (the final one contributed by
-    the terminal landing)."""
-    r = len(recs)
-    for i in range(r):
-        total = sum(rec.branch_mult for rec in recs[i + 1:]
-                    if i in rec.host_components)
-        if i == r - 1:
-            total += terminal.mult
-        if recs[i].branch_mult != total:
-            return False
-    return True

@@ -27,18 +27,15 @@ from artifact import (
     binomial_factorization,
     case_II_data,
     classical_series,
-    conjugate_param,
     divisorial_filtration_dims,
     divisorial_series,
     divisorial_value,
     expand,
     filtration_dims,
     generic_curvette,
-    intersection_matrix,
     m_values,
     membership,
     minimal_generator_check,
-    minus_inverse,
     numerical_data,
     observed_semigroup,
     partial_series,
@@ -48,7 +45,10 @@ from artifact import (
     value_of,
 )
 from artifact.errors import TruncationInconclusive
-from artifact.linalg import is_negative_definite
+from artifact.resolution import minus_inverse
+
+from slow_paths import (conjugate_param, intersection_matrix,
+                        is_negative_definite)
 
 Q = AmbientField([0, 1])
 SQ2 = AmbientField([-2, 0, 1])

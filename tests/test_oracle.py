@@ -39,11 +39,11 @@ from artifact.ratfunc import INFINITY, Poly
 from artifact.resolution import (
     GENERIC,
     BranchParam,
-    conjugate_param,
     generic_curvette,
     resolve,
 )
 
+from slow_paths import conjugate_param
 from test_acceptance import CORPUS, DIVISORIAL_TARGETS
 
 Q = AmbientField([0, 1])
@@ -398,13 +398,8 @@ FRACTIONAL = [
 @pytest.mark.parametrize("name,p", CORPUS + FRACTIONAL,
                          ids=[n for n, _p in CORPUS + FRACTIONAL])
 def test_filtration_dims_match_stacked_fraction_blocks(name, p):
-    x = Poly.monomial(p.ambient, p.x_coeff, p.x_order)
-    coeffs = [p.ambient.zero()] * (p.y_terms[-1][0] + 1 if p.y_terms else 0)
-    for exp, c in p.y_terms:
-        coeffs[exp] = c
-    y = Poly(p.ambient, coeffs)
     V = 16
-    assert filtration_dims(p, V).dims == stacked_block_dims(x, y, V)
+    assert filtration_dims(p, V).dims == stacked_block_dims(*branch_xy(p), V)
 
 
 # divisorial targets plus two on which clearing each column per level

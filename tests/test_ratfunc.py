@@ -100,7 +100,6 @@ def test_poly_evaluate_scale():
     assert qpoly(1, 2, 3).evaluate(Fraction(2)) == 17
     u = qpoly(0, 2, 4)
     assert u.scale_arg(Fraction(1, 2)) == qpoly(0, 1, 1)
-    assert qpoly(1, 1).shifted(2) == qpoly(0, 0, 1, 1)
 
 
 def test_poly_mul_upto_is_the_cut_product():

@@ -12,15 +12,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import linalg
 from artifact.errors import (
     ArtifactError,
-    BadConstant,
     GenericCenter,
-    NotARoot,
     NotIrreducibleParam,
     ResolutionStuck,
-    UnrepresentableCurvette,
 )
 from artifact.exactfield import AmbientField
 from artifact.ratfunc import INFINITY, Poly, RatFunc
@@ -30,18 +26,24 @@ from artifact.resolution import (
     _shift,
     GENERIC,
     BranchParam,
-    blow_up_once,
-    case_III_reduce,
-    conjugate_param,
-    curvette_param,
     generic_curvette,
-    intersect_noether,
-    intersection_matrix,
     m_values,
     minus_inverse,
     normalize,
-    proximity_check,
     resolve,
+)
+
+from slow_paths import (
+    BadConstant,
+    NotARoot,
+    UnrepresentableCurvette,
+    blow_up_once,
+    conjugate_param,
+    curvette_param,
+    intersect_noether,
+    intersection_matrix,
+    is_negative_definite,
+    proximity_check,
     strict_mults,
 )
 
@@ -338,9 +340,10 @@ def test_resolve_rejects_multiple_cover():
         resolve(BranchParam(Q, 2, [(4, 1)]))
 
 
-def test_resolve_step_cap():
+def test_resolve_step_cap(monkeypatch):
+    monkeypatch.setattr("artifact.resolution._default_cap", lambda *a: 2)
     with pytest.raises(ResolutionStuck):
-        resolve(cusp(), max_steps=2)
+        resolve(cusp())
 
 
 def test_assign_tags_rejects_trees_of_no_branch():
@@ -483,22 +486,22 @@ def test_intersection_matrix_cusp():
     assert mat == [[-3, 0, 1], [0, -2, 1], [1, 1, -1]]
     inv = minus_inverse(mat)
     assert [row[2] for row in inv] == [2, 3, 6]
-    assert linalg.is_negative_definite(mat)
+    assert is_negative_definite(mat)
 
 
 def test_is_negative_definite_small_matrices():
-    assert linalg.is_negative_definite([])
-    assert linalg.is_negative_definite([[-2, 1], [1, -1]])
+    assert is_negative_definite([])
+    assert is_negative_definite([[-2, 1], [1, -1]])
     # indefinite: leading minors -1, -3
-    assert not linalg.is_negative_definite([[-1, 2], [2, -1]])
+    assert not is_negative_definite([[-1, 2], [2, -1]])
     # zero leading minor, although the whole determinant is negative
-    assert not linalg.is_negative_definite([[0, 1], [1, 0]])
+    assert not is_negative_definite([[0, 1], [1, 0]])
     # zero second minor, the first is negative
-    assert not linalg.is_negative_definite([[-1, 1, 0], [1, -1, 0],
-                                            [0, 0, -1]])
+    assert not is_negative_definite([[-1, 1, 0], [1, -1, 0],
+                                     [0, 0, -1]])
     # positive definite
-    assert not linalg.is_negative_definite([[2, 1], [1, 2]])
-    assert not linalg.is_negative_definite([[1]])
+    assert not is_negative_definite([[2, 1], [1, 2]])
+    assert not is_negative_definite([[1]])
 
 
 def test_minus_inverse_delta_column_matches_curvette_values():
@@ -517,7 +520,7 @@ def test_minus_inverse_delta_column_matches_curvette_values():
     runs.append(resolve(BranchParam(Q, 2, [(3, 1), (5, GENERIC)])))
     for graph, recs in runs:
         mat = intersection_matrix(graph)
-        assert linalg.is_negative_definite(mat)
+        assert is_negative_definite(mat)
         inv = minus_inverse(mat)
         m = m_values(graph, recs)
         delta = graph.delta()
@@ -528,8 +531,7 @@ def test_minus_inverse_delta_column_matches_curvette_values():
 
 
 def test_case_iii_transverse_line():
-    graph, n = case_III_reduce(BranchParam(Q, 1, [(1, GENERIC)]))
-    assert n == 1
+    graph, _ = resolve(BranchParam(Q, 1, [(1, GENERIC)]))
     assert graph.case == "III" and graph.n_case3 == 1
     assert len(graph.vertices) == 1
     assert tag_sets(graph) == [{("INITIAL",), ("DEAD_END", 0), ("DELTA",)}]
@@ -537,16 +539,16 @@ def test_case_iii_transverse_line():
 
 
 def test_case_iii_cusp_prefix():
-    graph, n = case_III_reduce(BranchParam(Q, 2, [(3, GENERIC)]))
-    assert n == 1
+    graph, _ = resolve(BranchParam(Q, 2, [(3, GENERIC)]))
+    assert graph.n_case3 == 1
     assert [v.self_int for v in graph.vertices] == [-3, -2, -1]
     assert graph.edges == {(0, 2), (1, 2)}
     assert tag_sets(graph)[2] == {("RUPTURE", 1), ("DELTA",)}
 
 
 def test_case_iii_past_the_cusp():
-    graph, n = case_III_reduce(BranchParam(Q, 2, [(3, 1), (5, GENERIC)]))
-    assert n == 1
+    graph, _ = resolve(BranchParam(Q, 2, [(3, 1), (5, GENERIC)]))
+    assert graph.n_case3 == 1
     assert len(graph.vertices) == 5
     assert [v.self_int for v in graph.vertices] == [-3, -2, -2, -2, -1]
     assert graph.edges == {(0, 2), (1, 2), (2, 3), (3, 4)}
@@ -554,15 +556,14 @@ def test_case_iii_past_the_cusp():
 
 
 def test_case_iii_higher_contact():
-    graph, n = case_III_reduce(BranchParam(Q, 4, [(6, GENERIC), (7, 1)]))
-    assert n == 2
+    graph, _ = resolve(BranchParam(Q, 4, [(6, GENERIC), (7, 1)]))
+    assert graph.n_case3 == 2
     assert len(graph.vertices) == 3
     assert [v.self_int for v in graph.vertices] == [-3, -2, -1]
 
 
 def test_case_iii_requires_generic():
-    with pytest.raises(ValueError):
-        case_III_reduce(cusp())
+    assert resolve(cusp())[0].case == "I"
     graph, _ = resolve(BranchParam(Q, 2, [(3, GENERIC)]))
     assert graph.case == "III"
 
@@ -644,7 +645,7 @@ def test_resolution_invariants_on_random_branches(data):
     n = len(graph.vertices)
     assert len(graph.edges) == n - 1 or n == 1
     mat = intersection_matrix(graph)
-    assert linalg.is_negative_definite(mat)
+    assert is_negative_definite(mat)
     assert proximity_check(recs, graph.terminal)
     inv = minus_inverse(mat)
     m_map = m_values(graph, recs)

@@ -1,33 +1,35 @@
 """Value maps against the blow-down replay they replaced.
 
 The runtime reads m and M off the proximity relation of the blow-up records
-(resolution.curvette_mults). This module keeps the older route, which shares
-none of that arithmetic, as the reference: a curvette at each component is
-blown down to exact base coordinates, then replayed jointly with the branch
-(Noether's formula on exact states) and through the recorded blow-ups
-(strict multiplicities).
+(resolution.curvette_mults). This module keeps the older route of
+slow_paths, which shares none of that arithmetic, as the reference: a
+curvette at each component is blown down to exact base coordinates, then
+replayed jointly with the branch (Noether's formula on exact states) and
+through the recorded blow-ups (strict multiplicities).
 """
 
 from math import prod
 
 import pytest
 
-from artifact.exactfield import AlgNum, AmbientField
+from artifact.exactfield import AmbientField
 from artifact.poincare import big_M
-from artifact.ratfunc import INFINITY, RatFunc
+from artifact.ratfunc import INFINITY
 from artifact.resolution import (
     BranchParam,
     _PlainScalars,
-    _curvette_state,
     _initial_state,
-    _intersect_states,
-    _landing_info,
-    _strict_mults_state,
     curvette_mults,
     m_values,
     resolve,
 )
 
+from slow_paths import (
+    _curvette_state,
+    _intersect_states,
+    _strict_mults_state,
+    constant_collision,
+)
 from test_acceptance import CORPUS
 
 Q = AmbientField([0, 1])
@@ -46,24 +48,14 @@ MULTIPAIR = [
 ]
 
 
-def auto_constant(graph, recs, sigma):
-    """Smallest positive integer avoiding the special points on sigma."""
-    _chart, shift, center = _landing_info(graph, recs, sigma)
-    c = 1
-    while True:
-        const = graph.ambient.from_fraction(c)
-        eff = const + shift if (shift is not None and shift) else const
-        on_branch = isinstance(center, AlgNum) and eff == center
-        if not on_branch and (sigma == 0 or eff):
-            return const
-        c += 1
-
-
 def replay_curvette(graph, recs, sigma):
-    """Exact state of a curvette at sigma, blown down to the base."""
-    x, y = _curvette_state(graph, recs, sigma,
-                           auto_constant(graph, recs, sigma))
-    return RatFunc.of(x), RatFunc.of(y)
+    """Exact state of a curvette at sigma, blown down to the base; its
+    constant is the least positive integer that constant_collision admits."""
+    c = 1
+    while constant_collision(graph, recs, sigma,
+                             graph.ambient.from_fraction(c)):
+        c += 1
+    return _curvette_state(graph, recs, sigma, graph.ambient.from_fraction(c))
 
 
 def replay_m_values(graph, recs):

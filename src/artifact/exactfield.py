@@ -231,14 +231,6 @@ class AlgNum:
     def __bool__(self):
         return any(self.coords)
 
-    def is_rational(self):
-        return not any(self.coords[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError("element is not rational: %r" % (self,))
-        return self.coords[0]
-
     def evaluate(self, at):
         """Evaluate the representing polynomial at another element."""
         acc = at.field.zero()

@@ -168,15 +168,17 @@ class _OneParamScalars:
         return self.ring.from_scalar(coeff)
 
     def is_generic(self, scalar):
-        return scalar.num.degree() > 0 or scalar.den.degree() > 0
+        """False exactly on constants, where num * d0 = den * n0 for the
+        constant terms n0, d0 (RatFunc cancelled the common power of lam)."""
+        return (scalar.num.scale(scalar.den.coeff(0))
+                != scalar.den.scale(scalar.num.coeff(0)))
 
     def as_algnum(self, scalar):
         return scalar.num.coeff(0) / scalar.den.coeff(0)
 
     def in_field(self, scalar, sub):
-        if self.is_generic(scalar):
-            return False
-        return sub.contains_num(self.as_algnum(scalar))
+        return (not self.is_generic(scalar)
+                and sub.contains_num(self.as_algnum(scalar)))
 
 
 def _strategy_for(p):
@@ -196,22 +198,20 @@ def _initial_state(p, strat):
     return u, w
 
 
-def _chart_step(u, w, is_generic):
+def _chart_step(u, w):
     """One blow-up, chosen so the strict transform stays at finite distance.
 
     Returns (chart, c, u2, w2): the new exceptional set is {u2 = 0}, c is
     the landing coordinate (always 0 in chart B) and w2 is already
-    translated by c, so the new point is again the origin. A center for
-    which is_generic(c) holds ends every run, so w2 is left untranslated
-    there: that translation would be arithmetic in the parameter field
-    whose result no caller reads.
+    translated by c, so the new point is again the origin. Coprime forms
+    stay coprime (see _tail_ok).
     """
     if u.order() <= w.order():
         chart, u2, w2 = "A", u, w / u
     else:
         chart, u2, w2 = "B", w, u / w
     c = w2.value0()
-    if c and not is_generic(c):
+    if c:
         w2 = w2 - c
     return chart, c, u2, w2
 
@@ -221,9 +221,18 @@ def _tail_ok(u, w, sub, strat):
 
     w == 0 is immediate (every later center is 0). Otherwise rescale tau so
     the lowest coefficient of u becomes 1 (centers are invariant under this)
-    and demand that every coefficient of the canonical fraction forms of u
+    and demand that every coefficient of the reduced fraction forms of u
     and w lies in sub: those coefficients generate the field of the whole
     remaining expansion.
+
+    RatFunc's forms are reduced here without a gcd. With u = A/B and
+    w = C/D, gcd(A, B) = gcd(C, D) = gcd(A, C) = gcd(B, D) = 1 up to powers
+    of tau, which RatFunc cancels: at the start A = a*tau^m, B = D = 1.
+    Chart A gives (A/B, (CB - cDA)/(DA)): a prime dividing DA and CB - cDA
+    divides CB, so it divides one of the coprime pairs. Chart B gives
+    (C/D, AD/(BC)), c = 0, and the same pairs rule out a common prime
+    (the Hamburger-Noether process; Casas-Alvero, Singularities of Plane
+    Curves, 2000).
     """
     if not w:
         return True
@@ -444,7 +453,7 @@ def resolve(p, extra_steps=0):
             edges.add(tuple(sorted((h, new_id))))
         if len(hosts) == 2:
             edges.discard(tuple(sorted(hosts)))
-        chart, c_scal, u, w = _chart_step(u, w, strat.is_generic)
+        chart, c_scal, u, w = _chart_step(u, w)
         if strat.is_generic(c_scal):
             case3_n = int(u.order())
             terminal = TerminalData(chart=chart, mult=None, center=GENERIC)

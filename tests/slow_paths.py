@@ -50,7 +50,7 @@ def blow_up_once(p):
     strat = _strategy_for(p)
     u, w = _initial_state(p, strat)
     mult = int(min(u.order(), w.order()))
-    chart, c_scal, u2, w2 = _chart_step(u, w, strat.is_generic)
+    chart, c_scal, u2, w2 = _chart_step(u, w)
     if strat.is_generic(c_scal):
         raise GenericCenter("blown-up center carries the generic coefficient")
     center = strat.as_algnum(c_scal) if chart == "A" else AT_INFINITY
@@ -128,7 +128,7 @@ def _replay_step(u, w, chart, shift_scalar):
     None when the carrier does not pass through the recorded point: its own
     blow-up lands in the other chart, or (when a shift is given) at another
     point of the chart."""
-    chart2, c, u2, w2 = _chart_step(u, w, _PlainScalars.is_generic)
+    chart2, c, u2, w2 = _chart_step(u, w)
     if chart2 != chart or (shift_scalar is not None and c != shift_scalar):
         return None
     return u2, w2
@@ -172,7 +172,7 @@ def _intersect_states(ua, wa, ub, wb, bound):
         total += int(ma) * int(mb)
         if total > bound:
             return INFINITY
-        chart, ca, ua, wa = _chart_step(ua, wa, _PlainScalars.is_generic)
+        chart, ca, ua, wa = _chart_step(ua, wa)
         nxt = _replay_step(ub, wb, chart, ca)
         if nxt is None:
             return total

@@ -1,0 +1,176 @@
+"""The resolution's states are coprime without Euclid.
+
+RatFunc cancels only the common power of tau, and the chart steps keep the
+numerator and denominator of every state coprime (resolution._tail_ok), so
+that form is the one an eager gcd would give. The reference here is that
+gcd: Poly.gcd on every state a chart step returns, over the benchmark's
+workload documents (the acceptance corpus among them) and over seeded
+random branches. Documents that once ran Euclid over a parameter field for
+minutes must now analyze within a time limit, and two heavy multi-pair
+documents keep their output.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import pathlib
+import random
+
+import pytest
+
+from artifact import cli, resolution
+from artifact.errors import ArtifactError
+from artifact.exactfield import AmbientField
+from artifact.resolution import GENERIC, BranchParam, resolve
+
+from test_exit_codes import time_limit
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PINNED = pathlib.Path(__file__).with_name("pinned")
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _workloads()
+
+
+@pytest.fixture
+def chart_steps(monkeypatch):
+    """Checks each state a chart step returns while the test runs: the
+    reference gcd of its numerator and denominator is 1. Returns the list
+    of checked states."""
+    states = []
+    chart_step = resolution._chart_step
+
+    def checked(u, w):
+        out = chart_step(u, w)
+        for part in out[2:]:
+            assert part.num.gcd(part.den).degree() == 0, part
+        states.append(out[2:])
+        return out
+
+    monkeypatch.setattr(resolution, "_chart_step", checked)
+    return states
+
+
+def run_to_end(run):
+    """run(); a refused document (ArtifactError or ValueError) ends it
+    early, after the chart steps it made were checked."""
+    try:
+        run()
+    except (ArtifactError, ValueError):
+        pass
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.GENERATORS))
+def test_workload_documents_keep_coprime_states(chart_steps, workload):
+    for seed in (1, 2):
+        for item in WORKLOADS.generate(workload, seed):
+            run_to_end(lambda: cli.build_analysis(cli.parse_input(item["doc"])))
+    assert chart_steps
+
+
+FIELDS = {
+    "Q": [0, 1],
+    "sqrt2": [-2, 0, 1],
+    "cbrt2": [-2, 0, 0, 1],
+    "golden": [-1, -1, 1],
+    "biquadratic": [1, 0, -10, 0, 1],
+    "z2-1": [-1, 0, 1],
+}
+
+
+def random_branch(rng, field):
+    """x = tau^m and y terms past m with small coordinates: three terms
+    only for m <= 3, and the generic marker on one term in four of the
+    branches with at most two. Larger shapes leave the reference gcd
+    running for seconds to minutes."""
+    m = rng.randint(1, 4)
+    exps = sorted(rng.sample(range(m + 1, m + 9),
+                             rng.randint(1, 3 if m <= 3 else 2)))
+    terms = []
+    for exp in exps:
+        coords = [rng.choice([0, 0, 1, -1, 2]) for _ in range(field.degree)]
+        coords[rng.randrange(field.degree)] = rng.choice([1, -1, 3])
+        terms.append((exp, field.element(coords)))
+    if len(terms) <= 2 and rng.randrange(4) == 0:
+        k = rng.randrange(len(terms))
+        terms[k] = (terms[k][0], GENERIC)
+    return BranchParam(field, m, terms)
+
+
+def test_random_branches_keep_coprime_states(chart_steps):
+    rng = random.Random(20261018)
+    resolved = {name: 0 for name in FIELDS}
+    generic = extra = 0
+    for k in range(120):
+        name = sorted(FIELDS)[k % len(FIELDS)]
+        p = random_branch(rng, AmbientField(FIELDS[name]))
+        extra_steps = rng.choice([0, 0, 1, 2])
+        before = len(chart_steps)
+        run_to_end(lambda: resolve(p, extra_steps=extra_steps))
+        if len(chart_steps) > before:
+            resolved[name] += 1
+            generic += p.has_generic
+            extra += extra_steps > 0
+    assert sum(resolved.values()) >= 100 and min(resolved.values()) > 0
+    assert generic > 0 and extra > 0
+
+
+def _doc(min_poly, x_order, terms):
+    return {"ambient": {"var": "z", "min_poly": min_poly},
+            "branch": {"x_order": x_order,
+                       "y_terms": [{"exp": e, "coeff": c} for e, c in terms]},
+            "mode": "curve"}
+
+
+def analyze(tmp_path, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["analyze", str(path)])
+    return code, out.getvalue()
+
+
+# Three y terms and a generic marker: Euclid over Q(lambda) on these took
+# from half a minute to more than five minutes; without it each takes
+# about 0.1 s.
+GENERIC_THREE_TERMS = [
+    _doc([0, 1], 4, [(6, [1]), (7, [1]), (9, "generic")]),
+    _doc([0, 1], 4, [(6, [1]), (7, [1]), (8, "generic")]),
+    _doc([0, 1], 3, [(4, [1]), (5, [1]), (8, "generic")]),
+]
+
+
+@pytest.mark.parametrize("doc", GENERIC_THREE_TERMS,
+                         ids=["x4_6_7_g9", "x4_6_7_g8", "x3_4_5_g8"])
+def test_generic_three_term_documents_analyze_in_time(tmp_path, doc):
+    with time_limit(30, doc):
+        code, out = analyze(tmp_path, doc)
+    assert code == 0 and out.startswith("case: III\n")
+
+
+# Over Q(sqrt 2); analyze took 5-7 s while Euclid ran on their states.
+HEAVY = {
+    "sq2_x4_6_7_r10": _doc([-2, 0, 1], 4,
+                           [(6, [1, 0]), (7, [1, 0]), (10, [0, 1])]),
+    "sq2_x8_12_r14_15": _doc([-2, 0, 1], 8,
+                             [(12, [1, 0]), (14, [0, 1]), (15, [1, 0])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEAVY))
+def test_heavy_multipair_documents_keep_their_output(tmp_path, name):
+    with time_limit(30, HEAVY[name]):
+        code, out = analyze(tmp_path, HEAVY[name])
+    assert code == 0
+    assert out == (PINNED / (name + ".analyze.txt")).read_text(
+        encoding="utf-8")

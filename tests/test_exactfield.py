@@ -65,15 +65,6 @@ def test_zero_divisor_detected():
         (z - 1).inverse()
 
 
-def test_rational_predicates():
-    field = sqrt2_field()
-    z = field.gen()
-    assert field.from_fraction(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
-    assert not z.is_rational()
-    with pytest.raises(ValueError):
-        z.as_fraction()
-
-
 def test_evaluate_conjugation():
     field = sqrt2_field()
     z = field.gen()

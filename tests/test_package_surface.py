@@ -1,6 +1,6 @@
 """Each reference route of tests/slow_paths.py exists once: no top-level
 name there is also defined in src/artifact. Every name in artifact.__all__
-survives a star import."""
+survives a star import. The runtime runs no polynomial Euclid."""
 
 import ast
 import pathlib
@@ -33,3 +33,21 @@ def test_star_import_resolves_every_public_name():
     namespace = {}
     exec("from artifact import *", namespace)
     assert sorted(set(artifact.__all__) - set(namespace)) == []
+
+
+def test_runtime_calls_no_polynomial_gcd():
+    """No code in src/artifact calls an attribute named gcd: RatFunc keeps
+    no gcd-canonical form, and Poly.gcd is the tests' reference. math.gcd
+    on integers stays allowed."""
+    calls = []
+    for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call)
+                    and isinstance(func, ast.Attribute)
+                    and func.attr == "gcd"
+                    and not (isinstance(func.value, ast.Name)
+                             and func.value.id == "math")):
+                calls.append("%s:%d" % (path.name, node.lineno))
+    assert calls == []

@@ -14,6 +14,7 @@ from artifact.ratfunc import (
     PolyRing,
     RatFunc,
 )
+from artifact.resolution import _OneParamScalars
 
 
 class Rationals:
@@ -88,14 +89,6 @@ def test_poly_gcd_monic():
     assert qpoly(4).gcd(a) == qpoly(1)
 
 
-def test_poly_exact_division():
-    a = qpoly(-1, 0, 1)
-    assert a / qpoly(-1, 1) == qpoly(1, 1)
-    assert a / 2 == qpoly(Fraction(-1, 2), 0, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        qpoly(1, 1) / qpoly(0, 1)
-
-
 def test_poly_evaluate_scale():
     assert qpoly(1, 2, 3).evaluate(Fraction(2)) == 17
     u = qpoly(0, 2, 4)
@@ -139,6 +132,14 @@ def test_ratfunc_arithmetic():
     assert (a / b) == RatFunc(qpoly(1, 1), qpoly(1, -1))
     with pytest.raises(DivisionByZero):
         a / RatFunc.of(qpoly())
+    # no gcd is cancelled, so a non-reduced fraction keeps its factor and
+    # still equals its reduced form
+    unreduced = RatFunc(qpoly(-1, 0, 1), qpoly(1, -2, 1))  # (t+1)/(t-1)
+    assert unreduced.den.degree() == 2
+    assert unreduced == RatFunc(qpoly(1, 1), qpoly(-1, 1))
+    assert unreduced != RatFunc(qpoly(1, 1), qpoly(1, -1))
+    assert RatFunc(qpoly(1, 1), qpoly(1, 1)) == 1
+    assert a * b == RatFunc(qpoly(0, 2), qpoly(0, 2, 0, -2))
 
 
 def test_ratfunc_order_and_value():
@@ -165,6 +166,12 @@ def test_nested_rings():
     state = RatFunc.of(y) / RatFunc.of(x)
     assert state.order() == 1
     assert state.value0() == lam.zero()
+    strat = _OneParamScalars(field)
+    one_plus = lam.gen() + 1
+    assert not strat.is_generic(one_plus / one_plus)
+    assert strat.is_generic(lam.gen())
+    assert not strat.is_generic(lam.zero())
+    assert strat.as_algnum(one_plus * 3 / one_plus) == 3
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),

@@ -58,14 +58,24 @@ def replay_curvette(graph, recs, sigma):
     return _curvette_state(graph, recs, sigma, graph.ambient.from_fraction(c))
 
 
+def degree_bound(u, w):
+    """Degree of x plus degree of y for a polynomial state; two distinct
+    branches meet with at most the product of these, the bound that
+    slow_paths.intersect_noether uses."""
+    return u.num.degree() + max(w.num.degree(), 0)
+
+
 def replay_m_values(graph, recs):
-    """m by joint replay of the branch against each curvette."""
+    """m by joint replay of the branch against each curvette. A curvette
+    that meets the branch past the degree bound ends the replay as
+    INFINITY, so a wrong curvette fails the test instead of hanging it."""
     strat = _PlainScalars(graph.ambient)
     out = {}
     for v in graph.vertices:
         ub, wb = replay_curvette(graph, recs, v.id)
         ua, wa = _initial_state(graph.branch, strat)
-        val = _intersect_states(ua, wa, ub, wb, bound=10 ** 9)
+        val = _intersect_states(ua, wa, ub, wb, bound=degree_bound(ua, wa)
+                                * degree_bound(ub, wb))
         assert val is not INFINITY, "curvette coincides with the branch"
         out[v.id] = val
     return out

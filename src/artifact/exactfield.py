@@ -231,13 +231,6 @@ class AlgNum:
     def __bool__(self):
         return any(self.coords)
 
-    def evaluate(self, at):
-        """Evaluate the representing polynomial at another element."""
-        acc = at.field.zero()
-        for c in reversed(self.coords):
-            acc = acc * at + at.field.from_fraction(c)
-        return acc
-
     def __repr__(self):
         parts = []
         for i, c in enumerate(self.coords):

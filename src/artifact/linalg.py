@@ -6,10 +6,11 @@ Two consumers with different scale:
   field), where plain Fraction reduced row echelon is the clearest tool.
 * The brute-force filtration oracle feeds thousands of monomial columns to
   SparseRowSpace, a column echelon keyed by lead. The columns hold
-  integers only: the oracle clears each column of denominators once, and
-  a column is reduced fraction-free (cross-multiplication plus content
-  stripping), each time only against the stored column that shares its
-  lead.
+  integers only: the oracle builds each one from its neighbour with
+  integer multiplication tables of the coordinate images and hands it in
+  divided by its content. A column is reduced fraction-free
+  (cross-multiplication plus content stripping), each time only against
+  the stored column that shares its lead.
 """
 
 from fractions import Fraction

@@ -16,18 +16,21 @@ Two kinds of questions are answered:
   each level v, the rational dimension of the space of polynomials of value
   exactly v modulo those of higher value, by exact rank computations on the
   coefficient matrix of the substitution map. Only what levels 0..V read is
-  computed: the images are cut past tau^V, a parametrization x = tau^m
-  turns the image of x^i y^j into that of y^j shifted by i*m orders, and
-  each monomial column is cleared of denominators once, right after
-  substitution. The columns are then brought to an integer column echelon
-  keyed by lead, whose leads per level are the dimensions.
+  computed, and in integers: x and y (a branch parametrization or a
+  curvette alike) are tabulated once as integer multiplication tables on
+  the rational coordinates, so the column of each monomial x^i y^j is one
+  sparse integer step from a neighbouring column, cut past tau^V and
+  divided by its content. Each column is a positive multiple of the image
+  cut past tau^V, so the rank bookkeeping is the one the images give. The
+  columns are then brought to an integer column echelon keyed by lead,
+  whose leads per level are the dimensions.
 
 All arithmetic is exact; a zero is a proven zero.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import GenericCenter
 from .linalg import SparseRowSpace
@@ -135,12 +138,11 @@ def _poly_one(ring):
     return Poly(ring, [ring.one()])
 
 
-def _powers(base, top, bound=None):
-    """[base^0, .., base^top], each truncated past tau^bound when given."""
+def _powers(base, top):
+    """[base^0, .., base^top]."""
     out = [_poly_one(base.ring)]
     for _ in range(top):
-        out.append(out[-1] * base if bound is None
-                   else out[-1].mul_upto(base, bound))
+        out.append(out[-1] * base)
     return out
 
 
@@ -208,74 +210,92 @@ def divisorial_value(f, gc):
 # --- filtration dimensions by rank growth ------------------------------------
 
 def _coords(c):
-    """Rational coordinates of one tau-coefficient as (key, Fraction) pairs.
-
-    An ambient-field element gives its power-basis coordinates; a polynomial
-    in the curvette constant c gives one pair per (c power, field
-    coordinate).
-    """
-    if isinstance(c, Poly):
-        return [((cpow, k), q) for cpow, alg in enumerate(c.coeffs)
-                for k, q in enumerate(alg.coords)]
-    return enumerate(c.coords)
+    """Rational coordinates of one tau-coefficient as ((c power, field
+    coordinate), Fraction) pairs, zeros left out. A polynomial in the
+    curvette constant c gives one pair per (c power, field coordinate); an
+    ambient-field element is a constant in c."""
+    algs = c.coeffs if isinstance(c, Poly) else (c,)
+    return [((b, k), q) for b, alg in enumerate(algs)
+            for k, q in enumerate(alg.coords) if q]
 
 
-def _integer_column(image):
-    """The nonzero ((tau order, coordinate key), integer) entries of a
-    tau-polynomial image in increasing order, every entry multiplied by
-    the one lcm of the image's denominators."""
-    entries = [((v, key), q) for v, c in enumerate(image.coeffs)
-               for key, q in _coords(c) if q]
-    scale = lcm(*(q.denominator for _at, q in entries))
-    return [(at, q.numerator * (scale // q.denominator))
-            for at, q in entries]
+def _multiplication_table(s, bound, field):
+    """Multiplication by the tau-polynomial s on the rational coordinates,
+    as table[k] for each power-basis index k: the (tau order e, c power b,
+    field coordinate k', coefficient) entries of z^k times the
+    tau-coefficients s_e with e <= bound, by increasing e. The whole table
+    is scaled by one lcm of its denominators, so it multiplies by D*s for
+    a positive integer D. Building it takes one ambient-field product per
+    index k and nonzero (tau power, c power) coefficient of s; the bound
+    does not enter that count."""
+    basis = [field.element([int(i == k) for i in range(field.degree)])
+             for k in range(field.degree)]
+    table = [[(e, b, k2, q) for e, c in enumerate(s.coeffs[:bound + 1]) if c
+              for (b, k2), q in _coords(c * zk)] for zk in basis]
+    scale = lcm(*(q.denominator for row in table for *_at, q in row))
+    return [[(e, b, k2, q.numerator * (scale // q.denominator))
+             for e, b, k2, q in row] for row in table]
 
 
-def _monomial_columns(x, y, bound):
+def _times(column, table, bound):
+    """The column times the tabled tau-polynomial, cut past tau^bound and
+    divided by its content: a sparse integer convolution."""
+    out = {}
+    for (v, (a, k)), m in column.items():
+        for e, b, k2, q in table[k]:
+            if v + e > bound:
+                break
+            at = (v + e, (a + b, k2))
+            out[at] = out.get(at, 0) + m * q
+    g = gcd(*out.values())
+    return {at: m // g for at, m in out.items() if m}
+
+
+def _monomial_columns(x, y, bound, field):
     """Integer columns of the substitution map, one per coordinate monomial
-    x^i y^j of value <= bound, in reverse lexicographic (i, j) order: the
-    short columns of high value come first, and the long ones are reduced
-    against them.
+    x^i y^j of value <= bound, in reverse lexicographic (i, j) order.
 
-    A column is a {(tau order, coordinate key): int} dict of the nonzero
-    entries of the image x^i y^j up to tau^bound. Every power is cut at
-    tau^bound. When x is exactly tau^m (every branch parametrization, and
-    the curvettes whose x part is tau^m), each y^j is turned into an
-    integer column once, and the column of x^i y^j is that one shifted up
-    by i*m orders and cut at the bound; no x power and no product is
-    formed. Otherwise the column is the cut product of x^i and y^j, cleared
-    of its own denominators. Either way every column is a nonzero integer
-    multiple of the image, which changes the rank of no set of leading
-    rows, so every dimension difference is kept. Monomials of larger value
-    are omitted: their images vanish to order beyond the bound, so they lie
-    in every kernel under inspection and cannot change any dimension
-    difference. An x that vanishes up to the bound (a curvette cut at
-    tau^bound) leaves the powers of y alone.
+    A column is a {(tau order, (c power, field coordinate)): int} dict of
+    the nonzero entries of the image x^i y^j up to tau^bound; on a branch
+    the c power is 0. x and y become integer multiplication tables
+    (_multiplication_table), built once, so every column is one sparse
+    integer step from a neighbour: x^i from x^(i-1), x^i y^j from
+    x^i y^(j-1). Each step cuts past tau^bound (cutting is a ring map, so
+    the kept entries are those of the full product) and divides by the
+    content. By induction every column is a positive integer multiple of
+    the cut image: 1 is, the tables are, and dividing by a positive content
+    keeps it so. A positive multiple has the primitive form of the image
+    itself, so the echelon receives the vectors it would receive from the
+    exact images, and it changes the rank of no set of leading rows.
+
+    The order is reverse lexicographic because the short columns of high
+    value should come first and the long ones be reduced against them:
+    for i descending, the block x^i, x^i y, .., x^i y^jtop is built upward
+    and fed downward. Monomials of larger value are omitted: their images
+    vanish to order beyond the bound, so they lie in every kernel under
+    inspection and cannot change any dimension difference. An x that
+    vanishes up to the bound (a curvette cut at tau^bound) leaves the
+    powers of y alone.
     """
     ox = x.order()
     oy = y.order()
     if ox < 1:
         raise ValueError("x image must vanish at the origin")
-    imax = 0 if ox is INFINITY else bound // ox
-    ys = _powers(y, 0 if oy is INFINITY else bound // oy, bound)
-    monic = ox is INFINITY or (x.degree() == ox
-                               and x.coeffs[ox] == x.ring.one())
-    if monic:
-        y_columns = [_integer_column(yj) for yj in ys]
-    else:
-        xs = _powers(x, imax, bound)
-    for i in reversed(range(imax + 1)):
-        shift = 0 if ox is INFINITY else i * ox
-        jtop = 0 if oy is INFINITY else (bound - shift) // oy
-        for j in reversed(range(jtop + 1)):
-            if monic:
-                yield {(v + shift, key): a for (v, key), a in y_columns[j]
-                       if v + shift <= bound}
-            else:
-                yield dict(_integer_column(xs[i].mul_upto(ys[j], bound)))
+    x_table = _multiplication_table(x, bound, field)
+    y_table = _multiplication_table(y, bound, field)
+    xs = [{(0, (0, 0)): 1}]
+    for _ in range(0 if ox is INFINITY else bound // ox):
+        xs.append(_times(xs[-1], x_table, bound))
+    for i in reversed(range(len(xs))):
+        x_value = i * ox if i else 0
+        jtop = 0 if oy is INFINITY else (bound - x_value) // oy
+        block = [xs[i]]
+        for _ in range(jtop):
+            block.append(_times(block[-1], y_table, bound))
+        yield from reversed(block)
 
 
-def _filtration(x, y, V, mode):
+def _filtration(x, y, V, mode, field):
     """Levelwise dimensions from a column echelon of the substitution map.
 
     Row (v, key) of the map holds the rational coordinate key of the tau^v
@@ -290,7 +310,7 @@ def _filtration(x, y, V, mode):
     if V < 0:
         raise ValueError("max order must be non-negative")
     space = SparseRowSpace()
-    for column in _monomial_columns(x, y, V):
+    for column in _monomial_columns(x, y, V, field):
         space.add(column)
     dims = [0] * (V + 1)
     for level, _key in space.rows:
@@ -313,7 +333,7 @@ def filtration_dims(branch, V):
         raise GenericCenter("filtration dimensions need a concrete branch")
     strat = _res._PlainScalars(branch.ambient)
     u, w = _res._initial_state(branch, strat)
-    return _filtration(u.num, w.num, V, "curve")
+    return _filtration(u.num, w.num, V, "curve", branch.ambient)
 
 
 def divisorial_filtration_dims(gc, V):
@@ -326,7 +346,7 @@ def divisorial_filtration_dims(gc, V):
     are therefore indexed by (c power, field coordinate) pairs. A curvette
     cut past tau^V (generic_curvette with bound=V) gives the same dims.
     """
-    return _filtration(gc.x, gc.y, V, "divisorial")
+    return _filtration(gc.x, gc.y, V, "divisorial", gc.ambient)
 
 
 def observed_semigroup(branch, V):

@@ -185,12 +185,6 @@ class Poly:
             out.append(c * power)
         return Poly(self.ring, out)
 
-    def evaluate(self, at):
-        acc = self.ring.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * at + c
-        return acc
-
     def pdivmod(self, other):
         """Quotient and remainder; the divisor's leading coefficient must
         be invertible (field scalars). Only gcd calls it."""

@@ -5,6 +5,8 @@ multiplicities and values off the proximity relation of the blow-up records
 (resolution.curvette_mults); these routes recompute them on exact states:
 single blow-ups, joint replays of two branches, curvettes with a concrete
 constant, the intersection matrix, conjugation and the proximity equalities.
+Horner evaluation of polynomials and of field elements lives here too: the
+concrete curvettes and conjugation use it, the runtime does not.
 
 Not named reference.py: pytest puts both tests/ and bench/ on sys.path, and
 bench/reference.py would shadow it.
@@ -28,6 +30,23 @@ from artifact.resolution import (
     _strategy_for,
     generic_curvette,
 )
+
+
+def evaluate_poly(p, at):
+    """p(at) by Horner's rule, in the coefficient ring of p."""
+    acc = p.ring.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * at + c
+    return acc
+
+
+def evaluate_algnum(a, at):
+    """The polynomial in z that represents a, evaluated at another element
+    of the field."""
+    acc = at.field.zero()
+    for c in reversed(a.coords):
+        acc = acc * at + at.field.from_fraction(c)
+    return acc
 
 
 class BadConstant(ArtifactError):
@@ -101,8 +120,9 @@ def _curvette_state(graph, recs, sigma, constant):
     gc = generic_curvette(graph, recs, sigma)
 
     def at(poly):
-        return RatFunc.of(Poly(graph.ambient, [coeff.evaluate(constant)
-                                               for coeff in poly.coeffs]))
+        return RatFunc.of(Poly(graph.ambient,
+                               [evaluate_poly(coeff, constant)
+                                for coeff in poly.coeffs]))
 
     return at(gc.x), at(gc.y)
 
@@ -242,7 +262,7 @@ def conjugate_param(p, root_image):
     def mapped(c):
         if c is GENERIC:
             return c
-        return c.evaluate(root_image)
+        return evaluate_algnum(c, root_image)
 
     return BranchParam(ambient, p.x_order,
                        [(e, mapped(c)) for e, c in p.y_terms],

@@ -14,6 +14,8 @@ from artifact.errors import (
 )
 from artifact.exactfield import AmbientField, Subfield, span_close
 
+from slow_paths import evaluate_algnum
+
 
 def sqrt2_field():
     return AmbientField([-2, 0, 1])
@@ -69,8 +71,8 @@ def test_evaluate_conjugation():
     field = sqrt2_field()
     z = field.gen()
     a = 1 + 2 * z
-    assert a.evaluate(-z) == 1 - 2 * z
-    assert a.evaluate(z) == a
+    assert evaluate_algnum(a, -z) == 1 - 2 * z
+    assert evaluate_algnum(a, z) == a
 
 
 def test_span_close_quartic():

@@ -4,7 +4,8 @@ Hypothesis builds JSON documents from small branches over the corpus
 fields in all three modes, puts one malformed value at one place of the
 schema in half of them, and runs each through the four commands with flags
 near 0. The examples are derandomized, so every run checks the same
-documents, and each document has a time limit of its own.
+documents, and each document has a time limit of its own. One heavy
+divisorial document at max order 80 has a tighter limit.
 """
 
 import contextlib
@@ -145,3 +146,29 @@ def test_every_document_ends_in_a_declared_exit_code(doc, truncate,
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)
             assert code in (0, 2, 3, 4), (argv, doc, code)
+
+
+# biq_cusp over Q(sqrt 2 + sqrt 3) at its first divisorial extra step: the
+# curvette's x = t^2/2 + .. is no power of t. Its oracle at max order 80
+# once took about 16 s (2-core Xeon); 8 s leaves room for a slow machine.
+BIQ_CUSP_DIV1 = {
+    "ambient": {"var": "z", "min_poly": [1, 0, -10, 0, 1]},
+    "branch": {"x_order": 2,
+               "y_terms": [{"exp": 3, "coeff": [0, "-9/2", 0, "1/2"]},
+                           {"exp": 5, "coeff": [0, "11/2", 0, "-1/2"]}]},
+    "mode": {"divisorial": {"extra_steps": 1}},
+}
+
+
+def test_divisorial_verify_at_max_order_80_ends_within_8_s():
+    with tempfile.TemporaryDirectory() as tmp, \
+            time_limit(8, BIQ_CUSP_DIV1):
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(BIQ_CUSP_DIV1, handle)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", path, "--max-order", "80"])
+    assert code == 0
+    assert "match: yes" in out.getvalue()

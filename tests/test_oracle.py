@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.errors import GenericCenter
-from artifact.exactfield import AmbientField
+from artifact.exactfield import AlgNum, AmbientField
 from artifact.linalg import SparseRowSpace, rref
 from artifact.oracle import (
     FiltrationReport,
@@ -43,7 +43,7 @@ from artifact.resolution import (
     resolve,
 )
 
-from slow_paths import conjugate_param
+from slow_paths import conjugate_param, evaluate_poly
 from test_acceptance import CORPUS, DIVISORIAL_TARGETS
 
 Q = AmbientField([0, 1])
@@ -289,8 +289,8 @@ def test_divisorial_value_needs_the_indeterminate():
               amb.from_fraction(-1)])
     assert s.order() == 6
     assert lead == minus_c_times_one_plus_c_squared
-    assert not lead.evaluate(amb.zero())
-    assert not lead.evaluate(amb.from_fraction(-1))
+    assert not evaluate_poly(lead, amb.zero())
+    assert not evaluate_poly(lead, amb.from_fraction(-1))
     assert bool(lead)
 
 
@@ -349,12 +349,12 @@ def test_divisorial_dims_match_divisorial_series():
 # --- the integer profile against stacked Fraction blocks --------------------------
 
 def _rational_coords(c):
-    """(key, Fraction) coordinates of a tau-coefficient: an ambient-field
-    element, or a polynomial in the curvette constant."""
-    if isinstance(c, Poly):
-        return [((e, k), q) for e, a in enumerate(c.coeffs)
-                for k, q in enumerate(a.coords)]
-    return list(enumerate(c.coords))
+    """((c power, field coordinate), Fraction) coordinates of a
+    tau-coefficient: a polynomial in the curvette constant, or an
+    ambient-field element, which is a constant in c."""
+    algs = c.coeffs if isinstance(c, Poly) else [c]
+    return [((e, k), q) for e, a in enumerate(algs)
+            for k, q in enumerate(a.coords)]
 
 
 def stacked_block_dims(x, y, V):
@@ -424,7 +424,7 @@ def test_divisorial_dims_match_stacked_fraction_blocks(name, p, extra):
         stacked_block_dims(gc.x, gc.y, V)
 
 
-# --- shifted columns and the column echelon against the row-block reference -----
+# --- monomial columns and the column echelon against the row-block reference ----
 
 def branch_xy(p):
     x = Poly.monomial(p.ambient, p.x_coeff, p.x_order)
@@ -459,6 +459,25 @@ def product_columns(x, y, V):
             scale = lcm(*(q.denominator for q in entries.values()))
             out[(i, j)] = {k: int(q * scale) for k, q in entries.items()}
     return out
+
+
+def _primitive_columns(columns):
+    """Each integer column divided by the gcd of its entries, sign kept."""
+    out = []
+    for column in columns:
+        g = gcd(*column.values())
+        out.append({k: a // g for k, a in column.items()})
+    return out
+
+
+def assert_columns_equal_product_columns(x, y, V, field):
+    """The builder's columns are, up to a positive factor each, the
+    product-built ones, in reverse lexicographic (i, j) order."""
+    ref = product_columns(x, y, V)
+    got = list(_monomial_columns(x, y, V, field))
+    assert len(got) == len(ref)
+    assert _primitive_columns(got) == \
+        _primitive_columns(ref[ij] for ij in sorted(ref, reverse=True))
 
 
 def _primitive_up_to_sign(column):
@@ -518,11 +537,11 @@ def _workload_V(p):
     return 30 if p.ambient.degree == 1 else 40
 
 
-# the curve documents of the oracle_quartic benchmark ladders, up to sign
+# the curve documents of the oracle_quartic benchmark ladders
 QUARTIC_DOCS = [(name, dict(CORPUS)[name], V) for name, V in
                 (("biq_cusp", 40), ("qrt_cusp", 40), ("biq_two_jumps", 32))]
 
-# x = sqrt(2) tau^2 is no shift of tau^2: its columns are products
+# x = sqrt(2) tau^2: each x step scales as well as shifts
 SCALED_X = [("sq2_scaled_x", BranchParam(SQ2, 2, [(3, 1), (4, SQ2.gen())],
                                          x_coeff=SQ2.gen()), 16)]
 
@@ -533,12 +552,75 @@ SCALED_X = [("sq2_scaled_x", BranchParam(SQ2, 2, [(3, 1), (4, SQ2.gen())],
     ids=[n for n, _p in CORPUS + FRACTIONAL]
     + ["%s_V%d" % (n, V) for n, _p, V in QUARTIC_DOCS] + ["sq2_scaled_x"])
 def test_shifted_columns_equal_product_columns(name, p, V):
-    x, y = branch_xy(p)
-    ref = product_columns(x, y, V)
-    got = list(_monomial_columns(x, y, V))
-    assert len(got) == len(ref)
-    assert [_primitive_up_to_sign(c) for c in got] == \
-        [_primitive_up_to_sign(ref[ij]) for ij in sorted(ref, reverse=True)]
+    # on a branch x is a*tau^m, so each x step of the builder is a shift
+    assert_columns_equal_product_columns(*branch_xy(p), V, p.ambient)
+
+
+CUSP_LADDER_TARGETS = [
+    ("cusp_k%d_div%d" % (k, extra),
+     BranchParam(Q, 2, [(2 * k + 1, 1), (2 * k + 2, 1), (2 * k + 3, 1)]),
+     extra)
+    for k, extra in ((8, 1), (12, 2), (16, 3))]
+
+# the divisorial document of the oracle_quartic benchmark: x = t^2/2 + ..
+# has three terms
+BIQ_DIV1 = [("biq_cusp_div1", dict(CORPUS)["biq_cusp"], 1)]
+
+CURVETTE_TARGETS = (DIVISORIAL_TARGETS + FRACTIONAL_TARGETS
+                    + CUSP_LADDER_TARGETS + BIQ_DIV1)
+
+
+@pytest.mark.parametrize("name,p,extra", CURVETTE_TARGETS,
+                         ids=[n for n, _p, _e in CURVETTE_TARGETS])
+def test_monomial_columns_equal_product_columns(name, p, extra):
+    # on a curvette x is mostly not tau^m: the x steps are convolutions
+    graph, recs = resolve(p, extra_steps=extra)
+    gc = generic_curvette(graph, recs)
+    assert_columns_equal_product_columns(gc.x, gc.y, 24, gc.ambient)
+
+
+def _field_terms(s, V):
+    """Nonzero ambient-field coefficients of s up to tau^V, one per
+    (tau power, c power)."""
+    return sum(1 for c in s.coeffs[:V + 1]
+               for a in (c.coeffs if isinstance(c, Poly) else [c]) if a)
+
+
+@pytest.mark.parametrize("name,p,extra,V,bound", [
+    ("biq_cusp_div1", dict(CORPUS)["biq_cusp"], 1, 40, 32),
+    ("past_splitting_sq2_tail", dict(
+        (n, p) for n, p, _e in DIVISORIAL_TARGETS)["past_splitting_sq2_tail"],
+     1, 30, 20),
+    ("biq_cusp_curve", dict(CORPUS)["biq_cusp"], None, 80, 12),
+], ids=["biq_cusp_div1_V40", "past_splitting_sq2_tail_V30",
+        "biq_cusp_curve_V80"])
+def test_oracle_field_products_are_the_table_entries(monkeypatch, name, p,
+                                                     extra, V, bound):
+    """The oracle multiplies ambient-field elements only to tabulate x and
+    y: at most [L:Q] products per nonzero (tau, c) term of each, however
+    many columns V brings."""
+    if extra is None:
+        x, y = branch_xy(p)
+    else:
+        graph, recs = resolve(p, extra_steps=extra)
+        gc = generic_curvette(graph, recs, bound=V)
+        x, y = gc.x, gc.y
+    assert p.ambient.degree * (_field_terms(x, V) + _field_terms(y, V)) \
+        == bound
+    calls = []
+    mul = AlgNum.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(AlgNum, "__mul__", counted)
+    monkeypatch.setattr(AlgNum, "__rmul__", counted)
+    if extra is None:
+        filtration_dims(p, V)
+    else:
+        divisorial_filtration_dims(gc, V)
+    assert 0 < len(calls) <= bound
 
 
 @pytest.mark.parametrize("name,p", CORPUS, ids=[n for n, _p in CORPUS])
@@ -555,13 +637,6 @@ def test_divisorial_dims_equal_row_block_reference(name, p, extra):
     cut = generic_curvette(graph, recs, bound=30)
     assert divisorial_filtration_dims(cut, 30).dims == \
         row_block_dims(exact.x, exact.y, 30)
-
-
-CUSP_LADDER_TARGETS = [
-    ("cusp_k%d_div%d" % (k, extra),
-     BranchParam(Q, 2, [(2 * k + 1, 1), (2 * k + 2, 1), (2 * k + 3, 1)]),
-     extra)
-    for k, extra in ((8, 1), (12, 2), (16, 3))]
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,14 @@ Two consumers with different scale:
 
 * Subfield bookkeeping works on tiny matrices (dimension of the ambient
   field), where plain Fraction reduced row echelon is the clearest tool.
-* The brute-force filtration oracle feeds thousands of monomial columns to
-  SparseRowSpace, a column echelon keyed by lead. The columns hold
-  integers only: the oracle builds each one from its neighbour with
-  integer multiplication tables of the coordinate images and hands it in
-  divided by its content. A column is reduced fraction-free
+* The brute-force filtration oracle feeds up to thousands of vectors, one
+  per monomial, to SparseRowSpace, a column echelon keyed by lead. The
+  vectors hold integers only: the oracle builds each one as x or y times
+  the vector that add() returned for the monomial's predecessor, with
+  integer multiplication tables of the coordinate images, and hands it in
+  divided by its content. A vector is reduced fraction-free
   (cross-multiplication plus content stripping), each time only against
-  the stored column that shares its lead.
+  the stored vector that shares its lead.
 """
 
 from fractions import Fraction
@@ -81,9 +82,10 @@ class SparseRowSpace:
     plus content stripping) only while its lead is a stored one, found by
     dict lookup; every step removes the lead and brings in larger keys only,
     so the lead grows until the vector vanishes or lands on a free lead,
-    under which it is stored. The filtration oracle feeds it monomial
-    columns keyed by (tau order, coordinate key), and counts the stored
-    leads per tau order.
+    under which it is stored, and add() returns it. The filtration oracle
+    feeds it vectors keyed by (tau order, coordinate key), builds the next
+    vector from the returned one, and counts the stored leads per tau
+    order.
     """
 
     def __init__(self):
@@ -94,21 +96,23 @@ class SparseRowSpace:
         return len(self.rows)
 
     def add(self, row):
-        """row: {key: int}. Returns True on rank increase."""
+        """row: {key: int}. On rank increase, returns the reduced vector
+        it stored (truthy), which no later add() changes; returns {} when
+        the row lies in the span."""
         work = _primitive({c: v for c, v in row.items() if v})
         while work:
             lead = min(work)
             piv = self.rows.get(lead)
             if piv is None:
                 self.rows[lead] = work
-                return True
+                return work
             g = gcd(work[lead], piv[lead])
             a, b = piv[lead] // g, work[lead] // g
             merged = {c: a * v for c, v in work.items()}
             for c, v in piv.items():
                 merged[c] = merged.get(c, 0) - b * v
             work = _primitive({c: v for c, v in merged.items() if v})
-        return False
+        return work
 
 
 def invert(matrix):

@@ -18,12 +18,14 @@ Two kinds of questions are answered:
   coefficient matrix of the substitution map. Only what levels 0..V read is
   computed, and in integers: x and y (a branch parametrization or a
   curvette alike) are tabulated once as integer multiplication tables on
-  the rational coordinates, so the column of each monomial x^i y^j is one
-  sparse integer step from a neighbouring column, cut past tau^V and
-  divided by its content. Each column is a positive multiple of the image
-  cut past tau^V, so the rank bookkeeping is the one the images give. The
-  columns are then brought to an integer column echelon keyed by lead,
-  whose leads per level are the dimensions.
+  the rational coordinates. The monomials x^i y^j are taken in increasing
+  (weight, i) order, a monomial order (weight i*ox + j*oy, with ox and oy
+  the orders of x and y); the vector fed for each is x (or, for i = 0, y)
+  times the vector that the echelon stored for its predecessor, cut past
+  tau^V and divided by its content. That adds to the span what the image
+  of the monomial adds, because x times what came earlier came earlier
+  too (the argument is in _filtration). The echelon is an integer column
+  echelon keyed by lead, whose leads per level are the dimensions.
 
 All arithmetic is exact; a zero is a proven zero.
 """
@@ -251,50 +253,6 @@ def _times(column, table, bound):
     return {at: m // g for at, m in out.items() if m}
 
 
-def _monomial_columns(x, y, bound, field):
-    """Integer columns of the substitution map, one per coordinate monomial
-    x^i y^j of value <= bound, in reverse lexicographic (i, j) order.
-
-    A column is a {(tau order, (c power, field coordinate)): int} dict of
-    the nonzero entries of the image x^i y^j up to tau^bound; on a branch
-    the c power is 0. x and y become integer multiplication tables
-    (_multiplication_table), built once, so every column is one sparse
-    integer step from a neighbour: x^i from x^(i-1), x^i y^j from
-    x^i y^(j-1). Each step cuts past tau^bound (cutting is a ring map, so
-    the kept entries are those of the full product) and divides by the
-    content. By induction every column is a positive integer multiple of
-    the cut image: 1 is, the tables are, and dividing by a positive content
-    keeps it so. A positive multiple has the primitive form of the image
-    itself, so the echelon receives the vectors it would receive from the
-    exact images, and it changes the rank of no set of leading rows.
-
-    The order is reverse lexicographic because the short columns of high
-    value should come first and the long ones be reduced against them:
-    for i descending, the block x^i, x^i y, .., x^i y^jtop is built upward
-    and fed downward. Monomials of larger value are omitted: their images
-    vanish to order beyond the bound, so they lie in every kernel under
-    inspection and cannot change any dimension difference. An x that
-    vanishes up to the bound (a curvette cut at tau^bound) leaves the
-    powers of y alone.
-    """
-    ox = x.order()
-    oy = y.order()
-    if ox < 1:
-        raise ValueError("x image must vanish at the origin")
-    x_table = _multiplication_table(x, bound, field)
-    y_table = _multiplication_table(y, bound, field)
-    xs = [{(0, (0, 0)): 1}]
-    for _ in range(0 if ox is INFINITY else bound // ox):
-        xs.append(_times(xs[-1], x_table, bound))
-    for i in reversed(range(len(xs))):
-        x_value = i * ox if i else 0
-        jtop = 0 if oy is INFINITY else (bound - x_value) // oy
-        block = [xs[i]]
-        for _ in range(jtop):
-            block.append(_times(block[-1], y_table, bound))
-        yield from reversed(block)
-
-
 def _filtration(x, y, V, mode, field):
     """Levelwise dimensions from a column echelon of the substitution map.
 
@@ -304,14 +262,55 @@ def _filtration(x, y, V, mode, field):
     rank(rows of levels < v). Column operations keep every such rank, and
     in a column echelon (distinct least rows, the leads) the rank of the
     rows of levels <= v is the number of leads at those levels; so dims[v]
-    is the number of leads at level v.
+    is the number of leads at level v. The leads of an echelon depend only
+    on its span.
+
+    The span is that of the images of the monomials x^i y^j of weight
+    i*ox + j*oy <= V (ox, oy the orders of x and y), cut past tau^V. A
+    monomial of larger weight has an image of order beyond V, which cuts
+    to zero. The monomials are fed in increasing (weight, i) order, a
+    monomial order: m < m' gives x*m < x*m' and y*m < y*m'. The vector
+    fed for x^i y^j is x*r, where r is the vector stored for its
+    predecessor x^(i-1) y^j (y*r, with r stored for y^(j-1), when i = 0),
+    multiplied by the integer table of x or y (_times), cut past tau^V
+    (cutting is a ring map) and divided by its content. The unit 1 starts.
+
+    Why the span after each monomial m is the span of the images of the
+    monomials up to m. By induction, the vector stored for the predecessor
+    p is a nonzero rational multiple of the image of p plus a combination
+    of images of monomials before p. Times x (or y), that is a nonzero
+    multiple of the image of m plus images of x (or y) times monomials
+    before p; in a monomial order those come before m, and they are
+    already in the span (or cut to zero). So feeding x*r adds what the
+    image of m would add. When p left no vector (its image lies in the
+    span of the earlier ones), neither does m, by the same argument, and
+    m is skipped without an add. Reducing x*r, whose earlier part is
+    already reduced, takes a few steps where the raw image of m takes
+    many.
     """
     V = int(V)
     if V < 0:
         raise ValueError("max order must be non-negative")
+    ox = x.order()
+    oy = y.order()
+    if ox < 1:
+        raise ValueError("x image must vanish at the origin")
+    x_table = _multiplication_table(x, V, field)
+    y_table = _multiplication_table(y, V, field)
+    monomials = []
+    for i in range(1 + (0 if ox is INFINITY else V // ox)):
+        x_value = i * ox if i else 0
+        jtop = 0 if oy is INFINITY else (V - x_value) // oy
+        monomials.extend((x_value + j * oy if j else x_value, i, j)
+                         for j in range(jtop + 1))
+    monomials.sort()
     space = SparseRowSpace()
-    for column in _monomial_columns(x, y, V, field):
-        space.add(column)
+    stored = {(0, 0): space.add({(0, (0, 0)): 1})}
+    for _weight, i, j in monomials[1:]:
+        r = stored.get((i - 1, j) if i else (0, j - 1))
+        if r:
+            stored[(i, j)] = space.add(
+                _times(r, x_table if i else y_table, V))
     dims = [0] * (V + 1)
     for level, _key in space.rows:
         dims[level] += 1

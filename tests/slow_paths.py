@@ -5,8 +5,11 @@ multiplicities and values off the proximity relation of the blow-up records
 (resolution.curvette_mults); these routes recompute them on exact states:
 single blow-ups, joint replays of two branches, curvettes with a concrete
 constant, the intersection matrix, conjugation and the proximity equalities.
-Horner evaluation of polynomials and of field elements lives here too: the
-concrete curvettes and conjugation use it, the runtime does not.
+The raw oracle route lives here as well: every monomial column built in
+full and reduced against the echelon (the runtime reduces x times the
+vector stored for the predecessor instead). Horner evaluation of
+polynomials and of field elements lives here too: the concrete curvettes
+and conjugation use it, the runtime does not.
 
 Not named reference.py: pytest puts both tests/ and bench/ on sys.path, and
 bench/reference.py would shadow it.
@@ -16,6 +19,8 @@ from fractions import Fraction
 
 from artifact.errors import ArtifactError, GenericCenter
 from artifact.exactfield import AlgNum
+from artifact.linalg import SparseRowSpace
+from artifact.oracle import _multiplication_table, _times
 from artifact.ratfunc import INFINITY, Poly, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
@@ -282,3 +287,45 @@ def proximity_check(recs, terminal):
         if recs[i].branch_mult != total:
             return False
     return True
+
+
+def _monomial_columns(x, y, bound, field):
+    """Integer columns of the substitution map, one per coordinate monomial
+    x^i y^j of value <= bound, in reverse lexicographic (i, j) order.
+
+    A column is a {(tau order, (c power, field coordinate)): int} dict of
+    the nonzero entries of the image x^i y^j up to tau^bound; on a branch
+    the c power is 0. Every column is one sparse integer step from a
+    neighbour (oracle._times with the tables of x and y): x^i from
+    x^(i-1), x^i y^j from x^i y^(j-1), each a positive integer multiple of
+    the cut image. For i descending, the block x^i, x^i y, .., x^i y^jtop
+    is built upward and fed downward.
+    """
+    ox = x.order()
+    oy = y.order()
+    if ox < 1:
+        raise ValueError("x image must vanish at the origin")
+    x_table = _multiplication_table(x, bound, field)
+    y_table = _multiplication_table(y, bound, field)
+    xs = [{(0, (0, 0)): 1}]
+    for _ in range(0 if ox is INFINITY else bound // ox):
+        xs.append(_times(xs[-1], x_table, bound))
+    for i in reversed(range(len(xs))):
+        x_value = i * ox if i else 0
+        jtop = 0 if oy is INFINITY else (bound - x_value) // oy
+        block = [xs[i]]
+        for _ in range(jtop):
+            block.append(_times(block[-1], y_table, bound))
+        yield from reversed(block)
+
+
+def reference_filtration_dims(x, y, V, field):
+    """dims[v] for v = 0..V: the leads per level of the echelon of the raw
+    monomial columns (_monomial_columns), each reduced in full."""
+    space = SparseRowSpace()
+    for column in _monomial_columns(x, y, V, field):
+        space.add(column)
+    dims = [0] * (V + 1)
+    for level, _key in space.rows:
+        dims[level] += 1
+    return tuple(dims)

@@ -15,13 +15,13 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artifact import linalg
 from artifact.errors import GenericCenter
 from artifact.exactfield import AlgNum, AmbientField
 from artifact.linalg import SparseRowSpace, rref
 from artifact.oracle import (
     FiltrationReport,
     PolyXY,
-    _monomial_columns,
     divisorial_filtration_dims,
     divisorial_value,
     filtration_dims,
@@ -43,8 +43,13 @@ from artifact.resolution import (
     resolve,
 )
 
-from slow_paths import conjugate_param, evaluate_poly
-from test_acceptance import CORPUS, DIVISORIAL_TARGETS
+from slow_paths import (
+    _monomial_columns,
+    conjugate_param,
+    evaluate_poly,
+    reference_filtration_dims,
+)
+from test_acceptance import CORPUS, DIVISORIAL_TARGETS, GOLDEN
 
 Q = AmbientField([0, 1])
 SQ2 = AmbientField([-2, 0, 1])
@@ -148,7 +153,9 @@ def test_column_echelon_counts_leads_per_level():
         {(1, 0): 3, (1, 1): 1, (2, 0): 15},
     ]
     space = SparseRowSpace()
-    assert [space.add(c) for c in columns] == [True] * 4
+    added = [space.add(c) for c in columns]
+    assert [bool(vec) for vec in added] == [True] * 4
+    assert all(vec is space.rows[min(vec)] for vec in added)
     assert sorted(space.rows) == [(0, 0), (1, 0), (1, 1), (2, 1)]
     assert space.rows[(2, 1)] == {(2, 1): 1}
     leads = Counter(level for level, _key in space.rows)
@@ -471,7 +478,7 @@ def _primitive_columns(columns):
 
 
 def assert_columns_equal_product_columns(x, y, V, field):
-    """The builder's columns are, up to a positive factor each, the
+    """The reference columns are, up to a positive factor each, the
     product-built ones, in reverse lexicographic (i, j) order."""
     ref = product_columns(x, y, V)
     got = list(_monomial_columns(x, y, V, field))
@@ -552,7 +559,8 @@ SCALED_X = [("sq2_scaled_x", BranchParam(SQ2, 2, [(3, 1), (4, SQ2.gen())],
     ids=[n for n, _p in CORPUS + FRACTIONAL]
     + ["%s_V%d" % (n, V) for n, _p, V in QUARTIC_DOCS] + ["sq2_scaled_x"])
 def test_shifted_columns_equal_product_columns(name, p, V):
-    # on a branch x is a*tau^m, so each x step of the builder is a shift
+    # on a branch x is a*tau^m, so each x step of the reference builder is
+    # a shift
     assert_columns_equal_product_columns(*branch_xy(p), V, p.ambient)
 
 
@@ -577,6 +585,79 @@ def test_monomial_columns_equal_product_columns(name, p, extra):
     graph, recs = resolve(p, extra_steps=extra)
     gc = generic_curvette(graph, recs)
     assert_columns_equal_product_columns(gc.x, gc.y, 24, gc.ambient)
+
+
+# the documents of the oracle_quartic benchmark ladders, each at its own V
+# (extra None: the curve oracle of the branch)
+QUARTIC_LADDER = [
+    ("quartic_%s%s" % (doc, "_div%d" % extra if extra else ""),
+     dict(CORPUS)[doc], extra, V)
+    for doc, extra, ladder in (
+        ("biq_cusp", None, (40, 60, 80)),
+        ("qrt_cusp", None, (40, 80, 120)),
+        ("biq_two_jumps", None, (24, 32)),
+        ("biq_cusp", 1, (20, 24)),
+        ("qrt_cusp", 1, (20, 30, 40)))
+    for V in ladder]
+
+# verify took seconds on this tiny divisorial document before the oracle
+# worked below tau^V only
+GOLDEN_DENSE = BranchParam(GOLDEN, 1, [
+    (1, GOLDEN.from_fraction(Fraction(-3, 2)) - GOLDEN.gen()),
+    (2, GOLDEN.from_fraction(2)), (4, -GOLDEN.gen())])
+
+DIFFERENTIAL = (
+    QUARTIC_LADDER
+    + [(n, p, None, V) for V in (24, 40)
+       for n, p in CORPUS + FRACTIONAL + [(n, p) for n, p, _V in SCALED_X]]
+    + [(n, p, extra, V) for V in (24, 40)
+       for n, p, extra in CURVETTE_TARGETS]
+    + [("golden_dense_div0", GOLDEN_DENSE, 0, 30)])
+
+
+@pytest.mark.parametrize(
+    "name,p,extra,V", DIFFERENTIAL,
+    ids=["%s_V%d" % (n, V) for n, _p, _e, V in DIFFERENTIAL])
+def test_filtration_dims_equal_raw_column_reference(name, p, extra, V):
+    # the runtime reduces x (or y) times the vector stored for the
+    # predecessor monomial; the reference reduces every raw column in full
+    if extra is None:
+        x, y = branch_xy(p)
+        assert filtration_dims(p, V).dims == \
+            reference_filtration_dims(x, y, V, p.ambient)
+    else:
+        graph, recs = resolve(p, extra_steps=extra)
+        gc = generic_curvette(graph, recs, bound=V)
+        assert divisorial_filtration_dims(gc, V).dims == \
+            reference_filtration_dims(gc.x, gc.y, V, gc.ambient)
+
+
+def test_oracle_reduction_steps_stay_linear(monkeypatch):
+    """A reduction step is a _primitive call after the first of each add.
+    Reducing x times a reduced vector takes about one step per monomial;
+    the raw columns took 14475 steps for these 884 monomials."""
+    graph, recs = resolve(dict(CORPUS)["biq_cusp"], extra_steps=1)
+    V = 100
+    gc = generic_curvette(graph, recs, bound=V)
+    ox, oy = gc.x.order(), gc.y.order()
+    monomials = sum((V - i * ox) // oy + 1 for i in range(V // ox + 1))
+    assert monomials == 884
+    calls = Counter()
+    primitive = linalg._primitive
+    add = SparseRowSpace.add
+
+    def counted_primitive(entries):
+        calls["primitive"] += 1
+        return primitive(entries)
+
+    def counted_add(space, row):
+        calls["add"] += 1
+        return add(space, row)
+
+    monkeypatch.setattr(linalg, "_primitive", counted_primitive)
+    monkeypatch.setattr(SparseRowSpace, "add", counted_add)
+    divisorial_filtration_dims(gc, V)
+    assert 0 < calls["primitive"] - calls["add"] <= 2 * monomials
 
 
 def _field_terms(s, V):

@@ -1,14 +1,19 @@
 """Exact arithmetic in Q[z]/(p(z)) and its Q-subfields.
 
 The ambient coefficient field is presented by a monic square-free rational
-polynomial p; elements are coordinate vectors on the power basis
-1, z, ..., z^(n-1). Irreducibility of p is deliberately not checked up front:
-inversion discovers a factor exactly when one matters and reports it as
-ReduciblePolynomial. Subfields are plain Q-subspaces with a canonical echelon
-basis; that is all the Galois-quotient bookkeeping downstream needs.
+polynomial p. An element is an integer vector on the power basis
+1, z, ..., z^(n-1) over one positive denominator, kept in lowest terms, so
+addition and multiplication run in integers. A product is an integer
+convolution whose high coefficients fold back through a table of
+z^n, ..., z^(2n-2) mod p, tabulated once per field. Irreducibility of p is
+deliberately not checked up front: inversion discovers a factor exactly when
+one matters and reports it as ReduciblePolynomial. Subfields are plain
+Q-subspaces with a canonical echelon basis; that is all the Galois-quotient
+bookkeeping downstream needs.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -77,7 +82,12 @@ def _pderiv(p):
 
 
 class AmbientField:
-    """The field L = Q[z]/(p(z)) for a monic square-free p."""
+    """The field L = Q[z]/(p(z)) for a monic square-free p.
+
+    _fold[k] holds _scale times the power-basis coordinates of z^(n+k) mod p
+    for k = 0 .. n-2, with _scale the least positive integer that makes
+    every entry an integer.
+    """
 
     def __init__(self, min_poly):
         coeffs = [Fraction(a) for a in min_poly]
@@ -90,18 +100,29 @@ class AmbientField:
         if len(g) > 1:
             raise ValueError("defining polynomial must be square-free")
         self.min_poly = tuple(coeffs)
-        self.degree = len(coeffs) - 1
+        self.degree = n = len(coeffs) - 1
+        powers = []
+        for k in range(n, 2 * n - 1):
+            rem = _pdivmod([Fraction(0)] * k + [Fraction(1)], coeffs)[1]
+            powers.append(rem + [Fraction(0)] * (n - len(rem)))
+        self._scale = lcm(*(c.denominator for row in powers for c in row))
+        self._fold = tuple(tuple(int(c * self._scale) for c in row)
+                           for row in powers)
 
     def element(self, coords):
         coords = [Fraction(a) for a in coords]
         if len(coords) != self.degree:
             raise ValueError(
                 "expected %d coordinates, got %d" % (self.degree, len(coords)))
-        return AlgNum(self, tuple(coords))
+        den = lcm(*(a.denominator for a in coords))
+        return AlgNum(self, tuple(a.numerator * (den // a.denominator)
+                                  for a in coords), den)
 
     def from_fraction(self, q):
-        coords = [Fraction(q)] + [Fraction(0)] * (self.degree - 1)
-        return AlgNum(self, tuple(coords))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return AlgNum(self, (q.numerator,) + (0,) * (self.degree - 1),
+                      q.denominator)
 
     def zero(self):
         return self.from_fraction(0)
@@ -114,9 +135,7 @@ class AmbientField:
         if self.degree == 1:
             # z is congruent to the negated constant term
             return self.from_fraction(-self.min_poly[0])
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return AlgNum(self, tuple(coords))
+        return AlgNum(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     @staticmethod
     def rationals():
@@ -134,17 +153,29 @@ class AmbientField:
 
 
 class AlgNum:
-    """An element of an AmbientField, stored on the power basis."""
+    """An element of an AmbientField: the integers num on the power basis
+    over the positive integer den, in lowest terms (zero is 0/1), so each
+    value has exactly one form."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, coords):
+    def __init__(self, field, num, den):
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
         self.field = field
-        self.coords = coords
+        self.num = tuple(num)
+        self.den = den
+
+    @property
+    def coords(self):
+        """The rational coordinates on the power basis."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def _coerce(self, other):
         if isinstance(other, AlgNum):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -155,8 +186,9 @@ class AlgNum:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlgNum(self.field,
-                      tuple(a + b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        return AlgNum(self.field, [a * db + b * da for a, b in
+                                   zip(self.num, other.num)], da * db)
 
     __radd__ = __add__
 
@@ -164,8 +196,9 @@ class AlgNum:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlgNum(self.field,
-                      tuple(a - b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        return AlgNum(self.field, [a * db - b * da for a, b in
+                                   zip(self.num, other.num)], da * db)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -174,16 +207,29 @@ class AlgNum:
         return other - self
 
     def __neg__(self):
-        return AlgNum(self.field, tuple(-a for a in self.coords))
+        return AlgNum(self.field, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
+        """Integer convolution of the numerators; each coefficient of
+        z^(n+k) folds back through _fold[k], and the denominator takes
+        the field's _scale."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = _pmul(list(self.coords), list(other.coords))
-        _, rem = _pdivmod(prod, list(self.field.min_poly))
-        rem = rem + [Fraction(0)] * (self.field.degree - len(rem))
-        return AlgNum(self.field, tuple(rem))
+        field = self.field
+        n = field.degree
+        conv = [0] * (2 * n - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    conv[i + j] += a * b
+        scale = field._scale
+        out = [c * scale for c in conv[:n]]
+        for row, c in zip(field._fold, conv[n:]):
+            if c:
+                for i, f in enumerate(row):
+                    out[i] += c * f
+        return AlgNum(field, out, self.den * other.den * scale)
 
     __rmul__ = __mul__
 
@@ -205,7 +251,7 @@ class AlgNum:
         s0 = [a * inv_lead for a in s0]
         _, rem = _pdivmod(s0, list(self.field.min_poly))
         rem = rem + [Fraction(0)] * (self.field.degree - len(rem))
-        return AlgNum(self.field, tuple(rem))
+        return self.field.element(rem)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -223,13 +269,16 @@ class AlgNum:
         if isinstance(other, (int, Fraction)):
             other = self.field.from_fraction(other)
         return (isinstance(other, AlgNum) and self.field == other.field
-                and self.coords == other.coords)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        # a rational value hashes like the int or Fraction it equals
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.field, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __repr__(self):
         parts = []
@@ -267,7 +316,8 @@ class Subfield:
     def contains_num(self, a):
         if not isinstance(a, AlgNum) or a.field != self.field:
             raise ValueError("element does not live in this ambient field")
-        rem = linalg.reduce_against(list(a.coords), self._rows, self._pivots)
+        # membership is invariant under scaling: reduce the numerators
+        rem = linalg.reduce_against(list(a.num), self._rows, self._pivots)
         return not any(rem)
 
     def __eq__(self, other):

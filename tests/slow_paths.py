@@ -9,7 +9,10 @@ The raw oracle route lives here as well: every monomial column built in
 full and reduced against the echelon (the runtime reduces x times the
 vector stored for the predecessor instead). Horner evaluation of
 polynomials and of field elements lives here too: the concrete curvettes
-and conjugation use it, the runtime does not.
+and conjugation use it, the runtime does not. So does the Fraction product
+of field elements, a polynomial product and long division by the minimal
+polynomial (the runtime multiplies integer numerators and folds the high
+powers through a table).
 
 Not named reference.py: pytest puts both tests/ and bench/ on sys.path, and
 bench/reference.py would shadow it.
@@ -18,7 +21,7 @@ bench/reference.py would shadow it.
 from fractions import Fraction
 
 from artifact.errors import ArtifactError, GenericCenter
-from artifact.exactfield import AlgNum
+from artifact.exactfield import AlgNum, _pdivmod, _pmul
 from artifact.linalg import SparseRowSpace
 from artifact.oracle import _multiplication_table, _times
 from artifact.ratfunc import INFINITY, Poly, RatFunc
@@ -52,6 +55,15 @@ def evaluate_algnum(a, at):
     for c in reversed(a.coords):
         acc = acc * at + at.field.from_fraction(c)
     return acc
+
+
+def reference_algnum_mul(a, b):
+    """The coordinates of a*b in Fractions: the product of the coordinate
+    polynomials, reduced mod the minimal polynomial."""
+    field = a.field
+    prod = _pmul(list(a.coords), list(b.coords))
+    rem = _pdivmod(prod, list(field.min_poly))[1]
+    return tuple(rem + [Fraction(0)] * (field.degree - len(rem)))
 
 
 class BadConstant(ArtifactError):

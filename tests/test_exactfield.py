@@ -1,6 +1,7 @@
 """Tests for exact number field arithmetic and subfield lattices."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from artifact.errors import (
 )
 from artifact.exactfield import AmbientField, Subfield, span_close
 
-from slow_paths import evaluate_algnum
+from slow_paths import evaluate_algnum, reference_algnum_mul
 
 
 def sqrt2_field():
@@ -159,3 +160,101 @@ def test_ring_axioms_sample(u, v):
     assert a + b == b + a
     assert a * b == b * a
     assert a * (b + 1) == a * b + a
+
+
+# The ambient fields of bench/workloads.py (Q, Q(sqrt2), Q(sqrt3), golden,
+# cube root of 2, BIQ, fourth root of 2), two fields whose fold table needs
+# a scale above one, and a degree-1 field whose fold table is empty.
+FIELDS = [
+    [0, 1], [-2, 0, 1], [-3, 0, 1], [-1, -1, 1], [-2, 0, 0, 1],
+    [1, 0, -10, 0, 1], [-2, 0, 0, 0, 1],
+    [Fraction(-1, 2), 0, 1],
+    [Fraction(5, 7), Fraction(-1, 3), 0, 1],
+    [Fraction(-3, 2), 1],
+]
+FIELD_IDS = ["Q", "sqrt2", "sqrt3", "golden", "cbrt2", "BIQ", "qrt2",
+             "z2-1/2", "z3-z/3+5/7", "z-3/2"]
+
+wide_coord = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+
+
+@st.composite
+def element_pairs(draw):
+    field = AmbientField(draw(st.sampled_from(FIELDS)))
+    vec = st.lists(wide_coord, min_size=field.degree, max_size=field.degree)
+    return field.element(draw(vec)), field.element(draw(vec))
+
+
+def test_fold_table_scales():
+    scales = dict(zip(FIELD_IDS, (AmbientField(p)._scale for p in FIELDS)))
+    assert scales == (dict.fromkeys(FIELD_IDS, 1)
+                      | {"z2-1/2": 2, "z3-z/3+5/7": 21})
+    assert AmbientField(FIELDS[-1])._fold == ()
+
+
+@given(element_pairs(), wide_coord)
+def test_arithmetic_equals_fraction_reference(pair, q):
+    a, b = pair
+    one = a.field.one().coords
+    assert (a * b).coords == reference_algnum_mul(a, b)
+    assert (a * q).coords == tuple(x * q for x in a.coords)
+    assert (a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+    assert (a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+    assert (-a).coords == tuple(-x for x in a.coords)
+    if a:
+        assert reference_algnum_mul(a, a.inverse()) == one
+
+
+def assert_canonical(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert x.coords == tuple(Fraction(v, x.den) for v in x.num)
+
+
+@given(element_pairs())
+def test_each_value_has_one_form(pair):
+    a, b = pair
+    field = a.field
+    prod = a * b
+    for x in (a, b, prod, a + b, a - b, -a, field.zero()):
+        assert_canonical(x)
+    routes = [b * a, field.element(reference_algnum_mul(a, b)),
+              (prod + b) - b, -(-prod)]
+    if prod:
+        routes += [prod.inverse().inverse(), prod / b * b]
+        assert_canonical(prod.inverse())
+    for x in routes:
+        assert (x.num, x.den, hash(x)) == (prod.num, prod.den, hash(prod))
+
+
+def test_rational_elements_hash_like_the_number():
+    for p in FIELDS:
+        field = AmbientField(p)
+        for q in (0, 3, -7, Fraction(1, 2), Fraction(-22, 7)):
+            x = field.from_fraction(q)
+            assert x == q and hash(x) == hash(q)
+            assert {q: "q"}[x] == "q"
+    z = sqrt2_field().gen()
+    assert z * z == 2 and hash(z * z) == hash(2)
+    assert z / (2 * z) == Fraction(1, 2)
+    assert hash(z / (2 * z)) == hash(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("p", FIELDS, ids=FIELD_IDS)
+def test_ring_operations_create_no_fractions(monkeypatch, p):
+    """+, -, unary - and * of two field elements run in integers."""
+    field = AmbientField(p)
+    n = field.degree
+    a = field.element([Fraction(2 * k + 1, k + 2) for k in range(n)])
+    b = field.element([Fraction(k - 3, 7) for k in range(n)])
+    created = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    results = [a * b, a + b, a - b, -a]
+    monkeypatch.undo()
+    assert created == []
+    assert results[0].coords == reference_algnum_mul(a, b)

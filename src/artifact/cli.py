@@ -17,6 +17,7 @@ pure function of the file content and flags.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -513,7 +514,10 @@ def cmd_verify(path, max_order=30):
     return 0
 
 
+@functools.cache
 def build_arg_parser():
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so repeated in-process main() calls share it."""
     parser = argparse.ArgumentParser(
         prog="artifact",
         description="Exact invariants and series of plane branch "

@@ -3,19 +3,21 @@
 The ambient coefficient field is presented by a monic square-free rational
 polynomial p. An element is an integer vector on the power basis
 1, z, ..., z^(n-1) over one positive denominator, kept in lowest terms, so
-addition and multiplication run in integers. A product is an integer
-convolution whose high coefficients fold back through a table of
-z^n, ..., z^(2n-2) mod p, tabulated once per field. Irreducibility of p is
-deliberately not checked up front: inversion discovers a factor exactly when
-one matters and reports it as ReduciblePolynomial. Subfields are plain
-Q-subspaces with a canonical echelon basis; that is all the Galois-quotient
-bookkeeping downstream needs.
+arithmetic runs in integers. A product is an integer convolution whose high
+coefficients fold back through a table of z^n, ..., z^(2n-2) mod p,
+tabulated once per field. An inverse solves the integer matrix of
+multiplication by the element with fraction-free elimination.
+Irreducibility of p is deliberately not checked up front: inversion
+discovers a factor exactly when one matters (the matrix is singular) and
+reports it as ReduciblePolynomial. Subfields are plain Q-subspaces with a
+canonical echelon basis of primitive integer rows; that is all the
+Galois-quotient bookkeeping downstream needs. Rational polynomial division
+remains only to check p and tabulate its fold table.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import linalg
 from .errors import (
     DivisionByZero,
     NonIntegralDegree,
@@ -31,24 +33,6 @@ def _ptrim(p):
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def _padd(p, q):
-    n = max(len(p), len(q))
-    return _ptrim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                   for i in range(n)])
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _ptrim(out)
 
 
 def _pdivmod(p, q):
@@ -79,6 +63,49 @@ def _pgcd(p, q):
 
 def _pderiv(p):
     return _ptrim([i * a for i, a in enumerate(p)][1:])
+
+
+# --- integer rows: elimination and the canonical echelon of a span
+
+
+def _eliminate(row, piv, col):
+    """row cross-multiplied against piv so that its entry at col (the
+    positive pivot of piv) vanishes, divided by its content. row is scaled
+    by a positive factor, so its own pivot keeps its sign."""
+    g = gcd(piv[col], row[col])
+    a, b = piv[col] // g, row[col] // g
+    row = [a * x - b * y for x, y in zip(row, piv)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _reduce(row, rows, pivots):
+    """An integer multiple of row minus a combination of the echelon rows,
+    zero at every pivot column: it vanishes exactly when row lies in
+    their span."""
+    for piv, col in zip(rows, pivots):
+        if row[col]:
+            row = _eliminate(row, piv, col)
+    return row
+
+
+def _echelon(vectors):
+    """The canonical basis of the span of integer vectors: primitive rows
+    in reduced echelon form with positive pivots, in pivot order, with
+    their pivot columns. Zero vectors are dropped."""
+    rows, pivots = [], []
+    for vec in vectors:
+        vec = _reduce(vec, rows, pivots)
+        lead = next((j for j, a in enumerate(vec) if a), None)
+        if lead is None:
+            continue
+        g = gcd(*vec) if vec[lead] > 0 else -gcd(*vec)
+        vec = [a // g for a in vec]
+        rows = [_eliminate(r, vec, lead) if r[lead] else r for r in rows]
+        rows.append(vec)
+        pivots.append(lead)
+    order = sorted(range(len(rows)), key=pivots.__getitem__)
+    return [rows[i] for i in order], [pivots[i] for i in order]
 
 
 class AmbientField:
@@ -234,24 +261,40 @@ class AlgNum:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended euclidean algorithm."""
+        """Multiplicative inverse, in integers.
+
+        Column k of the integer matrix holds _scale times the coordinates
+        of num * z^k, read off num and _fold. The rows of that matrix,
+        augmented by _scale times e_0, go through fraction-free
+        Gauss-Jordan elimination (_echelon: cross-multiplication plus
+        content stripping), which leaves d_i e_i | r_i when the matrix
+        has full rank, so coordinate i of 1/num is r_i/d_i. A rank
+        r < n means a shares a factor of degree n - r with the modulus
+        (the kernel of multiplication by a has the degree of gcd(a, p)
+        when p is square-free), reported as ReduciblePolynomial.
+        """
         if not self:
             raise DivisionByZero("cannot invert zero")
-        # invariants: r0 = s0 * self (mod p), r1 = s1 * self (mod p)
-        r0, s0 = list(self.field.min_poly), []
-        r1, s1 = _ptrim(list(self.coords)), [Fraction(1)]
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _padd(s0, [-a for a in _pmul(q, s1)])
-        if len(r0) > 1:
+        field = self.field
+        n = field.degree
+        scale = field._scale
+        rows = [[0] * n + [scale * (i == 0)] for i in range(n)]
+        for i, a in enumerate(self.num):
+            if a:
+                for k in range(n):
+                    if i + k < n:
+                        rows[i + k][k] += scale * a
+                    else:
+                        for j, f in enumerate(field._fold[i + k - n]):
+                            rows[j][k] += a * f
+        rows, pivots = _echelon(rows)
+        rank = sum(col < n for col in pivots)
+        if rank < n:
             raise ReduciblePolynomial(
-                "zero divisor: gcd with the modulus has degree %d" % (len(r0) - 1))
-        inv_lead = 1 / r0[0]
-        s0 = [a * inv_lead for a in s0]
-        _, rem = _pdivmod(s0, list(self.field.min_poly))
-        rem = rem + [Fraction(0)] * (self.field.degree - len(rem))
-        return self.field.element(rem)
+                "zero divisor: gcd with the modulus has degree %d" % (n - rank))
+        den = lcm(*(row[i] for i, row in enumerate(rows)))
+        return AlgNum(field, [self.den * row[n] * (den // row[i])
+                              for i, row in enumerate(rows)], den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -297,28 +340,27 @@ class AlgNum:
 class Subfield:
     """A Q-subspace of the ambient field closed under products.
 
-    The basis is kept in reduced echelon form, which makes membership a
-    reduction and equality a tuple comparison.
+    The basis is kept as primitive integer rows in reduced echelon form
+    with positive pivots, a form each subspace has exactly once, which
+    makes membership an integer reduction and equality a tuple comparison.
     """
 
     def __init__(self, field, rows, pivots):
         self.field = field
         self._rows = tuple(tuple(r) for r in rows)
         self._pivots = tuple(pivots)
-        self.basis = tuple(field.element(r) for r in self._rows)
+        self.basis = tuple(AlgNum(field, r, 1) for r in self._rows)
         self.dim = len(self._rows)
 
     @staticmethod
     def rationals(field):
-        one = [Fraction(1)] + [Fraction(0)] * (field.degree - 1)
-        return Subfield(field, [one], [0])
+        return Subfield(field, [[1] + [0] * (field.degree - 1)], [0])
 
     def contains_num(self, a):
         if not isinstance(a, AlgNum) or a.field != self.field:
             raise ValueError("element does not live in this ambient field")
         # membership is invariant under scaling: reduce the numerators
-        rem = linalg.reduce_against(list(a.num), self._rows, self._pivots)
-        return not any(rem)
+        return not any(_reduce(a.num, self._rows, self._pivots))
 
     def __eq__(self, other):
         return (isinstance(other, Subfield) and self.field == other.field
@@ -335,29 +377,28 @@ def span_close(gens, base):
     """Smallest product-closed Q-subspace containing base and the generators.
 
     Repeatedly extends the linear span by pairwise products of basis vectors
-    until the dimension stabilizes; the ambient degree bounds the loop.
+    until the dimension stabilizes; the ambient degree bounds the loop. The
+    span is spanned by the numerators, so the echelon works in integers.
     """
     field = base.field
-    vecs = [list(b.coords) for b in base.basis]
-    one = field.one()
-    vecs.append(list(one.coords))
+    vecs = list(base._rows)
+    vecs.append([1] + [0] * (field.degree - 1))
     for g in gens:
         if g.field != field:
             raise ValueError("generator outside the ambient field")
-        vecs.append(list(g.coords))
-    rows, pivots = linalg.rref(vecs)
+        vecs.append(g.num)
+    rows, pivots = _echelon(vecs)
     while True:
-        elems = [field.element(r) for r in rows]
+        elems = [AlgNum(field, r, 1) for r in rows]
         fresh = []
         for i, a in enumerate(elems):
             for b in elems[i:]:
-                prod = a * b
-                rem = linalg.reduce_against(list(prod.coords), rows, pivots)
+                rem = _reduce((a * b).num, rows, pivots)
                 if any(rem):
-                    fresh.append(list(prod.coords))
+                    fresh.append(rem)
         if not fresh:
             return Subfield(field, rows, pivots)
-        rows, pivots = linalg.rref(list(rows) + fresh)
+        rows, pivots = _echelon(rows + fresh)
 
 
 def rel_degree(inner, outer):

@@ -1,63 +1,21 @@
-"""Exact rational linear algebra helpers.
+"""Exact linear algebra helpers for the filtration oracle.
 
-Two consumers with different scale:
-
-* Subfield bookkeeping works on tiny matrices (dimension of the ambient
-  field), where plain Fraction reduced row echelon is the clearest tool.
-* The brute-force filtration oracle feeds up to thousands of vectors, one
-  per monomial, to SparseRowSpace, a column echelon keyed by lead. The
-  vectors hold integers only: the oracle builds each one as x or y times
-  the vector that add() returned for the monomial's predecessor, with
-  integer multiplication tables of the coordinate images, and hands it in
-  divided by its content. A vector is reduced fraction-free
-  (cross-multiplication plus content stripping), each time only against
-  the stored vector that shares its lead.
+The brute-force filtration oracle feeds up to thousands of vectors, one per
+monomial, to SparseRowSpace, a column echelon keyed by lead. The vectors
+hold integers only: the oracle builds each one as x or y times the vector
+that add() returned for the monomial's predecessor, with integer
+multiplication tables of the coordinate images, and hands it in divided by
+its content. A vector is reduced fraction-free (cross-multiplication plus
+content stripping), each time only against the stored vector that shares
+its lead. The small dense echelons of number-field inverses and subfields
+use the same idiom on integer rows, in exactfield. invert, a Fraction
+Gauss-Jordan, serves only the tests' reference resolution.minus_inverse.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from .errors import SingularMatrix
-
-
-def rref(rows):
-    """Reduced row echelon form over Fraction.
-
-    Takes an iterable of rows (sequences of Fraction-coercible values) and
-    returns (basis_rows, pivot_cols) with pivot entries normalized to 1 and
-    cleared above and below. Zero rows are dropped.
-    """
-    basis = []
-    pivots = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        for piv, col in zip(basis, pivots):
-            if row[col]:
-                f = row[col]
-                row = [a - f * b for a, b in zip(row, piv)]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is None:
-            continue
-        inv = row[lead]
-        row = [a / inv for a in row]
-        for i, (piv, col) in enumerate(zip(basis, pivots)):
-            if piv[lead]:
-                f = piv[lead]
-                basis[i] = [a - f * b for a, b in zip(piv, row)]
-        basis.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], [pivots[i] for i in order]
-
-
-def reduce_against(row, basis, pivots):
-    """Reduce a Fraction row against an rref basis; returns the remainder."""
-    row = list(row)
-    for piv, col in zip(basis, pivots):
-        if row[col]:
-            f = row[col]
-            row = [a - f * b for a, b in zip(row, piv)]
-    return row
 
 
 def _primitive(entries):

@@ -9,10 +9,14 @@ The raw oracle route lives here as well: every monomial column built in
 full and reduced against the echelon (the runtime reduces x times the
 vector stored for the predecessor instead). Horner evaluation of
 polynomials and of field elements lives here too: the concrete curvettes
-and conjugation use it, the runtime does not. So does the Fraction product
-of field elements, a polynomial product and long division by the minimal
-polynomial (the runtime multiplies integer numerators and folds the high
-powers through a table).
+and conjugation use it, the runtime does not. So do the Fraction routes of
+field arithmetic: the product of field elements, a polynomial product and
+long division by the minimal polynomial (the runtime multiplies integer
+numerators and folds the high powers through a table); the inverse by the
+extended Euclidean algorithm (the runtime eliminates on the integer matrix
+of multiplication); and the reduced row echelon over Fraction with the
+product closure of subfields built on it (the runtime keeps primitive
+integer rows).
 
 Not named reference.py: pytest puts both tests/ and bench/ on sys.path, and
 bench/reference.py would shadow it.
@@ -20,8 +24,13 @@ bench/reference.py would shadow it.
 
 from fractions import Fraction
 
-from artifact.errors import ArtifactError, GenericCenter
-from artifact.exactfield import AlgNum, _pdivmod, _pmul
+from artifact.errors import (
+    ArtifactError,
+    DivisionByZero,
+    GenericCenter,
+    ReduciblePolynomial,
+)
+from artifact.exactfield import AlgNum, _pdivmod, _ptrim
 from artifact.linalg import SparseRowSpace
 from artifact.oracle import _multiplication_table, _times
 from artifact.ratfunc import INFINITY, Poly, RatFunc
@@ -57,6 +66,24 @@ def evaluate_algnum(a, at):
     return acc
 
 
+def _padd(p, q):
+    n = max(len(p), len(q))
+    return _ptrim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                   for i in range(n)])
+
+
+def _pmul(p, q):
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                if b:
+                    out[i + j] += a * b
+    return _ptrim(out)
+
+
 def reference_algnum_mul(a, b):
     """The coordinates of a*b in Fractions: the product of the coordinate
     polynomials, reduced mod the minimal polynomial."""
@@ -64,6 +91,91 @@ def reference_algnum_mul(a, b):
     prod = _pmul(list(a.coords), list(b.coords))
     rem = _pdivmod(prod, list(field.min_poly))[1]
     return tuple(rem + [Fraction(0)] * (field.degree - len(rem)))
+
+
+def reference_algnum_inverse(a):
+    """The inverse of a by the extended Euclidean algorithm on Fraction
+    coordinate polynomials; a zero divisor raises ReduciblePolynomial with
+    the degree of its gcd with the modulus."""
+    if not a:
+        raise DivisionByZero("cannot invert zero")
+    # invariants: r0 = s0 * a (mod p), r1 = s1 * a (mod p)
+    r0, s0 = list(a.field.min_poly), []
+    r1, s1 = _ptrim(list(a.coords)), [Fraction(1)]
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _padd(s0, [-c for c in _pmul(q, s1)])
+    if len(r0) > 1:
+        raise ReduciblePolynomial(
+            "zero divisor: gcd with the modulus has degree %d" % (len(r0) - 1))
+    inv_lead = 1 / r0[0]
+    s0 = [c * inv_lead for c in s0]
+    _, rem = _pdivmod(s0, list(a.field.min_poly))
+    rem = rem + [Fraction(0)] * (a.field.degree - len(rem))
+    return a.field.element(rem)
+
+
+def rref(rows):
+    """Reduced row echelon form over Fraction.
+
+    Takes an iterable of rows (sequences of Fraction-coercible values) and
+    returns (basis_rows, pivot_cols) with pivot entries normalized to 1 and
+    cleared above and below. Zero rows are dropped.
+    """
+    basis = []
+    pivots = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        for piv, col in zip(basis, pivots):
+            if row[col]:
+                f = row[col]
+                row = [a - f * b for a, b in zip(row, piv)]
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is None:
+            continue
+        inv = row[lead]
+        row = [a / inv for a in row]
+        for i, (piv, col) in enumerate(zip(basis, pivots)):
+            if piv[lead]:
+                f = piv[lead]
+                basis[i] = [a - f * b for a, b in zip(piv, row)]
+        basis.append(row)
+        pivots.append(lead)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    return [basis[i] for i in order], [pivots[i] for i in order]
+
+
+def reduce_against(row, basis, pivots):
+    """Reduce a Fraction row against an rref basis; returns the remainder."""
+    row = list(row)
+    for piv, col in zip(basis, pivots):
+        if row[col]:
+            f = row[col]
+            row = [a - f * b for a, b in zip(row, piv)]
+    return row
+
+
+def reference_span_close(gens, base):
+    """The product closure of the subfield base and the generators as a
+    Fraction rref (rows, pivots): the span of the coordinates is extended
+    by the products of pairs of basis vectors until no product leaves it."""
+    field = base.field
+    vecs = [list(b.coords) for b in base.basis]
+    vecs.append(list(field.one().coords))
+    vecs += [list(g.coords) for g in gens]
+    rows, pivots = rref(vecs)
+    while True:
+        elems = [field.element(r) for r in rows]
+        fresh = []
+        for i, a in enumerate(elems):
+            for b in elems[i:]:
+                prod = list((a * b).coords)
+                if any(reduce_against(prod, rows, pivots)):
+                    fresh.append(prod)
+        if not fresh:
+            return rows, pivots
+        rows, pivots = rref(list(rows) + fresh)
 
 
 class BadConstant(ArtifactError):

@@ -361,6 +361,18 @@ def test_exit_code_2_on_bad_flags(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """main() builds the parser once per process; a rejected call or a
+    flag given to one call leaves nothing behind for the next."""
+    path = write_doc(tmp_path, CUSP)
+    first = run_cli(capsys, ["analyze", path])
+    assert cli.main(["analyze", path, "--truncate", "nan"]) == 2
+    assert cli.main(["report", path, "--json", "--truncate", "3"]) == 0
+    capsys.readouterr()
+    assert run_cli(capsys, ["analyze", path]) == first
+    assert cli.build_arg_parser() is cli.build_arg_parser()
+
+
 def test_list_sizing_inputs_are_capped(tmp_path, capsys):
     # one past each cap: rejected before any list of that length is built
     path = write_doc(tmp_path, CUSP)

@@ -1,5 +1,7 @@
 """Tests for exact number field arithmetic and subfield lattices."""
 
+import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -13,9 +15,15 @@ from artifact.errors import (
     NotASubfield,
     ReduciblePolynomial,
 )
-from artifact.exactfield import AmbientField, Subfield, span_close
+from artifact.exactfield import AlgNum, AmbientField, Subfield, span_close
 
-from slow_paths import evaluate_algnum, reference_algnum_mul
+from slow_paths import (
+    evaluate_algnum,
+    reduce_against,
+    reference_algnum_inverse,
+    reference_algnum_mul,
+    reference_span_close,
+)
 
 
 def sqrt2_field():
@@ -254,7 +262,146 @@ def test_ring_operations_create_no_fractions(monkeypatch, p):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    results = [a * b, a + b, a - b, -a]
+    results = [a * b, a + b, a - b, -a, a.inverse()]
+    rat = Subfield.rationals(field)
+    full = span_close([a, b], rat)
+    member = [full.contains_num(a), rat.contains_num(a)]
     monkeypatch.undo()
     assert created == []
     assert results[0].coords == reference_algnum_mul(a, b)
+    assert results[4] == reference_algnum_inverse(a)
+    assert member == [True, n == 1]
+
+
+# The ambient fields above, plus two of high degree: the inverse solves an
+# n x n integer system, so its cost grows fastest with n.
+INVERSE_FIELDS = FIELDS + [[5, 1] + [0] * 14 + [1], [-3] + [0] * 31 + [1]]
+INVERSE_FIELD_IDS = FIELD_IDS + ["z16+z+5", "z32-3"]
+
+
+def random_element(rng, field, bound=40):
+    while True:
+        a = field.element([Fraction(rng.randint(-bound, bound),
+                                    rng.randint(1, bound))
+                           for _ in range(field.degree)])
+        if a:
+            return a
+
+
+@pytest.mark.parametrize("p", INVERSE_FIELDS, ids=INVERSE_FIELD_IDS)
+def test_inverse_equals_euclid_reference(p):
+    field = AmbientField(p)
+    rng = random.Random(1309 + field.degree)
+    # the reference takes about a second per dense element of degree 32
+    samples = [random_element(rng, field, 9) for _ in range(3)] \
+        if field.degree > 8 else [random_element(rng, field) for _ in range(40)]
+    # sparse and rational elements too: few nonzero coordinates
+    z = field.gen()
+    samples += [field.from_fraction(Fraction(-7, 3)), z, 1 - 2 * z * z]
+    for a in samples:
+        if not a:
+            continue
+        inv = a.inverse()
+        ref = reference_algnum_inverse(a)
+        assert (inv.num, inv.den) == (ref.num, ref.den)
+        assert a * inv == 1
+
+
+def zero_divisor_message(fn, a):
+    with pytest.raises(ReduciblePolynomial) as info:
+        fn(a)
+    return str(info.value)
+
+
+def test_zero_divisors_report_the_gcd_degree():
+    """Over a reducible modulus the integer inverse raises exactly what the
+    Euclid reference raises: the degree of gcd(a, p) is n minus the rank of
+    multiplication by a."""
+    field = AmbientField([-1, 0, 0, 0, 1])  # z^4 - 1
+    z = field.gen()
+    for a, degree in ((z - 1, 1), (z * z - 1, 2), (z * z + 1, 2),
+                      ((z - 1) * (z + 1) * (z * z + 1) + z - 1, 1)):
+        message = zero_divisor_message(AlgNum.inverse, a)
+        assert message == zero_divisor_message(reference_algnum_inverse, a)
+        assert message.endswith("has degree %d" % degree)
+    assert (z + 2).inverse() == reference_algnum_inverse(z + 2)
+    # (z^2 - 2)(z^2 - 3)(z - 1/2): products of random elements with factors
+    field = AmbientField([-3, 6, Fraction(5, 2), -5, Fraction(-1, 2), 1])
+    z = field.gen()
+    rng = random.Random(13)
+    for factor in (z * z - 2, z * z - 3, 2 * z - 1, (z * z - 3) * (z * z - 2)):
+        for _ in range(5):
+            a = factor * random_element(rng, field, 9)
+            assert zero_divisor_message(AlgNum.inverse, a) == \
+                zero_divisor_message(reference_algnum_inverse, a)
+
+
+def test_high_degree_inverses_stay_within_budget():
+    """The Euclid reference took about 0.8 s for these five inverses."""
+    field = AmbientField([-3] + [0] * 31 + [1])
+    rng = random.Random(32)
+    samples = [random_element(rng, field) for _ in range(5)]
+    start = time.perf_counter()
+    inverses = [a.inverse() for a in samples]
+    assert time.perf_counter() - start < 2.0
+    assert all(a * inv == 1 for a, inv in zip(samples, inverses))
+
+
+def subfield_generators(rng, field):
+    """Generator sets of subfields of several sizes: elements whose
+    coordinates sit only at multiples of d, for each d dividing n, and
+    their pairs."""
+    n = field.degree
+    out = []
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        gen = [field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                              if k % d == 0 else 0 for k in range(n)])
+               for _ in range(2)]
+        out += [gen[:1], gen]
+    return out
+
+
+@pytest.mark.parametrize("p", FIELDS, ids=FIELD_IDS)
+def test_subfields_equal_fraction_reference(p):
+    field = AmbientField(p)
+    rng = random.Random(2026 + field.degree)
+    rat = Subfield.rationals(field)
+    for gens in subfield_generators(rng, field):
+        sub = span_close(gens, rat)
+        rows, pivots = reference_span_close(gens, rat)
+        assert sub.dim == len(rows)
+        # the integer rows are the Fraction rref rows, scaled to pivot 1
+        assert [[Fraction(a, r[c]) for a in r]
+                for r, c in zip(sub._rows, sub._pivots)] == rows
+        assert all(r[c] > 0 and gcd(*r) == 1
+                   for r, c in zip(sub._rows, sub._pivots))
+        inside = [sum((rng.randint(-5, 5) * b for b in sub.basis),
+                      field.zero()) for _ in range(3)]
+        for a in inside + [random_element(rng, field) for _ in range(5)]:
+            expected = not any(reduce_against(a.coords, rows, pivots))
+            assert sub.contains_num(a) == expected
+        assert all(sub.contains_num(a) for a in inside)
+        assert span_close(gens[1:], sub) == sub
+
+
+def test_generator_sets_of_one_subfield_give_one_subfield():
+    """Q(sqrt2), Q(sqrt3) and Q(sqrt6) inside Q(sqrt2, sqrt3), with
+    z = sqrt2 + sqrt3: each reached from different generator sets compares
+    and hashes equal."""
+    field = AmbientField([1, 0, -10, 0, 1])
+    z = field.gen()
+    rat = Subfield.rationals(field)
+    sqrt6 = (z * z - 5) / 2
+    sqrt2 = (z * z * z - 9 * z) / 2
+    sqrt3 = z - sqrt2
+    for root, other in ((sqrt2, 3 * sqrt2 - 1), (sqrt3, sqrt3 / 7 + 2),
+                        (sqrt6, z * z)):
+        assert root * root in (2, 3, 6)
+        one = span_close([root], rat)
+        two = span_close([other, root * 5, rat.basis[0]], rat)
+        three = span_close(one.basis, rat)
+        assert one.dim == 2
+        assert one == two == three
+        assert len({hash(one), hash(two), hash(three)}) == 1
+    assert span_close([sqrt2, sqrt3], rat) == span_close([z], rat)
+    assert span_close([sqrt2], rat) != span_close([sqrt3], rat)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from artifact import linalg
 from artifact.errors import GenericCenter
 from artifact.exactfield import AlgNum, AmbientField
-from artifact.linalg import SparseRowSpace, rref
+from artifact.linalg import SparseRowSpace
 from artifact.oracle import (
     FiltrationReport,
     PolyXY,
@@ -48,6 +48,7 @@ from slow_paths import (
     conjugate_param,
     evaluate_poly,
     reference_filtration_dims,
+    rref,
 )
 from test_acceptance import CORPUS, DIVISORIAL_TARGETS, GOLDEN
 
@@ -366,7 +367,7 @@ def _rational_coords(c):
 
 def stacked_block_dims(x, y, V):
     """dims[v] = rank(blocks 0..v) - rank(blocks 0..v-1) of the Fraction
-    matrix over every monomial of total degree <= V, by linalg.rref."""
+    matrix over every monomial of total degree <= V, by the Fraction rref."""
     def cut(p):
         return Poly(p.ring, p.coeffs[:V + 1])
 

@@ -19,6 +19,7 @@ pure function of the file content and flags.
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,6 +94,9 @@ def _as_int(value, where, minimum=None, maximum=None):
     return value
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _as_fraction(value, where):
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseFailure(
@@ -100,6 +104,10 @@ def _as_fraction(value, where):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction alone also reads decimals and exponents such as
+        # "1e10000000", whose expansion takes unbounded time
+        if not _RATIONAL.fullmatch(value):
+            raise ParseFailure("%s is not a rational: %r" % (where, value))
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -202,7 +210,8 @@ def load_input(path):
         raise ParseFailure("cannot read %s: %s" % (path, exc))
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past the int digit limit
         raise ParseFailure("invalid JSON in %s: %s" % (path, exc))
     return parse_input(raw)
 

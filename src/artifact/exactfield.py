@@ -5,14 +5,15 @@ polynomial p. An element is an integer vector on the power basis
 1, z, ..., z^(n-1) over one positive denominator, kept in lowest terms, so
 arithmetic runs in integers. A product is an integer convolution whose high
 coefficients fold back through a table of z^n, ..., z^(2n-2) mod p,
-tabulated once per field. An inverse solves the integer matrix of
-multiplication by the element with fraction-free elimination.
+tabulated once per field by the integer recurrence that p, being monic,
+gives. An inverse solves the integer matrix of multiplication by the
+element with fraction-free elimination; the same matrix for p' checks
+that p is square-free (p' is a unit mod p exactly then).
 Irreducibility of p is deliberately not checked up front: inversion
 discovers a factor exactly when one matters (the matrix is singular) and
 reports it as ReduciblePolynomial. Subfields are plain Q-subspaces with a
 canonical echelon basis of primitive integer rows; that is all the
-Galois-quotient bookkeeping downstream needs. Rational polynomial division
-remains only to check p and tabulate its fold table.
+Galois-quotient bookkeeping downstream needs.
 """
 
 from fractions import Fraction
@@ -24,45 +25,6 @@ from .errors import (
     NotASubfield,
     ReduciblePolynomial,
 )
-
-
-# --- dense rational polynomials in the field generator, lowest degree first
-
-
-def _ptrim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _pdivmod(p, q):
-    p = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    inv = 1 / q[-1]
-    while len(p) >= len(q):
-        f = p[-1] * inv
-        k = len(p) - len(q)
-        quot[k] = f
-        for j, b in enumerate(q):
-            p[k + j] -= f * b
-        _ptrim(p)
-        if not p:
-            break
-    return _ptrim(quot), p
-
-
-def _pgcd(p, q):
-    p, q = list(p), list(q)
-    while q:
-        p, q = q, _pdivmod(p, q)[1]
-    if p:
-        inv = 1 / p[-1]
-        p = [a * inv for a in p]
-    return p
-
-
-def _pderiv(p):
-    return _ptrim([i * a for i, a in enumerate(p)][1:])
 
 
 # --- integer rows: elimination and the canonical echelon of a span
@@ -118,23 +80,53 @@ class AmbientField:
 
     def __init__(self, min_poly):
         coeffs = [Fraction(a) for a in min_poly]
-        coeffs = _ptrim(list(coeffs))
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
         if len(coeffs) < 2:
             raise ValueError("defining polynomial must have degree >= 1")
         if coeffs[-1] != 1:
             raise ValueError("defining polynomial must be monic")
-        g = _pgcd(coeffs, _pderiv(coeffs))
-        if len(g) > 1:
-            raise ValueError("defining polynomial must be square-free")
         self.min_poly = tuple(coeffs)
         self.degree = n = len(coeffs) - 1
-        powers = []
-        for k in range(n, 2 * n - 1):
-            rem = _pdivmod([Fraction(0)] * k + [Fraction(1)], coeffs)[1]
-            powers.append(rem + [Fraction(0)] * (n - len(rem)))
-        self._scale = lcm(*(c.denominator for row in powers for c in row))
-        self._fold = tuple(tuple(int(c * self._scale) for c in row)
-                           for row in powers)
+        # With d the least common denominator of p and c = d*(p_0..p_(n-1)),
+        # z^n = -c/d, so z^(n+k) = r_k / d^(k+1) for integer vectors with
+        # r_0 = -c and r_(k+1) = d*shift(r_k) - top(r_k)*c.
+        d = lcm(*(a.denominator for a in coeffs))
+        c = [a.numerator * (d // a.denominator) for a in coeffs[:n]]
+        rows = []
+        r = [-a for a in c]
+        for _ in range(n - 1):
+            rows.append(r)
+            top = r[-1]
+            r = [-top * c[0]] + [d * a - top * b for a, b in zip(r, c[1:])]
+        # over the common denominator d^(n-1), in lowest terms
+        rows = [[a * d ** (n - 2 - k) for a in row]
+                for k, row in enumerate(rows)]
+        g = gcd(d ** (n - 1), *(a for row in rows for a in row))
+        self._scale = d ** (n - 1) // g
+        self._fold = tuple(tuple(a // g for a in row) for row in rows)
+        # p is square-free exactly when p' is a unit mod p, that is when
+        # multiplication by d*p' has full rank
+        deriv = [i * a for i, a in enumerate(c[1:], 1)] + [n * d]
+        if len(_echelon(self._mul_matrix(deriv))[1]) < n:
+            raise ValueError("defining polynomial must be square-free")
+
+    def _mul_matrix(self, num):
+        """The rows of the integer n x n matrix whose column k holds _scale
+        times the coordinates of num * z^k, read off num and _fold: the
+        matrix of multiplication by the integer vector num."""
+        n = self.degree
+        scale = self._scale
+        rows = [[0] * n for _ in range(n)]
+        for i, a in enumerate(num):
+            if a:
+                for k in range(n):
+                    if i + k < n:
+                        rows[i + k][k] += scale * a
+                    else:
+                        for j, f in enumerate(self._fold[i + k - n]):
+                            rows[j][k] += a * f
+        return rows
 
     def element(self, coords):
         coords = [Fraction(a) for a in coords]
@@ -263,30 +255,23 @@ class AlgNum:
     def inverse(self):
         """Multiplicative inverse, in integers.
 
-        Column k of the integer matrix holds _scale times the coordinates
-        of num * z^k, read off num and _fold. The rows of that matrix,
-        augmented by _scale times e_0, go through fraction-free
-        Gauss-Jordan elimination (_echelon: cross-multiplication plus
-        content stripping), which leaves d_i e_i | r_i when the matrix
-        has full rank, so coordinate i of 1/num is r_i/d_i. A rank
-        r < n means a shares a factor of degree n - r with the modulus
-        (the kernel of multiplication by a has the degree of gcd(a, p)
-        when p is square-free), reported as ReduciblePolynomial.
+        The rows of the integer matrix of multiplication by num
+        (AmbientField._mul_matrix), augmented by _scale times e_0, go
+        through fraction-free Gauss-Jordan elimination (_echelon:
+        cross-multiplication plus content stripping), which leaves
+        d_i e_i | r_i when the matrix has full rank, so coordinate i of
+        1/num is r_i/d_i. A rank r < n means a shares a factor of degree
+        n - r with the modulus (the kernel of multiplication by a has the
+        degree of gcd(a, p) when p is square-free), reported as
+        ReduciblePolynomial.
         """
         if not self:
             raise DivisionByZero("cannot invert zero")
         field = self.field
         n = field.degree
-        scale = field._scale
-        rows = [[0] * n + [scale * (i == 0)] for i in range(n)]
-        for i, a in enumerate(self.num):
-            if a:
-                for k in range(n):
-                    if i + k < n:
-                        rows[i + k][k] += scale * a
-                    else:
-                        for j, f in enumerate(field._fold[i + k - n]):
-                            rows[j][k] += a * f
+        rows = field._mul_matrix(self.num)
+        for i, row in enumerate(rows):
+            row.append(field._scale * (i == 0))
         rows, pivots = _echelon(rows)
         rank = sum(col < n for col in pivots)
         if rank < n:

@@ -18,7 +18,8 @@ Two kinds of questions are answered:
   coefficient matrix of the substitution map. Only what levels 0..V read is
   computed, and in integers: x and y (a branch parametrization or a
   curvette alike) are tabulated once as integer multiplication tables on
-  the rational coordinates. The monomials x^i y^j are taken in increasing
+  the rational coordinates, read off the integer numerators of the
+  field elements. The monomials x^i y^j are taken in increasing
   (weight, i) order, a monomial order (weight i*ox + j*oy, with ox and oy
   the orders of x and y); the vector fed for each is x (or, for i = 0, y)
   times the vector that the echelon stored for its predecessor, cut past
@@ -35,6 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import GenericCenter
+from .exactfield import AlgNum
 from .linalg import SparseRowSpace
 from .ratfunc import INFINITY, Poly
 from . import resolution as _res
@@ -211,32 +213,34 @@ def divisorial_value(f, gc):
 
 # --- filtration dimensions by rank growth ------------------------------------
 
-def _coords(c):
-    """Rational coordinates of one tau-coefficient as ((c power, field
-    coordinate), Fraction) pairs, zeros left out. A polynomial in the
-    curvette constant c gives one pair per (c power, field coordinate); an
-    ambient-field element is a constant in c."""
-    algs = c.coeffs if isinstance(c, Poly) else (c,)
-    return [((b, k), q) for b, alg in enumerate(algs)
-            for k, q in enumerate(alg.coords) if q]
-
-
 def _multiplication_table(s, bound, field):
     """Multiplication by the tau-polynomial s on the rational coordinates,
     as table[k] for each power-basis index k: the (tau order e, c power b,
     field coordinate k', coefficient) entries of z^k times the
-    tau-coefficients s_e with e <= bound, by increasing e. The whole table
-    is scaled by one lcm of its denominators, so it multiplies by D*s for
-    a positive integer D. Building it takes one ambient-field product per
+    tau-coefficients s_e with e <= bound, by increasing e. A coefficient
+    is a polynomial in the curvette constant c, one entry per (c power,
+    field coordinate), or an ambient-field element, a constant in c. The
+    entries are the integer numerators of those products, brought to the
+    lcm of their denominators, so the table multiplies by D*s for a
+    positive integer D. Building it takes one ambient-field product per
     index k and nonzero (tau power, c power) coefficient of s; the bound
     does not enter that count."""
-    basis = [field.element([int(i == k) for i in range(field.degree)])
-             for k in range(field.degree)]
-    table = [[(e, b, k2, q) for e, c in enumerate(s.coeffs[:bound + 1]) if c
-              for (b, k2), q in _coords(c * zk)] for zk in basis]
-    scale = lcm(*(q.denominator for row in table for *_at, q in row))
-    return [[(e, b, k2, q.numerator * (scale // q.denominator))
-             for e, b, k2, q in row] for row in table]
+    n = field.degree
+    table = []
+    for k in range(n):
+        zk = AlgNum(field, [int(i == k) for i in range(n)], 1)
+        row = []
+        for e, c in enumerate(s.coeffs[:bound + 1]):
+            if c:
+                prod = c * zk
+                for b, alg in enumerate(prod.coeffs if isinstance(prod, Poly)
+                                        else (prod,)):
+                    row.extend((e, b, k2, a, alg.den)
+                               for k2, a in enumerate(alg.num) if a)
+        table.append(row)
+    scale = lcm(*(den for row in table for *_at, den in row))
+    return [[(e, b, k2, a * (scale // den)) for e, b, k2, a, den in row]
+            for row in table]
 
 
 def _times(column, table, bound):

@@ -9,8 +9,12 @@ module extracts the numbers that drive the generating series:
 * one (M_rho, ell) pair per field jump.
 
 m and M are integer sums over curvette multiplicities, which the proximity
-relation of the recorded blow-ups gives (resolution.curvette_mults); no
-blow-up is replayed and no matrix is inverted. NumericalData is given the
+relation of the recorded blow-ups gives: each is a proximity sum
+s[v] = weight[v] + sum of s[h] over the components h hosting point v
+(resolution.proximity_sums), one pass over the records per sum. m weights
+by the multiplicities of a curvette at the last component, and each field
+jump adds one sum weighted by the branch's multiplicities up to the jump.
+No blow-up is replayed and no matrix is inverted. NumericalData is given the
 values at the dead ends, ruptures, jumps and last component, and derives the
 gcd tower e, N, the product ell_total, the conductor c and the
 stabilization order Delta from them itself.
@@ -78,28 +82,22 @@ def big_M(graph, recs, m_map, tower):
                                   at each blown-up point up to rho_j)
 
     and the shared-chain sums vanish for jumps the component does not sit
-    above, so only those actually below it contribute. The transversal
-    curve's multiplicities come from the proximity relation
-    (resolution.curvette_mults).
+    above, so only those actually below it contribute. With the branch's
+    multiplicities up to rho_j as weights, each shared-chain sum is a
+    proximity sum (resolution.proximity_sums), so each jump takes one pass
+    over the records, and a running product per component gives the
+    product of the later ell.
     """
-    if not tower:
-        return {v.id: int(m_map[v.id]) for v in graph.vertices}
-    branch_mults = [rec.branch_mult for rec in recs]
-    out = {}
-    for v in graph.vertices:
-        w_id = v.id
-        below = [(rho, ell) for rho, ell in tower if rho < w_id]
-        total = int(m_map[w_id])
-        if below:
-            mults = _res.curvette_mults(recs, w_id)
-            for j, (rho, ell) in enumerate(below):
-                later = 1
-                for _rho_q, ell_q in below[j + 1:]:
-                    later *= ell_q
-                shared = sum(branch_mults[i] * mults[i]
-                             for i in range(rho + 1))
-                total += (ell - 1) * later * shared
-        out[w_id] = total
+    out = {v.id: int(m_map[v.id]) for v in graph.vertices}
+    later = dict.fromkeys(out, 1)
+    for rho, ell in reversed(tower):
+        shared = _res.proximity_sums(
+            recs, [rec.branch_mult if i <= rho else 0
+                   for i, rec in enumerate(recs)])
+        for w_id in out:
+            if rho < w_id:
+                out[w_id] += (ell - 1) * later[w_id] * shared[w_id]
+                later[w_id] *= ell
     return out
 
 

@@ -587,19 +587,34 @@ def curvette_mults(recs, w):
     return x
 
 
+def proximity_sums(recs, weights):
+    """s[v] = weights[v] + the sum of s[h] over the components h hosting
+    point v, for every point v, in one pass over the records.
+
+    Since curvette_mults(recs, v) is the unit vector at v plus the sum of
+    curvette_mults(recs, h) over those hosts, s[v] is the sum of
+    curvette_mults(recs, v)[i] * weights[i] over the points i = 0..v.
+    """
+    s = []
+    for v, rec in enumerate(recs):
+        s.append(weights[v] + sum(s[h] for h in rec.host_components))
+    return s
+
+
 def m_values(graph, recs):
     """Value of the last component's valuation on a curvette at each
     component: Noether's sum of multiplicity products over the shared
-    points 0..w of curvettes at w and at the last component.
+    points 0..w of curvettes at w and at the last component. With the
+    last component's multiplicities as weights, that is the proximity
+    sum m[w] = last[w] + sum of m[h] over the components h hosting w.
 
     A fully resolved branch has the multiplicities of a curvette at the
     last component, so the same numbers are its own values in curve mode.
     They also form the last column of minus the inverse intersection
     matrix.
     """
-    last = curvette_mults(recs, graph.delta())
-    return {v.id: sum(a * b for a, b in zip(curvette_mults(recs, v.id), last))
-            for v in graph.vertices}
+    m = proximity_sums(recs, curvette_mults(recs, graph.delta()))
+    return {v.id: m[v.id] for v in graph.vertices}
 
 
 def minus_inverse(mat):

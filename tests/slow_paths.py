@@ -2,9 +2,12 @@
 
 The CLI and the series pipeline run none of this. The runtime reads
 multiplicities and values off the proximity relation of the blow-up records
-(resolution.curvette_mults); these routes recompute them on exact states:
-single blow-ups, joint replays of two branches, curvettes with a concrete
-constant, the intersection matrix, conjugation and the proximity equalities.
+(resolution.curvette_mults and resolution.proximity_sums); these routes
+recompute them on exact states: single blow-ups, joint replays of two
+branches, curvettes with a concrete constant, the intersection matrix,
+conjugation and the proximity equalities. Noether's sum per component, one
+curvette at a time, is here too (the runtime sums m and M in one pass per
+weight).
 The raw oracle route lives here as well: every monomial column built in
 full and reduced against the echelon (the runtime reduces x times the
 vector stored for the predecessor instead). Horner evaluation of
@@ -12,7 +15,10 @@ polynomials and of field elements lives here too: the concrete curvettes
 and conjugation use it, the runtime does not. So do the Fraction routes of
 field arithmetic: the product of field elements, a polynomial product and
 long division by the minimal polynomial (the runtime multiplies integer
-numerators and folds the high powers through a table); the inverse by the
+numerators and folds the high powers through a table); that table itself
+by long division of z^n .. z^(2n-2) (the runtime runs the integer
+recurrence of the monic p); the square-free check of p by Euclid on p and
+p' (the runtime takes the rank of multiplication by p'); the inverse by the
 extended Euclidean algorithm (the runtime eliminates on the integer matrix
 of multiplication); and the reduced row echelon over Fraction with the
 product closure of subfields built on it (the runtime keeps primitive
@@ -23,6 +29,7 @@ bench/reference.py would shadow it.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from artifact.errors import (
     ArtifactError,
@@ -30,7 +37,7 @@ from artifact.errors import (
     GenericCenter,
     ReduciblePolynomial,
 )
-from artifact.exactfield import AlgNum, _pdivmod, _ptrim
+from artifact.exactfield import AlgNum
 from artifact.linalg import SparseRowSpace
 from artifact.oracle import _multiplication_table, _times
 from artifact.ratfunc import INFINITY, Poly, RatFunc
@@ -45,6 +52,7 @@ from artifact.resolution import (
     _landing_info,
     _shift,
     _strategy_for,
+    curvette_mults,
     generic_curvette,
 )
 
@@ -64,6 +72,54 @@ def evaluate_algnum(a, at):
     for c in reversed(a.coords):
         acc = acc * at + at.field.from_fraction(c)
     return acc
+
+
+def _ptrim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _pdivmod(p, q):
+    """Quotient and remainder of dense Fraction polynomials, lowest degree
+    first."""
+    p = list(p)
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    inv = 1 / q[-1]
+    while len(p) >= len(q):
+        f = p[-1] * inv
+        k = len(p) - len(q)
+        quot[k] = f
+        for j, b in enumerate(q):
+            p[k + j] -= f * b
+        _ptrim(p)
+        if not p:
+            break
+    return _ptrim(quot), p
+
+
+def reference_fold_table(min_poly):
+    """(scale, fold) by long division: fold[k] is scale times the
+    coordinates of z^(n+k) mod p for k = 0 .. n-2, and scale the least
+    positive integer that makes every entry an integer."""
+    p = _ptrim([Fraction(a) for a in min_poly])
+    n = len(p) - 1
+    powers = []
+    for k in range(n, 2 * n - 1):
+        rem = _pdivmod([Fraction(0)] * k + [Fraction(1)], p)[1]
+        powers.append(rem + [Fraction(0)] * (n - len(rem)))
+    scale = lcm(*(c.denominator for row in powers for c in row))
+    return scale, tuple(tuple(int(c * scale) for c in row) for row in powers)
+
+
+def reference_is_squarefree(min_poly):
+    """Whether gcd(p, p') is a constant, by Euclid on Fraction
+    polynomials."""
+    p = _ptrim([Fraction(a) for a in min_poly])
+    q = _ptrim([i * a for i, a in enumerate(p)][1:])
+    while q:
+        p, q = q, _pdivmod(p, q)[1]
+    return len(p) == 1
 
 
 def _padd(p, q):
@@ -396,6 +452,35 @@ def conjugate_param(p, root_image):
     return BranchParam(ambient, p.x_order,
                        [(e, mapped(c)) for e, c in p.y_terms],
                        x_coeff=mapped(p.x_coeff))
+
+
+def noether_m_values(graph, recs):
+    """m per component by Noether's sum, one curvette at a time: the
+    multiplicity products of curvettes at w and at the last component over
+    the points 0..w."""
+    last = curvette_mults(recs, graph.delta())
+    return {v.id: sum(a * b for a, b in zip(curvette_mults(recs, v.id), last))
+            for v in graph.vertices}
+
+
+def noether_big_M(graph, recs, m_map, tower):
+    """M per component, with each shared-chain sum taken over the
+    curvette multiplicities of that component (poincare.big_M's formula,
+    one component at a time)."""
+    out = {}
+    for v in graph.vertices:
+        w = v.id
+        below = [(rho, ell) for rho, ell in tower if rho < w]
+        total = int(m_map[w])
+        mults = curvette_mults(recs, w)
+        for j, (rho, ell) in enumerate(below):
+            later = 1
+            for _rho_q, ell_q in below[j + 1:]:
+                later *= ell_q
+            total += (ell - 1) * later * sum(
+                recs[i].branch_mult * mults[i] for i in range(rho + 1))
+        out[w] = total
+    return out
 
 
 def proximity_check(recs, terminal):

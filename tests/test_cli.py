@@ -113,6 +113,8 @@ def test_parse_input_rejects_schema_violations():
         corrupt(("ambient", "min_poly"), ["1"]),
         corrupt(("ambient", "min_poly"), ["0", 0.5]),
         corrupt(("ambient", "min_poly"), ["0", "1/0"]),
+        corrupt(("ambient", "min_poly"), ["1.5", "1"]),
+        corrupt(("branch", "y_terms"), [{"exp": 3, "coeff": ["1_0"]}]),
         corrupt(("branch", "x_order"), 0),
         corrupt(("branch", "x_order"), True),
         corrupt(("branch", "y_terms"), {"exp": 3}),

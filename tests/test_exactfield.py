@@ -16,12 +16,17 @@ from artifact.errors import (
     ReduciblePolynomial,
 )
 from artifact.exactfield import AlgNum, AmbientField, Subfield, span_close
+from artifact.oracle import _multiplication_table
+from artifact.ratfunc import Poly, PolyRing
 
 from slow_paths import (
+    _pmul,
     evaluate_algnum,
     reduce_against,
     reference_algnum_inverse,
     reference_algnum_mul,
+    reference_fold_table,
+    reference_is_squarefree,
     reference_span_close,
 )
 
@@ -249,11 +254,9 @@ def test_rational_elements_hash_like_the_number():
 
 @pytest.mark.parametrize("p", FIELDS, ids=FIELD_IDS)
 def test_ring_operations_create_no_fractions(monkeypatch, p):
-    """+, -, unary - and * of two field elements run in integers."""
-    field = AmbientField(p)
-    n = field.degree
-    a = field.element([Fraction(2 * k + 1, k + 2) for k in range(n)])
-    b = field.element([Fraction(k - 3, 7) for k in range(n)])
+    """Building the field makes only the Fractions that reading p makes;
+    +, -, unary - and * of two field elements, the inverse, the subfield
+    echelon and the oracle's multiplication tables run in integers."""
     created = []
     new = Fraction.__new__
 
@@ -262,15 +265,88 @@ def test_ring_operations_create_no_fractions(monkeypatch, p):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
+    field = AmbientField(p)
+    monkeypatch.undo()
+    assert len(created) == len(p) == field.degree + 1
+    n = field.degree
+    a = field.element([Fraction(2 * k + 1, k + 2) for k in range(n)])
+    b = field.element([Fraction(k - 3, 7) for k in range(n)])
+    branch = Poly(field, [field.zero(), a, b])
+    cring = PolyRing(field, "c")
+    curvette = Poly(cring, [cring.zero(), Poly(field, [b, a]),
+                            Poly(field, [a])])
+    created.clear()
+    monkeypatch.setattr(Fraction, "__new__", counted)
     results = [a * b, a + b, a - b, -a, a.inverse()]
     rat = Subfield.rationals(field)
     full = span_close([a, b], rat)
     member = [full.contains_num(a), rat.contains_num(a)]
+    tables = [_multiplication_table(s, 2, field) for s in (branch, curvette)]
     monkeypatch.undo()
     assert created == []
     assert results[0].coords == reference_algnum_mul(a, b)
     assert results[4] == reference_algnum_inverse(a)
     assert member == [True, n == 1]
+    # row k of a table lists z^k times s, all rows times one positive D
+    for s, table in zip((branch, curvette), tables):
+        ratios = set()
+        for k, row in enumerate(table):
+            zk = field.element([int(i == k) for i in range(n)])
+            prods = [(e, c * zk) for e, c in enumerate(s.coeffs)]
+            want = {(e, b, k2): q for e, prod in prods
+                    for b, alg in enumerate(prod.coeffs if isinstance(
+                        prod, Poly) else (prod,))
+                    for k2, q in enumerate(alg.coords) if q}
+            got = {(e, b, k2): q for e, b, k2, q in row}
+            assert got.keys() == want.keys()
+            ratios |= {got[key] / want[key] for key in got}
+        assert len(ratios) == 1 and min(ratios) > 0
+
+
+def field_build(p):
+    """(_scale, _fold) of the field of p, or None when p is refused as
+    not square-free."""
+    try:
+        field = AmbientField(p)
+    except ValueError as exc:
+        assert str(exc) == "defining polynomial must be square-free"
+        return None
+    return field._scale, field._fold
+
+
+def reference_build(p):
+    return reference_fold_table(p) if reference_is_squarefree(p) else None
+
+
+def random_monic(rng, degree):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            for _ in range(degree)] + [1]
+
+
+def square_multiples(rng):
+    """(z^2 - 2)^2, z (z - 1)^2 and seeded products q r^2 with r of
+    degree >= 1: none is square-free."""
+    out = [[4, 0, -4, 0, 1], [0, 1, -2, 1]]
+    for _ in range(40):
+        q = random_monic(rng, rng.randint(0, 3))
+        r = random_monic(rng, rng.randint(1, 3))
+        out.append(_pmul(q, _pmul(r, r)))
+    return out
+
+
+def test_field_build_equals_long_division_and_euclid():
+    """The fold table from the monic recurrence and the square-free
+    verdict from the rank of multiplication by p' equal the long-division
+    table and the Euclid verdict: on FIELDS (which hold the seven corpus
+    fields), on 300 seeded random monic rational polynomials of degree
+    1-8 and on seeded products q r^2."""
+    rng = random.Random(1402)
+    randoms = [random_monic(rng, rng.randint(1, 8)) for _ in range(300)]
+    squares = square_multiples(rng)
+    for p in FIELDS + randoms + squares:
+        assert field_build(p) == reference_build(p), p
+    assert all(field_build(p) is None for p in squares)
+    assert sum(field_build(p) is None for p in randoms) < 10
 
 
 # The ambient fields above, plus two of high degree: the inverse solves an

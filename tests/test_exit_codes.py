@@ -5,7 +5,8 @@ fields in all three modes, puts one malformed value at one place of the
 schema in half of them, and runs each through the four commands with flags
 near 0. The examples are derandomized, so every run checks the same
 documents, and each document has a time limit of its own. One heavy
-divisorial document at max order 80 has a tighter limit.
+divisorial document at max order 80 has a tighter limit, and so do
+numbers whose text is short but whose value is huge.
 """
 
 import contextlib
@@ -172,3 +173,40 @@ def test_divisorial_verify_at_max_order_80_ends_within_8_s():
             code = cli.main(["verify", path, "--max-order", "80"])
     assert code == 0
     assert "match: yes" in out.getvalue()
+
+
+def exit_code_and_stderr(text, command):
+    """Exit code and stderr of one command on the document text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([command, path])
+    return code, err.getvalue()
+
+
+def test_exponent_coefficient_is_a_parse_failure_within_2_s():
+    """Fraction reads "1e10000000" as 10^10000000; expanding it ran past
+    60 s. Only integers and "p/q" strings are rationals."""
+    doc = {"ambient": {"var": "z", "min_poly": [0, 1]},
+           "branch": {"x_order": 2,
+                      "y_terms": [{"exp": 3, "coeff": ["1e10000000"]}]},
+           "mode": "curve"}
+    with time_limit(2, doc):
+        code, err = exit_code_and_stderr(json.dumps(doc), "analyze")
+    assert code == 2
+    assert "is not a rational: '1e10000000'" in err
+
+
+def test_integer_past_the_digit_limit_is_a_parse_failure():
+    """A 5000-digit integer is past Python's int conversion limit, so the
+    JSON reader cannot read it."""
+    text = json.dumps({"ambient": {"var": "z", "min_poly": ["BIG", 1]},
+                       "branch": {"x_order": 2, "y_terms": []},
+                       "mode": "curve"}).replace('"BIG"', "1" * 5000)
+    code, err = exit_code_and_stderr(text, "analyze")
+    assert code == 2
+    assert err.startswith("parse error: invalid JSON in ")

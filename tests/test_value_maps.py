@@ -1,19 +1,22 @@
 """Value maps against the blow-down replay they replaced.
 
 The runtime reads m and M off the proximity relation of the blow-up records
-(resolution.curvette_mults). This module keeps the older route of
-slow_paths, which shares none of that arithmetic, as the reference: a
-curvette at each component is blown down to exact base coordinates, then
-replayed jointly with the branch (Noether's formula on exact states) and
-through the recorded blow-ups (strict multiplicities).
+(resolution.curvette_mults and resolution.proximity_sums). This module
+keeps the older route of slow_paths, which shares none of that arithmetic,
+as the reference: a curvette at each component is blown down to exact base
+coordinates, then replayed jointly with the branch (Noether's formula on
+exact states) and through the recorded blow-ups (strict multiplicities).
+The one-pass sums are also checked against Noether's sum taken one
+curvette at a time.
 """
 
 from math import prod
 
 import pytest
 
+from artifact import resolution
 from artifact.exactfield import AmbientField
-from artifact.poincare import big_M
+from artifact.poincare import big_M, value_maps
 from artifact.ratfunc import INFINITY
 from artifact.resolution import (
     BranchParam,
@@ -29,8 +32,10 @@ from slow_paths import (
     _intersect_states,
     _strict_mults_state,
     constant_collision,
+    noether_big_M,
+    noether_m_values,
 )
-from test_acceptance import CORPUS
+from test_acceptance import CORPUS, DIVISORIAL_TARGETS, GENERIC_FAMILIES
 
 Q = AmbientField([0, 1])
 SQ2 = AmbientField([-2, 0, 1])
@@ -115,3 +120,42 @@ def test_value_maps_match_the_blow_down_replay(name, p):
         assert replayed == mults[v.id] + [0] * (len(recs) - v.id - 1)
     assert big_M(graph, recs, m, graph.splittings) == \
         replay_big_M(graph, recs, m, mults)
+
+
+EXTENDED = [(name, p, extra) for name, p, extra in DIVISORIAL_TARGETS] + [
+    ("biq_two_jumps_x3", dict(CORPUS)["biq_two_jumps"], 3),
+    ("sq2_x6_9_r10_11_x5", dict(MULTIPAIR)["sq2_x6_9_r10_11"], 5),
+] + [("generic_%d" % k, p, 0) for k, p in enumerate(GENERIC_FAMILIES)]
+
+
+@pytest.mark.parametrize(
+    "name,p,extra",
+    [(name, p, 0) for name, p in CORPUS + CUSPS + MULTIPAIR] + EXTENDED,
+    ids=[name for name, _p in CORPUS + CUSPS + MULTIPAIR]
+    + [name for name, _p, _x in EXTENDED])
+def test_proximity_sums_equal_noether_sums(name, p, extra):
+    graph, recs = resolve(p, extra_steps=extra)
+    m = m_values(graph, recs)
+    assert m == noether_m_values(graph, recs)
+    tower = graph.splittings
+    for order in (tower, tower[::-1]):
+        assert big_M(graph, recs, m, order) == \
+            noether_big_M(graph, recs, m, order)
+
+
+def test_value_maps_take_one_curvette(monkeypatch):
+    """x = t^999, y = t^1000 with 1000 extra blow-ups has 2000 components;
+    m and M come from proximity sums, not from one curvette per component
+    (which took 2000 and more curvette_mults calls)."""
+    graph, recs = resolve(BranchParam(Q, 999, [(1000, 1)]), extra_steps=1000)
+    calls = []
+    mults = resolution.curvette_mults
+
+    def counted(recs, w):
+        calls.append(w)
+        return mults(recs, w)
+
+    monkeypatch.setattr(resolution, "curvette_mults", counted)
+    m, M = value_maps(graph, recs)
+    assert len(calls) <= 1
+    assert len(m) == len(recs) == 2000 and m == M

@@ -21,7 +21,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArtifactError, FormulaMismatch, ParseFailure
@@ -29,6 +28,7 @@ from .exactfield import AmbientField
 from .oracle import divisorial_filtration_dims, filtration_dims
 from .poincare import (case_II_data, classical_series, divisorial_series,
                        expand, numerical_data, value_maps)
+from .record import Record
 from .resolution import GENERIC, BranchParam, generic_curvette, resolve
 
 
@@ -47,8 +47,7 @@ MAX_DEGREE = 32
 
 # --- input documents ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class InputDoc:
+class InputDoc(Record):
     """Parsed branch description.
 
     min_poly lists rational coefficients lowest degree first; y_terms pairs
@@ -58,14 +57,13 @@ class InputDoc:
     option, None when absent.
     """
 
-    var: str
-    min_poly: tuple
-    x_order: int
-    y_terms: tuple
-    mode: str
-    extra_steps: int = 0
-    splitting_prefix: tuple = ()
-    truncate: int = None
+    __slots__ = ("var", "min_poly", "x_order", "y_terms", "mode",
+                 "extra_steps", "splitting_prefix", "truncate")
+
+    def __init__(self, var, min_poly, x_order, y_terms, mode, extra_steps=0,
+                 splitting_prefix=(), truncate=None):
+        self._assign(var, min_poly, x_order, y_terms, mode, extra_steps,
+                     splitting_prefix, truncate)
 
 
 def _as_object(value, where, allowed):
@@ -206,7 +204,7 @@ def load_input(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseFailure("cannot read %s: %s" % (path, exc))
     try:
         raw = json.loads(text)
@@ -218,8 +216,7 @@ def load_input(path):
 
 # --- analysis pipeline ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Record):
     """Resolved and assembled state shared by all commands.
 
     build_analysis picks the valuation; the commands read it from here: nd
@@ -227,13 +224,10 @@ class Analysis:
     splitting stream, and n is set for a curve-mode generic marker.
     """
 
-    doc: InputDoc
-    branch: BranchParam
-    graph: object
-    recs: object
-    nd: object
-    series: object
-    n: int = None
+    __slots__ = ("doc", "branch", "graph", "recs", "nd", "series", "n")
+
+    def __init__(self, doc, branch, graph, recs, nd, series, n=None):
+        self._assign(doc, branch, graph, recs, nd, series, n)
 
 
 def build_analysis(doc):

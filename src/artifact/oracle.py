@@ -31,7 +31,6 @@ Two kinds of questions are answered:
 All arithmetic is exact; a zero is a proven zero.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -39,6 +38,7 @@ from .errors import GenericCenter
 from .exactfield import AlgNum
 from .linalg import SparseRowSpace
 from .ratfunc import INFINITY, Poly
+from .record import Record
 from . import resolution as _res
 
 
@@ -114,8 +114,7 @@ class PolyXY:
         return "PolyXY(%s)" % (list(self.terms),)
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(Record):
     """Levelwise dimensions of a value filtration, computed by brute force.
 
     dims[v] is the rational dimension of the space of polynomial classes of
@@ -123,16 +122,15 @@ class FiltrationReport:
     produced the numbers.
     """
 
-    V: int
-    dims: tuple
-    mode: str
+    __slots__ = ("V", "dims", "mode")
 
-    def __post_init__(self):
-        if self.mode not in ("curve", "divisorial"):
+    def __init__(self, V, dims, mode):
+        self._assign(V, dims, mode)
+        if mode not in ("curve", "divisorial"):
             raise ValueError("mode must be 'curve' or 'divisorial'")
-        if len(self.dims) != self.V + 1:
+        if len(dims) != V + 1:
             raise ValueError("need one dimension per level 0..V")
-        if any(a < 0 for a in self.dims):
+        if any(a < 0 for a in dims):
             raise ValueError("dimensions must be non-negative")
 
 

@@ -27,11 +27,11 @@ binomial refactorization, conductor bounds and the symmetry test are all
 exact integer computations.
 """
 
-from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .errors import (BadSemigroupData, IndexOutOfRange, MissingDelta,
                      TruncationInconclusive, TruncationTooShort)
+from .record import Record
 from . import resolution as _res
 
 
@@ -107,8 +107,7 @@ def _conductor_pair(M_sigma, N, splitting):
     return c, delta
 
 
-@dataclass(frozen=True)
-class NumericalData:
+class NumericalData(Record):
     """Invariant bundle of one branch (or one divisorial target).
 
     Given: m_sigma / M_sigma: representative and orbit-summed values at the
@@ -125,44 +124,35 @@ class NumericalData:
     stabilize at ell_total.
     """
 
-    m_sigma: tuple
-    M_sigma: tuple
-    M_tau: tuple
-    splitting: tuple
-    M_delta: int = None
-    partial: bool = False
-    e: tuple = field(init=False)
-    N: tuple = field(init=False)
-    ell_total: int = field(init=False)
-    c_conductor: int = field(init=False)
-    Delta: int = field(init=False)
+    __slots__ = ("m_sigma", "M_sigma", "M_tau", "splitting", "M_delta",
+                 "partial", "e", "N", "ell_total", "c_conductor", "Delta")
 
-    def __post_init__(self):
-        g = len(self.M_tau)
-        if len(self.m_sigma) != g + 1 or len(self.M_sigma) != g + 1:
+    def __init__(self, m_sigma, M_sigma, M_tau, splitting, M_delta=None,
+                 partial=False):
+        g = len(M_tau)
+        if len(m_sigma) != g + 1 or len(M_sigma) != g + 1:
             raise BadSemigroupData("dead-end and rupture counts disagree")
-        if any(x < 1 for x in self.m_sigma + self.M_sigma + self.M_tau):
+        if any(x < 1 for x in m_sigma + M_sigma + M_tau):
             raise BadSemigroupData("values must be positive")
-        e, N = char_invariants(self.M_sigma)
+        e, N = char_invariants(M_sigma)
         for i, n in enumerate(N):
-            if self.M_tau[i] != n * self.M_sigma[i + 1]:
+            if M_tau[i] != n * M_sigma[i + 1]:
                 raise BadSemigroupData(
                     "rupture value is not the quotient times the dead-end "
                     "value")
         ell = 1
-        for M_rho, l_j in self.splitting:
+        for M_rho, l_j in splitting:
             if M_rho < 1 or l_j < 2:
                 raise BadSemigroupData("invalid splitting entry")
             ell *= l_j
-        c, delta = _conductor_pair(self.M_sigma, N, self.splitting)
+        c, delta = _conductor_pair(M_sigma, N, splitting)
         if delta < 0:
             raise BadSemigroupData("stabilization order must not be "
                                    "negative")
-        if self.M_delta is not None and self.M_delta < 1:
+        if M_delta is not None and M_delta < 1:
             raise BadSemigroupData("divisor value must be positive")
-        for name, value in (("e", e), ("N", N), ("ell_total", ell),
-                            ("c_conductor", c), ("Delta", delta)):
-            object.__setattr__(self, name, value)
+        self._assign(m_sigma, M_sigma, M_tau, splitting, M_delta, partial, e,
+                     N, ell, c, delta)
 
     @property
     def g(self):
@@ -223,25 +213,24 @@ def case_II_data(nd, prefix):
     prefix of an infinite list; the result is flagged partial, so series
     built from it are truncations of the true products."""
     extra = tuple((int(M_rho), int(ell)) for M_rho, ell in prefix)
-    return replace(nd, splitting=nd.splitting + extra, partial=True)
+    return nd.replace(splitting=nd.splitting + extra, partial=True)
 
 
 # --- series as binomial products --------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesProduct:
+class SeriesProduct(Record):
     """Finite product of binomials (1 - t^a)^s, normalized: exponents a
     ascending and pairwise distinct, powers s nonzero. The empty product is
     the constant series 1. partial marks a truncation of an infinite
     product (its expansion is only trusted below the first missing
     factor)."""
 
-    factors: tuple
-    partial: bool = False
+    __slots__ = ("factors", "partial")
 
-    def __post_init__(self):
+    def __init__(self, factors, partial=False):
+        self._assign(factors, partial)
         last = 0
-        for a, s in self.factors:
+        for a, s in factors:
             if a <= last or s == 0:
                 raise ValueError("factors must be normalized: ascending "
                                  "distinct exponents, nonzero powers")
@@ -264,16 +253,15 @@ class SeriesProduct:
                                 self.partial or other.partial)
 
 
-@dataclass(frozen=True)
-class SeriesExpansion:
+class SeriesExpansion(Record):
     """Coefficients a_0..a_N of a series expansion; partial is inherited
     from a partial product source."""
 
-    coeffs: tuple
-    partial: bool = False
+    __slots__ = ("coeffs", "partial")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs, partial=False):
+        self._assign(coeffs, partial)
+        if not coeffs:
             raise ValueError("an expansion has at least the constant term")
 
     @property
@@ -410,13 +398,14 @@ def gaps(gens, bound):
     return [n for n in range(1, bound) if not reach[n]]
 
 
-@dataclass(frozen=True)
-class GeneratorCheck:
+class GeneratorCheck(Record):
     """Outcome of the minimal-generator test; falsy on failure, with the
     first failing (rule, index, value) as witness."""
 
-    ok: bool
-    witness: tuple = None
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok, witness=None):
+        self._assign(ok, witness)
 
     def __bool__(self):
         return self.ok
@@ -447,15 +436,16 @@ def minimal_generator_check(M_sigma, N):
 
 # --- binomial refactorization ------------------------------------------------
 
-@dataclass(frozen=True)
-class BinomialFactorization:
+class BinomialFactorization(Record):
     """factors: the unique (m, s_m) with m within the expansion order;
     is_cyclotomic: True when a finite product source certifies closure,
     None when no source was given (finitely many terms can never certify
     on their own)."""
 
-    factors: tuple
-    is_cyclotomic: bool = None
+    __slots__ = ("factors", "is_cyclotomic")
+
+    def __init__(self, factors, is_cyclotomic=None):
+        self._assign(factors, is_cyclotomic)
 
 
 def binomial_factorization(se, source=None):

@@ -17,7 +17,6 @@ transcendental parameter and truncates the run at the first parameter-
 dependent center, which is the divisorial reduction of such a family.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -30,6 +29,7 @@ from .errors import (
 )
 from .exactfield import Subfield, rel_degree, span_close
 from .ratfunc import FractionField, Poly, PolyRing, RatFunc
+from .record import Record
 
 
 class _Sentinel:
@@ -245,8 +245,7 @@ def _tail_ok(u, w, sub, strat):
     return True
 
 
-@dataclass(frozen=True)
-class InfNearRecord:
+class InfNearRecord(Record):
     """One blown-up infinitely near point of the branch.
 
     chart and center describe the blow-up that CREATED this point's
@@ -256,30 +255,33 @@ class InfNearRecord:
     host_components lists the components the point lies on.
     """
 
-    center: object          # AlgNum | AT_INFINITY | None (seed point)
-    branch_mult: int
-    field_after: Subfield
-    host_components: tuple
-    chart: object = None    # "A" | "B" | None
+    __slots__ = ("center", "branch_mult", "field_after", "host_components",
+                 "chart")
+
+    def __init__(self, center, branch_mult, field_after, host_components,
+                 chart=None):
+        # center: AlgNum | AT_INFINITY | None (seed point);
+        # chart: "A" | "B" | None
+        self._assign(center, branch_mult, field_after, host_components,
+                     chart)
 
 
-@dataclass(frozen=True)
-class TerminalData:
+class TerminalData(Record):
     """Landing data of the first point that is not blown up: its chart, its
     center (GENERIC at a parameter-dependent stop) and the branch's
     multiplicity there (None at a generic stop)."""
 
-    chart: object
-    mult: object            # int | None (generic stop)
-    center: object
+    __slots__ = ("chart", "mult", "center")
+
+    def __init__(self, chart, mult, center):
+        self._assign(chart, mult, center)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    tags: frozenset
-    self_int: int
-    field_dim: int
+class Vertex(Record):
+    __slots__ = ("id", "tags", "self_int", "field_dim")
+
+    def __init__(self, id, tags, self_int, field_dim):
+        self._assign(id, tags, self_int, field_dim)
 
 
 class QuotientGraph:

@@ -23,13 +23,17 @@ extended Euclidean algorithm (the runtime eliminates on the integer matrix
 of multiplication); and the reduced row echelon over Fraction with the
 product closure of subfields built on it (the runtime keeps primitive
 integer rows).
+The package's records (frozen values with equality, hashing and a repr) are
+rebuilt here as frozen dataclasses with the same fields and defaults; the
+runtime shares one hand-written base class instead, which imports nothing.
 
 Not named reference.py: pytest puts both tests/ and bench/ on sys.path, and
 bench/reference.py would shadow it.
 """
 
+import dataclasses
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 from artifact.errors import (
     ArtifactError,
@@ -538,3 +542,60 @@ def reference_filtration_dims(x, y, V, field):
     for level, _key in space.rows:
         dims[level] += 1
     return tuple(dims)
+
+
+# --- records as frozen dataclasses ---------------------------------------------
+
+def _numerical_derived(self):
+    """e, N, ell_total, c_conductor and Delta of NumericalData: the gcd
+    tower of M_sigma, its quotients, the product of the ell, the conductor
+    sum (N_i - 1) M_i - M_0 + 1 and the conductor plus (ell - 1) M_rho."""
+    e = [self.M_sigma[0]]
+    for M in self.M_sigma[1:]:
+        e.append(gcd(e[-1], M))
+    N = tuple(a // b for a, b in zip(e, e[1:]))
+    c = (sum((n - 1) * M for n, M in zip(N, self.M_sigma[1:]))
+         - self.M_sigma[0] + 1)
+    derived = {"e": tuple(e), "N": N,
+               "ell_total": prod(ell for _M, ell in self.splitting),
+               "c_conductor": c,
+               "Delta": c + sum((ell - 1) * M for M, ell in self.splitting)}
+    for name, value in derived.items():
+        object.__setattr__(self, name, value)
+
+
+def _reference_record(name, fields, defaults=(), derived=(), post_init=None):
+    spec = ([(f, object) for f in fields]
+            + [(f, object, dataclasses.field(default=v)) for f, v in defaults]
+            + [(f, object, dataclasses.field(init=False)) for f in derived])
+    namespace = {"__post_init__": post_init} if post_init else {}
+    return dataclasses.make_dataclass(name, spec, frozen=True,
+                                      namespace=namespace)
+
+
+# The fields of each record class, in order, with the defaults of the
+# constructor's trailing arguments and the fields it does not accept.
+REFERENCE_RECORDS = {cls.__name__: cls for cls in (
+    _reference_record("InputDoc", ["var", "min_poly", "x_order", "y_terms",
+                                   "mode"],
+                      [("extra_steps", 0), ("splitting_prefix", ()),
+                       ("truncate", None)]),
+    _reference_record("Analysis", ["doc", "branch", "graph", "recs", "nd",
+                                   "series"], [("n", None)]),
+    _reference_record("FiltrationReport", ["V", "dims", "mode"]),
+    _reference_record("NumericalData", ["m_sigma", "M_sigma", "M_tau",
+                                        "splitting"],
+                      [("M_delta", None), ("partial", False)],
+                      ["e", "N", "ell_total", "c_conductor", "Delta"],
+                      _numerical_derived),
+    _reference_record("SeriesProduct", ["factors"], [("partial", False)]),
+    _reference_record("SeriesExpansion", ["coeffs"], [("partial", False)]),
+    _reference_record("GeneratorCheck", ["ok"], [("witness", None)]),
+    _reference_record("BinomialFactorization", ["factors"],
+                      [("is_cyclotomic", None)]),
+    _reference_record("InfNearRecord", ["center", "branch_mult",
+                                        "field_after", "host_components"],
+                      [("chart", None)]),
+    _reference_record("TerminalData", ["chart", "mult", "center"]),
+    _reference_record("Vertex", ["id", "tags", "self_int", "field_dim"]),
+)}

@@ -176,10 +176,13 @@ def test_divisorial_verify_at_max_order_80_ends_within_8_s():
 
 
 def exit_code_and_stderr(text, command):
-    """Exit code and stderr of one command on the document text."""
+    """Exit code and stderr of one command on the document text (a str,
+    written as UTF-8, or the file's bytes)."""
+    if isinstance(text, str):
+        text = text.encode("utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "wb") as handle:
             handle.write(text)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -210,3 +213,16 @@ def test_integer_past_the_digit_limit_is_a_parse_failure():
     code, err = exit_code_and_stderr(text, "analyze")
     assert code == 2
     assert err.startswith("parse error: invalid JSON in ")
+
+
+def test_file_that_is_not_utf8_is_a_parse_failure():
+    """A byte that cannot start a UTF-8 sequence makes the file unreadable
+    as text: exit 2, not a validation error."""
+    text = json.dumps({"ambient": {"var": "VAR", "min_poly": [0, 1]},
+                       "branch": {"x_order": 2, "y_terms": []},
+                       "mode": "curve"}).encode("utf-8")
+    code, err = exit_code_and_stderr(text.replace(b"VAR", b"\xff"),
+                                     "analyze")
+    assert code == 2
+    assert err.startswith("parse error: cannot read ")
+    assert "can't decode byte 0xff" in err

@@ -6,7 +6,6 @@ on the shared point chains, expansions by elementary power-series
 arithmetic. The asserts freeze those derivations.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -257,16 +256,16 @@ def test_numerical_data_rejects_unresolved_family_in_curve_mode():
 def test_numerical_data_validation_catches_tampering():
     nd = curve_nd(cusp())
     with pytest.raises(BadSemigroupData):
-        replace(nd, M_tau=(5,))
+        nd.replace(M_tau=(5,))
     with pytest.raises(BadSemigroupData):
-        replace(nd, M_delta=0)
+        nd.replace(M_delta=0)
     with pytest.raises(BadSemigroupData):
-        replace(nd, M_tau=(3,))
+        nd.replace(M_tau=(3,))
     # the derived values cannot be passed in, so they cannot disagree
     for name, value in (("e", (3, 1)), ("N", (1,)), ("ell_total", 3),
                         ("c_conductor", 2), ("Delta", 5)):
         with pytest.raises(ValueError):
-            replace(nd, **{name: value})
+            nd.replace(**{name: value})
         with pytest.raises(TypeError):
             NumericalData(m_sigma=nd.m_sigma, M_sigma=nd.M_sigma,
                           M_tau=nd.M_tau, splitting=nd.splitting,

@@ -1,0 +1,178 @@
+"""The package's records behave as the frozen dataclasses they replace.
+
+Each record class is compared with a frozen dataclass of the same fields
+and defaults (slow_paths.REFERENCE_RECORDS) on the records of a resolved
+corpus branch with a field jump and of a divisorial target past a jump:
+field values, ==, !=, hash, repr, construction by position and by keyword,
+replace, and the errors for an unknown argument, a derived field and an
+assignment. The validation errors of the checked records are pinned.
+"""
+
+import copy
+import dataclasses
+
+import pytest
+
+from artifact import cli
+from artifact.errors import BadSemigroupData
+from artifact.oracle import (FiltrationReport, divisorial_filtration_dims,
+                             filtration_dims)
+from artifact.poincare import (BinomialFactorization, GeneratorCheck,
+                               NumericalData, SeriesExpansion, SeriesProduct,
+                               binomial_factorization, expand,
+                               minimal_generator_check)
+from artifact.resolution import generic_curvette
+
+from slow_paths import REFERENCE_RECORDS
+from test_chart_states import WORKLOADS
+
+DOCS = {item["id"]: item["doc"] for item in WORKLOADS.generate("corpus", 1)}
+
+
+def records_of(doc_id):
+    """Every record the pipeline makes for one corpus document."""
+    doc = cli.parse_input(DOCS[doc_id])
+    analysis = cli.build_analysis(doc)
+    nd, series, graph = analysis.nd, analysis.series, analysis.graph
+    order = max(a for a, _s in series.factors)
+    se = expand(series, order)
+    if nd.M_delta is None:
+        report = filtration_dims(analysis.branch, 8)
+    else:
+        report = divisorial_filtration_dims(
+            generic_curvette(graph, analysis.recs, bound=8), 8)
+    return ([doc, analysis, nd, series, se, report, graph.terminal,
+             binomial_factorization(se, series),
+             minimal_generator_check(nd.M_sigma, nd.N),
+             minimal_generator_check((4, 6, 7), (2, 3)),
+             nd.replace(partial=True)]
+            + list(analysis.recs) + list(graph.vertices))
+
+
+CASES = [(doc_id, i) for doc_id in ("curve_sq2_twopair",
+                                    "div_past_splitting_sq2_tail")
+         for i in range(len(records_of(doc_id)))]
+
+
+def reference_of(record):
+    """The record's class, its reference dataclass, the reference built
+    from the record's constructor arguments, and those arguments."""
+    cls = type(record)
+    ref_cls = REFERENCE_RECORDS[cls.__name__]
+    names = [f.name for f in dataclasses.fields(ref_cls) if f.init]
+    kwargs = {name: getattr(record, name) for name in names}
+    return cls, ref_cls, ref_cls(**kwargs), kwargs
+
+
+def values(obj):
+    """Field values in the order of the reference's fields."""
+    ref_cls = REFERENCE_RECORDS[type(obj).__name__]
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(ref_cls))
+
+
+@pytest.mark.parametrize("doc_id,index", CASES)
+def test_record_matches_its_dataclass_reference(doc_id, index):
+    record = records_of(doc_id)[index]
+    cls, ref_cls, ref, kwargs = reference_of(record)
+    assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(ref))
+    assert values(record) == values(ref)
+    assert repr(record) == repr(ref)
+    try:
+        want = hash(ref)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == want
+
+    by_keyword = cls(**kwargs)
+    by_position = cls(*kwargs.values())
+    assert record == by_keyword == by_position == copy.copy(record)
+    assert not record != by_keyword
+    assert record != ref and ref != record and not record == ref
+    assert record.__eq__(ref) is NotImplemented
+    with pytest.raises(TypeError):
+        cls(**kwargs, unknown=1)
+    with pytest.raises(TypeError):
+        ref_cls(**kwargs, unknown=1)
+
+    for name in kwargs:
+        same = {name: getattr(record, name)}
+        assert record.replace(**same) == record
+        assert values(record.replace(**same)) == values(
+            dataclasses.replace(ref, **same))
+    with pytest.raises(TypeError):
+        record.replace(unknown=1)
+    with pytest.raises(TypeError):
+        dataclasses.replace(ref, unknown=1)
+
+    for name in cls.__slots__ + ("unknown",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert values(record) == values(ref)
+
+
+def test_replace_changes_a_field_as_the_reference_does():
+    nd = records_of("curve_sq2_twopair")[2]
+    ref = reference_of(nd)[2]
+    change = {"splitting": nd.splitting + ((5, 2),), "partial": True}
+    assert values(nd.replace(**change)) == values(
+        dataclasses.replace(ref, **change))
+    assert nd.replace(**change) != nd
+    for name in ("e", "N", "ell_total", "c_conductor", "Delta"):
+        with pytest.raises(ValueError):
+            nd.replace(**{name: getattr(nd, name)})
+        with pytest.raises(ValueError):
+            dataclasses.replace(ref, **{name: getattr(nd, name)})
+        with pytest.raises(TypeError):
+            NumericalData(nd.m_sigma, nd.M_sigma, nd.M_tau, nd.splitting,
+                          **{name: getattr(nd, name)})
+
+
+def test_records_of_two_classes_with_equal_fields_are_unequal():
+    records = (GeneratorCheck(True, None), BinomialFactorization(True, None))
+    refs = [REFERENCE_RECORDS[type(r).__name__](True, None) for r in records]
+    assert refs[0] != refs[1]
+    assert records[0] != records[1] and not records[0] == records[1]
+
+
+NUMERICAL = {"m_sigma": (2, 3), "M_sigma": (2, 3), "M_tau": (6,),
+             "splitting": ()}
+
+VALIDATION_ERRORS = [
+    (NumericalData, dict(NUMERICAL, M_tau=()), BadSemigroupData,
+     "dead-end and rupture counts disagree"),
+    (NumericalData, dict(NUMERICAL, m_sigma=(0, 3)), BadSemigroupData,
+     "values must be positive"),
+    (NumericalData, dict(NUMERICAL, M_sigma=(2, 4), M_tau=(4,)),
+     BadSemigroupData, "gcd of all generators is 2, not 1"),
+    (NumericalData, dict(NUMERICAL, M_tau=(5,)), BadSemigroupData,
+     "rupture value is not the quotient times the dead-end value"),
+    (NumericalData, dict(NUMERICAL, splitting=((7, 1),)), BadSemigroupData,
+     "invalid splitting entry"),
+    (NumericalData, dict(NUMERICAL, M_delta=0), BadSemigroupData,
+     "divisor value must be positive"),
+    (FiltrationReport, {"V": 1, "dims": (1, 1), "mode": "other"},
+     ValueError, "mode must be 'curve' or 'divisorial'"),
+    (FiltrationReport, {"V": 2, "dims": (1, 1), "mode": "curve"},
+     ValueError, "need one dimension per level 0..V"),
+    (FiltrationReport, {"V": 1, "dims": (1, -1), "mode": "divisorial"},
+     ValueError, "dimensions must be non-negative"),
+    (SeriesProduct, {"factors": ((3, 1), (2, -1))}, ValueError,
+     "factors must be normalized: ascending distinct exponents, nonzero "
+     "powers"),
+    (SeriesProduct, {"factors": ((2, 0),)}, ValueError,
+     "factors must be normalized: ascending distinct exponents, nonzero "
+     "powers"),
+    (SeriesExpansion, {"coeffs": ()}, ValueError,
+     "an expansion has at least the constant term"),
+]
+
+
+@pytest.mark.parametrize("cls,kwargs,error,message", VALIDATION_ERRORS)
+def test_validation_errors_are_unchanged(cls, kwargs, error, message):
+    with pytest.raises(error) as info:
+        cls(**kwargs)
+    assert type(info.value) is error and str(info.value) == message

@@ -5,7 +5,6 @@ replaying the blow-up charts by hand on the exact states; the comments next
 to each fixture say what the branch is, the asserts freeze the replay.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -610,7 +609,7 @@ def test_conjugate_resolution_invariants():
 def test_proximity_check_detects_tampering():
     graph, recs = resolve(cusp())
     assert proximity_check(recs, graph.terminal)
-    bad = [replace(recs[0], branch_mult=3)] + list(recs[1:])
+    bad = [recs[0].replace(branch_mult=3)] + list(recs[1:])
     assert not proximity_check(bad, graph.terminal)
 
 

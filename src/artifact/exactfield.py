@@ -9,6 +9,11 @@ tabulated once per field by the integer recurrence that p, being monic,
 gives. An inverse solves the integer matrix of multiplication by the
 element with fraction-free elimination; the same matrix for p' checks
 that p is square-free (p' is a unit mod p exactly then).
+Rational elements (zero past the constant coordinate), which are most of
+the operands the resolution meets, take shortcuts: a product with one
+scales the other factor's numerators, and the inverse of one swaps its
+numerator and denominator. Each field keeps one prebuilt zero and one;
+no code mutates an element, so they are shared.
 Irreducibility of p is deliberately not checked up front: inversion
 discovers a factor exactly when one matters (the matrix is singular) and
 reports it as ReduciblePolynomial. Subfields are plain Q-subspaces with a
@@ -110,6 +115,8 @@ class AmbientField:
         deriv = [i * a for i, a in enumerate(c[1:], 1)] + [n * d]
         if len(_echelon(self._mul_matrix(deriv))[1]) < n:
             raise ValueError("defining polynomial must be square-free")
+        self._zero = AlgNum(self, (0,) * n, 1)
+        self._one = AlgNum(self, (1,) + (0,) * (n - 1), 1)
 
     def _mul_matrix(self, num):
         """The rows of the integer n x n matrix whose column k holds _scale
@@ -144,10 +151,10 @@ class AmbientField:
                       q.denominator)
 
     def zero(self):
-        return self.from_fraction(0)
+        return self._zero
 
     def one(self):
-        return self.from_fraction(1)
+        return self._one
 
     def gen(self):
         """The class of z (equals 0 when the degree is 1)."""
@@ -231,16 +238,23 @@ class AlgNum:
     def __mul__(self, other):
         """Integer convolution of the numerators; each coefficient of
         z^(n+k) folds back through _fold[k], and the denominator takes
-        the field's _scale."""
+        the field's _scale. When either factor is rational, the other
+        factor's numerators are scaled by it instead, in O(n)."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         field = self.field
+        x, y = self.num, other.num
+        den = self.den * other.den
+        if not any(y[1:]):
+            return AlgNum(field, [a * y[0] for a in x], den)
+        if not any(x[1:]):
+            return AlgNum(field, [x[0] * b for b in y], den)
         n = field.degree
         conv = [0] * (2 * n - 1)
-        for i, a in enumerate(self.num):
+        for i, a in enumerate(x):
             if a:
-                for j, b in enumerate(other.num):
+                for j, b in enumerate(y):
                     conv[i + j] += a * b
         scale = field._scale
         out = [c * scale for c in conv[:n]]
@@ -248,7 +262,7 @@ class AlgNum:
             if c:
                 for i, f in enumerate(row):
                     out[i] += c * f
-        return AlgNum(field, out, self.den * other.den * scale)
+        return AlgNum(field, out, den * scale)
 
     __rmul__ = __mul__
 
@@ -264,10 +278,17 @@ class AlgNum:
         n - r with the modulus (the kernel of multiplication by a has the
         degree of gcd(a, p) when p is square-free), reported as
         ReduciblePolynomial.
+
+        A rational element q/d needs none of this: its inverse is d/q,
+        with the sign moved to the numerator.
         """
         if not self:
             raise DivisionByZero("cannot invert zero")
         field = self.field
+        q, rest = self.num[0], self.num[1:]
+        if not any(rest):
+            return AlgNum(field, (self.den if q > 0 else -self.den,) + rest,
+                          abs(q))
         n = field.degree
         rows = field._mul_matrix(self.num)
         for i, row in enumerate(rows):

@@ -2,9 +2,10 @@
 
 Coefficients are duck-typed: anything with +, -, *, ==, bool (and / where a
 fraction field is needed) works. A small ring adapter supplies zero(), one()
-and from_fraction(); AmbientField already satisfies that protocol for number
-field scalars, and the adapters below cover the nested constructions used
-elsewhere: polynomials in one extra variable (generic curvette constants)
+and from_fraction(), the first two prebuilt once (no code mutates a scalar,
+so they are shared); AmbientField already satisfies that protocol for
+number field scalars, and the adapters below cover the nested constructions
+used elsewhere: polynomials in one extra variable (generic curvette constants)
 and their fraction fields (one-parameter families).
 
 RatFunc requires its coefficient ring to be a field adapter; quotients of
@@ -26,12 +27,14 @@ class PolyRing:
     def __init__(self, ring, var="c"):
         self.ring = ring
         self.var = var
+        self._zero = Poly(ring, [])
+        self._one = Poly(ring, [ring.one()])
 
     def zero(self):
-        return Poly(self.ring, [])
+        return self._zero
 
     def one(self):
-        return Poly(self.ring, [self.ring.one()])
+        return self._one
 
     def from_fraction(self, q):
         return Poly(self.ring, [self.ring.from_fraction(q)])
@@ -55,12 +58,14 @@ class FractionField:
 
     def __init__(self, polyring):
         self.polyring = polyring
+        self._zero = RatFunc(polyring.zero(), polyring.one())
+        self._one = RatFunc(polyring.one(), polyring.one())
 
     def zero(self):
-        return RatFunc(self.polyring.zero(), self.polyring.one())
+        return self._zero
 
     def one(self):
-        return RatFunc(self.polyring.one(), self.polyring.one())
+        return self._one
 
     def from_fraction(self, q):
         return RatFunc(self.polyring.from_fraction(q), self.polyring.one())
@@ -146,13 +151,24 @@ class Poly:
         return Poly(self.ring, [-c for c in self.coeffs])
 
     def __mul__(self, other):
+        """The convolution of the coefficients. A degree-0 operand (most
+        often a RatFunc's denominator one) scales the other operand
+        instead, and the ring's one returns the other operand itself."""
         other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
+        x, y = self.coeffs, other.coeffs
+        if not x or not y:
             return Poly(self.ring, [])
-        out = [self.ring.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        if len(x) == 1 or len(y) == 1:
+            one = (self.ring.one(),)
+            if y == one:
+                return self
+            if x == one:
+                return other
+            return self.scale(y[0]) if len(y) == 1 else other.scale(x[0])
+        out = [self.ring.zero()] * (len(x) + len(y) - 1)
+        for i, a in enumerate(x):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(y):
                     if b:
                         out[i + j] = out[i + j] + a * b
         return Poly(self.ring, out)
@@ -277,14 +293,15 @@ class RatFunc:
         return no - self.den.order()
 
     def value0(self):
-        """Value of the power series at the origin (order must be >= 0)."""
+        """Value of the power series at the origin (order must be >= 0):
+        the numerator's lowest coefficient, since the form makes the
+        denominator's lowest coefficient one."""
         o = self.order()
-        ring = self.num.ring
         if o is INFINITY or o > 0:
-            return ring.zero()
+            return self.num.ring.zero()
         if o < 0:
             raise DivisionByZero("pole at the origin")
-        return self.num.coeff(self.num.order()) / self.den.coeff(self.den.order())
+        return self.num.low_coeff()
 
     def _coerce(self, other):
         if isinstance(other, RatFunc) and other.num.ring == self.num.ring:

@@ -15,7 +15,8 @@ polynomials and of field elements lives here too: the concrete curvettes
 and conjugation use it, the runtime does not. So do the Fraction routes of
 field arithmetic: the product of field elements, a polynomial product and
 long division by the minimal polynomial (the runtime multiplies integer
-numerators and folds the high powers through a table); that table itself
+numerators and folds the high powers through a table, and only scales
+them when a factor is rational); that table itself
 by long division of z^n .. z^(2n-2) (the runtime runs the integer
 recurrence of the monic p); the square-free check of p by Euclid on p and
 p' (the runtime takes the rank of multiplication by p'); the inverse by the
@@ -23,6 +24,9 @@ extended Euclidean algorithm (the runtime eliminates on the integer matrix
 of multiplication); and the reduced row echelon over Fraction with the
 product closure of subfields built on it (the runtime keeps primitive
 integer rows).
+The full convolution of two Polys is here too: the runtime scales instead
+when an operand is a constant, and returns the other operand when that
+constant is the ring's one.
 The package's records (frozen values with equality, hashing and a repr) are
 rebuilt here as frozen dataclasses with the same fields and defaults; the
 runtime shares one hand-written base class instead, which imports nothing.
@@ -142,6 +146,20 @@ def _pmul(p, q):
                 if b:
                     out[i + j] += a * b
     return _ptrim(out)
+
+
+def reference_poly_mul(p, q):
+    """p * q by the full convolution of the coefficients, whatever the
+    degrees of p and q."""
+    if not p.coeffs or not q.coeffs:
+        return Poly(p.ring, [])
+    out = [p.ring.zero()] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if a:
+            for j, b in enumerate(q.coeffs):
+                if b:
+                    out[i + j] = out[i + j] + a * b
+    return Poly(p.ring, out)
 
 
 def reference_algnum_mul(a, b):

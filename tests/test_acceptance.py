@@ -348,3 +348,26 @@ def test_criterion_10_binomial_factorization_round_trips():
     print("ACCEPTANCE 10: PASS - %d emitted products round-trip through the "
           "binomial factorization; the 5-factor splitting stream is reported "
           "inconclusive rather than closed" % len(products))
+
+
+def test_criterion_11_semigroup_series_is_the_oracle_value_set():
+    """The paper's semigroup Poincare series counts each value once: its
+    expansion is the 0/1 indicator of the levels where the oracle's
+    filtration has a nonzero graded piece, on branches with field jumps
+    (where the classical series counts some values ell times) as well."""
+    start = time.monotonic()
+    jumps = 0
+    for name, p in CORPUS:
+        _graph, _recs, nd = _curve_data(p)
+        bound = min(nd.Delta + 10, 40)
+        dims = filtration_dims(p, bound).dims
+        se = expand(semigroup_series(nd), bound)
+        assert se.coeffs == tuple(int(d > 0) for d in dims), name
+        jumps += bool(nd.splitting)
+    elapsed = time.monotonic() - start
+    assert len(CORPUS) == 29
+    assert jumps >= 15
+    assert elapsed < 30.0
+    print("ACCEPTANCE 11: PASS - the semigroup series expands to the "
+          "oracle's value set on all %d corpus branches, %d with field "
+          "jumps (%.2fs)" % (len(CORPUS), jumps, elapsed))

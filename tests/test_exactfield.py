@@ -383,6 +383,52 @@ def test_inverse_equals_euclid_reference(p):
         assert a * inv == 1
 
 
+@pytest.mark.parametrize("p", FIELDS, ids=FIELD_IDS)
+def test_rational_operands_match_the_fraction_reference(p):
+    """A product with a rational factor only scales the other factor's
+    numerators, and the inverse of a rational element swaps numerator and
+    denominator: each gives the reference value in canonical form, with
+    the rational on either side, as an element or as a plain number."""
+    field = AmbientField(p)
+    rng = random.Random(1701 + field.degree)
+    z = field.gen()
+    others = [random_element(rng, field) for _ in range(6)]
+    others += [z, 1 - 2 * z * z, field.from_fraction(Fraction(5, 6)),
+               field.one(), field.zero()]
+    for q in (0, 1, -1, Fraction(-7, 3)):
+        r = field.from_fraction(q)
+        for a in others:
+            want = reference_algnum_mul(a, r)
+            for prod in (a * r, r * a, a * q, q * a):
+                assert prod.coords == want
+                assert_canonical(prod)
+        if not q:
+            with pytest.raises(DivisionByZero):
+                r.inverse()
+            continue
+        inv = r.inverse()
+        ref = reference_algnum_inverse(r)
+        assert (inv.num, inv.den) == (ref.num, ref.den)
+        assert inv == 1 / Fraction(q)
+        assert_canonical(inv)
+
+
+@pytest.mark.parametrize("p", FIELDS, ids=FIELD_IDS)
+def test_prebuilt_zero_and_one_are_canonical(p):
+    field = AmbientField(p)
+    assert field.zero() is field.zero() and field.one() is field.one()
+    for x, q in ((field.zero(), 0), (field.one(), 1)):
+        assert_canonical(x)
+        assert x.field is field
+        assert x == q and hash(x) == hash(q)
+        built = field.from_fraction(q)
+        assert (x.num, x.den) == (built.num, built.den)
+    z = field.gen()
+    assert (field.one() * z, z * field.one(), field.zero() * z) == \
+        (z, z, field.zero())
+    assert field.one().inverse() == field.one()
+
+
 def zero_divisor_message(fn, a):
     with pytest.raises(ReduciblePolynomial) as info:
         fn(a)

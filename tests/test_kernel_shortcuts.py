@@ -1,0 +1,95 @@
+"""The scalar kernels skip the work a trivial operand makes unnecessary.
+
+Most operands the resolution meets are trivial: the denominator of a
+RatFunc is usually the constant one, and most field elements it divides by
+or multiplies with are rational. One in-process pass of cli.build_analysis
+over the corpus documents that `analyze` accepts checks that
+- AlgNum.inverse of a rational element builds no matrix of
+  multiplication (AmbientField._mul_matrix);
+- Poly.__mul__ runs its convolution loop only when both operands have
+  degree at least one.
+Without the shortcuts the pass built 103 such matrices and ran the
+convolution step 1243 times in such products.
+"""
+
+import inspect
+import sys
+
+from artifact import cli
+from artifact.exactfield import AlgNum, AmbientField
+from artifact.ratfunc import Poly
+
+from test_chart_states import WORKLOADS
+
+CONVOLUTION_STEP = "out[i + j] = out[i + j] + a * b"
+
+
+def corpus_docs():
+    return [cli.parse_input(item["doc"])
+            for item in WORKLOADS.generate("corpus", 1)
+            if item["expect"]["analyze"] == 0]
+
+
+def convolution_line():
+    lines, first = inspect.getsourcelines(Poly.__mul__)
+    found = [first + k for k, line in enumerate(lines)
+             if line.strip() == CONVOLUTION_STEP]
+    assert len(found) == 1
+    return found[0]
+
+
+def test_corpus_pass_takes_the_shortcuts(monkeypatch):
+    docs = corpus_docs()
+    assert len(docs) == 39
+
+    # _mul_matrix calls, each marked by whether a rational inverse made it
+    matrices = []
+    inside_rational = [False]
+    inverse = AlgNum.inverse
+    mul_matrix = AmbientField._mul_matrix
+
+    def traced_inverse(self):
+        outer = inside_rational[0]
+        inside_rational[0] = not any(self.num[1:])
+        try:
+            return inverse(self)
+        finally:
+            inside_rational[0] = outer
+
+    def traced_mul_matrix(self, num):
+        matrices.append(inside_rational[0])
+        return mul_matrix(self, num)
+
+    monkeypatch.setattr(AlgNum, "inverse", traced_inverse)
+    monkeypatch.setattr(AmbientField, "_mul_matrix", traced_mul_matrix)
+
+    # each pass through the convolution step, marked by whether an operand
+    # of that product has degree 0
+    steps = []
+    code = Poly.__mul__.__code__
+    line = convolution_line()
+
+    def in_mul(frame, event, _arg):
+        if event == "line" and frame.f_lineno == line:
+            degrees = (len(frame.f_locals["self"].coeffs),
+                       len(frame.f_locals["other"].coeffs))
+            steps.append(min(degrees) == 1)
+        return in_mul
+
+    def on_call(frame, _event, _arg):
+        return in_mul if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        for doc in docs:
+            cli.build_analysis(doc)
+    finally:
+        sys.settrace(previous)
+
+    # the field builds and the irrational inverses still take the matrix
+    # route, and the products of two polynomials still convolve
+    assert matrices.count(False) >= 40
+    assert steps.count(False) > 0
+    assert matrices.count(True) == 0
+    assert steps.count(True) == 0

@@ -16,7 +16,7 @@ from artifact.ratfunc import (
 )
 from artifact.resolution import _OneParamScalars
 
-from slow_paths import evaluate_poly
+from slow_paths import evaluate_poly, reference_poly_mul
 
 
 class Rationals:
@@ -105,6 +105,41 @@ def test_poly_mul_upto_is_the_cut_product():
         assert p.mul_upto(q, bound) == Poly(Q, full.coeffs[:bound + 1])
     assert p.mul_upto(qpoly(), 3) == qpoly()
     assert qpoly(0, 0, 1).mul_upto(qpoly(0, 1), 2) == qpoly()
+
+
+def test_constant_operands_match_the_full_convolution():
+    """A product with a degree-0 operand scales the other operand, and one
+    with the ring's one returns the other operand itself; both equal the
+    full convolution, over field coefficients, over polynomials in a
+    curvette constant, and over the rational functions in one parameter
+    that the states of a generic marker (case III) carry."""
+    field = AmbientField([-2, 0, 1])
+    z = field.gen()
+    cring = PolyRing(field, "c")
+    lam = _OneParamScalars(field).ring
+    rings = [
+        (field, [z, field.from_fraction(Fraction(-7, 3)), 1 + z]),
+        (cring, [cring.gen(), cring.gen().scale(z) + 1,
+                 cring.from_fraction(3)]),
+        (lam, [lam.gen(), lam.one() / (lam.gen() + 1), lam.from_scalar(z)]),
+    ]
+    for ring, scalars in rings:
+        one, zero = ring.one(), ring.zero()
+        polys = [Poly(ring, [zero, s, one, zero, s * s]) for s in scalars]
+        polys += [Poly(ring, [s]) for s in scalars]
+        polys += [Poly(ring, [one]), Poly(ring, [])]
+        for c in [one, zero, ring.from_fraction(-1)] + scalars:
+            const = Poly(ring, [c])
+            for p in polys:
+                want = reference_poly_mul(p, const)
+                assert p * const == want and const * p == want
+        for p in polys:
+            assert p * -3 == reference_poly_mul(p, Poly(ring, [
+                ring.from_fraction(-3)]))
+        for p in polys[:-2]:
+            assert p * Poly(ring, [one]) is p
+            assert Poly(ring, [one]) * p is p
+            assert p * 1 is p and 1 * p is p
 
 
 def test_ratfunc_canonical_form():

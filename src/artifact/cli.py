@@ -221,13 +221,18 @@ class Analysis(Record):
 
     build_analysis picks the valuation; the commands read it from here: nd
     carries M_delta for a divisorial valuation, nd.partial marks an abstract
-    splitting stream, and n is set for a curve-mode generic marker.
+    splitting stream, and n is set for a curve-mode generic marker: the
+    valuation is n times the divisorial one of the reduced family.
     """
 
-    __slots__ = ("doc", "branch", "graph", "recs", "nd", "series", "n")
+    __slots__ = ("doc", "branch", "graph", "recs", "nd", "series")
 
-    def __init__(self, doc, branch, graph, recs, nd, series, n=None):
-        self._assign(doc, branch, graph, recs, nd, series, n)
+    def __init__(self, doc, branch, graph, recs, nd, series):
+        self._assign(doc, branch, graph, recs, nd, series)
+
+    @property
+    def n(self):
+        return self.graph.n_case3 if self.doc.mode == "curve" else None
 
 
 def build_analysis(doc):
@@ -241,12 +246,8 @@ def build_analysis(doc):
             terms.append((exp, field.element(coeff)))
     branch = BranchParam(field, doc.x_order, terms)
     graph, recs = resolve(branch, extra_steps=doc.extra_steps)
-    n = None
-    if doc.mode == "curve" and graph.case == "III":
-        # a generic marker: the valuation is n times the divisorial
-        # valuation at the last component of the reduced family
-        n = graph.n_case3
-    if doc.mode == "divisorial" or n is not None:
+    if doc.mode == "divisorial" or (doc.mode == "curve"
+                                    and graph.case == "III"):
         nd = numerical_data(graph, recs, mode="divisorial")
         series = divisorial_series(nd)
     else:
@@ -255,7 +256,7 @@ def build_analysis(doc):
             nd = case_II_data(nd, doc.splitting_prefix)
         series = classical_series(nd)
     return Analysis(doc=doc, branch=branch, graph=graph, recs=recs, nd=nd,
-                    series=series, n=n)
+                    series=series)
 
 
 def default_truncate(analysis):

@@ -30,6 +30,7 @@ from .errors import (
     NotASubfield,
     ReduciblePolynomial,
 )
+from .record import Record
 
 
 # --- integer rows: elimination and the canonical echelon of a span
@@ -343,7 +344,7 @@ class AlgNum:
         return "<%s>" % (" + ".join(parts) if parts else "0")
 
 
-class Subfield:
+class Subfield(Record):
     """A Q-subspace of the ambient field closed under products.
 
     The basis is kept as primitive integer rows in reduced echelon form
@@ -351,12 +352,18 @@ class Subfield:
     makes membership an integer reduction and equality a tuple comparison.
     """
 
+    __slots__ = ("field", "rows", "pivots")
+
     def __init__(self, field, rows, pivots):
-        self.field = field
-        self._rows = tuple(tuple(r) for r in rows)
-        self._pivots = tuple(pivots)
-        self.basis = tuple(AlgNum(field, r, 1) for r in self._rows)
-        self.dim = len(self._rows)
+        self._assign(field, tuple(tuple(r) for r in rows), tuple(pivots))
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    @property
+    def basis(self):
+        return tuple(AlgNum(self.field, r, 1) for r in self.rows)
 
     @staticmethod
     def rationals(field):
@@ -366,17 +373,7 @@ class Subfield:
         if not isinstance(a, AlgNum) or a.field != self.field:
             raise ValueError("element does not live in this ambient field")
         # membership is invariant under scaling: reduce the numerators
-        return not any(_reduce(a.num, self._rows, self._pivots))
-
-    def __eq__(self, other):
-        return (isinstance(other, Subfield) and self.field == other.field
-                and self._rows == other._rows)
-
-    def __hash__(self):
-        return hash((self.field, self._rows))
-
-    def __repr__(self):
-        return "Subfield(dim=%d of %d)" % (self.dim, self.field.degree)
+        return not any(_reduce(a.num, self.rows, self.pivots))
 
 
 def span_close(gens, base):
@@ -387,7 +384,7 @@ def span_close(gens, base):
     span is spanned by the numerators, so the echelon works in integers.
     """
     field = base.field
-    vecs = list(base._rows)
+    vecs = list(base.rows)
     vecs.append([1] + [0] * (field.degree - 1))
     for g in gens:
         if g.field != field:

@@ -56,7 +56,7 @@ def _canon_terms(terms):
     return tuple((i, j, q) for (i, j), q in sorted(bucket.items()) if q)
 
 
-class PolyXY:
+class PolyXY(Record):
     """Polynomial in the two base coordinates with rational coefficients.
 
     terms is a normalized tuple of (x exponent, y exponent, coefficient):
@@ -68,7 +68,7 @@ class PolyXY:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = _canon_terms(terms)
+        self._assign(_canon_terms(terms))
 
     @staticmethod
     def monomial(i, j, coeff=1):
@@ -103,15 +103,6 @@ class PolyXY:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyXY) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __repr__(self):
-        return "PolyXY(%s)" % (list(self.terms),)
 
 
 class FiltrationReport(Record):

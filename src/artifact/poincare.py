@@ -102,6 +102,14 @@ def big_M(graph, recs, m_map, tower):
 
 
 def _conductor_pair(M_sigma, N, splitting):
+    """The conductor c = sum of (N_i - 1) M_i - M_0 + 1 and the order
+    Delta = c + sum of (ell_j - 1) M_rho_j, with 0 <= c <= Delta.
+
+    The bound holds for every list NumericalData accepts: e_i divides M_i
+    and N_i = e_(i-1) / e_i, so (N_i - 1) M_i >= e_(i-1) - e_i, and the sum
+    telescopes to at least e_0 - e_g = M_0 - 1; every splitting term is
+    positive.
+    """
     c = sum((n - 1) * M for n, M in zip(N, M_sigma[1:])) - M_sigma[0] + 1
     delta = c + sum((ell - 1) * M_rho for M_rho, ell in splitting)
     return c, delta
@@ -146,9 +154,6 @@ class NumericalData(Record):
                 raise BadSemigroupData("invalid splitting entry")
             ell *= l_j
         c, delta = _conductor_pair(M_sigma, N, splitting)
-        if delta < 0:
-            raise BadSemigroupData("stabilization order must not be "
-                                   "negative")
         if M_delta is not None and M_delta < 1:
             raise BadSemigroupData("divisor value must be positive")
         self._assign(m_sigma, M_sigma, M_tau, splitting, M_delta, partial, e,

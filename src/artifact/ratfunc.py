@@ -189,7 +189,7 @@ class Poly:
         return Poly(self.ring, out)
 
     def scale(self, s):
-        return Poly(self.ring, [c * s for c in self.coeffs])
+        return Poly(self.ring, [c * s if c else c for c in self.coeffs])
 
     def scale_arg(self, s):
         """The polynomial p(s*t) as a polynomial in t."""
@@ -198,7 +198,7 @@ class Poly:
         for k, c in enumerate(self.coeffs):
             if k:
                 power = power * s
-            out.append(c * power)
+            out.append(c * power if c else c)
         return Poly(self.ring, out)
 
     def pdivmod(self, other):

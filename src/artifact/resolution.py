@@ -46,7 +46,7 @@ GENERIC = _Sentinel("GENERIC")
 AT_INFINITY = _Sentinel("AT_INFINITY")
 
 
-class BranchParam:
+class BranchParam(Record):
     """Parametrization x = x_coeff * tau^m, y = sum of coeff * tau^exp.
 
     y coefficients live in the ambient field or are the GENERIC marker
@@ -85,24 +85,11 @@ class BranchParam:
             x_coeff = ambient.from_fraction(x_coeff)
         if not x_coeff and not terms:
             raise ValueError("parametrization is identically zero")
-        self.ambient = ambient
-        self.x_order = x_order
-        self.y_terms = tuple(terms)
-        self.x_coeff = x_coeff
+        self._assign(ambient, x_order, tuple(terms), x_coeff)
 
     @property
     def has_generic(self):
         return any(c is GENERIC for _, c in self.y_terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, BranchParam) and self.ambient == other.ambient
-                and self.x_order == other.x_order
-                and self.y_terms == other.y_terms
-                and self.x_coeff == other.x_coeff)
-
-    def __repr__(self):
-        return "BranchParam(x=%r*tau^%d, y=%r)" % (
-            self.x_coeff, self.x_order, list(self.y_terms))
 
 
 def normalize(p):
@@ -174,7 +161,9 @@ class _OneParamScalars:
                 != scalar.den.scale(scalar.num.coeff(0)))
 
     def as_algnum(self, scalar):
-        return scalar.num.coeff(0) / scalar.den.coeff(0)
+        """The constant of a non-generic scalar: the numerator's constant
+        term, since the form makes the denominator's constant term one."""
+        return scalar.num.coeff(0)
 
     def in_field(self, scalar, sub):
         return (not self.is_generic(scalar)
@@ -236,10 +225,13 @@ def _tail_ok(u, w, sub, strat):
     """
     if not w:
         return True
-    d = u.num.low_coeff() / u.den.low_coeff()
-    inv = strat.ring.one() / d
+    one = strat.ring.one()
+    d = u.num.low_coeff()   # the form makes u.den.low_coeff() one
+    inv = None if d == one else one / d
     for poly in (u.num, u.den, w.num, w.den):
-        for c in poly.scale_arg(inv).coeffs:
+        if inv is not None:
+            poly = poly.scale_arg(inv)
+        for c in poly.coeffs:
             if c and not strat.in_field(c, sub):
                 return False
     return True
@@ -284,55 +276,54 @@ class Vertex(Record):
         self._assign(id, tags, self_int, field_dim)
 
 
-class QuotientGraph:
+class QuotientGraph(Record):
     """Quotient dual graph of the run: a tree of exceptional components.
 
     Vertex tags are sets of tuples: ("INITIAL",), ("DEAD_END", i),
     ("RUPTURE", i), ("SPLITTING", j), ("DELTA",), ("PLAIN",); several tags can
     sit on one vertex. splittings lists (vertex id, field degree) in creation
     order. For a run stopped at a parameter-dependent center, case is "III"
-    and n_case3 is the contact order of the family with the last component.
-    terminal is the landing data of the first point not blown up, branch the
-    normalized parametrization and ambient its field. The subfield of
-    component k is the field_after of the k-th record.
+    and n_case3 is the contact order of the family with the last component
+    (else case is "I" and n_case3 None).
+    terminal is the landing data of the first point not blown up and branch
+    the normalized parametrization. The subfield of component k is the
+    field_after of the k-th record.
     """
 
-    def __init__(self, vertices, edges, geodesic, case, n_case3, splittings,
-                 terminal, branch, ambient):
-        self.vertices = tuple(vertices)
-        self.edges = frozenset(tuple(sorted(e)) for e in edges)
-        self.geodesic = tuple(geodesic)
-        self.case = case
-        self.n_case3 = n_case3
-        self.splittings = tuple(splittings)
-        self.terminal = terminal
-        self.branch = branch
-        self.ambient = ambient
+    __slots__ = ("vertices", "edges", "geodesic", "n_case3", "splittings",
+                 "terminal", "branch")
+
+    def __init__(self, vertices, edges, geodesic, n_case3, splittings,
+                 terminal, branch):
+        self._assign(tuple(vertices),
+                     frozenset(tuple(sorted(e)) for e in edges),
+                     tuple(geodesic), n_case3, tuple(splittings), terminal,
+                     branch)
+
+    @property
+    def case(self):
+        return "I" if self.n_case3 is None else "III"
+
+    @property
+    def ambient(self):
+        return self.branch.ambient
 
     def delta(self):
         return len(self.vertices) - 1
 
+    def _tagged(self, kind):
+        """Vertex ids carrying a (kind, i) tag, ordered by i."""
+        found = {tag[1]: v.id for v in self.vertices for tag in v.tags
+                 if tag[0] == kind}
+        return [found[i] for i in sorted(found)]
+
     def dead_end_leaves(self):
         """Vertex ids sigma_0..sigma_g ordered by dead-end index."""
-        found = {}
-        for v in self.vertices:
-            for tag in v.tags:
-                if tag[0] == "DEAD_END":
-                    found[tag[1]] = v.id
-        return [found[i] for i in sorted(found)]
+        return self._tagged("DEAD_END")
 
     def ruptures(self):
         """Vertex ids tau_1..tau_g ordered by rupture index."""
-        found = {}
-        for v in self.vertices:
-            for tag in v.tags:
-                if tag[0] == "RUPTURE":
-                    found[tag[1]] = v.id
-        return [found[i] for i in sorted(found)]
-
-    def __repr__(self):
-        return "QuotientGraph(%d vertices, case %s)" % (
-            len(self.vertices), self.case)
+        return self._tagged("RUPTURE")
 
 
 def _geodesic_path(n_vertices, edges, start, goal):
@@ -420,8 +411,7 @@ def resolve(p, extra_steps=0):
     strat = _strategy_for(p)
     max_steps = _default_cap(p, extra_steps)
     u, w = _initial_state(p, strat)
-    ambient = p.ambient
-    sub = Subfield.rationals(ambient)
+    sub = Subfield.rationals(p.ambient)
 
     records = []
     selfints = []
@@ -487,9 +477,8 @@ def resolve(p, extra_steps=0):
     vertices = [Vertex(id=k, tags=frozenset(tags[k]), self_int=selfints[k],
                        field_dim=records[k].field_after.dim)
                 for k in range(n)]
-    case = "III" if case3_n is not None else "I"
-    graph = QuotientGraph(vertices, edges, geodesic, case, case3_n,
-                          splittings, terminal, p, ambient)
+    graph = QuotientGraph(vertices, edges, geodesic, case3_n, splittings,
+                          terminal, p)
     return graph, records
 
 
@@ -515,21 +504,26 @@ def _landing_info(graph, recs, sigma):
     return point.chart, shift, point.center
 
 
-class GenericCurvette:
+class GenericCurvette(Record):
     """Transversal section at a component with an indeterminate constant.
 
-    x and y are polynomials in tau whose coefficients are polynomials in the
-    constant; substituting any concrete admissible value specializes it.
+    x and y are polynomials in tau whose coefficients lie in ring, the
+    polynomials in the constant over ambient; substituting any concrete
+    admissible value specializes it.
     """
 
-    __slots__ = ("x", "y", "ring", "ambient", "component")
+    __slots__ = ("x", "y", "component")
 
-    def __init__(self, x, y, ring, ambient, component):
-        self.x = x
-        self.y = y
-        self.ring = ring
-        self.ambient = ambient
-        self.component = component
+    def __init__(self, x, y, component):
+        self._assign(x, y, component)
+
+    @property
+    def ring(self):
+        return self.x.ring
+
+    @property
+    def ambient(self):
+        return self.x.ring.ring
 
 
 def generic_curvette(graph, recs, sigma=None, bound=None):
@@ -566,7 +560,7 @@ def generic_curvette(graph, recs, sigma=None, bound=None):
             w = mul(u, w)
         else:
             u, w = mul(u, w), u
-    return GenericCurvette(u, w, cring, ambient, sigma)
+    return GenericCurvette(u, w, sigma)
 
 
 # --- value maps and intersection matrices from the recorded graph

@@ -599,7 +599,7 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
                       [("extra_steps", 0), ("splitting_prefix", ()),
                        ("truncate", None)]),
     _reference_record("Analysis", ["doc", "branch", "graph", "recs", "nd",
-                                   "series"], [("n", None)]),
+                                   "series"]),
     _reference_record("FiltrationReport", ["V", "dims", "mode"]),
     _reference_record("NumericalData", ["m_sigma", "M_sigma", "M_tau",
                                         "splitting"],
@@ -616,4 +616,12 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
                       [("chart", None)]),
     _reference_record("TerminalData", ["chart", "mult", "center"]),
     _reference_record("Vertex", ["id", "tags", "self_int", "field_dim"]),
+    _reference_record("BranchParam", ["ambient", "x_order", "y_terms"],
+                      [("x_coeff", None)]),
+    _reference_record("QuotientGraph", ["vertices", "edges", "geodesic",
+                                        "n_case3", "splittings", "terminal",
+                                        "branch"]),
+    _reference_record("GenericCurvette", ["x", "y", "component"]),
+    _reference_record("Subfield", ["field", "rows", "pivots"]),
+    _reference_record("PolyXY", ["terms"]),
 )}

@@ -44,11 +44,14 @@ from artifact import (
     symmetry_check,
     value_of,
 )
+from artifact import cli
 from artifact.errors import TruncationInconclusive
 from artifact.resolution import minus_inverse
 
 from slow_paths import (conjugate_param, intersection_matrix,
                         is_negative_definite)
+from test_chart_states import WORKLOADS
+from test_exit_codes import time_limit
 
 Q = AmbientField([0, 1])
 SQ2 = AmbientField([-2, 0, 1])
@@ -371,3 +374,45 @@ def test_criterion_11_semigroup_series_is_the_oracle_value_set():
     print("ACCEPTANCE 11: PASS - the semigroup series expands to the "
           "oracle's value set on all %d corpus branches, %d with field "
           "jumps (%.2fs)" % (len(CORPUS), jumps, elapsed))
+
+
+def test_criterion_12_both_series_equal_the_oracle_on_the_workloads():
+    """On every curve-mode document of the benchmark's four workloads
+    (seed 1), one oracle run per document certifies both series: the
+    semigroup series expands to the indicator of the levels with a nonzero
+    graded piece and the classical series to the dimensions themselves;
+    the classical expansion is symmetric about Delta and the dead-end
+    values are minimal generators."""
+    start = time.monotonic()
+    checked = jumps = 0
+    for workload in ("corpus", "cusp_ladder", "oracle_quartic",
+                     "multipair_fields"):
+        for item in WORKLOADS.generate(workload, 1):
+            if item["expect"]["analyze"] != 0:
+                continue
+            with time_limit(10, item["doc"]):
+                doc = cli.parse_input(item["doc"])
+                if doc.mode != "curve":
+                    continue
+                analysis = cli.build_analysis(doc)
+                nd = analysis.nd
+                if analysis.graph.case == "III":
+                    continue
+                bound = min(nd.Delta + 10, 40)
+                dims = filtration_dims(analysis.branch, bound).dims
+                semigroup = expand(semigroup_series(nd), bound)
+                classical = classical_series(nd)
+                assert semigroup.coeffs == tuple(int(d > 0) for d in dims), \
+                    item["id"]
+                assert expand(classical, bound).coeffs == dims, item["id"]
+                assert symmetry_check(expand(classical, nd.Delta + 10),
+                                      nd.Delta, nd.ell_total), item["id"]
+                assert minimal_generator_check(nd.M_sigma, nd.N), item["id"]
+            checked += 1
+            jumps += bool(nd.splitting)
+    elapsed = time.monotonic() - start
+    assert (checked, jumps) == (45, 28)
+    assert elapsed < 30.0
+    print("ACCEPTANCE 12: PASS - semigroup and classical series equal the "
+          "oracle on all %d curve-mode workload documents, %d with field "
+          "jumps (%.2fs)" % (checked, jumps, elapsed))

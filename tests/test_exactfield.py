@@ -494,9 +494,9 @@ def test_subfields_equal_fraction_reference(p):
         assert sub.dim == len(rows)
         # the integer rows are the Fraction rref rows, scaled to pivot 1
         assert [[Fraction(a, r[c]) for a in r]
-                for r, c in zip(sub._rows, sub._pivots)] == rows
+                for r, c in zip(sub.rows, sub.pivots)] == rows
         assert all(r[c] > 0 and gcd(*r) == 1
-                   for r, c in zip(sub._rows, sub._pivots))
+                   for r, c in zip(sub.rows, sub.pivots))
         inside = [sum((rng.randint(-5, 5) * b for b in sub.basis),
                       field.zero()) for _ in range(3)]
         for a in inside + [random_element(rng, field) for _ in range(5)]:

@@ -7,9 +7,12 @@ over the corpus documents that `analyze` accepts checks that
 - AlgNum.inverse of a rational element builds no matrix of
   multiplication (AmbientField._mul_matrix);
 - Poly.__mul__ runs its convolution loop only when both operands have
-  degree at least one.
+  degree at least one;
+- Poly.scale and Poly.scale_arg multiply no zero coefficient, and
+  resolution._tail_ok calls scale_arg with no factor one.
 Without the shortcuts the pass built 103 such matrices and ran the
-convolution step 1243 times in such products.
+convolution step 1243 times in such products, and 32 of its 58 scale_arg
+calls had factor one.
 """
 
 import inspect
@@ -17,7 +20,7 @@ import sys
 
 from artifact import cli
 from artifact.exactfield import AlgNum, AmbientField
-from artifact.ratfunc import Poly
+from artifact.ratfunc import Poly, RatFunc
 
 from test_chart_states import WORKLOADS
 
@@ -79,6 +82,35 @@ def test_corpus_pass_takes_the_shortcuts(monkeypatch):
     def on_call(frame, _event, _arg):
         return in_mul if frame.f_code is code else None
 
+    # the factor of each scale_arg call, and each product of a coefficient
+    # made inside scale or scale_arg, marked by whether it was zero
+    factors = []
+    zero_products = []
+    coefficients = set()
+    scaling = {Poly.scale.__code__, Poly.scale_arg.__code__}
+    scale, scale_arg = Poly.scale, Poly.scale_arg
+
+    def traced_scale(self, s):
+        coefficients.update(type(c) for c in self.coeffs)
+        return scale(self, s)
+
+    def traced_scale_arg(self, s):
+        coefficients.update(type(c) for c in self.coeffs)
+        factors.append(s == self.ring.one())
+        return scale_arg(self, s)
+
+    def counted(mul):
+        def product(self, other):
+            if sys._getframe(1).f_code in scaling:
+                zero_products.append(not self)
+            return mul(self, other)
+        return product
+
+    monkeypatch.setattr(Poly, "scale", traced_scale)
+    monkeypatch.setattr(Poly, "scale_arg", traced_scale_arg)
+    for cls in (AlgNum, RatFunc):
+        monkeypatch.setattr(cls, "__mul__", counted(cls.__mul__))
+
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
@@ -93,3 +125,10 @@ def test_corpus_pass_takes_the_shortcuts(monkeypatch):
     assert steps.count(False) > 0
     assert matrices.count(True) == 0
     assert steps.count(True) == 0
+
+    # both coefficient kinds are scaled, some factors are not one, and
+    # some coefficients are multiplied, none of them zero
+    assert coefficients == {AlgNum, RatFunc}
+    assert factors.count(False) > 0 and zero_products.count(False) > 0
+    assert factors.count(True) == 0
+    assert zero_products.count(True) == 0

@@ -1,6 +1,7 @@
 """Each reference route of tests/slow_paths.py exists once: no top-level
 name there is also defined in src/artifact. Every name in artifact.__all__
-survives a star import. The runtime runs no polynomial Euclid."""
+survives a star import. The runtime runs no polynomial Euclid. Value
+classes take equality, hashing and immutability from Record."""
 
 import ast
 import pathlib
@@ -51,3 +52,33 @@ def test_runtime_calls_no_polynomial_gcd():
                              and func.value.id == "math")):
                 calls.append("%s:%d" % (path.name, node.lineno))
     assert calls == []
+
+
+# Record itself, and the arithmetic types, whose equality is value equality
+# of numbers (AlgNum == 3, Poly == scalar) rather than of field tuples.
+OWN_EQUALITY = {"Record", "AlgNum", "AmbientField", "Poly", "RatFunc",
+                "PolyRing", "FractionField"}
+
+
+def test_only_record_and_arithmetic_types_define_equality():
+    """A class in src/artifact that defines __eq__, __hash__ or
+    __setattr__ itself is Record or an arithmetic type; every other value
+    class inherits them from Record."""
+    found = []
+    for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name in OWN_EQUALITY:
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = {node.name}
+                elif isinstance(node, ast.Assign):
+                    names = {t.id for t in node.targets
+                             if isinstance(t, ast.Name)}
+                else:
+                    continue
+                for name in sorted(names & {"__eq__", "__hash__",
+                                            "__setattr__"}):
+                    found.append("%s:%s.%s" % (path.name, cls.name, name))
+    assert found == []

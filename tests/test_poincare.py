@@ -660,3 +660,36 @@ def test_series_invariants_on_random_rational_branches(data):
     bf = binomial_factorization(expand(sp, order), source=sp)
     assert bf.factors == sp.factors and bf.is_cyclotomic is True
     assert_segment_values_divide(graph, recs, m_values(graph, recs))
+
+
+@st.composite
+def valid_numerical_inputs(draw):
+    """Arguments NumericalData accepts: M_sigma strictly gcd-refining down
+    to 1 (e_(i-1) = N_i e_i, M_i = k_i e_i with k_i prime to N_i),
+    M_tau = N * M_sigma[1:], and any splitting pairs."""
+    from math import gcd
+    Ns = draw(st.lists(st.integers(min_value=2, max_value=5), max_size=3))
+    e = [1]
+    for n in reversed(Ns):
+        e.insert(0, n * e[0])
+    M_sigma = [e[0]]
+    for n, e_i in zip(Ns, e[1:]):
+        k = draw(st.integers(min_value=1, max_value=12).filter(
+            lambda k, n=n: gcd(k, n) == 1))
+        M_sigma.append(k * e_i)
+    M_tau = tuple(n * M for n, M in zip(Ns, M_sigma[1:]))
+    splitting = tuple(draw(st.lists(st.tuples(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=2, max_value=4)), max_size=3)))
+    return tuple(M_sigma), M_tau, splitting
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(valid_numerical_inputs())
+def test_conductor_lies_between_zero_and_delta(data):
+    """No accepted input gives a negative conductor or a Delta below it,
+    which is why the constructor has no check for either."""
+    M_sigma, M_tau, splitting = data
+    nd = NumericalData(M_sigma, M_sigma, M_tau, splitting)
+    assert nd.e[-1] == 1 and nd.M_tau == M_tau
+    assert 0 <= nd.c_conductor <= nd.Delta

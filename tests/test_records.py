@@ -2,7 +2,9 @@
 
 Each record class is compared with a frozen dataclass of the same fields
 and defaults (slow_paths.REFERENCE_RECORDS) on the records of a resolved
-corpus branch with a field jump and of a divisorial target past a jump:
+corpus branch with a field jump and of a divisorial target past a jump
+(the branch, its quotient graph, a generic curvette and a subfield among
+them, and one PolyXY):
 field values, ==, !=, hash, repr, construction by position and by keyword,
 replace, and the errors for an unknown argument, a derived field and an
 assignment. The validation errors of the checked records are pinned.
@@ -15,13 +17,15 @@ import pytest
 
 from artifact import cli
 from artifact.errors import BadSemigroupData
-from artifact.oracle import (FiltrationReport, divisorial_filtration_dims,
-                             filtration_dims)
+from artifact.exactfield import AlgNum
+from artifact.oracle import (FiltrationReport, PolyXY,
+                             divisorial_filtration_dims, filtration_dims)
 from artifact.poincare import (BinomialFactorization, GeneratorCheck,
                                NumericalData, SeriesExpansion, SeriesProduct,
                                binomial_factorization, expand,
                                minimal_generator_check)
-from artifact.resolution import generic_curvette
+from artifact.ratfunc import PolyRing
+from artifact.resolution import GENERIC, BranchParam, generic_curvette
 
 from slow_paths import REFERENCE_RECORDS
 from test_chart_states import WORKLOADS
@@ -36,16 +40,18 @@ def records_of(doc_id):
     nd, series, graph = analysis.nd, analysis.series, analysis.graph
     order = max(a for a, _s in series.factors)
     se = expand(series, order)
+    curvette = generic_curvette(graph, analysis.recs, bound=8)
     if nd.M_delta is None:
         report = filtration_dims(analysis.branch, 8)
     else:
-        report = divisorial_filtration_dims(
-            generic_curvette(graph, analysis.recs, bound=8), 8)
+        report = divisorial_filtration_dims(curvette, 8)
     return ([doc, analysis, nd, series, se, report, graph.terminal,
              binomial_factorization(se, series),
              minimal_generator_check(nd.M_sigma, nd.N),
              minimal_generator_check((4, 6, 7), (2, 3)),
-             nd.replace(partial=True)]
+             nd.replace(partial=True), analysis.branch, graph, curvette,
+             analysis.recs[-1].field_after,
+             PolyXY([(0, 2, 1), (3, 0, -1), (1, 1, "1/2")])]
             + list(analysis.recs) + list(graph.vertices))
 
 
@@ -129,6 +135,39 @@ def test_replace_changes_a_field_as_the_reference_does():
         with pytest.raises(TypeError):
             NumericalData(nd.m_sigma, nd.M_sigma, nd.M_tau, nd.splitting,
                           **{name: getattr(nd, name)})
+
+
+def test_derived_properties_are_the_values_once_stored():
+    """The facts the graph, the curvette, the subfield and the analysis no
+    longer store equal what their constructors were once given, on every
+    corpus document that analyze accepts; a branch hashes."""
+    checked = 0
+    for item in WORKLOADS.generate("corpus", 1):
+        if item["expect"]["analyze"] != 0:
+            continue
+        doc = cli.parse_input(item["doc"])
+        analysis = cli.build_analysis(doc)
+        graph, branch = analysis.graph, analysis.branch
+        assert hash(branch) == hash(BranchParam(
+            branch.ambient, branch.x_order, branch.y_terms, branch.x_coeff))
+        assert graph.ambient is branch.ambient
+        stopped = graph.terminal.center is GENERIC
+        assert (graph.n_case3 is not None) == stopped
+        assert graph.case == ("III" if stopped else "I")
+        assert analysis.n == (graph.n_case3 if doc.mode == "curve"
+                              and graph.case == "III" else None)
+        curvette = generic_curvette(graph, analysis.recs)
+        assert curvette.ring == PolyRing(branch.ambient, "c")
+        assert curvette.y.ring == curvette.ring
+        assert curvette.ambient is branch.ambient
+        for rec, vertex in zip(analysis.recs, graph.vertices):
+            sub = rec.field_after
+            assert sub.dim == len(sub.rows) == vertex.field_dim
+            assert sub.basis == tuple(AlgNum(sub.field, row, 1)
+                                      for row in sub.rows)
+            assert all(sub.contains_num(b) for b in sub.basis)
+        checked += 1
+    assert checked == 39
 
 
 def test_records_of_two_classes_with_equal_fields_are_unequal():

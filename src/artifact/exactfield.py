@@ -350,12 +350,17 @@ class Subfield(Record):
     The basis is kept as primitive integer rows in reduced echelon form
     with positive pivots, a form each subspace has exactly once, which
     makes membership an integer reduction and equality a tuple comparison.
+    pivots, the column of each row's first nonzero entry, is derived here
+    and not accepted by the constructor.
     """
 
     __slots__ = ("field", "rows", "pivots")
 
-    def __init__(self, field, rows, pivots):
-        self._assign(field, tuple(tuple(r) for r in rows), tuple(pivots))
+    def __init__(self, field, rows):
+        rows = tuple(tuple(r) for r in rows)
+        self._assign(field, rows,
+                     tuple(next(i for i, x in enumerate(r) if x)
+                           for r in rows))
 
     @property
     def dim(self):
@@ -367,7 +372,7 @@ class Subfield(Record):
 
     @staticmethod
     def rationals(field):
-        return Subfield(field, [[1] + [0] * (field.degree - 1)], [0])
+        return Subfield(field, [[1] + [0] * (field.degree - 1)])
 
     def contains_num(self, a):
         if not isinstance(a, AlgNum) or a.field != self.field:
@@ -400,7 +405,7 @@ def span_close(gens, base):
                 if any(rem):
                     fresh.append(rem)
         if not fresh:
-            return Subfield(field, rows, pivots)
+            return Subfield(field, rows)
         rows, pivots = _echelon(rows + fresh)
 
 

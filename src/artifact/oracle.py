@@ -139,11 +139,11 @@ def _powers(base, top):
     return out
 
 
-def _substitute(f, x, y, lift_fraction):
+def _substitute(f, x, y):
     """f(x, y) as an exact tau-polynomial.
 
-    x and y are the coordinate images, lift_fraction embeds the rational
-    coefficients of f into their coefficient ring.
+    x and y are the coordinate images; the rational coefficients of f enter
+    through their coefficient ring's from_fraction.
     """
     imax = max((i for i, _j, _q in f.terms), default=0)
     jmax = max((j for _i, j, _q in f.terms), default=0)
@@ -151,7 +151,7 @@ def _substitute(f, x, y, lift_fraction):
     ys = _powers(y, jmax)
     acc = Poly(x.ring, [])
     for i, j, q in f.terms:
-        acc = acc + (xs[i] * ys[j]).scale(lift_fraction(q))
+        acc = acc + (xs[i] * ys[j]).scale(x.ring.from_fraction(q))
     return acc
 
 
@@ -169,14 +169,8 @@ def value_of(f, branch):
     marker becomes a fresh indeterminate and the returned coefficient lives
     in the rational-function field in that indeterminate.
     """
-    strat = _res._strategy_for(branch)
-    u, w = _res._initial_state(branch, strat)
-    ambient = branch.ambient
-
-    def lift_fraction(q):
-        return strat.lift(ambient.from_fraction(q))
-
-    total = _substitute(f, u.num, w.num, lift_fraction)
+    u, w = _res._initial_state(branch)
+    total = _substitute(f, u.num, w.num)
     order = total.order()
     if order is INFINITY:
         return INFINITY, None
@@ -193,7 +187,7 @@ def divisorial_value(f, gc):
     special constants cannot fool the order. Only the zero polynomial gives
     INFINITY.
     """
-    total = _substitute(f, gc.x, gc.y, gc.ring.from_fraction)
+    total = _substitute(f, gc.x, gc.y)
     order = total.order()
     if order is INFINITY:
         return INFINITY
@@ -323,8 +317,7 @@ def filtration_dims(branch, V):
     """
     if branch.has_generic:
         raise GenericCenter("filtration dimensions need a concrete branch")
-    strat = _res._PlainScalars(branch.ambient)
-    u, w = _res._initial_state(branch, strat)
+    u, w = _res._initial_state(branch)
     return _filtration(u.num, w.num, V, "curve", branch.ambient)
 
 

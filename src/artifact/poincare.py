@@ -65,11 +65,11 @@ def char_invariants(m_sigma):
     return tuple(e), tuple(N)
 
 
-def big_M(graph, recs, m_map, tower):
+def big_M(graph, recs, m_map):
     """Galois-orbit value sums M per component, from representative values m.
 
-    tower lists (vertex id, degree) for the components hosting the field
-    jumps, in creation order (graph.splittings). A component sitting above j
+    graph.splittings lists (vertex id, degree) for the components hosting
+    the field jumps, in creation order. A component sitting above j
     jump points has an orbit of ell_1 * .. * ell_j conjugates of its
     transversal curve; a conjugate that parts ways at jump j shares only the
     blown-up points up to the jump with the branch, so its value is the
@@ -90,7 +90,7 @@ def big_M(graph, recs, m_map, tower):
     """
     out = {v.id: int(m_map[v.id]) for v in graph.vertices}
     later = dict.fromkeys(out, 1)
-    for rho, ell in reversed(tower):
+    for rho, ell in reversed(graph.splittings):
         shared = _res.proximity_sums(
             recs, [rec.branch_mult if i <= rho else 0
                    for i, rec in enumerate(recs)])
@@ -179,7 +179,7 @@ def value_maps(graph, recs):
     each field jump.
     """
     m_map = _res.m_values(graph, recs)
-    return m_map, big_M(graph, recs, m_map, graph.splittings)
+    return m_map, big_M(graph, recs, m_map)
 
 
 def numerical_data(graph, recs, mode="curve"):

@@ -23,7 +23,6 @@ from math import gcd
 from . import linalg
 from .errors import (
     ArtifactError,
-    GenericCenter,
     NotIrreducibleParam,
     ResolutionStuck,
 )
@@ -116,75 +115,42 @@ def normalize(p):
     return p
 
 
-# --- scalar strategies: plain number field vs one transcendental parameter
+# --- state coefficients: the ambient field, or rational functions in lam
 
 
-class _PlainScalars:
-    """States carry coefficients directly in the ambient field."""
+def _ring_for(p):
+    """Coefficient ring of the states: the ambient field, or the rational
+    functions in one transcendental parameter lam for a GENERIC branch."""
+    if p.has_generic:
+        return FractionField(PolyRing(p.ambient, "lam"))
+    return p.ambient
 
-    def __init__(self, ambient):
-        self.ambient = ambient
-        self.ring = ambient
 
-    def lift(self, coeff):
-        if coeff is GENERIC:
-            raise GenericCenter("generic coefficient in a concrete run")
-        return coeff
-
-    @staticmethod
-    def is_generic(scalar):
-        return False
-
-    def as_algnum(self, scalar):
+def _constant(scalar):
+    """The ambient-field value of a state coefficient, None when it depends
+    on lam. A RatFunc is constant exactly when num * d0 = den * n0 for the
+    constant terms n0, d0 (RatFunc cancelled the common power of lam); its
+    value is then n0, since the form makes d0 one."""
+    if not isinstance(scalar, RatFunc):
         return scalar
+    n0 = scalar.num.coeff(0)
+    same = scalar.num.scale(scalar.den.coeff(0)) == scalar.den.scale(n0)
+    return n0 if same else None
 
-    def in_field(self, scalar, sub):
-        return sub.contains_num(scalar)
 
+def _initial_state(p):
+    ring = _ring_for(p)
 
-class _OneParamScalars:
-    """States carry rational functions in one transcendental parameter."""
-
-    def __init__(self, ambient):
-        self.ambient = ambient
-        self.ring = FractionField(PolyRing(ambient, "lam"))
-
-    def lift(self, coeff):
+    def lift(coeff):
         if coeff is GENERIC:
-            return self.ring.gen()
-        return self.ring.from_scalar(coeff)
+            return ring.gen()
+        return coeff if ring is p.ambient else ring.from_scalar(coeff)
 
-    def is_generic(self, scalar):
-        """False exactly on constants, where num * d0 = den * n0 for the
-        constant terms n0, d0 (RatFunc cancelled the common power of lam)."""
-        return (scalar.num.scale(scalar.den.coeff(0))
-                != scalar.den.scale(scalar.num.coeff(0)))
-
-    def as_algnum(self, scalar):
-        """The constant of a non-generic scalar: the numerator's constant
-        term, since the form makes the denominator's constant term one."""
-        return scalar.num.coeff(0)
-
-    def in_field(self, scalar, sub):
-        return (not self.is_generic(scalar)
-                and sub.contains_num(self.as_algnum(scalar)))
-
-
-def _strategy_for(p):
-    return _OneParamScalars(p.ambient) if p.has_generic else _PlainScalars(p.ambient)
-
-
-def _initial_state(p, strat):
-    ring = strat.ring
-    u = RatFunc.of(Poly.monomial(ring, strat.lift(p.x_coeff), p.x_order))
-    if p.y_terms:
-        coeffs = [ring.zero()] * (p.y_terms[-1][0] + 1)
-        for exp, coeff in p.y_terms:
-            coeffs[exp] = strat.lift(coeff)
-        w = RatFunc.of(Poly(ring, coeffs))
-    else:
-        w = RatFunc.of(Poly(ring, []))
-    return u, w
+    coeffs = [ring.zero()] * (p.y_terms[-1][0] + 1 if p.y_terms else 0)
+    for exp, coeff in p.y_terms:
+        coeffs[exp] = lift(coeff)
+    return (RatFunc.of(Poly.monomial(ring, lift(p.x_coeff), p.x_order)),
+            RatFunc.of(Poly(ring, coeffs)))
 
 
 def _chart_step(u, w):
@@ -205,7 +171,7 @@ def _chart_step(u, w):
     return chart, c, u2, w2
 
 
-def _tail_ok(u, w, sub, strat):
+def _tail_ok(u, w, sub):
     """True when no future center can leave sub.
 
     w == 0 is immediate (every later center is 0). Otherwise rescale tau so
@@ -225,15 +191,17 @@ def _tail_ok(u, w, sub, strat):
     """
     if not w:
         return True
-    one = strat.ring.one()
+    one = u.num.ring.one()
     d = u.num.low_coeff()   # the form makes u.den.low_coeff() one
     inv = None if d == one else one / d
     for poly in (u.num, u.den, w.num, w.den):
         if inv is not None:
             poly = poly.scale_arg(inv)
         for c in poly.coeffs:
-            if c and not strat.in_field(c, sub):
-                return False
+            if c:
+                k = _constant(c)
+                if k is None or not sub.contains_num(k):
+                    return False
     return True
 
 
@@ -258,17 +226,6 @@ class InfNearRecord(Record):
                      chart)
 
 
-class TerminalData(Record):
-    """Landing data of the first point that is not blown up: its chart, its
-    center (GENERIC at a parameter-dependent stop) and the branch's
-    multiplicity there (None at a generic stop)."""
-
-    __slots__ = ("chart", "mult", "center")
-
-    def __init__(self, chart, mult, center):
-        self._assign(chart, mult, center)
-
-
 class Vertex(Record):
     __slots__ = ("id", "tags", "self_int", "field_dim")
 
@@ -285,9 +242,10 @@ class QuotientGraph(Record):
     order. For a run stopped at a parameter-dependent center, case is "III"
     and n_case3 is the contact order of the family with the last component
     (else case is "I" and n_case3 None).
-    terminal is the landing data of the first point not blown up and branch
+    terminal is the InfNearRecord of the first point not blown up and branch
     the normalized parametrization. The subfield of component k is the
-    field_after of the k-th record.
+    field_after of the k-th record; vertices, edges and splittings are read
+    off the records once the run ends (_graph_of).
     """
 
     __slots__ = ("vertices", "edges", "geodesic", "n_case3", "splittings",
@@ -392,94 +350,96 @@ def _default_cap(p, extra_steps):
     return 50 + 10 * (p.x_order + top + p.ambient.degree) + extra_steps
 
 
+def _graph_of(records, n_case3, terminal, branch):
+    """The quotient graph, its shape read off the records.
+
+    Point k creates component k with self-intersection -1; each component
+    hosting point k loses one more and gains an edge to k, and a point on
+    two components separates them. A splitting (k - 1, ell) sits where
+    point k is the first with a larger subfield, of degree ell over the
+    subfield of point k - 1.
+    """
+    n = len(records)
+    selfints = [-1] * n
+    edges = set()
+    splittings = []
+    for k, rec in enumerate(records):
+        hosts = rec.host_components
+        for h in hosts:
+            selfints[h] -= 1
+            edges.add((h, k))
+        if len(hosts) == 2:
+            edges.discard(tuple(sorted(hosts)))
+        before = records[k - 1].field_after if k else rec.field_after
+        if rec.field_after is not before:
+            splittings.append((k - 1, rel_degree(before, rec.field_after)))
+    tags, geodesic = _assign_tags(n, edges, splittings)
+    vertices = [Vertex(id=k, tags=frozenset(tags[k]), self_int=selfints[k],
+                       field_dim=rec.field_after.dim)
+                for k, rec in enumerate(records)]
+    return QuotientGraph(vertices, edges, geodesic, n_case3, splittings,
+                         terminal, branch)
+
+
 def resolve(p, extra_steps=0):
     """Run the blow-up process to its field-aware end.
 
     Returns (QuotientGraph, records). Records list exactly the blown-up
-    points; the landing data of the final, never-blown point sits on
-    graph.terminal. A splitting index j is attached to the component hosting
-    the first center outside the current subfield, and the subfield tower is
-    extended there. extra_steps > 0 prolongs the run by that many further
-    blow-ups at the strict transform's intersection point (divisorial
-    targets past the last needed component).
+    points and are all the run keeps; the graph's shape is read off them
+    (_graph_of), and graph.terminal is the InfNearRecord of the final,
+    never-blown point. A splitting index j is attached to the component
+    hosting the first center outside the current subfield, and the
+    subfield tower is extended there. extra_steps > 0 prolongs the run by
+    that many further blow-ups at the strict transform's intersection
+    point (divisorial targets past the last needed component).
 
     With a GENERIC coefficient the run stops at the first parameter-dependent
     center: graph.case == "III", graph.n_case3 is the contact order of the
-    family with the final component, and no terminal translation exists.
+    family with the final component, the terminal's center is GENERIC and
+    its branch_mult None, and no terminal translation exists.
     """
     p = normalize(p)
-    strat = _strategy_for(p)
     max_steps = _default_cap(p, extra_steps)
-    u, w = _initial_state(p, strat)
+    u, w = _initial_state(p)
     sub = Subfield.rationals(p.ambient)
 
     records = []
-    selfints = []
-    edges = set()
-    splittings = []
     labels = (None, None)
-    mult0 = min(u.order(), w.order())
-    pending = InfNearRecord(center=None, branch_mult=int(mult0),
-                            field_after=sub, host_components=())
-    jumped = False
+    pending = InfNearRecord(None, int(min(u.order(), w.order())), sub, ())
     extra_left = extra_steps
     case3_n = None
-    terminal = None
 
     for _ in range(max_steps):
         i = len(records)
-        if i >= 1 and not jumped and len(pending.host_components) == 1 \
-                and u.order() == 1 and _tail_ok(u, w, sub, strat):
+        # stop only at a point that did not just enlarge the subfield
+        if i >= 1 and pending.field_after is records[-1].field_after \
+                and len(pending.host_components) == 1 \
+                and u.order() == 1 and _tail_ok(u, w, sub):
             if extra_left == 0:
-                terminal = TerminalData(chart=pending.chart,
-                                        mult=pending.branch_mult,
-                                        center=pending.center)
+                terminal = pending
                 break
             extra_left -= 1
         records.append(pending)
-        new_id = i
-        selfints.append(-1)
-        hosts = pending.host_components
-        for h in hosts:
-            selfints[h] -= 1
-            edges.add(tuple(sorted((h, new_id))))
-        if len(hosts) == 2:
-            edges.discard(tuple(sorted(hosts)))
         chart, c_scal, u, w = _chart_step(u, w)
-        if strat.is_generic(c_scal):
+        center = _constant(c_scal)
+        if center is None:
             case3_n = int(u.order())
-            terminal = TerminalData(chart=chart, mult=None, center=GENERIC)
+            terminal = InfNearRecord(GENERIC, None, sub, (i,), chart)
             break
-        jumped = False
         if chart == "A":
-            center = strat.as_algnum(c_scal)
-            if not strat.in_field(c_scal, sub):
-                grown = span_close([center], sub)
-                splittings.append((new_id, rel_degree(sub, grown)))
-                sub = grown
-                jumped = True
+            if not sub.contains_num(center):
+                sub = span_close([center], sub)
             second = labels[1] if not center else None
         else:
             center = AT_INFINITY
             second = labels[0]
-        labels = (new_id, second)
-        hosts_next = (new_id,) if second is None else (new_id, second)
-        mult = min(u.order(), w.order())
-        pending = InfNearRecord(center=center, branch_mult=int(mult),
-                                field_after=sub, host_components=hosts_next,
-                                chart=chart)
+        labels = (i, second)
+        pending = InfNearRecord(center, int(min(u.order(), w.order())), sub,
+                                (i,) if second is None else labels, chart)
     else:
         raise ResolutionStuck(
             "no stable point within %d blow-ups" % max_steps)
-
-    n = len(selfints)
-    tags, geodesic = _assign_tags(n, edges, splittings)
-    vertices = [Vertex(id=k, tags=frozenset(tags[k]), self_int=selfints[k],
-                       field_dim=records[k].field_after.dim)
-                for k in range(n)]
-    graph = QuotientGraph(vertices, edges, geodesic, case3_n, splittings,
-                          terminal, p)
-    return graph, records
+    return _graph_of(records, case3_n, terminal, p), records
 
 
 # --- curvettes: blow-downs of constant sections
@@ -493,9 +453,9 @@ def _shift(point):
 
 def _landing_info(graph, recs, sigma):
     """(chart, shift or None, center) of the point where the branch lands on
-    component sigma: record sigma+1, or the terminal past the last record.
-    shift None means the raw chart is used (chart B, or a landing outside
-    K_sigma)."""
+    component sigma: record sigma+1, or past the last record graph.terminal,
+    the InfNearRecord of the never-blown point. shift None means the raw
+    chart is used (chart B, or a landing outside K_sigma)."""
     point = recs[sigma + 1] if sigma + 1 < len(recs) else graph.terminal
     shift = _shift(point)
     if shift is GENERIC or (shift is not None and

@@ -48,18 +48,16 @@ from artifact.errors import (
 from artifact.exactfield import AlgNum
 from artifact.linalg import SparseRowSpace
 from artifact.oracle import _multiplication_table, _times
-from artifact.ratfunc import INFINITY, Poly, RatFunc
+from artifact.ratfunc import INFINITY, FractionField, Poly, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
     GENERIC,
     BranchParam,
-    _OneParamScalars,
-    _PlainScalars,
     _chart_step,
+    _constant,
     _initial_state,
     _landing_info,
     _shift,
-    _strategy_for,
     curvette_mults,
     generic_curvette,
 )
@@ -273,29 +271,32 @@ def blow_up_once(p):
     in the second chart; translated strict transform; multiplicity at the
     blown point). Raises GenericCenter at a GENERIC-dependent center and
     UnrepresentableCurvette when the x part is not an exact monomial."""
-    strat = _strategy_for(p)
-    u, w = _initial_state(p, strat)
+    u, w = _initial_state(p)
     mult = int(min(u.order(), w.order()))
     chart, c_scal, u2, w2 = _chart_step(u, w)
-    if strat.is_generic(c_scal):
+    center = _constant(c_scal)
+    if center is None:
         raise GenericCenter("blown-up center carries the generic coefficient")
-    center = strat.as_algnum(c_scal) if chart == "A" else AT_INFINITY
-    return center, _state_to_param(u2, w2, p.ambient, strat), mult
+    if chart != "A":
+        center = AT_INFINITY
+    return center, _state_to_param(u2, w2, p.ambient), mult
 
 
-def _state_to_param(u, w, ambient, strat):
+def _state_to_param(u, w, ambient):
     if u.den.degree() != 0 or w.den.degree() != 0:
         raise UnrepresentableCurvette(
             "strict transform is not polynomial in tau")
-    lam = strat.ring.gen() if isinstance(strat, _OneParamScalars) else None
+    ring = u.num.ring
+    lam = ring.gen() if isinstance(ring, FractionField) else None
 
     def down(scalar):
-        if strat.is_generic(scalar):
+        value = _constant(scalar)
+        if value is None:
             if lam is not None and scalar == lam:
                 return GENERIC
             raise UnrepresentableCurvette(
                 "coefficient mixes the generic marker with field elements")
-        return strat.as_algnum(scalar)
+        return value
 
     xpoly = u.num
     if sum(1 for c in xpoly.coeffs if c) != 1:
@@ -347,7 +348,7 @@ def curvette_param(graph, recs, sigma, c):
     if reason is not None:
         raise BadConstant(reason)
     x, y = _curvette_state(graph, recs, sigma, c)
-    return _state_to_param(x, y, ambient, _PlainScalars(ambient))
+    return _state_to_param(x, y, ambient)
 
 
 def _replay_step(u, w, chart, shift_scalar):
@@ -361,13 +362,10 @@ def _replay_step(u, w, chart, shift_scalar):
     return u2, w2
 
 
-def _strict_mults_state(u, w, recs, strat):
+def _strict_mults_state(u, w, recs):
     out = [int(min(u.order(), w.order()))]
     for rec in recs[1:]:
-        shift = _shift(rec)
-        if shift is not None:
-            shift = strat.lift(shift)
-        nxt = _replay_step(u, w, rec.chart, shift)
+        nxt = _replay_step(u, w, rec.chart, _shift(rec))
         if nxt is None:
             out.extend([0] * (len(recs) - len(out)))
             break
@@ -384,9 +382,10 @@ def strict_mults(carrier, reference):
     such as (tau, 0) and (0, tau) keep their geometric meaning relative to
     the reference.
     """
-    strat = _PlainScalars(carrier.ambient)
-    u, w = _initial_state(carrier, strat)
-    return _strict_mults_state(u, w, reference, strat)
+    if carrier.has_generic:
+        raise GenericCenter("strict multiplicities need a concrete carrier")
+    u, w = _initial_state(carrier)
+    return _strict_mults_state(u, w, reference)
 
 
 def _intersect_states(ua, wa, ub, wb, bound):
@@ -420,9 +419,8 @@ def intersect_noether(a, b):
     na = a.y_terms[-1][0] if a.y_terms else a.x_order
     nb = b.y_terms[-1][0] if b.y_terms else b.x_order
     bound = (a.x_order + na) * (b.x_order + nb)
-    strat = _PlainScalars(a.ambient)
-    ua, wa = _initial_state(a, strat)
-    ub, wb = _initial_state(b, strat)
+    ua, wa = _initial_state(a)
+    ub, wb = _initial_state(b)
     return _intersect_states(ua, wa, ub, wb, bound)
 
 
@@ -453,6 +451,26 @@ def is_negative_definite(matrix):
                 f = work[r][col] / pivot
                 work[r] = [a - f * b for a, b in zip(work[r], work[col])]
     return True
+
+
+def determinant(matrix):
+    """Exact determinant by Fraction elimination with row exchanges."""
+    work = [[Fraction(a) for a in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(work)):
+        row = next((r for r in range(col, len(work)) if work[r][col]), None)
+        if row is None:
+            return 0
+        if row != col:
+            work[col], work[row] = work[row], work[col]
+            det = -det
+        pivot = work[col][col]
+        det *= pivot
+        for r in range(col + 1, len(work)):
+            if work[r][col]:
+                f = work[r][col] / pivot
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return det
 
 
 def conjugate_param(p, root_image):
@@ -514,7 +532,7 @@ def proximity_check(recs, terminal):
         total = sum(rec.branch_mult for rec in recs[i + 1:]
                     if i in rec.host_components)
         if i == r - 1:
-            total += terminal.mult
+            total += terminal.branch_mult
         if recs[i].branch_mult != total:
             return False
     return True
@@ -582,6 +600,12 @@ def _numerical_derived(self):
         object.__setattr__(self, name, value)
 
 
+def _subfield_derived(self):
+    """pivots of Subfield: the column of each row's first nonzero entry."""
+    object.__setattr__(self, "pivots", tuple(
+        min(i for i, x in enumerate(row) if x) for row in self.rows))
+
+
 def _reference_record(name, fields, defaults=(), derived=(), post_init=None):
     spec = ([(f, object) for f in fields]
             + [(f, object, dataclasses.field(default=v)) for f, v in defaults]
@@ -614,7 +638,6 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
     _reference_record("InfNearRecord", ["center", "branch_mult",
                                         "field_after", "host_components"],
                       [("chart", None)]),
-    _reference_record("TerminalData", ["chart", "mult", "center"]),
     _reference_record("Vertex", ["id", "tags", "self_int", "field_dim"]),
     _reference_record("BranchParam", ["ambient", "x_order", "y_terms"],
                       [("x_coeff", None)]),
@@ -622,6 +645,7 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
                                         "n_case3", "splittings", "terminal",
                                         "branch"]),
     _reference_record("GenericCurvette", ["x", "y", "component"]),
-    _reference_record("Subfield", ["field", "rows", "pivots"]),
+    _reference_record("Subfield", ["field", "rows"], derived=["pivots"],
+                      post_init=_subfield_derived),
     _reference_record("PolyXY", ["terms"]),
 )}

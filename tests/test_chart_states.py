@@ -16,6 +16,7 @@ import io
 import json
 import pathlib
 import random
+from math import prod
 
 import pytest
 
@@ -24,6 +25,7 @@ from artifact.errors import ArtifactError
 from artifact.exactfield import AmbientField
 from artifact.resolution import GENERIC, BranchParam, resolve
 
+from slow_paths import determinant, intersection_matrix
 from test_exit_codes import time_limit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -107,21 +109,38 @@ def random_branch(rng, field):
 
 
 def test_random_branches_keep_coprime_states(chart_steps):
+    """Each branch is resolved at its drawn extra_steps and as the
+    divisorial targets at extra_steps 0 and 2. Every graph also has an
+    intersection matrix of determinant (-1)^n, as any n point blow-ups
+    give, and splitting degrees whose product is the dimension of the
+    last subfield."""
     rng = random.Random(20261018)
     resolved = {name: 0 for name in FIELDS}
     generic = extra = 0
+    graphs = []
+
+    def check_graph(graph, recs):
+        n = len(recs)
+        assert determinant(intersection_matrix(graph)) == (-1) ** n
+        assert prod(ell for _v, ell in graph.splittings) == \
+            recs[-1].field_after.dim
+        graphs.append(graph)
+
     for k in range(120):
         name = sorted(FIELDS)[k % len(FIELDS)]
         p = random_branch(rng, AmbientField(FIELDS[name]))
         extra_steps = rng.choice([0, 0, 1, 2])
         before = len(chart_steps)
-        run_to_end(lambda: resolve(p, extra_steps=extra_steps))
+        for steps in sorted({extra_steps, 0, 2}):
+            run_to_end(lambda: check_graph(*resolve(p, extra_steps=steps)))
         if len(chart_steps) > before:
             resolved[name] += 1
             generic += p.has_generic
             extra += extra_steps > 0
     assert sum(resolved.values()) >= 100 and min(resolved.values()) > 0
     assert generic > 0 and extra > 0
+    assert len(graphs) >= 200
+    assert sum(bool(graph.splittings) for graph in graphs) >= 100
 
 
 def _doc(min_poly, x_order, terms):

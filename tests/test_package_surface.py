@@ -82,3 +82,42 @@ def test_only_record_and_arithmetic_types_define_equality():
                                             "__setattr__"}):
                     found.append("%s:%s.%s" % (path.name, cls.name, name))
     assert found == []
+
+
+# The oracle substitutes into the branch's own coordinate state.
+PRIVATE_READS = {("oracle.py", "_initial_state")}
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A module of src/artifact reaches another module only through its
+    public names: no `from .x import _y` and no `module._y`, except the
+    reads listed in PRIVATE_READS."""
+    found = []
+    for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        modules = set()
+        reads = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {a.asname or a.name.partition(".")[0]
+                            for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                if node.module is None:   # from . import resolution as _res
+                    modules |= {a.asname or a.name for a in node.names}
+                else:
+                    reads += [(node.lineno, node.module, a.name)
+                              for a in node.names]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                reads.append((node.lineno, node.value.id, node.attr))
+        found += ["%s:%d %s.%s" % (path.name, lineno, owner, name)
+                  for lineno, owner, name in reads
+                  if _is_private(name)
+                  and (path.name, name) not in PRIVATE_READS]
+    assert found == []

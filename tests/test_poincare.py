@@ -172,8 +172,8 @@ def test_minimal_generator_check_witnesses():
 def test_big_M_without_jumps_is_the_plain_value():
     graph, recs = resolve(cusp())
     m = m_values(graph, recs)
-    assert big_M(graph, recs, m, graph.splittings) == {0: 2, 1: 3, 2: 6}
-    assert big_M(graph, recs, m, ()) == m
+    assert graph.splittings == ()
+    assert big_M(graph, recs, m) == m == {0: 2, 1: 3, 2: 6}
 
 
 def test_big_M_orbit_sums():
@@ -187,7 +187,7 @@ def test_big_M_orbit_sums():
     for p, expected in cases:
         graph, recs = resolve(p)
         m = m_values(graph, recs)
-        assert big_M(graph, recs, m, graph.splittings) == expected
+        assert big_M(graph, recs, m) == expected
 
 
 # --- numerical data, curve mode ----------------------------------------------
@@ -547,7 +547,7 @@ def test_segment_values_divide_the_dead_end_value():
     for p in all_curve_branches():
         graph, recs = resolve(p)
         m = m_values(graph, recs)
-        M_map = big_M(graph, recs, m, graph.splittings)
+        M_map = big_M(graph, recs, m)
         assert_segment_values_divide(graph, recs, M_map)
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from artifact.errors import DivisionByZero
 from artifact.exactfield import AmbientField
@@ -14,7 +14,7 @@ from artifact.ratfunc import (
     PolyRing,
     RatFunc,
 )
-from artifact.resolution import _OneParamScalars
+from artifact.resolution import _constant
 
 from slow_paths import evaluate_poly, reference_poly_mul
 
@@ -116,7 +116,7 @@ def test_constant_operands_match_the_full_convolution():
     field = AmbientField([-2, 0, 1])
     z = field.gen()
     cring = PolyRing(field, "c")
-    lam = _OneParamScalars(field).ring
+    lam = FractionField(PolyRing(field, "lam"))
     rings = [
         (field, [z, field.from_fraction(Fraction(-7, 3)), 1 + z]),
         (cring, [cring.gen(), cring.gen().scale(z) + 1,
@@ -203,12 +203,46 @@ def test_nested_rings():
     state = RatFunc.of(y) / RatFunc.of(x)
     assert state.order() == 1
     assert state.value0() == lam.zero()
-    strat = _OneParamScalars(field)
     one_plus = lam.gen() + 1
-    assert not strat.is_generic(one_plus / one_plus)
-    assert strat.is_generic(lam.gen())
-    assert not strat.is_generic(lam.zero())
-    assert strat.as_algnum(one_plus * 3 / one_plus) == 3
+    assert _constant(one_plus / one_plus) == 1
+    assert _constant(lam.gen()) is None
+    assert _constant(lam.zero()) == 0
+    assert _constant(one_plus * 3 / one_plus) == 3
+    assert _constant(field.gen()) == field.gen()
+
+
+SQ2 = AmbientField([-2, 0, 1])
+SQ2_COEFFS = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+    SQ2.element)
+SQ2_POLYS = st.lists(SQ2_COEFFS, max_size=4).map(lambda cs: Poly(SQ2, cs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(SQ2_POLYS, SQ2_POLYS.filter(bool), SQ2_COEFFS, st.booleans(),
+       st.integers(0, 2))
+def test_constant_is_the_value_at_enough_sample_points(num, den, k,
+                                                       proportional, shift):
+    """num/den over Q(sqrt 2)[lam] is constant exactly when it takes one
+    value at max(deg num, deg den) + 1 points where den is nonzero (else
+    num - value * den would have more roots than its degree); _constant
+    returns that value, and None otherwise. A common power of lam, which
+    RatFunc cancels, does not change the answer."""
+    if proportional:
+        num = den.scale(k)
+    power = Poly.monomial(SQ2, SQ2.one(), shift)
+    f = RatFunc(num * power, den * power)
+    values = []
+    at = 0
+    while len(values) < max(num.degree(), den.degree()) + 1:
+        d = evaluate_poly(den, at)
+        if d:
+            values.append(evaluate_poly(num, at) / d)
+        at += 1
+    constant = all(v == values[0] for v in values)
+    got = _constant(f)
+    assert (got is not None) == constant
+    if constant:
+        assert got == values[0]
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),

@@ -166,6 +166,8 @@ def test_derived_properties_are_the_values_once_stored():
             assert sub.basis == tuple(AlgNum(sub.field, row, 1)
                                       for row in sub.rows)
             assert all(sub.contains_num(b) for b in sub.basis)
+            with pytest.raises(ValueError):
+                sub.replace(pivots=sub.pivots)
         checked += 1
     assert checked == 39
 

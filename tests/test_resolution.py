@@ -180,7 +180,7 @@ def test_resolve_smooth_line():
     assert recs[0].center is None and recs[0].branch_mult == 1
     assert recs[0].host_components == ()
     assert graph.terminal.chart == "A" and graph.terminal.center == 0
-    assert graph.terminal.mult == 1
+    assert graph.terminal.branch_mult == 1
     assert proximity_check(recs, graph.terminal)
 
 
@@ -534,7 +534,7 @@ def test_case_iii_transverse_line():
     assert graph.case == "III" and graph.n_case3 == 1
     assert len(graph.vertices) == 1
     assert tag_sets(graph) == [{("INITIAL",), ("DEAD_END", 0), ("DELTA",)}]
-    assert graph.terminal.center is GENERIC and graph.terminal.mult is None
+    assert graph.terminal.center is GENERIC and graph.terminal.branch_mult is None
 
 
 def test_case_iii_cusp_prefix():

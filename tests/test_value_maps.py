@@ -20,7 +20,6 @@ from artifact.poincare import big_M, value_maps
 from artifact.ratfunc import INFINITY
 from artifact.resolution import (
     BranchParam,
-    _PlainScalars,
     _initial_state,
     curvette_mults,
     m_values,
@@ -74,11 +73,10 @@ def replay_m_values(graph, recs):
     """m by joint replay of the branch against each curvette. A curvette
     that meets the branch past the degree bound ends the replay as
     INFINITY, so a wrong curvette fails the test instead of hanging it."""
-    strat = _PlainScalars(graph.ambient)
     out = {}
     for v in graph.vertices:
         ub, wb = replay_curvette(graph, recs, v.id)
-        ua, wa = _initial_state(graph.branch, strat)
+        ua, wa = _initial_state(graph.branch)
         val = _intersect_states(ua, wa, ub, wb, bound=degree_bound(ua, wa)
                                 * degree_bound(ub, wb))
         assert val is not INFINITY, "curvette coincides with the branch"
@@ -106,7 +104,6 @@ def replay_big_M(graph, recs, m_map, mults):
                          ids=[name for name, _p in CORPUS + CUSPS + MULTIPAIR])
 def test_value_maps_match_the_blow_down_replay(name, p):
     graph, recs = resolve(p)
-    strat = _PlainScalars(graph.ambient)
     m = m_values(graph, recs)
     assert m == replay_m_values(graph, recs)
     # the branch is a curvette at the last component
@@ -115,11 +112,10 @@ def test_value_maps_match_the_blow_down_replay(name, p):
     mults = {}
     for v in graph.vertices:
         replayed = _strict_mults_state(*replay_curvette(graph, recs, v.id),
-                                       recs, strat)
+                                       recs)
         mults[v.id] = curvette_mults(recs, v.id)
         assert replayed == mults[v.id] + [0] * (len(recs) - v.id - 1)
-    assert big_M(graph, recs, m, graph.splittings) == \
-        replay_big_M(graph, recs, m, mults)
+    assert big_M(graph, recs, m) == replay_big_M(graph, recs, m, mults)
 
 
 EXTENDED = [(name, p, extra) for name, p, extra in DIVISORIAL_TARGETS] + [
@@ -139,7 +135,7 @@ def test_proximity_sums_equal_noether_sums(name, p, extra):
     assert m == noether_m_values(graph, recs)
     tower = graph.splittings
     for order in (tower, tower[::-1]):
-        assert big_M(graph, recs, m, order) == \
+        assert big_M(graph.replace(splittings=order), recs, m) == \
             noether_big_M(graph, recs, m, order)
 
 

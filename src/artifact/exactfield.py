@@ -6,9 +6,13 @@ polynomial p. An element is an integer vector on the power basis
 arithmetic runs in integers. A product is an integer convolution whose high
 coefficients fold back through a table of z^n, ..., z^(2n-2) mod p,
 tabulated once per field by the integer recurrence that p, being monic,
-gives. An inverse solves the integer matrix of multiplication by the
-element with fraction-free elimination; the same matrix for p' checks
-that p is square-free (p' is a unit mod p exactly then).
+gives. Two polynomials over the field multiply the same way, as one
+integer convolution in the variable and z over each operand's common
+denominator, folded once per output coefficient (AmbientField.convolve,
+the product kernel of ratfunc.Poly). An inverse solves the integer matrix
+of multiplication by the element with fraction-free elimination; the same
+matrix for p' checks that p is square-free (p' is a unit mod p exactly
+then).
 Rational elements (zero past the constant coordinate), which are most of
 the operands the resolution meets, take shortcuts: a product with one
 scales the other factor's numerators, and the inverse of one swaps its
@@ -156,6 +160,44 @@ class AmbientField:
 
     def one(self):
         return self._one
+
+    def convolve(self, x, y):
+        """The coefficients of the product of two polynomials over L,
+        given as lists x and y of elements, as one integer convolution.
+
+        Each operand comes to one denominator, the lcm of its dens, and its
+        nonzero integer numerators sit at index i*w + k for the coefficient
+        of t^i z^k, with w = 2n - 1 the width of a product of two
+        coordinate vectors; the convolution of the two sparse lists then
+        holds the coefficient of t^i z^k of the product at i*w + k. Each
+        output coefficient folds z^n .. z^(2n-2) back through _fold once
+        and becomes one element, in lowest terms.
+        """
+        n = self.degree
+        w = 2 * n - 1
+        dx = lcm(*(a.den for a in x))
+        dy = lcm(*(a.den for a in y))
+        xs = [(i * w + k, v * (dx // a.den))
+              for i, a in enumerate(x) for k, v in enumerate(a.num) if v]
+        ys = [(j * w + k, v * (dy // b.den))
+              for j, b in enumerate(y) for k, v in enumerate(b.num) if v]
+        conv = [0] * ((len(x) + len(y) - 1) * w)
+        for p, a in xs:
+            for q, b in ys:
+                conv[p + q] += a * b
+        scale, fold = self._scale, self._fold
+        den = dx * dy * scale
+        out = []
+        for start in range(0, len(conv), w):
+            num = conv[start:start + n]
+            if scale != 1:
+                num = [c * scale for c in num]
+            for row, c in zip(fold, conv[start + n:start + w]):
+                if c:
+                    for i, f in enumerate(row):
+                        num[i] += c * f
+            out.append(AlgNum(self, num, den) if any(num) else self._zero)
+        return out
 
     def gen(self):
         """The class of z (equals 0 when the degree is 1)."""

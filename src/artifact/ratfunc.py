@@ -3,10 +3,13 @@
 Coefficients are duck-typed: anything with +, -, *, ==, bool (and / where a
 fraction field is needed) works. A small ring adapter supplies zero(), one()
 and from_fraction(), the first two prebuilt once (no code mutates a scalar,
-so they are shared); AmbientField already satisfies that protocol for
-number field scalars, and the adapters below cover the nested constructions
-used elsewhere: polynomials in one extra variable (generic curvette constants)
-and their fraction fields (one-parameter families).
+so they are shared), and the product kernel convolve(x, y): the coefficient
+list of the product of two polynomials of degree at least one, given as
+their coefficient lists. AmbientField already satisfies that protocol for
+number field scalars, with one integer convolution per product; the
+adapters below cover the nested constructions used elsewhere: polynomials
+in one extra variable (generic curvette constants) and their fraction
+fields (one-parameter families), whose convolve is the schoolbook loop.
 
 RatFunc requires its coefficient ring to be a field adapter; quotients of
 polynomials over a mere PolyRing are never formed, and no gcd is taken:
@@ -19,6 +22,19 @@ from fractions import Fraction
 from .errors import DivisionByZero
 
 INFINITY = float("inf")
+
+
+def schoolbook(zero, x, y):
+    """The coefficients of the product of two polynomials given as
+    coefficient lists x and y, one scalar product and one sum at a time;
+    zero coefficients are skipped."""
+    out = [zero] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    out[i + j] = out[i + j] + a * b
+    return out
 
 
 class PolyRing:
@@ -38,6 +54,9 @@ class PolyRing:
 
     def from_fraction(self, q):
         return Poly(self.ring, [self.ring.from_fraction(q)])
+
+    def convolve(self, x, y):
+        return schoolbook(self._zero, x, y)
 
     def gen(self):
         return Poly(self.ring, [self.ring.zero(), self.ring.one()])
@@ -69,6 +88,9 @@ class FractionField:
 
     def from_fraction(self, q):
         return RatFunc(self.polyring.from_fraction(q), self.polyring.one())
+
+    def convolve(self, x, y):
+        return schoolbook(self._zero, x, y)
 
     def from_scalar(self, s):
         """Embed a scalar of the underlying coefficient ring."""
@@ -151,9 +173,10 @@ class Poly:
         return Poly(self.ring, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        """The convolution of the coefficients. A degree-0 operand (most
-        often a RatFunc's denominator one) scales the other operand
-        instead, and the ring's one returns the other operand itself."""
+        """The convolution of the coefficients, by the ring's convolve. A
+        degree-0 operand (most often a RatFunc's denominator one) scales
+        the other operand instead, and the ring's one returns the other
+        operand itself."""
         other = self._coerce(other)
         x, y = self.coeffs, other.coeffs
         if not x or not y:
@@ -165,13 +188,7 @@ class Poly:
             if x == one:
                 return other
             return self.scale(y[0]) if len(y) == 1 else other.scale(x[0])
-        out = [self.ring.zero()] * (len(x) + len(y) - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out)
+        return Poly(self.ring, self.ring.convolve(x, y))
 
     __rmul__ = __mul__
 

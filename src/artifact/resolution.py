@@ -299,6 +299,9 @@ def _geodesic_path(n_vertices, edges, start, goal):
             if nb not in parent:
                 parent[nb] = cur
                 queue.append(nb)
+    if goal not in parent:
+        raise ArtifactError("vertex %d is not connected to vertex %d"
+                            % (goal, start))
     path = [goal]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
@@ -312,6 +315,9 @@ def _assign_tags(n, edges, splittings):
         tags[vid].add(("SPLITTING", j))
     geodesic, adj = _geodesic_path(n, edges, 0, n - 1)
     geo_set = set(geodesic)
+    # every vertex a walk has entered; in a tree no walk enters one twice
+    # or comes back to the geodesic, so a cycle stops the walk
+    seen = set(geodesic)
     chains = []
     for gv in geodesic:
         for nb in adj[gv]:
@@ -320,6 +326,10 @@ def _assign_tags(n, edges, splittings):
             walk = []
             prev, cur = gv, nb
             while True:
+                if cur in seen:
+                    raise ArtifactError("side branch at vertex %d is not a "
+                                        "chain" % gv)
+                seen.add(cur)
                 walk.append(cur)
                 nxt = [x for x in adj[cur] if x != prev]
                 if not nxt:

@@ -6,7 +6,7 @@ that form is the one an eager gcd would give. The reference here is that
 gcd: Poly.gcd on every state a chart step returns, over the benchmark's
 workload documents (the acceptance corpus among them) and over seeded
 random branches. Documents that once ran Euclid over a parameter field for
-minutes must now analyze within a time limit, and two heavy multi-pair
+minutes must now analyze within a time limit, and four heavy multi-pair
 documents keep their output.
 """
 
@@ -177,12 +177,24 @@ def test_generic_three_term_documents_analyze_in_time(tmp_path, doc):
     assert code == 0 and out.startswith("case: III\n")
 
 
-# Over Q(sqrt 2); analyze took 5-7 s while Euclid ran on their states.
+# sqrt(2) and sqrt(3) in BIQ = Q[z]/(z^4 - 10z^2 + 1), z = sqrt2 + sqrt3
+S2 = ["0", "-9/2", "0", "1/2"]
+S3 = ["0", "11/2", "0", "-1/2"]
+
+# The two over Q(sqrt 2): analyze took 5-7 s while Euclid ran on their
+# states. The one over Q multiplies its polynomials in the degree-1 case of
+# AmbientField.convolve, the one over BIQ jumps to a quadratic subfield and
+# then to the whole field. Each output was pinned before AmbientField.convolve
+# existed, when each coefficient product was one AlgNum product.
 HEAVY = {
     "sq2_x4_6_7_r10": _doc([-2, 0, 1], 4,
                            [(6, [1, 0]), (7, [1, 0]), (10, [0, 1])]),
     "sq2_x8_12_r14_15": _doc([-2, 0, 1], 8,
                              [(12, [1, 0]), (14, [0, 1]), (15, [1, 0])]),
+    "q_x12_18_20_21_23": _doc([0, 1], 12, [(18, [1]), (20, [1]),
+                                           (21, [1]), (23, [1])]),
+    "biq_x4_6_7_9": _doc([1, 0, -10, 0, 1], 4,
+                         [(6, S2), (7, S3), (9, ["1", "0", "0", "0"])]),
 }
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from artifact import exactfield
 from artifact.errors import (
@@ -26,6 +26,7 @@ from slow_paths import (
     reference_algnum_inverse,
     reference_algnum_mul,
     reference_fold_table,
+    reference_poly_mul,
     reference_is_squarefree,
     reference_span_close,
 )
@@ -238,6 +239,47 @@ def test_each_value_has_one_form(pair):
         assert (x.num, x.den, hash(x)) == (prod.num, prod.den, hash(prod))
 
 
+# The test fields and a degree-1 field whose z is the nonzero constant -3.
+KERNEL_FIELDS = FIELDS + [[3, 1]]
+huge_coord = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+                       st.integers(1, 10 ** 25))
+
+
+@st.composite
+def coefficient_lists(draw):
+    """A field and two coefficient lists over it, with zero coefficients
+    inside, at the low end and at the high end, and coordinates of up to
+    40 digits over denominators of up to 25."""
+    field = AmbientField(draw(st.sampled_from(KERNEL_FIELDS)))
+    coord = st.one_of(st.just(Fraction(0)), wide_coord, huge_coord)
+    element = st.lists(coord, min_size=field.degree,
+                       max_size=field.degree).map(field.element)
+    entry = st.one_of(st.just(field.zero()), element)
+
+    def coefficients():
+        zeros = st.integers(0, 2).map(lambda k: [field.zero()] * k)
+        return st.tuples(zeros, st.lists(entry, min_size=1, max_size=5),
+                         zeros).map(lambda parts: sum(parts, []))
+    return field, draw(coefficients()), draw(coefficients())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(coefficient_lists())
+def test_convolve_equals_the_schoolbook_product(case):
+    """AmbientField.convolve, the integer kernel Poly.__mul__ hands its
+    products to, equals the product summed one AlgNum product at a time,
+    coefficient by coefficient and each in its one form."""
+    field, x, y = case
+    got = field.convolve(x, y)
+    assert len(got) == len(x) + len(y) - 1
+    for c in got:
+        assert c.field is field
+        assert_canonical(c)
+    want = reference_poly_mul(Poly(field, x), Poly(field, y))
+    assert Poly(field, got) == want
+    assert Poly(field, x) * Poly(field, y) == want
+
+
 def test_rational_elements_hash_like_the_number():
     for p in FIELDS:
         field = AmbientField(p)
@@ -254,8 +296,9 @@ def test_rational_elements_hash_like_the_number():
 @pytest.mark.parametrize("p", FIELDS, ids=FIELD_IDS)
 def test_ring_operations_create_no_fractions(monkeypatch, p):
     """Building the field makes only the Fractions that reading p makes;
-    +, -, unary - and * of two field elements, the inverse, the subfield
-    echelon and the oracle's multiplication tables run in integers."""
+    +, -, unary - and * of two field elements, the inverse, the product of
+    two polynomials over the field, the subfield echelon and the oracle's
+    multiplication tables run in integers."""
     created = []
     new = Fraction.__new__
 
@@ -276,7 +319,7 @@ def test_ring_operations_create_no_fractions(monkeypatch, p):
                             Poly(field, [a])])
     created.clear()
     monkeypatch.setattr(Fraction, "__new__", counted)
-    results = [a * b, a + b, a - b, -a, a.inverse()]
+    results = [a * b, a + b, a - b, -a, a.inverse(), branch * branch]
     rat = Subfield.rationals(field)
     full = span_close([a, b], rat)
     member = [full.contains_num(a), rat.contains_num(a)]
@@ -285,6 +328,7 @@ def test_ring_operations_create_no_fractions(monkeypatch, p):
     assert created == []
     assert results[0].coords == reference_algnum_mul(a, b)
     assert results[4] == reference_algnum_inverse(a)
+    assert results[5] == reference_poly_mul(branch, branch)
     assert member == [True, n == 1]
     # row k of a table lists z^k times s, all rows times one positive D
     for s, table in zip((branch, curvette), tables):

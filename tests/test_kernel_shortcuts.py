@@ -6,19 +6,23 @@ or multiplies with are rational. One in-process pass of cli.build_analysis
 over the corpus documents that `analyze` accepts checks that
 - AlgNum.inverse of a rational element builds no matrix of
   multiplication (AmbientField._mul_matrix);
-- Poly.__mul__ runs its convolution loop only when both operands have
-  degree at least one;
+- Poly.__mul__ hands a product to its ring's kernel (the integer
+  convolution AmbientField.convolve over a number field, the schoolbook
+  loop ratfunc.schoolbook over the nested rings) only when both operands
+  have degree at least one, and the number-field kernel runs;
 - Poly.scale and Poly.scale_arg multiply no zero coefficient, and
   resolution._tail_ok calls scale_arg with no factor one.
 Without the shortcuts the pass built 103 such matrices and ran the
 convolution step 1243 times in such products, and 32 of its 58 scale_arg
-calls had factor one.
+calls had factor one. With them, the pass makes 64 AmbientField.convolve
+calls and 5 ratfunc.schoolbook calls; without the degree-0 shortcuts of
+Poly.__mul__ they would take 676 and 38 more products.
 """
 
 import inspect
 import sys
 
-from artifact import cli
+from artifact import cli, ratfunc
 from artifact.exactfield import AlgNum, AmbientField
 from artifact.ratfunc import Poly, RatFunc
 
@@ -34,7 +38,7 @@ def corpus_docs():
 
 
 def convolution_line():
-    lines, first = inspect.getsourcelines(Poly.__mul__)
+    lines, first = inspect.getsourcelines(ratfunc.schoolbook)
     found = [first + k for k, line in enumerate(lines)
              if line.strip() == CONVOLUTION_STEP]
     assert len(found) == 1
@@ -66,18 +70,27 @@ def test_corpus_pass_takes_the_shortcuts(monkeypatch):
     monkeypatch.setattr(AlgNum, "inverse", traced_inverse)
     monkeypatch.setattr(AmbientField, "_mul_matrix", traced_mul_matrix)
 
-    # each pass through the convolution step, marked by whether an operand
-    # of that product has degree 0
+    # each pass through the schoolbook convolution step and each call of
+    # the number-field kernel, marked by whether an operand of that
+    # product has degree 0
     steps = []
-    code = Poly.__mul__.__code__
+    code = ratfunc.schoolbook.__code__
     line = convolution_line()
 
     def in_mul(frame, event, _arg):
         if event == "line" and frame.f_lineno == line:
-            degrees = (len(frame.f_locals["self"].coeffs),
-                       len(frame.f_locals["other"].coeffs))
+            degrees = len(frame.f_locals["x"]), len(frame.f_locals["y"])
             steps.append(min(degrees) == 1)
         return in_mul
+
+    kernel_calls = []
+    convolve = AmbientField.convolve
+
+    def traced_convolve(self, x, y):
+        kernel_calls.append(min(len(x), len(y)) == 1)
+        return convolve(self, x, y)
+
+    monkeypatch.setattr(AmbientField, "convolve", traced_convolve)
 
     def on_call(frame, _event, _arg):
         return in_mul if frame.f_code is code else None
@@ -120,11 +133,14 @@ def test_corpus_pass_takes_the_shortcuts(monkeypatch):
         sys.settrace(previous)
 
     # the field builds and the irrational inverses still take the matrix
-    # route, and the products of two polynomials still convolve
+    # route, and the products of two polynomials still convolve, over a
+    # number field in its integer kernel
     assert matrices.count(False) >= 40
     assert steps.count(False) > 0
+    assert kernel_calls.count(False) > 0
     assert matrices.count(True) == 0
     assert steps.count(True) == 0
+    assert kernel_calls.count(True) == 0
 
     # both coefficient kinds are scaled, some factors are not one, and
     # some coefficients are multiplied, none of them zero

@@ -22,6 +22,7 @@ from artifact.ratfunc import INFINITY, Poly, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
     _assign_tags,
+    _geodesic_path,
     _shift,
     GENERIC,
     BranchParam,
@@ -31,6 +32,8 @@ from artifact.resolution import (
     normalize,
     resolve,
 )
+
+from test_exit_codes import time_limit
 
 from slow_paths import (
     BadConstant,
@@ -351,6 +354,31 @@ def test_assign_tags_rejects_trees_of_no_branch():
         _assign_tags(6, {(0, 1), (1, 5), (1, 2), (2, 3), (2, 4)}, [])
     with pytest.raises(ArtifactError, match="several dead-end chains"):
         _assign_tags(5, {(0, 1), (1, 4), (1, 2), (1, 3)}, [])
+
+
+# Edge sets that are no tree: one cycle through every vertex, a cycle cut
+# off from the last vertex, and two separate edges.
+NOT_TREES = {
+    "cycle": (4, {(0, 3), (3, 1), (1, 2), (2, 0)}),
+    "cycle_apart": (5, {(0, 1), (1, 2), (2, 0), (3, 4)}),
+    "disconnected": (4, {(0, 1), (2, 3)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_TREES))
+def test_tags_and_geodesic_refuse_edge_sets_of_no_tree(name):
+    """Both helpers end in ArtifactError, not in a KeyError or an endless
+    walk; the cycle through every vertex has a geodesic, 0-3, and its
+    side walk comes back to vertex 0."""
+    n, edges = NOT_TREES[name]
+    with time_limit(5, sorted(edges)):
+        with pytest.raises(ArtifactError, match="not a chain|not connected"):
+            _assign_tags(n, edges, [])
+        if name == "cycle":
+            assert _geodesic_path(n, edges, 0, n - 1)[0] == [0, 3]
+        else:
+            with pytest.raises(ArtifactError, match="not connected"):
+                _geodesic_path(n, edges, 0, n - 1)
 
 
 # --- strict multiplicities and intersection numbers

@@ -4,12 +4,16 @@ The brute-force filtration oracle feeds up to thousands of vectors, one per
 monomial, to SparseRowSpace, a column echelon keyed by lead. The vectors
 hold integers only: the oracle builds each one as x or y times the vector
 that add() returned for the monomial's predecessor, with integer
-multiplication tables of the coordinate images, and hands it in divided by
-its content. A vector is reduced fraction-free (cross-multiplication plus
-content stripping), each time only against the stored vector that shares
-its lead. The small dense echelons of number-field inverses and subfields
-use the same idiom on integer rows, in exactfield. invert, a Fraction
-Gauss-Jordan, serves only the tests' reference resolution.minus_inverse.
+multiplication tables of the coordinate images. Its keys are integers too:
+the oracle packs the tau order v, the c power a and the field coordinate k
+of an entry into v*W + a*n + k, with W larger than any a*n + k, so that
+comparing two keys is comparing their (v, a, k) triples and no tuple is
+built or hashed. A vector is made primitive on entry and reduced
+fraction-free (cross-multiplication plus content stripping), each time
+only against the stored vector that shares its lead. The small dense
+echelons of number-field inverses and subfields use the same idiom on
+integer rows, in exactfield. invert, a Fraction Gauss-Jordan, serves only
+the tests' reference resolution.minus_inverse.
 """
 
 from fractions import Fraction
@@ -41,9 +45,9 @@ class SparseRowSpace:
     dict lookup; every step removes the lead and brings in larger keys only,
     so the lead grows until the vector vanishes or lands on a free lead,
     under which it is stored, and add() returns it. The filtration oracle
-    feeds it vectors keyed by (tau order, coordinate key), builds the next
-    vector from the returned one, and counts the stored leads per tau
-    order.
+    feeds it vectors keyed by integers ordered as (tau order, c power,
+    field coordinate), builds the next vector from the returned one, and
+    counts the stored leads per tau order.
     """
 
     def __init__(self):

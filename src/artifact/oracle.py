@@ -23,16 +23,21 @@ Two kinds of questions are answered:
   (weight, i) order, a monomial order (weight i*ox + j*oy, with ox and oy
   the orders of x and y); the vector fed for each is x (or, for i = 0, y)
   times the vector that the echelon stored for its predecessor, cut past
-  tau^V and divided by its content. That adds to the span what the image
+  tau^V; the echelon divides it by its content. That adds to the span what the image
   of the monomial adds, because x times what came earlier came earlier
   too (the argument is in _filtration). The echelon is an integer column
-  echelon keyed by lead, whose leads per level are the dimensions.
+  echelon keyed by lead, whose leads per level are the dimensions. A
+  vector is a dict from one integer key, v*W + a*n + k for the tau^v
+  coefficient's c power a and field coordinate k (n = [L:Q], W the width
+  of a level), to an integer; W exceeds every a*n + k that can occur, so
+  the integer order of the keys is the (v, a, k) order and lead // W is
+  the level of a lead (_keyed_tables).
 
 All arithmetic is exact; a zero is a proven zero.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import GenericCenter
 from .exactfield import AlgNum
@@ -226,31 +231,62 @@ def _multiplication_table(s, bound, field):
             for row in table]
 
 
-def _times(column, table, bound):
-    """The column times the tabled tau-polynomial, cut past tau^bound and
-    divided by its content: a sparse integer convolution."""
+def _keyed_tables(x_table, y_table, imax, jmax, n):
+    """The width W of one tau level in the integer keys, and the x and y
+    tables in keyed form.
+
+    A vector entry at tau^v, c power a and field coordinate k is keyed
+    v*W + a*n + k, with n = [L:Q] and W = n*(imax*bx + jmax*by + 1), where
+    bx and by are the largest c powers in the x and y tables and x^imax,
+    y^jmax the largest powers of x and y of value <= V. Every vector the
+    oracle forms is a combination of images of monomials x^i y^j of value
+    <= V, whose c-degree is at most i*bx + j*by, so a*n + k < W. The key
+    order is therefore the (tau order, c power, coordinate) order, and the
+    tau order of a key is key // W. Entry (e, b, k', q) of table row k
+    becomes (e*W + b*n + k' - k, q): the key offset of the product term,
+    increasing along the row as the entries do."""
+    bx = max((b for row in x_table for _e, b, _k, _q in row), default=0)
+    by = max((b for row in y_table for _e, b, _k, _q in row), default=0)
+    W = n * (imax * bx + jmax * by + 1)
+
+    def keyed(table):
+        return [[(e * W + b * n + k2 - k, q) for e, b, k2, q in row]
+                for k, row in enumerate(table)]
+
+    return W, keyed(x_table), keyed(y_table)
+
+
+def _times(column, table, limit):
+    """The column times the keyed table of a tau-polynomial (_keyed_tables),
+    with the terms keyed limit = (V + 1)*W and beyond cut: a sparse
+    integer convolution. Key c reads its field coordinate as c % n. The
+    product keys increase along a table row, and the first key of level
+    V + 1 is limit, so the row stops at the first term past it. The
+    content is left for SparseRowSpace.add to strip."""
+    n = len(table)
     out = {}
-    for (v, (a, k)), m in column.items():
-        for e, b, k2, q in table[k]:
-            if v + e > bound:
+    get = out.get
+    for c, m in column.items():
+        for offset, q in table[c % n]:
+            at = c + offset
+            if at >= limit:
                 break
-            at = (v + e, (a + b, k2))
-            out[at] = out.get(at, 0) + m * q
-    g = gcd(*out.values())
-    return {at: m // g for at, m in out.items() if m}
+            out[at] = get(at, 0) + m * q
+    return out
 
 
 def _filtration(x, y, V, mode, field):
     """Levelwise dimensions from a column echelon of the substitution map.
 
-    Row (v, key) of the map holds the rational coordinate key of the tau^v
-    coefficient, so the rows of levels <= v come first in (v, key) order.
-    The dimension of value-v classes is rank(rows of levels <= v) -
-    rank(rows of levels < v). Column operations keep every such rank, and
-    in a column echelon (distinct least rows, the leads) the rank of the
-    rows of levels <= v is the number of leads at those levels; so dims[v]
-    is the number of leads at level v. The leads of an echelon depend only
-    on its span.
+    Row (v, a, k) of the map holds field coordinate k of the c^a part of
+    the tau^v coefficient (a = 0 on a branch), keyed by the integer
+    v*W + a*n + k (_keyed_tables), so the rows of levels <= v come first in
+    key order. The dimension of value-v classes is rank(rows of levels <=
+    v) - rank(rows of levels < v). Column operations keep every such rank,
+    and in a column echelon (distinct least rows, the leads) the rank of
+    the rows of levels <= v is the number of leads at those levels; so
+    dims[v] is the number of leads at level v, lead // W. The leads of an
+    echelon depend only on its span.
 
     The span is that of the images of the monomials x^i y^j of weight
     i*ox + j*oy <= V (ox, oy the orders of x and y), cut past tau^V. A
@@ -259,8 +295,9 @@ def _filtration(x, y, V, mode, field):
     monomial order: m < m' gives x*m < x*m' and y*m < y*m'. The vector
     fed for x^i y^j is x*r, where r is the vector stored for its
     predecessor x^(i-1) y^j (y*r, with r stored for y^(j-1), when i = 0),
-    multiplied by the integer table of x or y (_times), cut past tau^V
-    (cutting is a ring map) and divided by its content. The unit 1 starts.
+    multiplied by the integer table of x or y (_times) and cut past tau^V
+    (cutting is a ring map); add divides it by its content. The unit 1
+    starts.
 
     Why the span after each monomial m is the span of the images of the
     monomials up to m. By induction, the vector stored for the predecessor
@@ -282,25 +319,29 @@ def _filtration(x, y, V, mode, field):
     oy = y.order()
     if ox < 1:
         raise ValueError("x image must vanish at the origin")
-    x_table = _multiplication_table(x, V, field)
-    y_table = _multiplication_table(y, V, field)
+    imax = 0 if ox is INFINITY else V // ox
+    jmax = 0 if oy is INFINITY else V // oy
+    W, x_keyed, y_keyed = _keyed_tables(
+        _multiplication_table(x, V, field),
+        _multiplication_table(y, V, field), imax, jmax, field.degree)
+    limit = (V + 1) * W
     monomials = []
-    for i in range(1 + (0 if ox is INFINITY else V // ox)):
+    for i in range(imax + 1):
         x_value = i * ox if i else 0
         jtop = 0 if oy is INFINITY else (V - x_value) // oy
         monomials.extend((x_value + j * oy if j else x_value, i, j)
                          for j in range(jtop + 1))
     monomials.sort()
     space = SparseRowSpace()
-    stored = {(0, 0): space.add({(0, (0, 0)): 1})}
+    stored = {(0, 0): space.add({0: 1})}
     for _weight, i, j in monomials[1:]:
         r = stored.get((i - 1, j) if i else (0, j - 1))
         if r:
             stored[(i, j)] = space.add(
-                _times(r, x_table if i else y_table, V))
+                _times(r, x_keyed if i else y_keyed, limit))
     dims = [0] * (V + 1)
-    for level, _key in space.rows:
-        dims[level] += 1
+    for lead in space.rows:
+        dims[lead // W] += 1
     return FiltrationReport(V=V, dims=tuple(dims), mode=mode)
 
 

@@ -110,9 +110,10 @@ class FractionField:
 
 
 class Poly:
-    """Dense polynomial, coefficient list lowest degree first."""
+    """Dense polynomial, coefficient list lowest degree first. A Poly is
+    never mutated, so its order is found once, on first use."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "coeffs", "_order")
 
     def __init__(self, ring, coeffs):
         coeffs = list(coeffs)
@@ -120,6 +121,7 @@ class Poly:
             coeffs.pop()
         self.ring = ring
         self.coeffs = tuple(coeffs)
+        self._order = None
 
     @staticmethod
     def monomial(ring, coeff, exp):
@@ -129,10 +131,15 @@ class Poly:
         return len(self.coeffs) - 1
 
     def order(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return INFINITY
+        order = self._order
+        if order is None:
+            order = INFINITY
+            for i, c in enumerate(self.coeffs):
+                if c:
+                    order = i
+                    break
+            self._order = order
+        return order
 
     def coeff(self, i):
         if 0 <= i < len(self.coeffs):
@@ -140,10 +147,10 @@ class Poly:
         return self.ring.zero()
 
     def low_coeff(self):
-        for c in self.coeffs:
-            if c:
-                return c
-        return self.ring.zero()
+        order = self.order()
+        if order is INFINITY:
+            return self.ring.zero()
+        return self.coeffs[order]
 
     def _coerce(self, other):
         if isinstance(other, Poly) and other.ring == self.ring:

@@ -9,14 +9,15 @@ conjugation and the proximity equalities. Noether's sum per component, one
 curvette at a time, is here too (the runtime sums m and M in one pass per
 weight).
 The raw oracle route lives here as well: every monomial column built in
-full and reduced against the echelon (the runtime reduces x times the
-vector stored for the predecessor instead). Horner evaluation of
-polynomials and of field elements lives here too: the concrete curvettes
-and conjugation use it, the runtime does not. So do the Fraction routes of
-field arithmetic: the product of field elements, a polynomial product and
-long division by the minimal polynomial (the runtime multiplies integer
-numerators and folds the high powers through a table, and only scales
-them when a factor is rational); that table itself
+full, keyed by (tau order, (c power, field coordinate)) tuples, and
+reduced against the echelon (the runtime reduces x times the vector
+stored for the predecessor instead, keyed by one integer). Horner
+evaluation of polynomials and of field elements lives here too: the
+concrete curvettes and conjugation use it, the runtime does not. So do
+the Fraction routes of field arithmetic: the product of field elements,
+a polynomial product and long division by the minimal polynomial (the
+runtime multiplies integer numerators and folds the high powers through a
+table, and only scales them when a factor is rational); that table itself
 by long division of z^n .. z^(2n-2) (the runtime runs the integer
 recurrence of the monic p); the square-free check of p by Euclid on p and
 p' (the runtime takes the rank of multiplication by p'); the inverse by the
@@ -26,7 +27,9 @@ product closure of subfields built on it (the runtime keeps primitive
 integer rows).
 The full convolution of two Polys is here too: the runtime scales instead
 when an operand is a constant, and returns the other operand when that
-constant is the ring's one.
+constant is the ring's one. So are the order and the lowest coefficient
+of a Poly by a scan on each call (the runtime scans once and keeps the
+order).
 The package's records (frozen values with equality, hashing and a repr) are
 rebuilt here as frozen dataclasses with the same fields and defaults; the
 runtime shares one hand-written base class instead, which imports nothing.
@@ -47,7 +50,7 @@ from artifact.errors import (
 )
 from artifact.exactfield import AlgNum
 from artifact.linalg import SparseRowSpace
-from artifact.oracle import _multiplication_table, _times
+from artifact.oracle import _multiplication_table
 from artifact.ratfunc import INFINITY, FractionField, Poly, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
@@ -158,6 +161,24 @@ def reference_poly_mul(p, q):
                 if b:
                     out[i + j] = out[i + j] + a * b
     return Poly(p.ring, out)
+
+
+def scan_order(p):
+    """The least power of p with a nonzero coefficient, by a scan from the
+    low end on every call (Poly.order finds it once and keeps it);
+    INFINITY for the zero polynomial."""
+    for i, c in enumerate(p.coeffs):
+        if c:
+            return i
+    return INFINITY
+
+
+def scan_low_coeff(p):
+    """The coefficient at scan_order(p), or the ring's zero."""
+    for c in p.coeffs:
+        if c:
+            return c
+    return p.ring.zero()
 
 
 def reference_algnum_mul(a, b):
@@ -538,6 +559,22 @@ def proximity_check(recs, terminal):
     return True
 
 
+def tuple_times(column, table, bound):
+    """The {(tau order, (c power, field coordinate)): int} column times the
+    tau-polynomial tabled by oracle._multiplication_table, cut past
+    tau^bound and divided by its content: the product oracle._times
+    forms on integer keys (where the echelon strips the content)."""
+    out = {}
+    for (v, (a, k)), m in column.items():
+        for e, b, k2, q in table[k]:
+            if v + e > bound:
+                break
+            at = (v + e, (a + b, k2))
+            out[at] = out.get(at, 0) + m * q
+    g = gcd(*out.values())
+    return {at: m // g for at, m in out.items() if m}
+
+
 def _monomial_columns(x, y, bound, field):
     """Integer columns of the substitution map, one per coordinate monomial
     x^i y^j of value <= bound, in reverse lexicographic (i, j) order.
@@ -545,7 +582,7 @@ def _monomial_columns(x, y, bound, field):
     A column is a {(tau order, (c power, field coordinate)): int} dict of
     the nonzero entries of the image x^i y^j up to tau^bound; on a branch
     the c power is 0. Every column is one sparse integer step from a
-    neighbour (oracle._times with the tables of x and y): x^i from
+    neighbour (tuple_times with the tables of x and y): x^i from
     x^(i-1), x^i y^j from x^i y^(j-1), each a positive integer multiple of
     the cut image. For i descending, the block x^i, x^i y, .., x^i y^jtop
     is built upward and fed downward.
@@ -558,13 +595,13 @@ def _monomial_columns(x, y, bound, field):
     y_table = _multiplication_table(y, bound, field)
     xs = [{(0, (0, 0)): 1}]
     for _ in range(0 if ox is INFINITY else bound // ox):
-        xs.append(_times(xs[-1], x_table, bound))
+        xs.append(tuple_times(xs[-1], x_table, bound))
     for i in reversed(range(len(xs))):
         x_value = i * ox if i else 0
         jtop = 0 if oy is INFINITY else (bound - x_value) // oy
         block = [xs[i]]
         for _ in range(jtop):
-            block.append(_times(block[-1], y_table, bound))
+            block.append(tuple_times(block[-1], y_table, bound))
         yield from reversed(block)
 
 

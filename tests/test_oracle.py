@@ -8,6 +8,7 @@ against the independent binomial-product pipeline, which is exercised
 explicitly in the differential tests at the bottom.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -22,6 +23,10 @@ from artifact.linalg import SparseRowSpace
 from artifact.oracle import (
     FiltrationReport,
     PolyXY,
+    _filtration,
+    _keyed_tables,
+    _multiplication_table,
+    _times,
     divisorial_filtration_dims,
     divisorial_value,
     filtration_dims,
@@ -35,7 +40,7 @@ from artifact.poincare import (
     membership,
     numerical_data,
 )
-from artifact.ratfunc import INFINITY, Poly
+from artifact.ratfunc import INFINITY, Poly, PolyRing
 from artifact.resolution import (
     GENERIC,
     BranchParam,
@@ -49,8 +54,18 @@ from slow_paths import (
     evaluate_poly,
     reference_filtration_dims,
     rref,
+    tuple_times,
 )
-from test_acceptance import CORPUS, DIVISORIAL_TARGETS, GOLDEN
+from test_acceptance import (
+    BIQ,
+    CBRT2,
+    CORPUS,
+    DIVISORIAL_TARGETS,
+    GENERIC_FAMILIES,
+    GOLDEN,
+    QRT2,
+    SQ3,
+)
 
 Q = AmbientField([0, 1])
 SQ2 = AmbientField([-2, 0, 1])
@@ -661,6 +676,90 @@ def test_oracle_reduction_steps_stay_linear(monkeypatch):
     assert 0 < calls["primitive"] - calls["add"] <= 2 * monomials
 
 
+# --- integer keys against (tau order, (c power, coordinate)) tuples --------------
+
+KEY_FIELDS = [Q, SQ2, SQ3, GOLDEN, CBRT2, BIQ, QRT2,
+              AmbientField([Fraction(-1, 2), 0, 1])]
+
+
+@st.composite
+def tau_polys(draw, field, ring):
+    """A tau-polynomial over the field, or over field[c] when ring is a
+    PolyRing, of order 1 to 3 and at most three terms; coordinates may be
+    fractions. Its lowest coefficient has a nonzero rational constant
+    term, so table row 0 starts with a term at c power 0 and coordinate
+    0: the product with a column entry (V + 1 - order, 0, 0) is keyed
+    exactly at the cut."""
+    n = field.degree
+    coord = st.fractions(-3, 3, max_denominator=3)
+
+    def element(constant=None):
+        coords = draw(st.lists(coord, min_size=n, max_size=n))
+        if constant is not None:
+            coords[0] = constant
+        return field.element(coords)
+
+    def coefficient(lowest):
+        constant = draw(st.integers(1, 3)) if lowest else None
+        if ring is field:
+            return element(constant)
+        return Poly(field, [element(constant)] + [
+            element() for _b in range(draw(st.integers(0, 2)))])
+
+    order = draw(st.integers(1, 3))
+    coeffs = [ring.zero()] * order + [coefficient(True)] + [
+        coefficient(False) for _e in range(draw(st.integers(0, 2)))]
+    return Poly(ring, coeffs)
+
+
+def _keyed(column, W, n):
+    return {v * W + a * n + k: m for (v, (a, k)), m in column.items()}
+
+
+def _unkeyed(vector, W, n):
+    """The integer-keyed vector as a tuple-keyed one, zeros dropped and
+    divided by its content, as tuple_times returns it."""
+    out = {(key // W, divmod(key % W, n)): m
+           for key, m in vector.items() if m}
+    g = gcd(*out.values())
+    return {at: m // g for at, m in out.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_keyed_times_equals_tuple_times(data):
+    """_times on integer keys, read back as (v, (a, k)), is tuple_times on
+    random columns over the test fields, on a branch (no c) and on a
+    curvette (c powers), with entries at level V, at the last level whose
+    product survives the cut, at the first one whose product does not,
+    and at the largest c power the width W admits for the table."""
+    field = data.draw(st.sampled_from(KEY_FIELDS))
+    ring = data.draw(st.sampled_from([field, PolyRing(field, "c")]))
+    n = field.degree
+    V = data.draw(st.integers(3, 8))
+    x = data.draw(tau_polys(field, ring))
+    y = data.draw(tau_polys(field, ring))
+    imax, jmax = V // x.order(), V // y.order()
+    tables = [_multiplication_table(s, V, field) for s in (x, y)]
+    W, *keyed = _keyed_tables(*tables, imax, jmax, n)
+    bx, by = (max(b for row in t for _e, b, _k, _q in row) for t in tables)
+    top = imax * bx + jmax * by
+    for s, table, keyed_table, b_top in zip((x, y), tables, keyed, (bx, by)):
+        # a column that x (or y) multiplies has c-degree <= top - b_top
+        a_max = top - b_top
+        entry = st.tuples(st.integers(0, V), st.integers(0, a_max),
+                          st.integers(0, n - 1))
+        column = {(v, (a, k)): m for (v, a, k), m in data.draw(
+            st.lists(st.tuples(entry, st.integers(-9, 9).filter(bool)),
+                     max_size=8))}
+        edge = V + 1 - s.order()
+        column.update({(V, (0, 0)): 1, (edge, (0, 0)): -2,
+                       (edge - 1, (0, n - 1)): 3, (0, (a_max, n - 1)): 5})
+        assert _unkeyed(_times(_keyed(column, W, n), keyed_table,
+                               (V + 1) * W), W, n) == \
+            tuple_times(column, table, V)
+
+
 def _field_terms(s, V):
     """Nonzero ambient-field coefficients of s up to tau^V, one per
     (tau power, c power)."""
@@ -755,6 +854,55 @@ def test_higher_contact_generic_marker_doubles_values():
     assert divisorial_value(Y * Y - X * X * X, gc) == 6
     assert value_of(Y * Y - X * X * X,
                     BranchParam(Q, 4, [(6, GENERIC), (7, 1)]))[0] == 12
+
+
+def family_xy(p):
+    """x = x_coeff*tau^m and y of a generic-marker branch as polynomials in
+    tau over L[lam], the marker replaced by the indeterminate lam."""
+    lam = PolyRing(p.ambient, "lam")
+
+    def lift(coeff):
+        return lam.gen() if coeff is GENERIC else Poly(p.ambient, [coeff])
+
+    coeffs = [lam.zero()] * (p.y_terms[-1][0] + 1)
+    for exp, coeff in p.y_terms:
+        coeffs[exp] = lift(coeff)
+    return (Poly.monomial(lam, lift(p.x_coeff), p.x_order),
+            Poly(lam, coeffs))
+
+
+def _with_signs(p, seed):
+    rng = random.Random(seed)
+    return BranchParam(p.ambient, p.x_order, [
+        (exp, c if c is GENERIC else c * rng.choice((1, -1)))
+        for exp, c in p.y_terms], x_coeff=p.x_coeff)
+
+
+FAMILY_DOCS = [("%s_seed%d" % (name, seed), _with_signs(p, seed))
+               for name, p in zip(("cusp", "tail", "twopair", "sq2"),
+                                  GENERIC_FAMILIES)
+               for seed in range(1, 6)]
+
+
+@pytest.mark.parametrize("name,p", FAMILY_DOCS,
+                         ids=[n for n, _p in FAMILY_DOCS])
+def test_generic_family_dims_are_the_series_at_t_to_the_n(name, p):
+    """In a case III family the marker lam is an indeterminate, as the
+    curvette constant c is: "value >= v" means that every lam-coefficient
+    below tau^v vanishes, and lam powers take the c slot of the oracle's
+    keys. Its dims are the printed series (the divisorial series of the
+    reduced family) read at t^n, n the contact order: dims[v] is
+    coefficient v // n when n divides v, else 0. Checked on the corpus
+    families, with signs drawn as the benchmark draws them, through
+    V = 40."""
+    V = 40
+    graph, recs = resolve(p)
+    n = graph.n_case3
+    series = expand(divisorial_series(
+        numerical_data(graph, recs, mode="divisorial")), V // n).coeffs
+    x, y = family_xy(p)
+    assert _filtration(x, y, V, "curve", p.ambient).dims == tuple(
+        0 if v % n else series[v // n] for v in range(V + 1))
 
 
 # --- conjugation invariance ---------------------------------------------------------

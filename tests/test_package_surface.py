@@ -1,5 +1,6 @@
 """Each reference route of tests/slow_paths.py exists once: no top-level
-name there is also defined in src/artifact. Every name in artifact.__all__
+name there is also defined in src/artifact, and the oracle's reference
+uses none of the oracle's kernels. Every name in artifact.__all__
 survives a star import. The runtime runs no polynomial Euclid. Value
 classes take equality, hashing and immutability from Record."""
 
@@ -28,6 +29,24 @@ def test_slow_paths_define_nothing_the_package_defines():
         pathlib.Path(__file__).with_name("slow_paths.py"))
     assert "GENERIC" in package and "curvette_param" in references
     assert sorted(references & package) == []
+
+
+def test_slow_paths_keep_their_own_oracle_product():
+    """The raw-column reference multiplies its columns itself
+    (tuple_times): it takes neither the kernel it is compared with,
+    oracle._times, nor the elimination, oracle._filtration, from the
+    package, by import or by attribute."""
+    tree = ast.parse(pathlib.Path(__file__).with_name("slow_paths.py")
+                     .read_text(encoding="utf-8"))
+    kernels = {"_times", "_filtration"}
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.endswith("oracle"):
+            taken += [a.name for a in node.names if a.name in kernels]
+        elif isinstance(node, ast.Attribute) and node.attr in kernels:
+            taken.append(node.attr)
+    assert taken == []
 
 
 def test_star_import_resolves_every_public_name():

@@ -17,7 +17,12 @@ from artifact.ratfunc import (
 )
 from artifact.resolution import _constant
 
-from slow_paths import evaluate_poly, reference_poly_mul
+from slow_paths import (
+    evaluate_poly,
+    reference_poly_mul,
+    scan_low_coeff,
+    scan_order,
+)
 
 
 class Rationals:
@@ -247,6 +252,37 @@ def test_constant_is_the_value_at_enough_sample_points(num, den, k,
     assert (got is not None) == constant
     if constant:
         assert got == values[0]
+
+
+SQ2_LAM = PolyRing(SQ2, "lam")
+SPARSE_SQ2_COEFFS = st.one_of(st.just(SQ2.zero()), SQ2_COEFFS)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 6), st.lists(SPARSE_SQ2_COEFFS, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3),
+                          st.lists(SPARSE_SQ2_COEFFS, max_size=3)),
+                max_size=4))
+def test_order_and_low_coeff_equal_a_scan(run, field_cs, lam_terms):
+    """Poly.order keeps what its first call found; it and low_coeff equal
+    a scan from the low end, on the zero polynomial and after a run of
+    zero coefficients, over Q(sqrt 2) and over Q(sqrt 2)[lam], whichever
+    is called first, and again on a repeat."""
+    def polys():
+        return (Poly(SQ2, [SQ2.zero()] * run + field_cs),
+                Poly(SQ2_LAM, [SQ2_LAM.zero()] * run + [
+                    Poly(SQ2, [SQ2.zero()] * shift + cs)
+                    for shift, cs in lam_terms]),
+                Poly(SQ2, []), Poly(SQ2_LAM, []))
+
+    for p in polys():
+        assert p.order() == scan_order(p)
+        assert p.low_coeff() == scan_low_coeff(p)
+        assert p.order() == scan_order(p)
+        assert (p.order() is INFINITY) == (not p)
+    for p in polys():
+        assert p.low_coeff() == scan_low_coeff(p)
+        assert p.order() == scan_order(p)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),

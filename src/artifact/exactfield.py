@@ -417,9 +417,21 @@ class Subfield(Record):
         return Subfield(field, [[1] + [0] * (field.degree - 1)])
 
     def contains_num(self, a):
-        if not isinstance(a, AlgNum) or a.field != self.field:
+        """Whether a lies in the subfield. Q (dimension 1: its one basis
+        element e has e*e = q*e for a rational q, so e = q) holds the
+        elements that are zero past the constant coordinate, and the
+        whole field (dimension [L:Q]) holds every element; any other
+        subfield reduces the numerators against its rows (membership is
+        invariant under scaling)."""
+        field = self.field
+        if not isinstance(a, AlgNum) or (a.field is not field
+                                         and a.field != field):
             raise ValueError("element does not live in this ambient field")
-        # membership is invariant under scaling: reduce the numerators
+        dim = len(self.rows)
+        if dim == 1:
+            return not any(a.num[1:])
+        if dim == field.degree:
+            return True
         return not any(_reduce(a.num, self.rows, self.pivots))
 
 

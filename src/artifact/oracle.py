@@ -297,7 +297,12 @@ def _filtration(x, y, V, mode, field):
     predecessor x^(i-1) y^j (y*r, with r stored for y^(j-1), when i = 0),
     multiplied by the integer table of x or y (_times) and cut past tau^V
     (cutting is a ring map); add divides it by its content. The unit 1
-    starts.
+    starts. A monomial joins the heads of its weight only once its
+    predecessor stored a vector, and the weights are taken in increasing
+    order, each sorted by i: every monomial joins while a smaller weight
+    is taken (ox, oy >= 1), so the sort sees all of its weight. The chains
+    (fixed j, rising i, and the y^j chain itself) thus end at their first
+    monomial that adds nothing, and the adds run in (weight, i) order.
 
     Why the span after each monomial m is the span of the images of the
     monomials up to m. By induction, the vector stored for the predecessor
@@ -308,7 +313,7 @@ def _filtration(x, y, V, mode, field):
     already in the span (or cut to zero). So feeding x*r adds what the
     image of m would add. When p left no vector (its image lies in the
     span of the earlier ones), neither does m, by the same argument, and
-    m is skipped without an add. Reducing x*r, whose earlier part is
+    m never joins the heads. Reducing x*r, whose earlier part is
     already reduced, takes a few steps where the raw image of m takes
     many.
     """
@@ -319,26 +324,32 @@ def _filtration(x, y, V, mode, field):
     oy = y.order()
     if ox < 1:
         raise ValueError("x image must vanish at the origin")
+    if oy < 1:
+        raise ValueError("y image must vanish at the origin")
     imax = 0 if ox is INFINITY else V // ox
     jmax = 0 if oy is INFINITY else V // oy
     W, x_keyed, y_keyed = _keyed_tables(
         _multiplication_table(x, V, field),
         _multiplication_table(y, V, field), imax, jmax, field.degree)
     limit = (V + 1) * W
-    monomials = []
-    for i in range(imax + 1):
-        x_value = i * ox if i else 0
-        jtop = 0 if oy is INFINITY else (V - x_value) // oy
-        monomials.extend((x_value + j * oy if j else x_value, i, j)
-                         for j in range(jtop + 1))
-    monomials.sort()
     space = SparseRowSpace()
-    stored = {(0, 0): space.add({0: 1})}
-    for _weight, i, j in monomials[1:]:
-        r = stored.get((i - 1, j) if i else (0, j - 1))
+    # heads[v]: the live monomials x^i y^j of weight v, each as its i, the
+    # vector stored for its predecessor and the table to multiply it by;
+    # no two share an i, so sorting them never compares the vectors
+    heads = [[] for _ in range(V + 1)]
+
+    def follow(weight, i, r):
         if r:
-            stored[(i, j)] = space.add(
-                _times(r, x_keyed if i else y_keyed, limit))
+            if weight + ox <= V:
+                heads[weight + ox].append((i + 1, r, x_keyed))
+            if not i and weight + oy <= V:
+                heads[weight + oy].append((0, r, y_keyed))
+
+    follow(0, 0, space.add({0: 1}))
+    for weight, level in enumerate(heads):
+        level.sort()
+        for i, r, table in level:
+            follow(weight, i, space.add(_times(r, table, limit)))
     dims = [0] * (V + 1)
     for lead in space.rows:
         dims[lead // W] += 1

@@ -14,7 +14,9 @@ fields (one-parameter families), whose convolve is the schoolbook loop.
 RatFunc requires its coefficient ring to be a field adapter; quotients of
 polynomials over a mere PolyRing are never formed, and no gcd is taken:
 Euclid over a number field swells its coefficients (Langemyr & McCallum,
-J. Symbolic Comput. 8, 1989).
+J. Symbolic Comput. 8, 1989). A RatFunc keeps its reciprocal in a slot
+once formed, and division is the product with that reciprocal, so
+dividing by one value again and again takes one field inverse.
 """
 
 from fractions import Fraction
@@ -160,18 +162,29 @@ class Poly:
         return Poly(self.ring, [other])
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ring,
-                    [self.coeff(i) + other.coeff(i) for i in range(n)])
+        """Coefficientwise, over the two coefficient tuples: the longer
+        one is copied and each nonzero term of the other added in."""
+        x, y = self.coeffs, self._coerce(other).coeffs
+        if len(x) < len(y):
+            x, y = y, x
+        out = list(x)
+        for i, b in enumerate(y):
+            if b:
+                out[i] = out[i] + b
+        return Poly(self.ring, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ring,
-                    [self.coeff(i) - other.coeff(i) for i in range(n)])
+        """Coefficientwise, as __add__: each nonzero term of other within
+        the length of self is subtracted, and the terms past it negated."""
+        x, y = self.coeffs, self._coerce(other).coeffs
+        out = list(x)
+        for i, b in enumerate(y[:len(x)]):
+            if b:
+                out[i] = out[i] - b
+        out.extend(-b for b in y[len(x):])
+        return Poly(self.ring, out)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -202,15 +215,18 @@ class Poly:
     def mul_upto(self, other, bound):
         """self * other up to the variable's power bound; the products of
         terms past it are skipped. Cutting is a ring map, so the kept
-        coefficients are those of the full product."""
-        out = [self.ring.zero()] * min(
-            len(self.coeffs) + len(other.coeffs) - 1, bound + 1)
+        coefficients are those of the full product. The first product to
+        reach a power is stored as it is; later ones are added to it."""
+        out = [None] * min(len(self.coeffs) + len(other.coeffs) - 1,
+                           bound + 1)
         for i, a in enumerate(self.coeffs[:bound + 1]):
             if a:
                 for j, b in enumerate(other.coeffs[:bound + 1 - i]):
                     if b:
-                        out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out)
+                        prev = out[i + j]
+                        out[i + j] = a * b if prev is None else prev + a * b
+        zero = self.ring.zero()
+        return Poly(self.ring, [zero if c is None else c for c in out])
 
     def scale(self, s):
         return Poly(self.ring, [c * s if c else c for c in self.coeffs])
@@ -282,14 +298,25 @@ class RatFunc:
     cross-multiplication. The resolution needs no more: a chart step maps
     coprime forms to coprime forms (resolution._tail_ok), so its states are
     already reduced.
+
+    A RatFunc is never mutated, so its reciprocal is formed once, on first
+    use, and kept in _inv; the reciprocal does not point back, which would
+    make a reference cycle. a / b is a times the reciprocal of b. Both
+    factors' denominators have lowest coefficient one, so the product's
+    has too, and the product needs no inverse and no rescaling: the one
+    inverse is that of b's lowest numerator coefficient, taken when b's
+    reciprocal is formed. The resolution divides by one state again and
+    again (chart A divides by the same u at each step, and chart B's u / w
+    forms 1 / w, the next u's reciprocal).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_inv")
 
     def __init__(self, num, den):
         if not den:
             raise DivisionByZero("zero denominator")
         ring = num.ring
+        self._inv = None
         if not num:
             self.num = num
             self.den = Poly(ring, [ring.one()])
@@ -341,9 +368,17 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
+        """A scalar c (an int, a Fraction or a coefficient; not a Poly or a
+        RatFunc over this ring) is subtracted as c*den from the numerator,
+        over the same denominator."""
+        ring = self.num.ring
+        if isinstance(other, Poly) or (isinstance(other, RatFunc)
+                                       and other.num.ring == ring):
+            other = self._coerce(other)
+            return RatFunc(self.num * other.den - other.num * self.den,
+                           self.den * other.den)
+        return RatFunc(self.num - self.num._coerce(other) * self.den,
+                       self.den)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -357,11 +392,17 @@ class RatFunc:
 
     __rmul__ = __mul__
 
+    def _reciprocal(self):
+        inv = self._inv
+        if inv is None:
+            if not self.num:
+                raise DivisionByZero(
+                    "division by the zero rational function")
+            inv = self._inv = RatFunc(self.den, self.num)
+        return inv
+
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if not other.num:
-            raise DivisionByZero("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * self._coerce(other)._reciprocal()
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

@@ -175,10 +175,16 @@ def _tail_ok(u, w, sub):
     """True when no future center can leave sub.
 
     w == 0 is immediate (every later center is 0). Otherwise rescale tau so
-    the lowest coefficient of u becomes 1 (centers are invariant under this)
-    and demand that every coefficient of the reduced fraction forms of u
-    and w lies in sub: those coefficients generate the field of the whole
+    the lowest coefficient d of u becomes 1 (centers are invariant under
+    this) and demand that every coefficient of the reduced fraction forms of
+    u and w lies in sub: those coefficients generate the field of the whole
     remaining expansion.
+
+    The rescale multiplies the coefficient of tau^e by d^-e. When d is a
+    constant in sub (d = 1 among them), that keeps every membership, since
+    sub is a field and d^-e a nonzero element of it, and keeps every
+    constant a constant; so the rescale is skipped. Only a d outside sub,
+    or one that depends on lam, is worth rescaling by.
 
     RatFunc's forms are reduced here without a gcd. With u = A/B and
     w = C/D, gcd(A, B) = gcd(C, D) = gcd(A, C) = gcd(B, D) = 1 up to powers
@@ -191,9 +197,10 @@ def _tail_ok(u, w, sub):
     """
     if not w:
         return True
-    one = u.num.ring.one()
     d = u.num.low_coeff()   # the form makes u.den.low_coeff() one
-    inv = None if d == one else one / d
+    k = _constant(d)
+    inv = None if k is not None and sub.contains_num(k) \
+        else u.num.ring.one() / d
     for poly in (u.num, u.den, w.num, w.den):
         if inv is not None:
             poly = poly.scale_arg(inv)

@@ -29,7 +29,18 @@ The full convolution of two Polys is here too: the runtime scales instead
 when an operand is a constant, and returns the other operand when that
 constant is the ring's one. So are the order and the lowest coefficient
 of a Poly by a scan on each call (the runtime scans once and keeps the
-order).
+order), and the sum and difference of two Polys one index at a time
+through Poly.coeff (the runtime walks the two coefficient tuples and skips
+zero terms).
+So is the division of RatFuncs by cross-multiplication, whose product
+denominator is rescaled by the inverse of its lowest coefficient (the
+runtime multiplies by the divisor's kept reciprocal), and the resolution's
+tail test with tau always rescaled (the runtime skips the rescale when the
+lowest coefficient of u already lies in the subfield), with membership by
+the Fraction rref (the runtime answers Q and the whole field without a
+reduction). The oracle's monomials listed and sorted in full, each skipped
+at the add when its predecessor left no vector, are here too (the runtime
+keeps only the live chain heads, by weight).
 The package's records (frozen values with equality, hashing and a repr) are
 rebuilt here as frozen dataclasses with the same fields and defaults; the
 runtime shares one hand-written base class instead, which imports nothing.
@@ -50,7 +61,7 @@ from artifact.errors import (
 )
 from artifact.exactfield import AlgNum
 from artifact.linalg import SparseRowSpace
-from artifact.oracle import _multiplication_table
+from artifact.oracle import _keyed_tables, _multiplication_table
 from artifact.ratfunc import INFINITY, FractionField, Poly, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
@@ -161,6 +172,47 @@ def reference_poly_mul(p, q):
                 if b:
                     out[i + j] = out[i + j] + a * b
     return Poly(p.ring, out)
+
+
+def coefficientwise(p, q, op):
+    """op(p_i, q_i) for every index below the longer length, each
+    coefficient read through Poly.coeff, as one Poly."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly(p.ring, [op(p.coeff(i), q.coeff(i)) for i in range(n)])
+
+
+def reference_ratfunc_div(a, b):
+    """a / b as the cross-multiplied quotient a.num*b.den / (a.den*b.num),
+    which RatFunc brings to its form by the inverse of the lowest
+    denominator coefficient, on every call."""
+    if not b.num:
+        raise DivisionByZero("division by the zero rational function")
+    return RatFunc(a.num * b.den, a.den * b.num)
+
+
+def reference_contains(sub, a):
+    """Whether the field element a lies in the subfield sub: its rational
+    coordinates reduced against the Fraction rref of sub's basis."""
+    rows, pivots = rref(b.coords for b in sub.basis)
+    return not any(reduce_against(a.coords, rows, pivots))
+
+
+def reference_tail_ok(u, w, sub):
+    """resolution._tail_ok with tau always rescaled by the inverse of the
+    lowest coefficient of u, one included (over lam that inverse is
+    reference_ratfunc_div's), and membership by reference_contains."""
+    if not w:
+        return True
+    one, d = u.num.ring.one(), u.num.low_coeff()
+    inv = reference_ratfunc_div(one, d) if isinstance(d, RatFunc) \
+        else one / d
+    for poly in (u.num, u.den, w.num, w.den):
+        for c in poly.scale_arg(inv).coeffs:
+            if c:
+                k = _constant(c)
+                if k is None or not reference_contains(sub, k):
+                    return False
+    return True
 
 
 def scan_order(p):
@@ -615,6 +667,49 @@ def reference_filtration_dims(x, y, V, field):
     for level, _key in space.rows:
         dims[level] += 1
     return tuple(dims)
+
+
+def keyed_times(column, table, limit):
+    """The integer-keyed column times a keyed table (oracle._keyed_tables),
+    every product term tested against the cut at limit, with no content
+    taken out."""
+    n = len(table)
+    out = {}
+    for c, m in column.items():
+        for offset, q in table[c % n]:
+            if c + offset < limit:
+                out[c + offset] = out.get(c + offset, 0) + m * q
+    return out
+
+
+def sorted_monomial_adds(x, y, V, field):
+    """The vectors oracle._filtration feeds SparseRowSpace.add, in order,
+    from every monomial of weight <= V listed and sorted by (weight, i);
+    a monomial whose predecessor stored no vector is skipped at its turn.
+    x and y must vanish at the origin."""
+    ox, oy = x.order(), y.order()
+    imax = 0 if ox is INFINITY else V // ox
+    jmax = 0 if oy is INFINITY else V // oy
+    W, x_keyed, y_keyed = _keyed_tables(
+        _multiplication_table(x, V, field),
+        _multiplication_table(y, V, field), imax, jmax, field.degree)
+    limit = (V + 1) * W
+    monomials = []
+    for i in range(imax + 1):
+        x_value = i * ox if i else 0
+        jtop = 0 if oy is INFINITY else (V - x_value) // oy
+        monomials.extend((x_value + j * oy if j else x_value, i, j)
+                         for j in range(jtop + 1))
+    monomials.sort()
+    space = SparseRowSpace()
+    fed = [{0: 1}]
+    stored = {(0, 0): space.add(fed[0])}
+    for _weight, i, j in monomials[1:]:
+        r = stored.get((i - 1, j) if i else (0, j - 1))
+        if r:
+            fed.append(keyed_times(r, x_keyed if i else y_keyed, limit))
+            stored[(i, j)] = space.add(fed[-1])
+    return fed
 
 
 # --- records as frozen dataclasses ---------------------------------------------

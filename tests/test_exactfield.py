@@ -570,3 +570,36 @@ def test_generator_sets_of_one_subfield_give_one_subfield():
         assert len({hash(one), hash(two), hash(three)}) == 1
     assert span_close([sqrt2, sqrt3], rat) == span_close([z], rat)
     assert span_close([sqrt2], rat) != span_close([sqrt3], rat)
+
+
+@pytest.mark.parametrize("p", FIELDS, ids=FIELD_IDS)
+def test_membership_equals_the_reduction_on_subfields_of_every_dimension(
+        monkeypatch, p):
+    """Subfield.contains_num equals the reduction of the numerators
+    against the rows (exactfield._reduce) on subfields of every dimension
+    that divides [L:Q], for elements inside and outside; Q and the whole
+    field answer without a reduction."""
+    field = AmbientField(p)
+    n = field.degree
+    rng = random.Random(77 + n)
+    rat = Subfield.rationals(field)
+    subs = {rat, span_close([field.gen()], rat)}
+    subs |= {span_close(gens, rat)
+             for gens in subfield_generators(rng, field)}
+    assert {sub.dim for sub in subs} == {d for d in range(1, n + 1)
+                                        if n % d == 0}
+    reduce = exactfield._reduce
+    for sub in subs:
+        inside = [sum((rng.randint(-5, 5) * b for b in sub.basis),
+                      field.zero()) for _ in range(3)]
+        elements = inside + [field.zero(), field.one(), field.gen()] + [
+            random_element(rng, field) for _ in range(5)]
+        expected = [not any(reduce(a.num, sub.rows, sub.pivots))
+                    for a in elements]
+        if sub.dim in (1, n):
+            monkeypatch.setattr(exactfield, "_reduce", None)
+        assert [sub.contains_num(a) for a in elements] == expected
+        monkeypatch.undo()
+        assert all(expected[:len(inside)])
+        if sub.dim < n:
+            assert not all(expected)

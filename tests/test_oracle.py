@@ -16,7 +16,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import linalg
+from artifact import cli, linalg, oracle
 from artifact.errors import GenericCenter
 from artifact.exactfield import AlgNum, AmbientField
 from artifact.linalg import SparseRowSpace
@@ -54,8 +54,10 @@ from slow_paths import (
     evaluate_poly,
     reference_filtration_dims,
     rref,
+    sorted_monomial_adds,
     tuple_times,
 )
+from test_chart_states import WORKLOADS
 from test_acceptance import (
     BIQ,
     CBRT2,
@@ -945,3 +947,65 @@ def test_valuation_axioms_on_random_polynomials(f, g):
         assert vsum >= min(vf, vg)
         if vf != vg:
             assert vsum == min(vf, vg)
+
+
+# --- only the live monomials reach the echelon
+
+
+def test_each_product_feeds_one_add(monkeypatch):
+    """On curve_sq2_line (x = tau, y = sqrt2*tau) at V = 40, _times runs
+    once per add after the first (the unit): a monomial is multiplied out
+    only once its predecessor stored a vector. Of the 861 monomials of
+    weight <= 40, 120 reach add: y^j, x y^j and x^2 y^j, each y^j taken
+    first at its weight (i = 0); x^2 y^j adds nothing (x^2 = y^2 / 2),
+    so no chain goes past it."""
+    item = next(it for it in WORKLOADS.generate("corpus", 1)
+                if it["id"] == "curve_sq2_line")
+    branch = cli.build_analysis(cli.parse_input(item["doc"])).branch
+    counts = Counter()
+    times, add = oracle._times, SparseRowSpace.add
+
+    def counted_times(column, table, limit):
+        counts["times"] += 1
+        return times(column, table, limit)
+
+    def counted_add(self, row):
+        counts["add"] += 1
+        return add(self, row)
+
+    monkeypatch.setattr(oracle, "_times", counted_times)
+    monkeypatch.setattr(SparseRowSpace, "add", counted_add)
+    report = filtration_dims(branch, 40)
+    assert counts["times"] == counts["add"] - 1
+    assert counts["add"] == 41 + 40 + 39
+    assert report.dims == (1,) + (2,) * 40
+
+
+def test_live_heads_feed_the_adds_of_the_sorted_monomial_list(monkeypatch):
+    """Over the corpus documents that verify accepts, on branches and on
+    curvettes, _filtration feeds SparseRowSpace.add the very vectors, in
+    the very order, that the full sorted monomial list feeds it."""
+    fed = []
+    add = SparseRowSpace.add
+    filtration = oracle._filtration
+    modes = []
+
+    def recording(self, row):
+        fed.append(row)
+        return add(self, row)
+
+    def checked(x, y, V, mode, field):
+        fed.clear()
+        report = filtration(x, y, V, mode, field)
+        got = list(fed)
+        assert got == sorted_monomial_adds(x, y, V, field)
+        modes.append(mode)
+        return report
+
+    monkeypatch.setattr(SparseRowSpace, "add", recording)
+    monkeypatch.setattr(oracle, "_filtration", checked)
+    for item in WORKLOADS.generate("corpus", 1):
+        if item["expect"]["verify"] == 0:
+            analysis = cli.build_analysis(cli.parse_input(item["doc"]))
+            assert cli.run_verification(analysis, item["max_order"])["match"]
+    assert Counter(modes) == {"curve": 29, "divisorial": 6}

@@ -1,12 +1,13 @@
 """Tests for generic polynomial and rational function arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.errors import DivisionByZero
-from artifact.exactfield import AmbientField
+from artifact.exactfield import AlgNum, AmbientField
 from artifact.ratfunc import (
     INFINITY,
     FractionField,
@@ -18,11 +19,14 @@ from artifact.ratfunc import (
 from artifact.resolution import _constant
 
 from slow_paths import (
+    coefficientwise,
     evaluate_poly,
     reference_poly_mul,
+    reference_ratfunc_div,
     scan_low_coeff,
     scan_order,
 )
+from test_exactfield import FIELDS
 
 
 class Rationals:
@@ -306,3 +310,156 @@ def test_divmod_identity(u, v):
     quot, rem = a.pdivmod(b)
     assert quot * b + rem == a
     assert rem.degree() < b.degree() or not rem
+
+
+def form(x):
+    """The exact form of a field element, Poly or RatFunc, down to the
+    integer numerators and denominator of each field element."""
+    if isinstance(x, RatFunc):
+        return ("/", form(x.num), form(x.den))
+    if isinstance(x, Poly):
+        return tuple(form(c) for c in x.coeffs)
+    return (x.num, x.den)
+
+
+def half_integers(k, n):
+    """n coordinates in -3, -5/2, .., 3 read off the base-13 digits of k,
+    0 for the digit 0 (one draw per element or lam polynomial keeps
+    generation cheap)."""
+    out = []
+    for _ in range(n):
+        k, d = divmod(k, 13)
+        out.append(Fraction(d // 2 if d % 2 == 0 else -(d + 1) // 2, 2))
+    return out
+
+
+def ratfunc_cases(field, over_lam):
+    """A RatFunc a, a nonzero RatFunc b and a scalar, in tau over the
+    field or over the rational functions in lam over it, with zero
+    coefficients inside and at the low end."""
+    n = field.degree
+
+    def lam_poly(k):
+        """The polynomial of degree < 2 in lam whose coordinates are
+        half_integers(k, 2n)."""
+        coords = half_integers(k, 2 * n)
+        return Poly(field, [field.element(coords[:n]),
+                            field.element(coords[n:])])
+
+    ring = field
+    scalar = st.integers(0, 13 ** n - 1).map(
+        lambda k: field.element(half_integers(k, n)))
+    if over_lam:
+        ring = FractionField(PolyRing(field, "lam"))
+        # a k > 0 has a nonzero digit, so the denominator is nonzero
+        scalar = st.tuples(st.integers(0, 13 ** (2 * n) - 1),
+                           st.integers(1, 13 ** (2 * n) - 1)).map(
+            lambda nd: RatFunc(lam_poly(nd[0]), lam_poly(nd[1])))
+    poly = st.tuples(st.integers(0, 2),
+                     st.lists(st.one_of(scalar, st.just(ring.zero())),
+                              min_size=1, max_size=3)).map(
+        lambda t: Poly(ring, [ring.zero()] * t[0] + t[1]))
+    nonzero = poly.filter(bool)
+    ratfunc = st.tuples(poly, nonzero).map(lambda nd: RatFunc(*nd))
+    return st.tuples(ratfunc, st.tuples(nonzero, nonzero).map(
+        lambda nd: RatFunc(*nd)), scalar)
+
+
+# over the ten test fields, and over lam over each of them
+RATFUNC_CASES = {
+    over_lam: st.sampled_from([ratfunc_cases(AmbientField(p), over_lam)
+                               for p in FIELDS]).flatmap(lambda s: s)
+    for over_lam in (False, True)}
+OVER_LAM = pytest.mark.parametrize("over_lam", [False, True],
+                                   ids=["field", "lam"])
+
+
+@OVER_LAM
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_division_equals_the_cross_multiplied_quotient(over_lam, data):
+    """a / b, a times the reciprocal b keeps, has the numerator and
+    denominator coefficients of the cross-multiplied quotient, the first
+    time and again; the reciprocal is formed once and does not point back
+    to b. A zero divisor raises. (Over lam the coefficients are compared
+    as values: they are rational functions in lam that no gcd reduces.)"""
+    a, b, _scalar = data.draw(RATFUNC_CASES[over_lam])
+    zero = b - b
+    for divide in (reference_ratfunc_div, operator.truediv):
+        with pytest.raises(DivisionByZero):
+            divide(a, zero)
+    with pytest.raises(DivisionByZero):
+        1 / zero
+
+    def coeffs(q):
+        return q.num.coeffs, q.den.coeffs
+
+    want = coeffs(reference_ratfunc_div(a, b))
+    assert coeffs(a / b) == want
+    inv = b._inv
+    assert inv is not None and inv._inv is None
+    assert coeffs(a / b) == want
+    assert b._inv is inv
+    one = RatFunc.of(Poly(a.num.ring, [a.num.ring.one()]))
+    assert coeffs(1 / b) == coeffs(reference_ratfunc_div(one, b))
+
+
+@OVER_LAM
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_scalar_subtraction_keeps_the_denominator(over_lam, data):
+    """a - c for a scalar c has the form of a minus the constant RatFunc c,
+    over the very denominator of a; a Poly operand takes the general
+    route, to the same form."""
+    a, _b, c = data.draw(RATFUNC_CASES[over_lam])
+    ring = a.num.ring
+    for scalar, value in ((c, c), (ring.one(), ring.one()),
+                          (3, ring.from_fraction(3)),
+                          (Fraction(-1, 2), ring.from_fraction(
+                              Fraction(-1, 2)))):
+        constant = Poly(ring, [value])
+        got = a - scalar
+        assert form(got) == form(a - RatFunc.of(constant))
+        assert got.den is a.den or not got
+        assert form(a - constant) == form(got)
+
+
+@OVER_LAM
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sum_and_difference_equal_the_coefficientwise_route(over_lam, data):
+    """Poly + and - over the two coefficient tuples, zero terms skipped,
+    give the form of the route through Poly.coeff at every index."""
+    a, b, _c = data.draw(RATFUNC_CASES[over_lam])
+    for p, q in ((a.num, b.num), (b.num, a.num), (a.den, a.num),
+                 (a.num, a.num)):
+        assert form(p + q) == form(coefficientwise(p, q, operator.add))
+        assert form(p - q) == form(coefficientwise(p, q, operator.sub))
+
+
+def test_each_division_by_one_divisor_takes_no_inverse_after_the_first(
+        monkeypatch):
+    """Dividing by b takes one field inverse, that of the lowest
+    coefficient of b's numerator, when b's reciprocal is formed; each
+    later division by b takes none, since both factors of the product
+    have denominators whose lowest coefficient is one."""
+    field = AmbientField([-2, 0, 1])
+    z = field.gen()
+    b = RatFunc(Poly(field, [field.zero(), z + 1, z]),
+                Poly(field, [field.one(), z]))
+    numerators = [Poly(field, [z, field.from_fraction(3), z - 2]),
+                  Poly(field, [field.one()]),
+                  Poly(field, [field.zero(), field.zero(), 2 * z])]
+    inverses = []
+    inverse = AlgNum.inverse
+
+    def counted(self):
+        inverses.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(AlgNum, "inverse", counted)
+    quotients = [RatFunc.of(num) / b for num in numerators]
+    monkeypatch.undo()
+    assert inverses == [z + 1]
+    for num, got in zip(numerators, quotients):
+        assert form(got) == form(reference_ratfunc_div(RatFunc.of(num), b))

@@ -17,13 +17,15 @@ from artifact.errors import (
     NotIrreducibleParam,
     ResolutionStuck,
 )
-from artifact.exactfield import AmbientField
-from artifact.ratfunc import INFINITY, Poly, RatFunc
+from artifact import cli, resolution
+from artifact.exactfield import AmbientField, Subfield
+from artifact.ratfunc import INFINITY, FractionField, Poly, PolyRing, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
     _assign_tags,
     _geodesic_path,
     _shift,
+    _tail_ok,
     GENERIC,
     BranchParam,
     generic_curvette,
@@ -33,6 +35,7 @@ from artifact.resolution import (
     resolve,
 )
 
+from test_chart_states import WORKLOADS, run_to_end
 from test_exit_codes import time_limit
 
 from slow_paths import (
@@ -46,6 +49,7 @@ from slow_paths import (
     intersection_matrix,
     is_negative_definite,
     proximity_check,
+    reference_tail_ok,
     strict_mults,
 )
 
@@ -678,3 +682,94 @@ def test_resolution_invariants_on_random_branches(data):
     m_map = m_values(graph, recs)
     assert [row[graph.delta()] for row in inv] == \
         [m_map[v] for v in range(n)]
+
+
+# --- the tail test: the rescale of tau is skipped where it cannot matter
+
+
+def test_tail_rescale_decides_a_root_two_coefficient():
+    """u = w = sqrt2*tau over Q(sqrt2) with sub = Q: sqrt2 is not
+    rational, so only the rescale tau -> tau/sqrt2, which makes u = w =
+    tau, shows that no center leaves Q. A tail test that never rescaled
+    would answer False."""
+    r2 = SQ2.gen()
+    u = w = RatFunc.of(Poly(SQ2, [SQ2.zero(), r2]))
+    rat = Subfield.rationals(SQ2)
+    assert not rat.contains_num(r2)
+    assert _tail_ok(u, w, rat) is True
+    assert reference_tail_ok(u, w, rat) is True
+
+
+def test_tail_skips_the_rescale_by_an_element_of_the_subfield(monkeypatch):
+    """A lowest coefficient of u in sub (2 in Q, sqrt2 in Q(sqrt2), the
+    constant 2 over lam) leaves the answer as the rescale gives it, and
+    no scale_arg runs; outside sub (sqrt2 over Q), or not a constant
+    (lam + 1), the rescale runs."""
+    r2 = SQ2.gen()
+    rat = Subfield.rationals(SQ2)
+    full = Subfield(SQ2, [[1, 0], [0, 1]])
+    lam = FractionField(PolyRing(SQ2, "lam"))
+
+    def state(ring, *coeffs):
+        return RatFunc.of(Poly(ring, [ring.zero()] + list(coeffs)))
+
+    two = SQ2.from_fraction(2)
+    cases = [
+        (state(SQ2, two), state(SQ2, two, 3 * two), rat, True, False),
+        (state(SQ2, two), state(SQ2, two, r2), rat, False, False),
+        (state(SQ2, r2, two), state(SQ2, r2, r2), full, True, False),
+        (state(SQ2, r2), state(SQ2, r2, two), rat, True, True),
+        (state(SQ2, r2), state(SQ2, r2, r2), rat, False, True),
+        (state(lam, lam.gen() + 1), state(lam, lam.gen() + 1), rat, True,
+         True),
+        (state(lam, lam.from_scalar(two)), state(lam, lam.gen()), rat, False,
+         False),
+    ]
+    rescaled = []
+    scale_arg = Poly.scale_arg
+
+    def traced(self, s):
+        rescaled.append(s)
+        return scale_arg(self, s)
+
+    for u, w, sub, answer, rescales in cases:
+        assert reference_tail_ok(u, w, sub) is answer
+        rescaled.clear()
+        monkeypatch.setattr(Poly, "scale_arg", traced)
+        assert _tail_ok(u, w, sub) is answer
+        monkeypatch.undo()
+        assert bool(rescaled) is rescales
+
+
+def test_tail_ok_equals_the_always_rescaled_reference(monkeypatch):
+    """On every call the resolution makes over the four workloads at
+    seeds 1 and 2, _tail_ok answers as the reference that always
+    rescales tau and tests membership by the Fraction rref; the calls
+    include both answers, with and without a rescale."""
+    answers = []
+    rescaled = []
+    scale_arg_calls = [0]
+    tail_ok = resolution._tail_ok
+    scale_arg = Poly.scale_arg
+
+    def traced(self, s):
+        scale_arg_calls[0] += 1
+        return scale_arg(self, s)
+
+    def checked(u, w, sub):
+        before = scale_arg_calls[0]
+        got = tail_ok(u, w, sub)
+        rescaled.append(scale_arg_calls[0] > before)
+        assert got is reference_tail_ok(u, w, sub)
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(Poly, "scale_arg", traced)
+    monkeypatch.setattr(resolution, "_tail_ok", checked)
+    for workload in sorted(WORKLOADS.GENERATORS):
+        for seed in (1, 2):
+            for item in WORKLOADS.generate(workload, seed):
+                run_to_end(lambda: cli.build_analysis(
+                    cli.parse_input(item["doc"])))
+    assert answers.count(True) > 100 and answers.count(False) > 20
+    assert True in rescaled and rescaled.count(False) > 100

@@ -10,14 +10,23 @@ splitting stream), runs resolution and the series pipeline, and emits:
 * verify:  a differential check of the series expansion against the
            brute-force filtration oracle.
 
-Exit codes: 0 success, 2 parse/schema failure, 3 mathematical validation
-failure, 4 verification mismatch. Rationals in input files are written as
-"p/q" strings (or plain integers); floating point is rejected. Behavior is a
-pure function of the file content and flags.
+The command line takes four forms, read by parse_command_line:
+`analyze PATH [--truncate N]`, `report PATH --json [--truncate N]`,
+`graph PATH --dot` and `verify PATH [--max-order V]`. Its rules are those
+of the standard library's parser for these forms (tests/slow_paths.py
+holds such a parser as the reference), without importing it or building
+anything per process: options before or after the path, `--opt=value`,
+unique prefixes, `--` ending the options, the last of a repeated option
+winning, and `int()` reading the values. `-h`/`--help` prints the usage
+and exits 0.
+
+Exit codes: 0 success, 2 parse/schema failure or a refused command line,
+3 mathematical validation failure, 4 verification mismatch. Rationals in
+input files are written as "p/q" strings (or plain integers); floating
+point is rejected. Behavior is a pure function of the file content and
+flags.
 """
 
-import argparse
-import functools
 import json
 import re
 import sys
@@ -518,49 +527,180 @@ def cmd_verify(path, max_order=30):
     return 0
 
 
-@functools.cache
-def build_arg_parser():
-    """The command-line parser, built once per process: parse_args leaves
-    it unchanged, so repeated in-process main() calls share it."""
-    parser = argparse.ArgumentParser(
-        prog="artifact",
-        description="Exact invariants and series of plane branch "
-                    "singularities over number fields.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    analyze = sub.add_parser("analyze", help="human-readable report")
-    analyze.add_argument("path")
-    analyze.add_argument("--truncate", type=int, default=None,
-                         help="expansion length (default: Delta + 10 for "
-                              "complete formulas, else 40)")
-    verify = sub.add_parser("verify", help="differential oracle check")
-    verify.add_argument("path")
-    verify.add_argument("--max-order", type=int, default=30,
-                        dest="max_order")
-    graph = sub.add_parser("graph", help="quotient graph as DOT")
-    graph.add_argument("path")
-    graph.add_argument("--dot", action="store_true", required=True)
-    report = sub.add_parser("report", help="JSON report, stable key order")
-    report.add_argument("path")
-    report.add_argument("--json", action="store_true", required=True,
-                        dest="as_json")
-    report.add_argument("--truncate", type=int, default=None)
-    return parser
+# --- command line --------------------------------------------------------------
+
+USAGE = """\
+usage: artifact analyze PATH [--truncate N]
+       artifact report PATH --json [--truncate N]
+       artifact graph PATH --dot
+       artifact verify PATH [--max-order V]"""
+
+HELP = USAGE + """
+
+Exact invariants and series of plane branch singularities over number fields.
+
+commands:
+  analyze   human-readable report
+  report    JSON report, stable key order
+  graph     quotient graph as DOT
+  verify    differential oracle check
+
+options:
+  -h, --help       print this text and exit
+  --truncate N     expansion length (default: the file's options.truncate,
+                   else Delta + 10 for complete formulas, else 40)
+  --max-order V    highest level the oracle checks (default: 30)"""
+
+# Per command: the option that takes an integer, its default, and the flag
+# the command requires.
+COMMANDS = {
+    "analyze": ("--truncate", None, None),
+    "report": ("--truncate", None, "--json"),
+    "graph": (None, None, "--dot"),
+    "verify": ("--max-order", 30, None),
+}
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class UsageError(Exception):
+    """A command line that parse_command_line refuses; main exits 2."""
+
+
+def _option(token, options):
+    """What one argument names before any "--": None for a positional,
+    else (option, its inline text or None), with option "" when unknown.
+
+    "--name" and "--name=text" take any unique prefix of a long option;
+    "-h" may run on into more text, which must be more h's. A lone "-", a
+    negative number and text with a space are positionals.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return token, None
+    name, eq, text = token.partition("=")
+    if eq and name in options:
+        return name, text
+    if token[1] == "-":
+        found = [option for option in options if option.startswith(name)]
+        if len(found) > 1:
+            raise UsageError("ambiguous option: %s could match %s"
+                             % (token, ", ".join(found)))
+        if found:
+            return found[0], text if eq else None
+    elif token[1] == "h":
+        return "-h", token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def _help_request(option, text):
+    """None, which stands for a help request; "-h" may run on into more
+    h's, and any other inline text is refused."""
+    if text is not None and (option != "-h" or not text or text.strip("h")):
+        raise UsageError("argument -h/--help: ignored explicit argument %r"
+                         % text)
+    return None
+
+
+def parse_command_line(argv):
+    """(command, path, value) for the argument list, or None for a help
+    request; value is the --truncate or --max-order value or its default
+    (None for graph). Raises UsageError for any other line.
+
+    Options may come before or after the path, "--" ends them, and the
+    last of a repeated option wins. A help request is answered even when
+    the path or the flag is missing or an argument is left over, but not
+    after a refused option or value earlier on the line, nor when an
+    ambiguous option follows the command.
+    """
+    stray = []
+    for at, token in enumerate(argv):
+        found = None if token == "--" else _option(token, ("-h", "--help"))
+        if found is None:
+            break
+        if found[0]:
+            return _help_request(*found)
+        stray.append(token)
+    else:
+        raise UsageError("the following arguments are required: command")
+    command = argv[at]
+    if command not in COMMANDS:
+        raise UsageError("invalid choice: %r (choose from %s)"
+                         % (command, ", ".join(COMMANDS)))
+    valued, value, flag = COMMANDS[command]
+    options = ("-h", "--help") + tuple(o for o in (valued, flag) if o)
+    args = argv[at + 1:]
+    # every option before "--" is read before any takes effect, so an
+    # ambiguous one is refused even after a help request
+    cut = args.index("--") if "--" in args else len(args)
+    kinds = ([_option(token, options) for token in args[:cut]]
+             + ["--"] * (cut < len(args)) + [None] * (len(args) - cut - 1))
+    path = None
+    flag_seen = flag is None
+    k = 0
+    while k < len(args):
+        kind = kinds[k]
+        if kind == "--" and path is None and k + 1 < len(args):
+            k += 1  # a "--" before the path is dropped
+            kind = None
+        if kind is None and path is None:
+            path = args[k]
+            if kinds[k + 1:k + 2] == ["--"]:
+                k += 1  # and so is one right after it
+        elif kind is None or kind == "--" or not kind[0]:
+            stray.append(args[k])
+        elif kind[0] in ("-h", "--help"):
+            return _help_request(*kind)
+        elif kind[0] == flag:
+            if kind[1] is not None:
+                raise UsageError("argument %s: ignored explicit argument %r"
+                                 % kind)
+            flag_seen = True
+        else:
+            text = kind[1]
+            if text is None:
+                if kinds[k + 1:k + 2] != [None]:
+                    raise UsageError("argument %s: expected one argument"
+                                     % valued)
+                k += 1
+                text = args[k]
+            try:
+                value = int(text)
+            except ValueError:
+                raise UsageError("argument %s: invalid int value: %r"
+                                 % (valued, text))
+        k += 1
+    if stray:
+        raise UsageError("unrecognized arguments: %s" % " ".join(stray))
+    if path is None or not flag_seen:
+        raise UsageError("the following arguments are required: %s"
+                         % ("PATH" if path is None else flag))
+    return command, path, value
 
 
 def main(argv=None):
-    parser = build_arg_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        parsed = parse_command_line(list(argv))
+    except UsageError as exc:
+        print("%s\nartifact: error: %s" % (USAGE, exc), file=sys.stderr)
+        return 2
+    if parsed is None:
+        print(HELP)
+        return 0
+    command, path, value = parsed
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args.path, args.truncate)
-        if args.command == "report":
-            return cmd_report(args.path, args.truncate)
-        if args.command == "graph":
-            return cmd_graph(args.path)
-        return cmd_verify(args.path, args.max_order)
+        if command == "analyze":
+            return cmd_analyze(path, value)
+        if command == "report":
+            return cmd_report(path, value)
+        if command == "graph":
+            return cmd_graph(path)
+        return cmd_verify(path, value)
     except ParseFailure as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2

@@ -360,7 +360,8 @@ class AlgNum:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.from_fraction(other)
-        return (isinstance(other, AlgNum) and self.field == other.field
+        return (isinstance(other, AlgNum)
+                and (self.field is other.field or self.field == other.field)
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
@@ -446,7 +447,7 @@ def span_close(gens, base):
     vecs = list(base.rows)
     vecs.append([1] + [0] * (field.degree - 1))
     for g in gens:
-        if g.field != field:
+        if g.field is not field and g.field != field:
             raise ValueError("generator outside the ambient field")
         vecs.append(g.num)
     rows, pivots = _echelon(vecs)
@@ -465,7 +466,7 @@ def span_close(gens, base):
 
 def rel_degree(inner, outer):
     """Degree of outer over inner, checked for inclusion and integrality."""
-    if inner.field != outer.field:
+    if inner.field is not outer.field and inner.field != outer.field:
         raise NotASubfield("different ambient fields")
     for b in inner.basis:
         if not outer.contains_num(b):

@@ -155,7 +155,8 @@ class Poly:
         return self.coeffs[order]
 
     def _coerce(self, other):
-        if isinstance(other, Poly) and other.ring == self.ring:
+        if isinstance(other, Poly) and (other.ring is self.ring
+                                        or other.ring == self.ring):
             return other
         if isinstance(other, (int, Fraction)):
             return Poly(self.ring, [self.ring.from_fraction(other)])
@@ -280,7 +281,8 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, Poly) and other.ring != self.ring:
+        if isinstance(other, Poly) and other.ring is not self.ring \
+                and other.ring != self.ring:
             return NotImplemented
         other = self._coerce(other)
         return self.coeffs == other.coeffs
@@ -355,10 +357,11 @@ class RatFunc:
         return self.num.low_coeff()
 
     def _coerce(self, other):
-        if isinstance(other, RatFunc) and other.num.ring == self.num.ring:
+        ring = self.num.ring
+        if isinstance(other, RatFunc) and (other.num.ring is ring
+                                           or other.num.ring == ring):
             return other
-        num = self.num._coerce(other)
-        return RatFunc(num, Poly(self.num.ring, [self.num.ring.one()]))
+        return RatFunc(self.num._coerce(other), Poly(ring, [ring.one()]))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -372,8 +375,9 @@ class RatFunc:
         RatFunc over this ring) is subtracted as c*den from the numerator,
         over the same denominator."""
         ring = self.num.ring
-        if isinstance(other, Poly) or (isinstance(other, RatFunc)
-                                       and other.num.ring == ring):
+        if isinstance(other, Poly) or (
+                isinstance(other, RatFunc)
+                and (other.num.ring is ring or other.num.ring == ring)):
             other = self._coerce(other)
             return RatFunc(self.num * other.den - other.num * self.den,
                            self.den * other.den)
@@ -411,7 +415,9 @@ class RatFunc:
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, RatFunc) and other.num.ring != self.num.ring:
+        ring = self.num.ring
+        if isinstance(other, RatFunc) and other.num.ring is not ring \
+                and other.num.ring != ring:
             return NotImplemented
         other = self._coerce(other)
         return self.num * other.den == other.num * self.den

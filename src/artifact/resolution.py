@@ -68,7 +68,7 @@ class BranchParam(Record):
                 continue
             if isinstance(coeff, (int, Fraction)):
                 coeff = ambient.from_fraction(coeff)
-            if coeff.field != ambient:
+            if coeff.field is not ambient and coeff.field != ambient:
                 raise ValueError("y coefficient outside the ambient field")
             if coeff:
                 terms.append((exp, coeff))

@@ -44,11 +44,15 @@ keeps only the live chain heads, by weight).
 The package's records (frozen values with equality, hashing and a repr) are
 rebuilt here as frozen dataclasses with the same fields and defaults; the
 runtime shares one hand-written base class instead, which imports nothing.
+The argparse parser of the four commands is here too: the runtime reads
+the command line with cli.parse_command_line, which imports nothing and
+builds nothing per process.
 
 Not named reference.py: pytest puts both tests/ and bench/ on sys.path, and
 bench/reference.py would shadow it.
 """
 
+import argparse
 import dataclasses
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -781,3 +785,34 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
                       post_init=_subfield_derived),
     _reference_record("PolyXY", ["terms"]),
 )}
+
+
+# --- the command line through argparse -------------------------------------------
+
+def build_arg_parser():
+    """The four commands as argparse subparsers; parse_args returns a
+    namespace with command, path, truncate or max_order, and dot or
+    as_json, or raises SystemExit."""
+    parser = argparse.ArgumentParser(
+        prog="artifact",
+        description="Exact invariants and series of plane branch "
+                    "singularities over number fields.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    analyze = sub.add_parser("analyze", help="human-readable report")
+    analyze.add_argument("path")
+    analyze.add_argument("--truncate", type=int, default=None,
+                         help="expansion length (default: Delta + 10 for "
+                              "complete formulas, else 40)")
+    verify = sub.add_parser("verify", help="differential oracle check")
+    verify.add_argument("path")
+    verify.add_argument("--max-order", type=int, default=30,
+                        dest="max_order")
+    graph = sub.add_parser("graph", help="quotient graph as DOT")
+    graph.add_argument("path")
+    graph.add_argument("--dot", action="store_true", required=True)
+    report = sub.add_parser("report", help="JSON report, stable key order")
+    report.add_argument("path")
+    report.add_argument("--json", action="store_true", required=True,
+                        dest="as_json")
+    report.add_argument("--truncate", type=int, default=None)
+    return parser

@@ -5,15 +5,21 @@ the hand-checked pipeline examples frozen in the other test modules (the
 front end adds parsing, rendering and exit-code plumbing on top of them).
 """
 
+import collections
+import contextlib
+import io
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact import cli
 from artifact.errors import ParseFailure
 from artifact.oracle import FiltrationReport
 from artifact.resolution import GENERIC
+from slow_paths import build_arg_parser
 
 
 CUSP = {
@@ -364,15 +370,119 @@ def test_exit_code_2_on_bad_flags(tmp_path, capsys):
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):
-    """main() builds the parser once per process; a rejected call or a
-    flag given to one call leaves nothing behind for the next."""
+    """A rejected call or a flag given to one call leaves nothing behind
+    for the next, and the same argument list always parses the same."""
     path = write_doc(tmp_path, CUSP)
     first = run_cli(capsys, ["analyze", path])
     assert cli.main(["analyze", path, "--truncate", "nan"]) == 2
     assert cli.main(["report", path, "--json", "--truncate", "3"]) == 0
     capsys.readouterr()
     assert run_cli(capsys, ["analyze", path]) == first
-    assert cli.build_arg_parser() is cli.build_arg_parser()
+    argv = ["report", "--trunc=3", path, "--json"]
+    assert cli.parse_command_line(argv) == cli.parse_command_line(argv) \
+        == ("report", path, 3)
+
+
+# --- the command line against the argparse reference ------------------------------
+
+# The alphabet of the differential tests: a document path stands first.
+ARGV_TOKENS = ["-", "--", "-1", "3", "nan", "-x", "--json", "--jso", "--dot",
+               "--truncate", "--truncate=3", "--trunc", "--max-order",
+               "--max-order=12", "--max", "-h", "--help"]
+# Spellings where argparse's rules meet: inline text on -h, an empty or
+# refused inline value, a prefix of every option, negative numbers,
+# spaces and int()'s own syntax.
+ODD_TOKENS = ["--h", "-hh", "-hx", "-h=h", "-h=", "--he=", "--=3", "--dot=",
+              "--json=x", "--truncate=", "--trunc=-5", "--max-o=4", "-1.5",
+              "-5", "- 1", "a b", "", "---", "-h-", "--x", " 3", "3_0", "+4",
+              "--truncate=٣"]
+COMMAND_TOKENS = ["analyze", "report", "graph", "verify", "bogus"]
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return write_doc(tmp_path_factory.mktemp("argv"), CUSP)
+
+
+@pytest.fixture(scope="module")
+def reference_parser():
+    return build_arg_parser()
+
+
+def argparse_outcome(parser, argv):
+    """(command, path, value) as the argparse parser reads argv, or its
+    exit code: 0 for a help request, 2 for a refusal."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+    # the flag each command requires is set whenever the line is accepted
+    assert getattr(args, "dot", True) is getattr(args, "as_json", True) is True
+    return (args.command, args.path,
+            getattr(args, "truncate", getattr(args, "max_order", None)))
+
+
+def outcome(argv):
+    try:
+        parsed = cli.parse_command_line(argv)
+    except cli.UsageError:
+        return 2
+    return 0 if parsed is None else parsed
+
+
+def test_command_line_matches_argparse_on_short_lines(doc_path,
+                                                      reference_parser):
+    tokens = [doc_path] + ARGV_TOKENS
+    lines = [[command] + list(rest) for command in COMMAND_TOKENS
+             for size in range(3)
+             for rest in itertools.product(tokens, repeat=size)]
+    assert len(lines) == 5 * (1 + 18 + 18 ** 2)
+    outcomes = collections.Counter()
+    for argv in lines:
+        want = argparse_outcome(reference_parser, argv)
+        assert outcome(argv) == want, argv
+        outcomes[want if want in (0, 2) else want[0]] += 1
+    # every command is accepted somewhere, and help and refusals both occur
+    assert set(outcomes) == {0, 2, "analyze", "report", "graph", "verify"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(["doc"] + ARGV_TOKENS + ODD_TOKENS
+                                + COMMAND_TOKENS), max_size=8))
+def test_command_line_matches_argparse_on_longer_lines(doc_path,
+                                                       reference_parser,
+                                                       words):
+    argv = [doc_path if word == "doc" else word for word in words]
+    assert outcome(argv) == argparse_outcome(reference_parser, argv)
+
+
+def test_documented_forms_and_refusals(doc_path, capsys):
+    for argv, parsed in (
+            (["analyze", "--truncate", "7", doc_path],
+             ("analyze", doc_path, 7)),
+            (["report", "--json", doc_path, "--truncate=8"],
+             ("report", doc_path, 8)),
+            (["verify", doc_path, "--max=9", "--max-order", "10"],
+             ("verify", doc_path, 10)),
+            (["graph", "--dot", "--", "-5"], ("graph", "-5", None)),
+            (["verify", "-"], ("verify", "-", 30)),
+            (["analyze", doc_path, "--trunc", " 1_0 "],
+             ("analyze", doc_path, 10))):
+        assert cli.parse_command_line(argv) == parsed
+    for argv in (["-h"], ["-x", "--he", "analyze"], ["analyze", "--help"],
+                 ["graph", doc_path, "-hh"]):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == cli.HELP + "\n" and err == ""
+    for argv in ([], ["bogus", "-h"], ["graph", doc_path],
+                 ["analyze", doc_path, "x"], ["analyze", doc_path, "-hx"],
+                 ["verify", doc_path, "--max-order"],
+                 ["analyze", "-h", "--=3"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(cli.USAGE + "\nartifact: error: ")
 
 
 def test_list_sizing_inputs_are_capped(tmp_path, capsys):

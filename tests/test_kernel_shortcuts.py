@@ -21,6 +21,12 @@ inverses are rational), makes 66 AmbientField.convolve calls and
 Poly.__mul__ they would take 542 and 28 more products. _tail_ok rescales
 tau in 5 of its 49 calls, with 14 scale_arg calls: in the other 44 the
 lowest coefficient of u already lies in the subfield.
+
+The ring and field checks of Poly, RatFunc, AlgNum, BranchParam and the
+subfield helpers test identity before they compare two fields by their
+minimal polynomials. Without that the same pass ran AmbientField.__eq__
+2275 times, 2270 of them on a field and itself; with it, 5 times, each on
+two different rings.
 """
 
 import inspect
@@ -152,3 +158,19 @@ def test_corpus_pass_takes_the_shortcuts(monkeypatch):
     assert factors.count(False) > 0 and zero_products.count(False) > 0
     assert factors.count(True) == 0
     assert zero_products.count(True) == 0
+
+
+def test_corpus_pass_compares_no_field_with_itself(monkeypatch):
+    docs = corpus_docs()
+    calls = []
+    eq = AmbientField.__eq__
+
+    def traced_eq(self, other):
+        calls.append(self is other)
+        return eq(self, other)
+
+    monkeypatch.setattr(AmbientField, "__eq__", traced_eq)
+    for doc in docs:
+        cli.build_analysis(doc)
+    assert calls.count(True) == 0
+    assert len(calls) < 20

@@ -9,10 +9,11 @@ tabulated once per field by the integer recurrence that p, being monic,
 gives. Two polynomials over the field multiply the same way, as one
 integer convolution in the variable and z over each operand's common
 denominator, folded once per output coefficient (AmbientField.convolve,
-the product kernel of ratfunc.Poly). An inverse solves the integer matrix
-of multiplication by the element with fraction-free elimination; the same
-matrix for p' checks that p is square-free (p' is a unit mod p exactly
-then).
+the product kernel of ratfunc.Poly). The integer matrix of multiplication
+by an element (AmbientField.mul_matrix, column k its product with z^k) is
+read by three jobs: an inverse solves it with fraction-free elimination,
+its rank for p' checks that p is square-free (p' is a unit mod p exactly
+then), and the oracle reads its tables of x and y off it.
 Rational elements (zero past the constant coordinate), which are most of
 the operands the resolution meets, take shortcuts: a product with one
 scales the other factor's numerators, and the inverse of one swaps its
@@ -22,7 +23,9 @@ Irreducibility of p is deliberately not checked up front: inversion
 discovers a factor exactly when one matters (the matrix is singular) and
 reports it as ReduciblePolynomial. Subfields are plain Q-subspaces with a
 canonical echelon basis of primitive integer rows; that is all the
-Galois-quotient bookkeeping downstream needs.
+Galois-quotient bookkeeping downstream needs. A subfield K and an element
+c close to K(c) = K + Kc + Kc^2 + ... by powers of c (span_close), in
+[K(c):Q] products.
 """
 
 from fractions import Fraction
@@ -118,15 +121,16 @@ class AmbientField:
         # p is square-free exactly when p' is a unit mod p, that is when
         # multiplication by d*p' has full rank
         deriv = [i * a for i, a in enumerate(c[1:], 1)] + [n * d]
-        if len(_echelon(self._mul_matrix(deriv))[1]) < n:
+        if len(_echelon(self.mul_matrix(deriv))[1]) < n:
             raise ValueError("defining polynomial must be square-free")
         self._zero = AlgNum(self, (0,) * n, 1)
         self._one = AlgNum(self, (1,) + (0,) * (n - 1), 1)
 
-    def _mul_matrix(self, num):
+    def mul_matrix(self, num):
         """The rows of the integer n x n matrix whose column k holds _scale
         times the coordinates of num * z^k, read off num and _fold: the
-        matrix of multiplication by the integer vector num."""
+        matrix of multiplication by the integer vector num. For an element
+        num/den, column k over _scale * den is that element times z^k."""
         n = self.degree
         scale = self._scale
         rows = [[0] * n for _ in range(n)]
@@ -313,7 +317,7 @@ class AlgNum:
         """Multiplicative inverse, in integers.
 
         The rows of the integer matrix of multiplication by num
-        (AmbientField._mul_matrix), augmented by _scale times e_0, go
+        (AmbientField.mul_matrix), augmented by _scale times e_0, go
         through fraction-free Gauss-Jordan elimination (_echelon:
         cross-multiplication plus content stripping), which leaves
         d_i e_i | r_i when the matrix has full rank, so coordinate i of
@@ -333,7 +337,7 @@ class AlgNum:
             return AlgNum(field, (self.den if q > 0 else -self.den,) + rest,
                           abs(q))
         n = field.degree
-        rows = field._mul_matrix(self.num)
+        rows = field.mul_matrix(self.num)
         for i, row in enumerate(rows):
             row.append(field._scale * (i == 0))
         rows, pivots = _echelon(rows)
@@ -437,31 +441,28 @@ class Subfield(Record):
 
 
 def span_close(gens, base):
-    """Smallest product-closed Q-subspace containing base and the generators.
-
-    Repeatedly extends the linear span by pairwise products of basis vectors
-    until the dimension stabilizes; the ambient degree bounds the loop. The
-    span is spanned by the numerators, so the echelon works in integers.
+    """Smallest product-closed Q-subspace containing the subfield base and
+    the generators, one generator c at a time: K(c) = K + Kc + Kc^2 + ...
+    The basis of K is multiplied by c, then each step multiplies by c the
+    remainders that the previous step added against the span, and the first
+    step that adds nothing leaves a span closed under c and under K. The
+    remainders of a step are independent modulo the span before it, so c
+    costs exactly [K(c):Q] products. The span is spanned by the numerators,
+    so the echelon works in integers.
     """
     field = base.field
-    vecs = list(base.rows)
-    vecs.append([1] + [0] * (field.degree - 1))
+    rows, pivots = list(base.rows), list(base.pivots)
     for g in gens:
         if g.field is not field and g.field != field:
             raise ValueError("generator outside the ambient field")
-        vecs.append(g.num)
-    rows, pivots = _echelon(vecs)
-    while True:
-        elems = [AlgNum(field, r, 1) for r in rows]
-        fresh = []
-        for i, a in enumerate(elems):
-            for b in elems[i:]:
-                rem = _reduce((a * b).num, rows, pivots)
-                if any(rem):
-                    fresh.append(rem)
-        if not fresh:
-            return Subfield(field, rows)
-        rows, pivots = _echelon(rows + fresh)
+        fresh = rows
+        while fresh:
+            rems = (_reduce((AlgNum(field, r, 1) * g).num, rows, pivots)
+                    for r in fresh)
+            fresh = [rem for rem in rems if any(rem)]
+            if fresh:
+                rows, pivots = _echelon(rows + fresh)
+    return Subfield(field, rows)
 
 
 def rel_degree(inner, outer):

@@ -18,10 +18,11 @@ Two kinds of questions are answered:
   coefficient matrix of the substitution map. Only what levels 0..V read is
   computed, and in integers: x and y (a branch parametrization or a
   curvette alike) are tabulated once as integer multiplication tables on
-  the rational coordinates, read off the integer numerators of the
-  field elements. The monomials x^i y^j are taken in increasing
-  (weight, i) order, a monomial order (weight i*ox + j*oy, with ox and oy
-  the orders of x and y); the vector fed for each is x (or, for i = 0, y)
+  the rational coordinates, read off the integer matrix of multiplication
+  (AmbientField.mul_matrix) of each nonzero coefficient, with no field
+  product. The monomials x^i y^j are taken in increasing (weight, i)
+  order, a monomial order (weight i*ox + j*oy, with ox and oy the orders
+  of x and y); the vector fed for each is x (or, for i = 0, y)
   times the vector that the echelon stored for its predecessor, cut past
   tau^V; the echelon divides it by its content. That adds to the span what the image
   of the monomial adds, because x times what came earlier came earlier
@@ -40,7 +41,6 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import GenericCenter
-from .exactfield import AlgNum
 from .linalg import SparseRowSpace
 from .ratfunc import INFINITY, Poly
 from .record import Record
@@ -206,26 +206,22 @@ def _multiplication_table(s, bound, field):
     as table[k] for each power-basis index k: the (tau order e, c power b,
     field coordinate k', coefficient) entries of z^k times the
     tau-coefficients s_e with e <= bound, by increasing e. A coefficient
-    is a polynomial in the curvette constant c, one entry per (c power,
-    field coordinate), or an ambient-field element, a constant in c. The
-    entries are the integer numerators of those products, brought to the
-    lcm of their denominators, so the table multiplies by D*s for a
-    positive integer D. Building it takes one ambient-field product per
-    index k and nonzero (tau power, c power) coefficient of s; the bound
-    does not enter that count."""
-    n = field.degree
-    table = []
-    for k in range(n):
-        zk = AlgNum(field, [int(i == k) for i in range(n)], 1)
-        row = []
-        for e, c in enumerate(s.coeffs[:bound + 1]):
-            if c:
-                prod = c * zk
-                for b, alg in enumerate(prod.coeffs if isinstance(prod, Poly)
-                                        else (prod,)):
-                    row.extend((e, b, k2, a, alg.den)
-                               for k2, a in enumerate(alg.num) if a)
-        table.append(row)
+    is a polynomial in the curvette constant c, one ambient-field element
+    per c power, or an ambient-field element, a constant in c. Column k of
+    the matrix of multiplication by an element (AmbientField.mul_matrix)
+    is z^k times it, over the field's _scale times its denominator; the
+    entries are those integers brought to the lcm of the denominators, so
+    the table multiplies by D*s for a positive integer D. Building it reads
+    one matrix per nonzero (tau power, c power) coefficient of s and makes
+    no field product."""
+    table = [[] for _ in range(field.degree)]
+    for e, c in enumerate(s.coeffs[:bound + 1]):
+        for b, alg in enumerate(c.coeffs if isinstance(c, Poly) else (c,)):
+            if alg:
+                for k2, row in enumerate(field.mul_matrix(alg.num)):
+                    for k, a in enumerate(row):
+                        if a:
+                            table[k].append((e, b, k2, a, alg.den))
     scale = lcm(*(den for row in table for *_at, den in row))
     return [[(e, b, k2, a * (scale // den)) for e, b, k2, a, den in row]
             for row in table]

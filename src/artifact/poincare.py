@@ -331,14 +331,21 @@ def expand(sp, order):
     co = [0] * (order + 1)
     co[0] = 1
     for a, s in sp.factors:
-        for _ in range(abs(s)):
-            if s > 0:
-                for v in range(order, a - 1, -1):
-                    co[v] -= co[v - a]
-            else:
-                for v in range(a, order + 1):
-                    co[v] += co[v - a]
+        _times_binomial_power(co, a, s)
     return SeriesExpansion(tuple(co), partial=sp.partial)
+
+
+def _times_binomial_power(co, a, s):
+    """co times (1 - t^a)^s in place, cut past its last coefficient: s
+    multiplications by 1 - t^a (descending), or -s divisions (ascending)."""
+    top = len(co) - 1
+    for _ in range(abs(s)):
+        if s > 0:
+            for v in range(top, a - 1, -1):
+                co[v] -= co[v - a]
+        else:
+            for v in range(a, top + 1):
+                co[v] += co[v - a]
 
 
 # --- conductor, symmetry, semigroup utilities -------------------------------
@@ -472,14 +479,7 @@ def binomial_factorization(se, source=None):
         if s_m == 0:
             continue
         out.append((m, s_m))
-        if s_m > 0:
-            for _ in range(s_m):
-                for v in range(m, n + 1):
-                    co[v] += co[v - m]
-        else:
-            for _ in range(-s_m):
-                for v in range(n, m - 1, -1):
-                    co[v] -= co[v - m]
+        _times_binomial_power(co, m, -s_m)
     factors = tuple(out)
     if source is None:
         return BinomialFactorization(factors, None)

@@ -10,6 +10,8 @@ number field scalars, with one integer convolution per product; the
 adapters below cover the nested constructions used elsewhere: polynomials
 in one extra variable (generic curvette constants) and their fraction
 fields (one-parameter families), whose convolve is the schoolbook loop.
+The same loop, given a bound, skips the products past that power of the
+variable: Poly.mul_upto, the cut product of the generic curvettes.
 
 RatFunc requires its coefficient ring to be a field adapter; quotients of
 polynomials over a mere PolyRing are never formed, and no gcd is taken:
@@ -26,14 +28,19 @@ from .errors import DivisionByZero
 INFINITY = float("inf")
 
 
-def schoolbook(zero, x, y):
+def schoolbook(zero, x, y, bound=None):
     """The coefficients of the product of two polynomials given as
     coefficient lists x and y, one scalar product and one sum at a time;
-    zero coefficients are skipped."""
-    out = [zero] * (len(x) + len(y) - 1)
+    zero coefficients are skipped. With a bound, the products past the
+    variable's power bound are skipped too, and the list stops there."""
+    size = len(x) + len(y) - 1
+    if bound is not None:
+        x = x[:bound + 1]
+        size = min(size, bound + 1)
+    out = [zero] * size
     for i, a in enumerate(x):
         if a:
-            for j, b in enumerate(y):
+            for j, b in enumerate(y if bound is None else y[:bound + 1 - i]):
                 if b:
                     out[i + j] = out[i + j] + a * b
     return out
@@ -214,20 +221,11 @@ class Poly:
     __rmul__ = __mul__
 
     def mul_upto(self, other, bound):
-        """self * other up to the variable's power bound; the products of
-        terms past it are skipped. Cutting is a ring map, so the kept
-        coefficients are those of the full product. The first product to
-        reach a power is stored as it is; later ones are added to it."""
-        out = [None] * min(len(self.coeffs) + len(other.coeffs) - 1,
-                           bound + 1)
-        for i, a in enumerate(self.coeffs[:bound + 1]):
-            if a:
-                for j, b in enumerate(other.coeffs[:bound + 1 - i]):
-                    if b:
-                        prev = out[i + j]
-                        out[i + j] = a * b if prev is None else prev + a * b
-        zero = self.ring.zero()
-        return Poly(self.ring, [zero if c is None else c for c in out])
+        """self * other up to the variable's power bound, by schoolbook;
+        bound None gives the whole product. Cutting is a ring map, so the
+        kept coefficients are those of the full product."""
+        return Poly(self.ring, schoolbook(self.ring.zero(), self.coeffs,
+                                          other.coeffs, bound))
 
     def scale(self, s):
         return Poly(self.ring, [c * s if c else c for c in self.coeffs])

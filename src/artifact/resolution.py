@@ -526,17 +526,13 @@ def generic_curvette(graph, recs, sigma=None, bound=None):
     w = Poly(cring, [cring.gen()])
     if bound is not None:   # w = c needs no cut: bound >= 0
         u = Poly(cring, u.coeffs[:bound + 1])
-
-    def mul(p, q):
-        return p * q if bound is None else p.mul_upto(q, bound)
-
     for chart, shift in steps:
         if shift:
             w = w + Poly(cring, [Poly(ambient, [shift])])
         if chart == "A":
-            w = mul(u, w)
+            w = u.mul_upto(w, bound)
         else:
-            u, w = mul(u, w), u
+            u, w = u.mul_upto(w, bound), u
     return GenericCurvette(u, w, sigma)
 
 

@@ -549,6 +549,57 @@ def test_subfields_equal_fraction_reference(p):
         assert span_close(gens[1:], sub) == sub
 
 
+def count_span_close_products(monkeypatch, gens, base):
+    """span_close(gens, base) and the number of field products it made."""
+    calls = []
+    mul = AlgNum.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AlgNum, "__mul__", counted)
+        patch.setattr(AlgNum, "__rmul__", counted)
+        sub = span_close(gens, base)
+    return sub, len(calls)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_span_close_makes_one_product_per_dimension(monkeypatch, n):
+    """K(c) = K + Kc + Kc^2 + ...: closing Q by a dense generator of
+    z^n = 3 makes exactly n products (pairwise closure made 60, 205 and
+    750)."""
+    field = AmbientField([-3] + [0] * (n - 1) + [1])
+    rng = random.Random(n)
+    top = 1 if n == 32 else 9
+    a = field.element([Fraction(rng.randint(-top, top), rng.randint(1, 5))
+                       for _ in range(n)])
+    sub, products = count_span_close_products(
+        monkeypatch, [a], Subfield.rationals(field))
+    assert sub.dim == n
+    assert products == n
+
+
+def test_span_close_over_a_subfield_makes_one_product_per_dimension(
+        monkeypatch):
+    """Over K = Q(z^4) of dimension 2 in z^8 = 3, a generator of Q(z^2)
+    costs [Q(z^2):Q] = 4 products, and one of the whole field 8."""
+    field = AmbientField([-3] + [0] * 7 + [1])
+    z = field.gen()
+    rat = Subfield.rationals(field)
+    base = span_close([z * z * z * z], rat)
+    assert base.dim == 2
+    rng = random.Random(4)
+    for step, dim in ((2, 4), (1, 8)):
+        c = field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                           if k % step == 0 else 0 for k in range(8)])
+        sub, products = count_span_close_products(monkeypatch, [c], base)
+        assert sub == span_close([c], rat)
+        assert sub.dim == dim
+        assert products == dim
+
+
 def test_generator_sets_of_one_subfield_give_one_subfield():
     """Q(sqrt2), Q(sqrt3) and Q(sqrt6) inside Q(sqrt2, sqrt3), with
     z = sqrt2 + sqrt3: each reached from different generator sets compares

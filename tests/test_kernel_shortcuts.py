@@ -5,7 +5,7 @@ RatFunc is usually the constant one, and most field elements it divides by
 or multiplies with are rational. One in-process pass of cli.build_analysis
 over the corpus documents that `analyze` accepts checks that
 - AlgNum.inverse of a rational element builds no matrix of
-  multiplication (AmbientField._mul_matrix);
+  multiplication (AmbientField.mul_matrix);
 - Poly.__mul__ hands a product to its ring's kernel (the integer
   convolution AmbientField.convolve over a number field, the schoolbook
   loop ratfunc.schoolbook over the nested rings) only when both operands
@@ -59,11 +59,11 @@ def test_corpus_pass_takes_the_shortcuts(monkeypatch):
     docs = corpus_docs()
     assert len(docs) == 39
 
-    # _mul_matrix calls, each marked by whether a rational inverse made it
+    # mul_matrix calls, each marked by whether a rational inverse made it
     matrices = []
     inside_rational = [False]
     inverse = AlgNum.inverse
-    mul_matrix = AmbientField._mul_matrix
+    mul_matrix = AmbientField.mul_matrix
 
     def traced_inverse(self):
         outer = inside_rational[0]
@@ -78,7 +78,7 @@ def test_corpus_pass_takes_the_shortcuts(monkeypatch):
         return mul_matrix(self, num)
 
     monkeypatch.setattr(AlgNum, "inverse", traced_inverse)
-    monkeypatch.setattr(AmbientField, "_mul_matrix", traced_mul_matrix)
+    monkeypatch.setattr(AmbientField, "mul_matrix", traced_mul_matrix)
 
     # each pass through the schoolbook convolution step and each call of
     # the number-field kernel, marked by whether an operand of that

@@ -779,9 +779,10 @@ def _field_terms(s, V):
         "biq_cusp_curve_V80"])
 def test_oracle_field_products_are_the_table_entries(monkeypatch, name, p,
                                                      extra, V, bound):
-    """The oracle multiplies ambient-field elements only to tabulate x and
-    y: at most [L:Q] products per nonzero (tau, c) term of each, however
-    many columns V brings."""
+    """The oracle makes no ambient-field product: it tabulates x and y by
+    reading at most one matrix of multiplication per nonzero (tau, c) term
+    of each, that is at most bound / [L:Q] matrices, however many columns
+    V brings."""
     if extra is None:
         x, y = branch_xy(p)
     else:
@@ -791,19 +792,27 @@ def test_oracle_field_products_are_the_table_entries(monkeypatch, name, p,
     assert p.ambient.degree * (_field_terms(x, V) + _field_terms(y, V)) \
         == bound
     calls = []
+    matrices = []
     mul = AlgNum.__mul__
+    mul_matrix = AmbientField.mul_matrix
 
     def counted(a, b):
         calls.append(1)
         return mul(a, b)
 
+    def counted_matrix(field, num):
+        matrices.append(1)
+        return mul_matrix(field, num)
+
     monkeypatch.setattr(AlgNum, "__mul__", counted)
     monkeypatch.setattr(AlgNum, "__rmul__", counted)
+    monkeypatch.setattr(AmbientField, "mul_matrix", counted_matrix)
     if extra is None:
         filtration_dims(p, V)
     else:
         divisorial_filtration_dims(gc, V)
-    assert 0 < len(calls) <= bound
+    assert not calls
+    assert 0 < len(matrices) <= bound // p.ambient.degree
 
 
 @pytest.mark.parametrize("name,p", CORPUS, ids=[n for n, _p in CORPUS])

@@ -111,11 +111,28 @@ def test_poly_evaluate_scale():
 
 
 def test_poly_mul_upto_is_the_cut_product():
-    p = qpoly(1, 2, 0, 3)
-    q = qpoly(0, 1, -1)
-    full = p * q
-    for bound in range(8):
-        assert p.mul_upto(q, bound) == Poly(Q, full.coeffs[:bound + 1])
+    """schoolbook with a bound and Poly.mul_upto give the full product cut
+    past the bound, for bound 0 and bounds below, at and above the degree
+    of the product, over Q and over polynomials in a curvette constant;
+    without a bound they give the whole product."""
+    field = AmbientField([-2, 0, 1])
+    z = field.gen()
+    cring = PolyRing(field, "c")
+    c = cring.gen()
+    cases = [(Q, qpoly(1, 2, 0, 3), qpoly(0, 1, -1)),
+             (cring, Poly(cring, [c + 1, cring.zero(), c * c.scale(z)]),
+              Poly(cring, [cring.zero(), c, cring.from_fraction(3), c]))]
+    for ring, p, q in cases:
+        full = reference_poly_mul(p, q)
+        for bound in range(full.degree() + 3):
+            cut = Poly(ring, full.coeffs[:bound + 1])
+            assert p.mul_upto(q, bound) == cut
+            assert Poly(ring, schoolbook(ring.zero(), p.coeffs, q.coeffs,
+                                         bound)) == cut
+        assert p.mul_upto(q, None) == p * q == full
+        assert schoolbook(ring.zero(), p.coeffs, q.coeffs) == \
+            list(full.coeffs)
+    p, q = cases[0][1:]
     assert p.mul_upto(qpoly(), 3) == qpoly()
     assert qpoly(0, 0, 1).mul_upto(qpoly(0, 1), 2) == qpoly()
 

@@ -46,6 +46,8 @@ from .resolution import GENERIC, BranchParam, generic_curvette, resolve
 # allocation.
 MAX_TRUNCATE = 100000
 MAX_ORDER = 400
+# The oracle order verify checks when --max-order is not given.
+DEFAULT_MAX_ORDER = 30
 # Largest accepted tau exponent, extra blow-up count and field degree: the
 # first two set the number of blow-ups, the degree the size of every field
 # element, and each drives the run time of resolve.
@@ -234,10 +236,10 @@ class Analysis(Record):
     valuation is n times the divisorial one of the reduced family.
     """
 
-    __slots__ = ("doc", "branch", "graph", "recs", "nd", "series")
+    __slots__ = ("doc", "graph", "recs", "nd", "series")
 
-    def __init__(self, doc, branch, graph, recs, nd, series):
-        self._assign(doc, branch, graph, recs, nd, series)
+    def __init__(self, doc, graph, recs, nd, series):
+        self._assign(doc, graph, recs, nd, series)
 
     @property
     def n(self):
@@ -253,8 +255,8 @@ def build_analysis(doc):
             terms.append((exp, GENERIC))
         else:
             terms.append((exp, field.element(coeff)))
-    branch = BranchParam(field, doc.x_order, terms)
-    graph, recs = resolve(branch, extra_steps=doc.extra_steps)
+    graph, recs = resolve(BranchParam(field, doc.x_order, terms),
+                          extra_steps=doc.extra_steps)
     if doc.mode == "divisorial" or (doc.mode == "curve"
                                     and graph.case == "III"):
         nd = numerical_data(graph, recs, mode="divisorial")
@@ -264,8 +266,7 @@ def build_analysis(doc):
         if doc.mode == "case2":
             nd = case_II_data(nd, doc.splitting_prefix)
         series = classical_series(nd)
-    return Analysis(doc=doc, branch=branch, graph=graph, recs=recs, nd=nd,
-                    series=series)
+    return Analysis(doc=doc, graph=graph, recs=recs, nd=nd, series=series)
 
 
 def default_truncate(analysis):
@@ -462,7 +463,7 @@ def run_verification(analysis, max_order):
                               bound=max_order)
         observed = divisorial_filtration_dims(gc, max_order).dims
     else:
-        observed = filtration_dims(analysis.branch, max_order).dims
+        observed = filtration_dims(analysis.graph.branch, max_order).dims
     first_mismatch = None
     for v, (want, got) in enumerate(zip(expected, observed)):
         if want != got:
@@ -515,7 +516,7 @@ def cmd_graph(path):
     return 0
 
 
-def cmd_verify(path, max_order=30):
+def cmd_verify(path, max_order=DEFAULT_MAX_ORDER):
     _as_int(max_order, "--max-order", 0, MAX_ORDER)
     analysis = build_analysis(load_input(path))
     block = run_verification(analysis, max_order)
@@ -549,7 +550,8 @@ options:
   -h, --help       print this text and exit
   --truncate N     expansion length (default: the file's options.truncate,
                    else Delta + 10 for complete formulas, else 40)
-  --max-order V    highest level the oracle checks (default: 30)"""
+  --max-order V    highest level the oracle checks (default: %d)""" \
+    % DEFAULT_MAX_ORDER
 
 # Per command: the option that takes an integer, its default, and the flag
 # the command requires.
@@ -557,7 +559,7 @@ COMMANDS = {
     "analyze": ("--truncate", None, None),
     "report": ("--truncate", None, "--json"),
     "graph": (None, None, "--dot"),
-    "verify": ("--max-order", 30, None),
+    "verify": ("--max-order", DEFAULT_MAX_ORDER, None),
 }
 
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")

@@ -17,22 +17,22 @@ Two kinds of questions are answered:
   exactly v modulo those of higher value, by exact rank computations on the
   coefficient matrix of the substitution map. Only what levels 0..V read is
   computed, and in integers: x and y (a branch parametrization or a
-  curvette alike) are tabulated once as integer multiplication tables on
-  the rational coordinates, read off the integer matrix of multiplication
-  (AmbientField.mul_matrix) of each nonzero coefficient, with no field
-  product. The monomials x^i y^j are taken in increasing (weight, i)
-  order, a monomial order (weight i*ox + j*oy, with ox and oy the orders
-  of x and y); the vector fed for each is x (or, for i = 0, y)
-  times the vector that the echelon stored for its predecessor, cut past
-  tau^V; the echelon divides it by its content. That adds to the span what the image
-  of the monomial adds, because x times what came earlier came earlier
-  too (the argument is in _filtration). The echelon is an integer column
-  echelon keyed by lead, whose leads per level are the dimensions. A
-  vector is a dict from one integer key, v*W + a*n + k for the tau^v
-  coefficient's c power a and field coordinate k (n = [L:Q], W the width
-  of a level), to an integer; W exceeds every a*n + k that can occur, so
-  the integer order of the keys is the (v, a, k) order and lead // W is
-  the level of a lead (_keyed_tables).
+  curvette alike) are tabulated once each, as one keyed integer table of
+  multiplication on the rational coordinates read off the integer matrix
+  of multiplication (AmbientField.mul_matrix) of each nonzero coefficient,
+  with no field product (_keyed_table). The monomials x^i y^j are taken in
+  increasing (weight, i) order, a monomial order (weight i*ox + j*oy, with
+  ox and oy the orders of x and y); the vector fed for each is x (or, for
+  i = 0, y) times the vector that the echelon stored for its predecessor,
+  cut past tau^V; the echelon divides it by its content. That adds to the
+  span what the image of the monomial adds, because x times what came
+  earlier came earlier too (the argument is in _filtration). The echelon
+  is an integer column echelon keyed by lead, whose leads per level are
+  the dimensions. A vector is a dict from one integer key, v*W + a*n + k
+  for the tau^v coefficient's c power a and field coordinate k (n = [L:Q],
+  W the width of a level, derived in _filtration), to an integer; W
+  exceeds every a*n + k that can occur, so the integer order of the keys
+  is the (v, a, k) order and lead // W is the level of a lead.
 
 All arithmetic is exact; a zero is a proven zero.
 """
@@ -44,7 +44,7 @@ from .errors import GenericCenter
 from .linalg import SparseRowSpace
 from .ratfunc import INFINITY, Poly
 from .record import Record
-from . import resolution as _res
+from .resolution import coordinates
 
 
 # --- polynomials in the base coordinates -------------------------------------
@@ -174,8 +174,7 @@ def value_of(f, branch):
     marker becomes a fresh indeterminate and the returned coefficient lives
     in the rational-function field in that indeterminate.
     """
-    u, w = _res._initial_state(branch)
-    total = _substitute(f, u.num, w.num)
+    total = _substitute(f, *coordinates(branch))
     order = total.order()
     if order is INFINITY:
         return INFINITY, None
@@ -201,59 +200,46 @@ def divisorial_value(f, gc):
 
 # --- filtration dimensions by rank growth ------------------------------------
 
-def _multiplication_table(s, bound, field):
-    """Multiplication by the tau-polynomial s on the rational coordinates,
-    as table[k] for each power-basis index k: the (tau order e, c power b,
-    field coordinate k', coefficient) entries of z^k times the
-    tau-coefficients s_e with e <= bound, by increasing e. A coefficient
-    is a polynomial in the curvette constant c, one ambient-field element
-    per c power, or an ambient-field element, a constant in c. Column k of
-    the matrix of multiplication by an element (AmbientField.mul_matrix)
-    is z^k times it, over the field's _scale times its denominator; the
-    entries are those integers brought to the lcm of the denominators, so
-    the table multiplies by D*s for a positive integer D. Building it reads
-    one matrix per nonzero (tau power, c power) coefficient of s and makes
-    no field product."""
-    table = [[] for _ in range(field.degree)]
-    for e, c in enumerate(s.coeffs[:bound + 1]):
-        for b, alg in enumerate(c.coeffs if isinstance(c, Poly) else (c,)):
-            if alg:
-                for k2, row in enumerate(field.mul_matrix(alg.num)):
-                    for k, a in enumerate(row):
-                        if a:
-                            table[k].append((e, b, k2, a, alg.den))
-    scale = lcm(*(den for row in table for *_at, den in row))
-    return [[(e, b, k2, a * (scale // den)) for e, b, k2, a, den in row]
-            for row in table]
+def _keyed_table(s, V, field, W):
+    """Multiplication by D*s on integer-keyed vectors, for the
+    tau-polynomial s and a positive integer D, as table[k] for each field
+    coordinate k: the (key offset, integer) terms of z^k times the
+    tau-coefficients s_e with e <= V, by increasing offset.
+
+    A coefficient s_e is an ambient-field element, or a polynomial in the
+    curvette constant c with one ambient-field element per c power b.
+    Column k of the matrix of multiplication by an element num/den
+    (AmbientField.mul_matrix) is its product with z^k, over the field's
+    _scale times den; each is brought to D = _scale times the lcm of the
+    den, so the table reads one matrix per nonzero (tau power, c power)
+    coefficient and makes no field product. A vector entry at tau^v, c
+    power a and field coordinate k is keyed v*W + a*n + k (n = [L:Q], W
+    from _filtration), so the product term at coordinate k' of z^k times
+    the c^b part of s_e lands at offset e*W + b*n + k' - k from it."""
+    n = field.degree
+    terms = [(e * W + b * n, alg) for e, c in enumerate(s.coeffs[:V + 1])
+             for b, alg in enumerate(c.coeffs if isinstance(c, Poly)
+                                     else (c,)) if alg]
+    scale = lcm(*(alg.den for _at, alg in terms))
+    table = [[] for _ in range(n)]
+    for at, alg in terms:
+        f = scale // alg.den
+        for k2, row in enumerate(field.mul_matrix(alg.num)):
+            for k, a in enumerate(row):
+                if a:
+                    table[k].append((at + k2 - k, a * f))
+    return table
 
 
-def _keyed_tables(x_table, y_table, imax, jmax, n):
-    """The width W of one tau level in the integer keys, and the x and y
-    tables in keyed form.
-
-    A vector entry at tau^v, c power a and field coordinate k is keyed
-    v*W + a*n + k, with n = [L:Q] and W = n*(imax*bx + jmax*by + 1), where
-    bx and by are the largest c powers in the x and y tables and x^imax,
-    y^jmax the largest powers of x and y of value <= V. Every vector the
-    oracle forms is a combination of images of monomials x^i y^j of value
-    <= V, whose c-degree is at most i*bx + j*by, so a*n + k < W. The key
-    order is therefore the (tau order, c power, coordinate) order, and the
-    tau order of a key is key // W. Entry (e, b, k', q) of table row k
-    becomes (e*W + b*n + k' - k, q): the key offset of the product term,
-    increasing along the row as the entries do."""
-    bx = max((b for row in x_table for _e, b, _k, _q in row), default=0)
-    by = max((b for row in y_table for _e, b, _k, _q in row), default=0)
-    W = n * (imax * bx + jmax * by + 1)
-
-    def keyed(table):
-        return [[(e * W + b * n + k2 - k, q) for e, b, k2, q in row]
-                for k, row in enumerate(table)]
-
-    return W, keyed(x_table), keyed(y_table)
+def _c_degree(s, V):
+    """The largest c power among the tau-coefficients of s up to tau^V;
+    0 on a branch, whose coefficients are constants."""
+    return max((c.degree() for c in s.coeffs[:V + 1] if isinstance(c, Poly)),
+               default=0)
 
 
 def _times(column, table, limit):
-    """The column times the keyed table of a tau-polynomial (_keyed_tables),
+    """The column times the keyed table of a tau-polynomial (_keyed_table),
     with the terms keyed limit = (V + 1)*W and beyond cut: a sparse
     integer convolution. Key c reads its field coordinate as c % n. The
     product keys increase along a table row, and the first key of level
@@ -276,13 +262,18 @@ def _filtration(x, y, V, mode, field):
 
     Row (v, a, k) of the map holds field coordinate k of the c^a part of
     the tau^v coefficient (a = 0 on a branch), keyed by the integer
-    v*W + a*n + k (_keyed_tables), so the rows of levels <= v come first in
+    v*W + a*n + k (_keyed_table), so the rows of levels <= v come first in
     key order. The dimension of value-v classes is rank(rows of levels <=
     v) - rank(rows of levels < v). Column operations keep every such rank,
     and in a column echelon (distinct least rows, the leads) the rank of
     the rows of levels <= v is the number of leads at those levels; so
     dims[v] is the number of leads at level v, lead // W. The leads of an
-    echelon depend only on its span.
+    echelon depend only on its span. W = n*(imax*bx + jmax*by + 1), with
+    bx and by the largest c powers of x and y up to tau^V (_c_degree) and
+    x^imax, y^jmax the largest powers of x and y of value <= V. Every
+    vector formed is a combination of images of monomials x^i y^j of value
+    <= V, whose c-degree is at most i*bx + j*by, so a*n + k < W: the
+    integer order of the keys is the (v, a, k) order.
 
     The span is that of the images of the monomials x^i y^j of weight
     i*ox + j*oy <= V (ox, oy the orders of x and y), cut past tau^V. A
@@ -324,9 +315,9 @@ def _filtration(x, y, V, mode, field):
         raise ValueError("y image must vanish at the origin")
     imax = 0 if ox is INFINITY else V // ox
     jmax = 0 if oy is INFINITY else V // oy
-    W, x_keyed, y_keyed = _keyed_tables(
-        _multiplication_table(x, V, field),
-        _multiplication_table(y, V, field), imax, jmax, field.degree)
+    W = field.degree * (imax * _c_degree(x, V) + jmax * _c_degree(y, V) + 1)
+    x_keyed = _keyed_table(x, V, field, W)
+    y_keyed = _keyed_table(y, V, field, W)
     limit = (V + 1) * W
     space = SparseRowSpace()
     # heads[v]: the live monomials x^i y^j of weight v, each as its i, the
@@ -365,8 +356,7 @@ def filtration_dims(branch, V):
     """
     if branch.has_generic:
         raise GenericCenter("filtration dimensions need a concrete branch")
-    u, w = _res._initial_state(branch)
-    return _filtration(u.num, w.num, V, "curve", branch.ambient)
+    return _filtration(*coordinates(branch), V, "curve", branch.ambient)
 
 
 def divisorial_filtration_dims(gc, V):

@@ -118,14 +118,6 @@ def normalize(p):
 # --- state coefficients: the ambient field, or rational functions in lam
 
 
-def _ring_for(p):
-    """Coefficient ring of the states: the ambient field, or the rational
-    functions in one transcendental parameter lam for a GENERIC branch."""
-    if p.has_generic:
-        return FractionField(PolyRing(p.ambient, "lam"))
-    return p.ambient
-
-
 def _constant(scalar):
     """The ambient-field value of a state coefficient, None when it depends
     on lam. A RatFunc is constant exactly when num * d0 = den * n0 for the
@@ -138,8 +130,14 @@ def _constant(scalar):
     return n0 if same else None
 
 
-def _initial_state(p):
-    ring = _ring_for(p)
+def coordinates(p):
+    """x = x_coeff*tau^m and y of the branch as given (normalize may swap
+    them), as Polys over the coefficient ring of the states: the ambient
+    field, or the rational functions in one transcendental parameter lam,
+    which stands for the GENERIC coefficient."""
+    ring = p.ambient
+    if p.has_generic:
+        ring = FractionField(PolyRing(ring, "lam"))
 
     def lift(coeff):
         if coeff is GENERIC:
@@ -149,8 +147,8 @@ def _initial_state(p):
     coeffs = [ring.zero()] * (p.y_terms[-1][0] + 1 if p.y_terms else 0)
     for exp, coeff in p.y_terms:
         coeffs[exp] = lift(coeff)
-    return (RatFunc.of(Poly.monomial(ring, lift(p.x_coeff), p.x_order)),
-            RatFunc.of(Poly(ring, coeffs)))
+    return (Poly.monomial(ring, lift(p.x_coeff), p.x_order),
+            Poly(ring, coeffs))
 
 
 def _chart_step(u, w):
@@ -417,7 +415,7 @@ def resolve(p, extra_steps=0):
     """
     p = normalize(p)
     max_steps = _default_cap(p, extra_steps)
-    u, w = _initial_state(p)
+    u, w = map(RatFunc.of, coordinates(p))
     sub = Subfield.rationals(p.ambient)
 
     records = []

@@ -11,7 +11,9 @@ weight).
 The raw oracle route lives here as well: every monomial column built in
 full, keyed by (tau order, (c power, field coordinate)) tuples, and
 reduced against the echelon (the runtime reduces x times the vector
-stored for the predecessor instead, keyed by one integer). Horner
+stored for the predecessor instead, keyed by one integer), with the
+tables of x and y built from Fraction products of field elements (the
+runtime reads them off the integer matrix of multiplication). Horner
 evaluation of polynomials and of field elements lives here too: the
 concrete curvettes and conjugation use it, the runtime does not. So do
 the Fraction routes of field arithmetic: the product of field elements,
@@ -65,7 +67,6 @@ from artifact.errors import (
 )
 from artifact.exactfield import AlgNum
 from artifact.linalg import SparseRowSpace
-from artifact.oracle import _keyed_tables, _multiplication_table
 from artifact.ratfunc import INFINITY, FractionField, Poly, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
@@ -73,9 +74,9 @@ from artifact.resolution import (
     BranchParam,
     _chart_step,
     _constant,
-    _initial_state,
     _landing_info,
     _shift,
+    coordinates,
     curvette_mults,
     generic_curvette,
 )
@@ -343,12 +344,18 @@ class NotARoot(ArtifactError):
     """Conjugation target does not satisfy the defining polynomial."""
 
 
+def initial_state(p):
+    """The branch as given (no coordinate swap) as the state pair (u, w)
+    of rational functions that the blow-up replay starts from."""
+    return tuple(map(RatFunc.of, coordinates(p)))
+
+
 def blow_up_once(p):
     """One blow-up of the origin: (center on the new component, AT_INFINITY
     in the second chart; translated strict transform; multiplicity at the
     blown point). Raises GenericCenter at a GENERIC-dependent center and
     UnrepresentableCurvette when the x part is not an exact monomial."""
-    u, w = _initial_state(p)
+    u, w = initial_state(p)
     mult = int(min(u.order(), w.order()))
     chart, c_scal, u2, w2 = _chart_step(u, w)
     center = _constant(c_scal)
@@ -461,7 +468,7 @@ def strict_mults(carrier, reference):
     """
     if carrier.has_generic:
         raise GenericCenter("strict multiplicities need a concrete carrier")
-    u, w = _initial_state(carrier)
+    u, w = initial_state(carrier)
     return _strict_mults_state(u, w, reference)
 
 
@@ -496,8 +503,8 @@ def intersect_noether(a, b):
     na = a.y_terms[-1][0] if a.y_terms else a.x_order
     nb = b.y_terms[-1][0] if b.y_terms else b.x_order
     bound = (a.x_order + na) * (b.x_order + nb)
-    ua, wa = _initial_state(a)
-    ub, wb = _initial_state(b)
+    ua, wa = initial_state(a)
+    ub, wb = initial_state(b)
     return _intersect_states(ua, wa, ub, wb, bound)
 
 
@@ -615,11 +622,33 @@ def proximity_check(recs, terminal):
     return True
 
 
+def reference_table(s, bound, field):
+    """Multiplication by D*s on the rational coordinates, for the
+    tau-polynomial s cut past tau^bound and a positive integer D, as
+    table[k] for each power-basis index k: the (tau order e, c power b,
+    field coordinate k', integer) entries of z^k times the c^b part of
+    s_e, by increasing (e, b, k'). A coefficient s_e is an ambient-field
+    element (b = 0) or a polynomial in c over the field. Each product is
+    the Fraction route reference_algnum_mul, and D is the least common
+    denominator of all the entries."""
+    n = field.degree
+    basis = [field.element([int(i == k) for i in range(n)])
+             for k in range(n)]
+    table = [[(e, b, k2, q) for e, c in enumerate(s.coeffs[:bound + 1])
+              for b, alg in enumerate(c.coeffs if isinstance(c, Poly)
+                                      else (c,))
+              for k2, q in enumerate(reference_algnum_mul(zk, alg)) if q]
+             for zk in basis]
+    scale = lcm(*(q.denominator for row in table for *_at, q in row))
+    return [[(e, b, k2, int(q * scale)) for e, b, k2, q in row]
+            for row in table]
+
+
 def tuple_times(column, table, bound):
     """The {(tau order, (c power, field coordinate)): int} column times the
-    tau-polynomial tabled by oracle._multiplication_table, cut past
-    tau^bound and divided by its content: the product oracle._times
-    forms on integer keys (where the echelon strips the content)."""
+    tau-polynomial tabled by reference_table, cut past tau^bound and
+    divided by its content: the product oracle._times forms on integer
+    keys (where the echelon strips the content)."""
     out = {}
     for (v, (a, k)), m in column.items():
         for e, b, k2, q in table[k]:
@@ -638,7 +667,7 @@ def _monomial_columns(x, y, bound, field):
     A column is a {(tau order, (c power, field coordinate)): int} dict of
     the nonzero entries of the image x^i y^j up to tau^bound; on a branch
     the c power is 0. Every column is one sparse integer step from a
-    neighbour (tuple_times with the tables of x and y): x^i from
+    neighbour (tuple_times with the reference tables of x and y): x^i from
     x^(i-1), x^i y^j from x^i y^(j-1), each a positive integer multiple of
     the cut image. For i descending, the block x^i, x^i y, .., x^i y^jtop
     is built upward and fed downward.
@@ -647,8 +676,8 @@ def _monomial_columns(x, y, bound, field):
     oy = y.order()
     if ox < 1:
         raise ValueError("x image must vanish at the origin")
-    x_table = _multiplication_table(x, bound, field)
-    y_table = _multiplication_table(y, bound, field)
+    x_table = reference_table(x, bound, field)
+    y_table = reference_table(y, bound, field)
     xs = [{(0, (0, 0)): 1}]
     for _ in range(0 if ox is INFINITY else bound // ox):
         xs.append(tuple_times(xs[-1], x_table, bound))
@@ -674,9 +703,9 @@ def reference_filtration_dims(x, y, V, field):
 
 
 def keyed_times(column, table, limit):
-    """The integer-keyed column times a keyed table (oracle._keyed_tables),
-    every product term tested against the cut at limit, with no content
-    taken out."""
+    """The integer-keyed column times a keyed table (as oracle._times reads
+    one), every product term tested against the cut at limit, with no
+    content taken out."""
     n = len(table)
     out = {}
     for c, m in column.items():
@@ -690,13 +719,22 @@ def sorted_monomial_adds(x, y, V, field):
     """The vectors oracle._filtration feeds SparseRowSpace.add, in order,
     from every monomial of weight <= V listed and sorted by (weight, i);
     a monomial whose predecessor stored no vector is skipped at its turn.
-    x and y must vanish at the origin."""
+    x and y must vanish at the origin. The tables are reference_table's,
+    keyed by v*W + a*n + k with W = n*(imax*bx + jmax*by + 1), bx and by
+    their largest c powers: the entry (e, b, k', q) of row k becomes the
+    key offset e*W + b*n + k' - k. Over a field whose minimal polynomial
+    has integer coefficients, their D is the oracle's, so the vectors are
+    the very ones it feeds."""
     ox, oy = x.order(), y.order()
     imax = 0 if ox is INFINITY else V // ox
     jmax = 0 if oy is INFINITY else V // oy
-    W, x_keyed, y_keyed = _keyed_tables(
-        _multiplication_table(x, V, field),
-        _multiplication_table(y, V, field), imax, jmax, field.degree)
+    n = field.degree
+    tables = [reference_table(s, V, field) for s in (x, y)]
+    bx, by = (max((b for row in t for _e, b, _k, _q in row), default=0)
+              for t in tables)
+    W = n * (imax * bx + jmax * by + 1)
+    x_keyed, y_keyed = ([[(e * W + b * n + k2 - k, q) for e, b, k2, q in row]
+                         for k, row in enumerate(t)] for t in tables)
     limit = (V + 1) * W
     monomials = []
     for i in range(imax + 1):
@@ -758,8 +796,7 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
                                    "mode"],
                       [("extra_steps", 0), ("splitting_prefix", ()),
                        ("truncate", None)]),
-    _reference_record("Analysis", ["doc", "branch", "graph", "recs", "nd",
-                                   "series"]),
+    _reference_record("Analysis", ["doc", "graph", "recs", "nd", "series"]),
     _reference_record("FiltrationReport", ["V", "dims", "mode"]),
     _reference_record("NumericalData", ["m_sigma", "M_sigma", "M_tau",
                                         "splitting"],

@@ -399,7 +399,7 @@ def test_criterion_12_both_series_equal_the_oracle_on_the_workloads():
                 if analysis.graph.case == "III":
                     continue
                 bound = min(nd.Delta + 10, 40)
-                dims = filtration_dims(analysis.branch, bound).dims
+                dims = filtration_dims(analysis.graph.branch, bound).dims
                 semigroup = expand(semigroup_series(nd), bound)
                 classical = classical_series(nd)
                 assert semigroup.coeffs == tuple(int(d > 0) for d in dims), \

@@ -16,7 +16,7 @@ from artifact.errors import (
     ReduciblePolynomial,
 )
 from artifact.exactfield import AlgNum, AmbientField, Subfield, span_close
-from artifact.oracle import _multiplication_table
+from artifact.oracle import _keyed_table
 from artifact.ratfunc import Poly, PolyRing
 
 from slow_paths import (
@@ -323,14 +323,18 @@ def test_ring_operations_create_no_fractions(monkeypatch, p):
     rat = Subfield.rationals(field)
     full = span_close([a, b], rat)
     member = [full.contains_num(a), rat.contains_num(a)]
-    tables = [_multiplication_table(s, 2, field) for s in (branch, curvette)]
+    # c-degree at most 1: a tau level's keys b*n + k' stay below W = 2n
+    W = 2 * n
+    tables = [_keyed_table(s, 2, field, W) for s in (branch, curvette)]
     monkeypatch.undo()
     assert created == []
     assert results[0].coords == reference_algnum_mul(a, b)
     assert results[4] == reference_algnum_inverse(a)
     assert results[5] == reference_poly_mul(branch, branch)
     assert member == [True, n == 1]
-    # row k of a table lists z^k times s, all rows times one positive D
+    # row k of a table lists z^k times s, its term at tau^e, c^b and
+    # coordinate k' keyed offset + k = e*W + b*n + k', all rows times one
+    # positive D
     for s, table in zip((branch, curvette), tables):
         ratios = set()
         for k, row in enumerate(table):
@@ -340,7 +344,10 @@ def test_ring_operations_create_no_fractions(monkeypatch, p):
                     for b, alg in enumerate(prod.coeffs if isinstance(
                         prod, Poly) else (prod,))
                     for k2, q in enumerate(alg.coords) if q}
-            got = {(e, b, k2): q for e, b, k2, q in row}
+            got = {}
+            for offset, q in row:
+                e, at = divmod(offset + k, W)
+                got[(e, *divmod(at, n))] = q
             assert got.keys() == want.keys()
             ratios |= {got[key] / want[key] for key in got}
         assert len(ratios) == 1 and min(ratios) > 0

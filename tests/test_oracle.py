@@ -8,6 +8,7 @@ against the independent binomial-product pipeline, which is exercised
 explicitly in the differential tests at the bottom.
 """
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,9 +24,9 @@ from artifact.linalg import SparseRowSpace
 from artifact.oracle import (
     FiltrationReport,
     PolyXY,
+    _c_degree,
     _filtration,
-    _keyed_tables,
-    _multiplication_table,
+    _keyed_table,
     _times,
     divisorial_filtration_dims,
     divisorial_value,
@@ -44,6 +45,7 @@ from artifact.ratfunc import INFINITY, Poly, PolyRing
 from artifact.resolution import (
     GENERIC,
     BranchParam,
+    coordinates,
     generic_curvette,
     resolve,
 )
@@ -53,6 +55,7 @@ from slow_paths import (
     conjugate_param,
     evaluate_poly,
     reference_filtration_dims,
+    reference_table,
     rref,
     sorted_monomial_adds,
     tuple_times,
@@ -424,7 +427,8 @@ FRACTIONAL = [
                          ids=[n for n, _p in CORPUS + FRACTIONAL])
 def test_filtration_dims_match_stacked_fraction_blocks(name, p):
     V = 16
-    assert filtration_dims(p, V).dims == stacked_block_dims(*branch_xy(p), V)
+    assert filtration_dims(p, V).dims == \
+        stacked_block_dims(*coordinates(p), V)
 
 
 # divisorial targets plus two on which clearing each column per level
@@ -450,14 +454,6 @@ def test_divisorial_dims_match_stacked_fraction_blocks(name, p, extra):
 
 
 # --- monomial columns and the column echelon against the row-block reference ----
-
-def branch_xy(p):
-    x = Poly.monomial(p.ambient, p.x_coeff, p.x_order)
-    coeffs = [p.ambient.zero()] * (p.y_terms[-1][0] + 1 if p.y_terms else 0)
-    for exp, c in p.y_terms:
-        coeffs[exp] = c
-    return x, Poly(p.ambient, coeffs)
-
 
 def product_columns(x, y, V):
     """{(i, j): integer column} for every monomial x^i y^j of value <= V:
@@ -579,7 +575,7 @@ SCALED_X = [("sq2_scaled_x", BranchParam(SQ2, 2, [(3, 1), (4, SQ2.gen())],
 def test_shifted_columns_equal_product_columns(name, p, V):
     # on a branch x is a*tau^m, so each x step of the reference builder is
     # a shift
-    assert_columns_equal_product_columns(*branch_xy(p), V, p.ambient)
+    assert_columns_equal_product_columns(*coordinates(p), V, p.ambient)
 
 
 CUSP_LADDER_TARGETS = [
@@ -640,7 +636,7 @@ def test_filtration_dims_equal_raw_column_reference(name, p, extra, V):
     # the runtime reduces x (or y) times the vector stored for the
     # predecessor monomial; the reference reduces every raw column in full
     if extra is None:
-        x, y = branch_xy(p)
+        x, y = coordinates(p)
         assert filtration_dims(p, V).dims == \
             reference_filtration_dims(x, y, V, p.ambient)
     else:
@@ -730,7 +726,9 @@ def _unkeyed(vector, W, n):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_keyed_times_equals_tuple_times(data):
-    """_times on integer keys, read back as (v, (a, k)), is tuple_times on
+    """_times with the oracle's keyed table (_keyed_table) and the width W
+    that _filtration derives, read back as (v, (a, k)), is tuple_times
+    with the table built from Fraction products (reference_table), on
     random columns over the test fields, on a branch (no c) and on a
     curvette (c powers), with entries at level V, at the last level whose
     product survives the cut, at the first one whose product does not,
@@ -742,11 +740,10 @@ def test_keyed_times_equals_tuple_times(data):
     x = data.draw(tau_polys(field, ring))
     y = data.draw(tau_polys(field, ring))
     imax, jmax = V // x.order(), V // y.order()
-    tables = [_multiplication_table(s, V, field) for s in (x, y)]
-    W, *keyed = _keyed_tables(*tables, imax, jmax, n)
-    bx, by = (max(b for row in t for _e, b, _k, _q in row) for t in tables)
+    bx, by = _c_degree(x, V), _c_degree(y, V)
     top = imax * bx + jmax * by
-    for s, table, keyed_table, b_top in zip((x, y), tables, keyed, (bx, by)):
+    W = n * (top + 1)
+    for s, b_top in zip((x, y), (bx, by)):
         # a column that x (or y) multiplies has c-degree <= top - b_top
         a_max = top - b_top
         entry = st.tuples(st.integers(0, V), st.integers(0, a_max),
@@ -757,9 +754,10 @@ def test_keyed_times_equals_tuple_times(data):
         edge = V + 1 - s.order()
         column.update({(V, (0, 0)): 1, (edge, (0, 0)): -2,
                        (edge - 1, (0, n - 1)): 3, (0, (a_max, n - 1)): 5})
-        assert _unkeyed(_times(_keyed(column, W, n), keyed_table,
-                               (V + 1) * W), W, n) == \
-            tuple_times(column, table, V)
+        assert _unkeyed(_times(_keyed(column, W, n),
+                               _keyed_table(s, V, field, W), (V + 1) * W),
+                        W, n) == \
+            tuple_times(column, reference_table(s, V, field), V)
 
 
 def _field_terms(s, V):
@@ -784,7 +782,7 @@ def test_oracle_field_products_are_the_table_entries(monkeypatch, name, p,
     of each, that is at most bound / [L:Q] matrices, however many columns
     V brings."""
     if extra is None:
-        x, y = branch_xy(p)
+        x, y = coordinates(p)
     else:
         graph, recs = resolve(p, extra_steps=extra)
         gc = generic_curvette(graph, recs, bound=V)
@@ -818,7 +816,7 @@ def test_oracle_field_products_are_the_table_entries(monkeypatch, name, p,
 @pytest.mark.parametrize("name,p", CORPUS, ids=[n for n, _p in CORPUS])
 def test_curve_dims_equal_row_block_reference(name, p):
     V = _workload_V(p)
-    assert filtration_dims(p, V).dims == row_block_dims(*branch_xy(p), V)
+    assert filtration_dims(p, V).dims == row_block_dims(*coordinates(p), V)
 
 
 @pytest.mark.parametrize("name,p,extra", DIVISORIAL_TARGETS,
@@ -916,6 +914,35 @@ def test_generic_family_dims_are_the_series_at_t_to_the_n(name, p):
         0 if v % n else series[v // n] for v in range(V + 1))
 
 
+# --- swapped coordinates -------------------------------------------------------------
+
+SWAPPED = [("q_t3_t2", ["0", "1"], 3, 2, ["1"]),
+           ("q_t7_t4", ["0", "1"], 7, 4, ["1"]),
+           ("sq2_t9_t4", ["-2", "0", "1"], 9, 4, ["1", "0"])]
+
+
+@pytest.mark.parametrize("name,min_poly,x_order,exp,coeff", SWAPPED,
+                         ids=[case[0] for case in SWAPPED])
+def test_verify_of_a_swapped_branch_reads_the_branch_as_given(
+        tmp_path, capsys, name, min_poly, x_order, exp, coeff):
+    """normalize swaps x and y when ord y < ord x, and verify runs the
+    oracle on the swapped branch. Swapping is an automorphism of K[x, y],
+    so the oracle line verify prints is filtration_dims of the branch as
+    the document gives it."""
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps({
+        "ambient": {"var": "z", "min_poly": min_poly},
+        "branch": {"x_order": x_order,
+                   "y_terms": [{"exp": exp, "coeff": coeff}]},
+        "mode": "curve"}))
+    assert cli.main(["verify", str(path)]) == 0
+    oracle_line = capsys.readouterr().out.splitlines()[1]
+    field = AmbientField([Fraction(a) for a in min_poly])
+    raw = BranchParam(field, x_order, [(exp, field.element(coeff))])
+    assert oracle_line == "  oracle: " + " ".join(
+        map(str, filtration_dims(raw, cli.DEFAULT_MAX_ORDER).dims))
+
+
 # --- conjugation invariance ---------------------------------------------------------
 
 def test_conjugation_leaves_dims_and_orders_alone():
@@ -970,7 +997,7 @@ def test_each_product_feeds_one_add(monkeypatch):
     so no chain goes past it."""
     item = next(it for it in WORKLOADS.generate("corpus", 1)
                 if it["id"] == "curve_sq2_line")
-    branch = cli.build_analysis(cli.parse_input(item["doc"])).branch
+    branch = cli.build_analysis(cli.parse_input(item["doc"])).graph.branch
     counts = Counter()
     times, add = oracle._times, SparseRowSpace.add
 

@@ -32,13 +32,14 @@ def test_slow_paths_define_nothing_the_package_defines():
 
 
 def test_slow_paths_keep_their_own_oracle_product():
-    """The raw-column reference multiplies its columns itself
-    (tuple_times): it takes neither the kernel it is compared with,
-    oracle._times, nor the elimination, oracle._filtration, from the
-    package, by import or by attribute."""
+    """The raw-column reference tabulates and multiplies its columns
+    itself (reference_table, tuple_times): it takes neither the kernels it
+    is compared with, oracle._keyed_table and oracle._times, nor the
+    elimination, oracle._filtration, from the package, by import or by
+    attribute."""
     tree = ast.parse(pathlib.Path(__file__).with_name("slow_paths.py")
                      .read_text(encoding="utf-8"))
-    kernels = {"_times", "_filtration"}
+    kernels = {"_times", "_filtration", "_keyed_table"}
     taken = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and \
@@ -103,18 +104,13 @@ def test_only_record_and_arithmetic_types_define_equality():
     assert found == []
 
 
-# The oracle substitutes into the branch's own coordinate state.
-PRIVATE_READS = {("oracle.py", "_initial_state")}
-
-
 def _is_private(name):
     return name.startswith("_") and not name.startswith("__")
 
 
 def test_no_module_reads_another_modules_private_names():
     """A module of src/artifact reaches another module only through its
-    public names: no `from .x import _y` and no `module._y`, except the
-    reads listed in PRIVATE_READS."""
+    public names: no `from .x import _y` and no `module._y`."""
     found = []
     for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -137,6 +133,5 @@ def test_no_module_reads_another_modules_private_names():
                 reads.append((node.lineno, node.value.id, node.attr))
         found += ["%s:%d %s.%s" % (path.name, lineno, owner, name)
                   for lineno, owner, name in reads
-                  if _is_private(name)
-                  and (path.name, name) not in PRIVATE_READS]
+                  if _is_private(name)]
     assert found == []

@@ -42,14 +42,14 @@ def records_of(doc_id):
     se = expand(series, order)
     curvette = generic_curvette(graph, analysis.recs, bound=8)
     if nd.M_delta is None:
-        report = filtration_dims(analysis.branch, 8)
+        report = filtration_dims(graph.branch, 8)
     else:
         report = divisorial_filtration_dims(curvette, 8)
     return ([doc, analysis, nd, series, se, report, graph.terminal,
              binomial_factorization(se, series),
              minimal_generator_check(nd.M_sigma, nd.N),
              minimal_generator_check((4, 6, 7), (2, 3)),
-             nd.replace(partial=True), analysis.branch, graph, curvette,
+             nd.replace(partial=True), graph.branch, graph, curvette,
              analysis.recs[-1].field_after,
              PolyXY([(0, 2, 1), (3, 0, -1), (1, 1, "1/2")])]
             + list(analysis.recs) + list(graph.vertices))
@@ -147,7 +147,8 @@ def test_derived_properties_are_the_values_once_stored():
             continue
         doc = cli.parse_input(item["doc"])
         analysis = cli.build_analysis(doc)
-        graph, branch = analysis.graph, analysis.branch
+        graph = analysis.graph
+        branch = graph.branch
         assert hash(branch) == hash(BranchParam(
             branch.ambient, branch.x_order, branch.y_terms, branch.x_coeff))
         assert graph.ambient is branch.ambient

@@ -28,6 +28,7 @@ from artifact.resolution import (
     _tail_ok,
     GENERIC,
     BranchParam,
+    coordinates,
     generic_curvette,
     m_values,
     minus_inverse,
@@ -116,6 +117,27 @@ def test_normalize_rejections():
         normalize(BranchParam(Q, 2, [(4, 1)]))
     with pytest.raises(NotIrreducibleParam):
         normalize(BranchParam(Q, 2, []))
+
+
+@pytest.mark.parametrize("p", [
+    BranchParam(Q, 2, [(3, GENERIC)]),
+    BranchParam(SQ2, 2, [(3, GENERIC), (4, SQ2.gen())], x_coeff=3)],
+    ids=["cusp", "sq2_scaled_x"])
+def test_resolve_starts_from_the_public_coordinates(monkeypatch, p):
+    """The first state resolve blows up is RatFunc.of of coordinates(p),
+    whose ring on a generic branch is the rational functions in lam."""
+    states = []
+    chart_step = resolution._chart_step
+
+    def recording(u, w):
+        states.append((u, w))
+        return chart_step(u, w)
+
+    monkeypatch.setattr(resolution, "_chart_step", recording)
+    resolve(p)
+    x, y = coordinates(p)
+    assert x.ring == y.ring == FractionField(PolyRing(p.ambient, "lam"))
+    assert states[0] == (RatFunc.of(x), RatFunc.of(y))
 
 
 def test_series_order():

@@ -20,7 +20,6 @@ from artifact.poincare import big_M, value_maps
 from artifact.ratfunc import INFINITY
 from artifact.resolution import (
     BranchParam,
-    _initial_state,
     curvette_mults,
     m_values,
     resolve,
@@ -31,6 +30,7 @@ from slow_paths import (
     _intersect_states,
     _strict_mults_state,
     constant_collision,
+    initial_state,
     noether_big_M,
     noether_m_values,
 )
@@ -76,7 +76,7 @@ def replay_m_values(graph, recs):
     out = {}
     for v in graph.vertices:
         ub, wb = replay_curvette(graph, recs, v.id)
-        ua, wa = _initial_state(graph.branch)
+        ua, wa = initial_state(graph.branch)
         val = _intersect_states(ua, wa, ub, wb, bound=degree_bound(ua, wa)
                                 * degree_bound(ub, wb))
         assert val is not INFINITY, "curvette coincides with the branch"

@@ -68,12 +68,12 @@ class InputDoc(Record):
     option, None when absent.
     """
 
-    __slots__ = ("var", "min_poly", "x_order", "y_terms", "mode",
-                 "extra_steps", "splitting_prefix", "truncate")
+    __slots__ = ("min_poly", "x_order", "y_terms", "mode", "extra_steps",
+                 "splitting_prefix", "truncate")
 
-    def __init__(self, var, min_poly, x_order, y_terms, mode, extra_steps=0,
+    def __init__(self, min_poly, x_order, y_terms, mode, extra_steps=0,
                  splitting_prefix=(), truncate=None):
-        self._assign(var, min_poly, x_order, y_terms, mode, extra_steps,
+        self._assign(min_poly, x_order, y_terms, mode, extra_steps,
                      splitting_prefix, truncate)
 
 
@@ -204,10 +204,8 @@ def parse_input(raw):
             truncate = _as_int(options["truncate"], "options.truncate",
                                0, MAX_TRUNCATE)
 
-    return InputDoc(var=var, min_poly=min_poly, x_order=x_order,
-                    y_terms=tuple(y_terms), mode=mode,
-                    extra_steps=extra_steps, splitting_prefix=prefix,
-                    truncate=truncate)
+    return InputDoc(min_poly, x_order, tuple(y_terms), mode, extra_steps,
+                    prefix, truncate)
 
 
 def load_input(path):
@@ -273,7 +271,7 @@ def default_truncate(analysis):
     """Expansion length when neither flag nor file names one."""
     if analysis.nd.partial or analysis.graph.case == "III":
         return 40
-    return analysis.nd.Delta + 10
+    return min(analysis.nd.Delta + 10, MAX_TRUNCATE)
 
 
 def _pick_truncate(analysis, flag_value):
@@ -549,9 +547,9 @@ commands:
 options:
   -h, --help       print this text and exit
   --truncate N     expansion length (default: the file's options.truncate,
-                   else Delta + 10 for complete formulas, else 40)
+                   else min(Delta + 10, %d) for complete formulas, else 40)
   --max-order V    highest level the oracle checks (default: %d)""" \
-    % DEFAULT_MAX_ORDER
+    % (MAX_TRUNCATE, DEFAULT_MAX_ORDER)
 
 # Per command: the option that takes an integer, its default, and the flag
 # the command requires.

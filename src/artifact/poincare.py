@@ -13,7 +13,7 @@ relation of the recorded blow-ups gives: each is a proximity sum
 s[v] = weight[v] + sum of s[h] over the components h hosting point v
 (resolution.proximity_sums), one pass over the records per sum. m weights
 by the multiplicities of a curvette at the last component, and each field
-jump adds one sum weighted by the branch's multiplicities up to the jump.
+jump adds one sum weighted by the same multiplicities up to the jump.
 No blow-up is replayed and no matrix is inverted. NumericalData is given the
 values at the dead ends, ruptures, jumps and last component, and derives the
 gcd tower e, N, the product ell_total, the conductor c and the
@@ -72,28 +72,31 @@ def big_M(graph, recs, m_map):
     the field jumps, in creation order. A component sitting above j
     jump points has an orbit of ell_1 * .. * ell_j conjugates of its
     transversal curve; a conjugate that parts ways at jump j shares only the
-    blown-up points up to the jump with the branch, so its value is the
-    Noether sum over that shared chain. Grouping the conjugates by the first
-    jump where the chains part ways turns the orbit sum into
+    blown-up points up to the jump with a curvette at the last component,
+    so its value is the Noether sum over that shared chain. Grouping the
+    conjugates by the first jump where the chains part ways turns the orbit
+    sum into
 
         M = m + sum over jumps j below the component of
                 (ell_j - 1) * (product of ell_q for later jumps below)
-                            * sum(mult of branch * mult of transversal curve
+                            * sum(mult of curvette at the last component
+                                  * mult of transversal curve
                                   at each blown-up point up to rho_j)
 
     and the shared-chain sums vanish for jumps the component does not sit
-    above, so only those actually below it contribute. With the branch's
-    multiplicities up to rho_j as weights, each shared-chain sum is a
-    proximity sum (resolution.proximity_sums), so each jump takes one pass
-    over the records, and a running product per component gives the
-    product of the later ell.
+    above, so only those actually below it contribute. With a curvette at
+    the last component's multiplicities up to rho_j as weights (a resolved
+    branch's own; a case III family's are n_case3 times them), each
+    shared-chain sum is a proximity sum (resolution.proximity_sums), so
+    each jump takes one pass over the records, and a running product per
+    component gives the product of the later ell.
     """
     out = {v.id: int(m_map[v.id]) for v in graph.vertices}
     later = dict.fromkeys(out, 1)
+    last = _res.curvette_mults(recs, graph.delta()) if graph.splittings else ()
     for rho, ell in reversed(graph.splittings):
         shared = _res.proximity_sums(
-            recs, [rec.branch_mult if i <= rho else 0
-                   for i, rec in enumerate(recs)])
+            recs, last[:rho + 1] + [0] * (len(last) - rho - 1))
         for w_id in out:
             if rho < w_id:
                 out[w_id] += (ell - 1) * later[w_id] * shared[w_id]

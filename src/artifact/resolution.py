@@ -217,18 +217,16 @@ class InfNearRecord(Record):
     component: the standard chart the strict transform landed in and its
     coordinate there (AT_INFINITY in chart B; both None for the seed point).
     field_after is the coordinate subfield once the point is reached, and
-    host_components lists the components the point lies on.
+    host_components lists the components the point lies on; they give
+    multiplicities by proximity (curvette_mults), so none is stored.
     """
 
-    __slots__ = ("center", "branch_mult", "field_after", "host_components",
-                 "chart")
+    __slots__ = ("center", "field_after", "host_components", "chart")
 
-    def __init__(self, center, branch_mult, field_after, host_components,
-                 chart=None):
+    def __init__(self, center, field_after, host_components, chart=None):
         # center: AlgNum | AT_INFINITY | None (seed point);
         # chart: "A" | "B" | None
-        self._assign(center, branch_mult, field_after, host_components,
-                     chart)
+        self._assign(center, field_after, host_components, chart)
 
 
 class Vertex(Record):
@@ -402,16 +400,17 @@ def resolve(p, extra_steps=0):
     Returns (QuotientGraph, records). Records list exactly the blown-up
     points and are all the run keeps; the graph's shape is read off them
     (_graph_of), and graph.terminal is the InfNearRecord of the final,
-    never-blown point. A splitting index j is attached to the component
-    hosting the first center outside the current subfield, and the
-    subfield tower is extended there. extra_steps > 0 prolongs the run by
-    that many further blow-ups at the strict transform's intersection
-    point (divisorial targets past the last needed component).
+    never-blown point. No multiplicity is measured (see curvette_mults). A
+    splitting index j is attached to the component hosting the first center
+    outside the current subfield, and the subfield tower is extended there.
+    extra_steps > 0 prolongs the run by that many further blow-ups at the
+    strict transform's intersection point (divisorial targets past the last
+    needed component).
 
     With a GENERIC coefficient the run stops at the first parameter-dependent
     center: graph.case == "III", graph.n_case3 is the contact order of the
-    family with the final component, the terminal's center is GENERIC and
-    its branch_mult None, and no terminal translation exists.
+    family with the final component, the terminal's center is GENERIC,
+    and no terminal translation exists.
     """
     p = normalize(p)
     max_steps = _default_cap(p, extra_steps)
@@ -420,7 +419,7 @@ def resolve(p, extra_steps=0):
 
     records = []
     labels = (None, None)
-    pending = InfNearRecord(None, int(min(u.order(), w.order())), sub, ())
+    pending = InfNearRecord(None, sub, ())
     extra_left = extra_steps
     case3_n = None
 
@@ -439,7 +438,7 @@ def resolve(p, extra_steps=0):
         center = _constant(c_scal)
         if center is None:
             case3_n = int(u.order())
-            terminal = InfNearRecord(GENERIC, None, sub, (i,), chart)
+            terminal = InfNearRecord(GENERIC, sub, (i,), chart)
             break
         if chart == "A":
             if not sub.contains_num(center):
@@ -449,7 +448,7 @@ def resolve(p, extra_steps=0):
             center = AT_INFINITY
             second = labels[0]
         labels = (i, second)
-        pending = InfNearRecord(center, int(min(u.order(), w.order())), sub,
+        pending = InfNearRecord(center, sub,
                                 (i,) if second is None else labels, chart)
     else:
         raise ResolutionStuck(

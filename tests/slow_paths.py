@@ -589,8 +589,9 @@ def noether_m_values(graph, recs):
 
 def noether_big_M(graph, recs, m_map, tower):
     """M per component, with each shared-chain sum taken over the
-    curvette multiplicities of that component (poincare.big_M's formula,
-    one component at a time)."""
+    curvette multiplicities of that component and of the last one
+    (poincare.big_M's formula, one component at a time)."""
+    last = curvette_mults(recs, graph.delta())
     out = {}
     for v in graph.vertices:
         w = v.id
@@ -602,22 +603,26 @@ def noether_big_M(graph, recs, m_map, tower):
             for _rho_q, ell_q in below[j + 1:]:
                 later *= ell_q
             total += (ell - 1) * later * sum(
-                recs[i].branch_mult * mults[i] for i in range(rho + 1))
+                last[i] * mults[i] for i in range(rho + 1))
         out[w] = total
     return out
 
 
-def proximity_check(recs, terminal):
+def proximity_check(graph, recs, mults=None):
     """Each point's multiplicity equals the sum of the multiplicities at the
-    points lying on the component it creates (the final one contributed by
-    the terminal landing)."""
+    points lying on the component it creates. mults lists the branch's
+    multiplicities at the blown-up points and then at the terminal, the
+    first point not blown up, which lies on the last component; by default
+    they are replayed through the recorded blow-ups (strict_mults)."""
+    if mults is None:
+        mults = strict_mults(graph.branch, list(recs) + [graph.terminal])
     r = len(recs)
     for i in range(r):
-        total = sum(rec.branch_mult for rec in recs[i + 1:]
-                    if i in rec.host_components)
+        total = sum(mults[k] for k in range(i + 1, r)
+                    if i in recs[k].host_components)
         if i == r - 1:
-            total += terminal.branch_mult
-        if recs[i].branch_mult != total:
+            total += mults[r]
+        if mults[i] != total:
             return False
     return True
 
@@ -792,7 +797,7 @@ def _reference_record(name, fields, defaults=(), derived=(), post_init=None):
 # The fields of each record class, in order, with the defaults of the
 # constructor's trailing arguments and the fields it does not accept.
 REFERENCE_RECORDS = {cls.__name__: cls for cls in (
-    _reference_record("InputDoc", ["var", "min_poly", "x_order", "y_terms",
+    _reference_record("InputDoc", ["min_poly", "x_order", "y_terms",
                                    "mode"],
                       [("extra_steps", 0), ("splitting_prefix", ()),
                        ("truncate", None)]),
@@ -808,8 +813,8 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
     _reference_record("GeneratorCheck", ["ok"], [("witness", None)]),
     _reference_record("BinomialFactorization", ["factors"],
                       [("is_cyclotomic", None)]),
-    _reference_record("InfNearRecord", ["center", "branch_mult",
-                                        "field_after", "host_components"],
+    _reference_record("InfNearRecord", ["center", "field_after",
+                                        "host_components"],
                       [("chart", None)]),
     _reference_record("Vertex", ["id", "tags", "self_int", "field_dim"]),
     _reference_record("BranchParam", ["ambient", "x_order", "y_terms"],

@@ -121,6 +121,8 @@ GENERIC_FAMILIES = [
     BranchParam(Q, 2, [(3, 1), (5, GENERIC)]),
     BranchParam(Q, 4, [(6, GENERIC), (7, 1)]),
     BranchParam(SQ2, 2, [(3, GENERIC), (4, _Z2)]),
+    # a field jump before the marker, contact order 2
+    BranchParam(SQ2, 4, [(4, _Z2), (6, GENERIC), (7, 1)]),
 ]
 
 

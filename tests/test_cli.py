@@ -72,7 +72,6 @@ def write_doc(tmp_path, doc, name="input.json"):
 
 def test_parse_input_reads_the_schema():
     doc = cli.parse_input(CUSP)
-    assert doc.var == "z"
     assert doc.min_poly == (Fraction(0), Fraction(1))
     assert doc.x_order == 2
     assert doc.y_terms == ((3, (Fraction(1),)),)
@@ -176,6 +175,20 @@ def test_analyze_defaults_to_delta_plus_ten(tmp_path, capsys):
     out = capsys.readouterr().out
     # Delta = 2 for the cusp
     assert "expansion (v = 0..12):" in out
+
+
+def test_default_expansion_length_is_capped(tmp_path, capsys):
+    """x = t^999, y = t^1000 has Delta + 10 = 997012, past the largest
+    length --truncate accepts; the default stops at that cap."""
+    doc = {"ambient": {"var": "z", "min_poly": ["0", "1"]},
+           "branch": {"x_order": 999, "y_terms": [{"exp": 1000,
+                                                    "coeff": ["1"]}]},
+           "mode": "curve"}
+    analysis = cli.build_analysis(cli.parse_input(doc))
+    assert analysis.nd.Delta + 10 == 997012
+    assert cli.default_truncate(analysis) == cli.MAX_TRUNCATE == 100000
+    assert cli.main(["analyze", write_doc(tmp_path, doc)]) == 0
+    assert "expansion (v = 0..100000):" in capsys.readouterr().out
 
 
 def test_truncate_flag_overrides_file_option(tmp_path, capsys):
@@ -282,6 +295,27 @@ def _divisorial_doc(min_poly, x_order, terms, extra_steps):
             "branch": {"x_order": x_order,
                        "y_terms": [{"exp": e, "coeff": c} for e, c in terms]},
             "mode": {"divisorial": {"extra_steps": extra_steps}}}
+
+
+def test_generic_family_with_a_jump_before_the_marker(tmp_path, capsys):
+    """y = sqrt2*t^4 + lam*t^6 + t^7, x = t^4 over Q(sqrt2): the field
+    jumps at the seed point, before the marker, and the family's contact
+    order is 2. Its multiplicities are twice those of a curvette at the
+    last component. M weights by the curvette's, and verify matches;
+    weighted by the family's own, M_sigma would read [2, 7] and verify
+    would fail at v = 5."""
+    terms = [(4, ["0", "1"]), (6, "generic"), (7, ["1", "0"])]
+    doc = _divisorial_doc(["-2", "0", "1"], 4, terms, 0)
+    code, out, err = run_cli(capsys, ["verify", write_doc(tmp_path, doc)])
+    assert (code, err) == (0, "")
+    assert out.endswith("  match: yes\n")
+    doc["mode"] = "curve"
+    code, out, err = run_cli(capsys, ["analyze", write_doc(tmp_path, doc)])
+    assert (code, err) == (0, "")
+    for line in ("n: 2 ", "  M_sigma = [2, 5]", "  M_tau = [10]",
+                 "  ell_total = 2  c = 4  Delta = 6  M_delta = 10",
+                 "series: (1-t^4)/((1-t^2)^2(1-t^5))"):
+        assert "\n" + line in out
 
 
 def _cusp_ladder_doc(k, extra_steps):

@@ -888,8 +888,9 @@ def _with_signs(p, seed):
 
 
 FAMILY_DOCS = [("%s_seed%d" % (name, seed), _with_signs(p, seed))
-               for name, p in zip(("cusp", "tail", "twopair", "sq2"),
-                                  GENERIC_FAMILIES)
+               for name, p in zip(("cusp", "tail", "twopair", "sq2",
+                                   "sq2_jump"), GENERIC_FAMILIES,
+                                  strict=True)
                for seed in range(1, 6)]
 
 
@@ -912,6 +913,50 @@ def test_generic_family_dims_are_the_series_at_t_to_the_n(name, p):
     x, y = family_xy(p)
     assert _filtration(x, y, V, "curve", p.ambient).dims == tuple(
         0 if v % n else series[v // n] for v in range(V + 1))
+
+
+def _drawn_family(rng):
+    """x = t^m and y = (a*z^k + b)*t^e + lam*t^(e+d) + t^(e+d+1) over a
+    corpus field, z its generator, a and b nonzero and integer: m is even
+    and e >= m, so the first term can enlarge the field before the marker,
+    and the family's contact order can exceed 1."""
+    field = rng.choice((Q, SQ2, SQ3, GOLDEN, CBRT2, BIQ, QRT2))
+    m = rng.choice((2, 4, 6))
+    e = rng.randint(m, 2 * m)
+    d = rng.choice((1, 2, 2, 3, 4))
+    k = rng.randrange(field.degree)
+    coeff = field.element([rng.choice((1, 2, -2)) if i == k else 0
+                           for i in range(field.degree)]) \
+        + field.from_fraction(rng.choice((0, 1)))
+    return BranchParam(field, m, [(e, coeff), (e + d, GENERIC),
+                                  (e + d + 1, field.one())])
+
+
+def test_drawn_case_iii_families_match_the_divisorial_oracle():
+    """The divisorial series of a generic family is read off its M values;
+    the oracle substitutes the generic curvette at the last component.
+    Over 40 seeded families, among them at least 5 with a field jump
+    before the marker and contact order n_case3 > 1 (there the family's
+    own multiplicities are n_case3 times the curvette's, and M must take
+    the curvette's), both agree through V = 24."""
+    V = 24
+    rng = random.Random(7)
+    jumps = 0
+    failures = []
+    for _ in range(40):
+        p = _drawn_family(rng)
+        graph, recs = resolve(p)
+        assert graph.case == "III", p
+        jumps += bool(graph.splittings) and graph.n_case3 > 1
+        series = expand(divisorial_series(
+            numerical_data(graph, recs, mode="divisorial")), V).coeffs
+        oracle_dims = divisorial_filtration_dims(
+            generic_curvette(graph, recs, bound=V), V).dims
+        if series != oracle_dims:
+            failures.append("%r: series %s, oracle %s"
+                            % (p, series, oracle_dims))
+    assert not failures, "\n".join(failures)
+    assert jumps >= 5
 
 
 # --- swapped coordinates -------------------------------------------------------------

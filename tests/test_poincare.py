@@ -456,6 +456,10 @@ def test_symmetry_check_failures():
     with pytest.raises(TruncationTooShort):
         symmetry_check(expand(classical_series(curve_nd(cusp())), 1), 2, 1)
     assert not symmetry_check(SeriesExpansion((1, 1, 1, 1)), 2, 1)
+    # paired below Delta, but the coefficient at Delta itself is not ell
+    assert not symmetry_check(SeriesExpansion((1, 1, 5, 2, 2)), 2, 2)
+    # Delta = 1: a_0 pairs with itself and reaches ell = 0 already
+    assert not symmetry_check(SeriesExpansion((0, 0, 0)), 1, 0)
 
 
 # --- structural invariants ---------------------------------------------------

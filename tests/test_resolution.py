@@ -206,11 +206,10 @@ def test_resolve_smooth_line():
     assert graph.geodesic == (0,)
     assert tag_sets(graph) == [{("INITIAL",), ("DEAD_END", 0), ("DELTA",)}]
     assert len(recs) == 1
-    assert recs[0].center is None and recs[0].branch_mult == 1
-    assert recs[0].host_components == ()
+    assert recs[0].center is None and recs[0].host_components == ()
+    assert strict_mults(graph.branch, recs) == [1]
     assert graph.terminal.chart == "A" and graph.terminal.center == 0
-    assert graph.terminal.branch_mult == 1
-    assert proximity_check(recs, graph.terminal)
+    assert proximity_check(graph, recs)
 
 
 def test_resolve_cusp():
@@ -225,7 +224,7 @@ def test_resolve_cusp():
         {("RUPTURE", 1), ("DELTA",)},
     ]
     assert [v.field_dim for v in graph.vertices] == [1, 1, 1]
-    assert [r.branch_mult for r in recs] == [2, 1, 1]
+    assert strict_mults(cusp(), recs) == [2, 1, 1]
     assert [r.host_components for r in recs] == [(), (0,), (1, 0)]
     assert recs[1].center == 0 and recs[2].center is AT_INFINITY
     assert [r.chart for r in recs] == [None, "A", "B"]
@@ -235,7 +234,7 @@ def test_resolve_cusp():
     assert graph.delta() == 2
     assert graph.dead_end_leaves() == [0, 1]
     assert graph.ruptures() == [2]
-    assert proximity_check(recs, graph.terminal)
+    assert proximity_check(graph, recs)
 
 
 def test_resolve_sqrt2_line():
@@ -254,7 +253,7 @@ def test_resolve_sqrt2_line():
     assert recs[1].chart == "A" and recs[1].center == z
     assert recs[1].field_after.dim == 2
     assert graph.terminal.chart == "A" and graph.terminal.center == 0
-    assert proximity_check(recs, graph.terminal)
+    assert proximity_check(graph, recs)
 
 
 def test_resolve_sqrt2_tangent_line():
@@ -271,7 +270,7 @@ def test_resolve_sqrt2_tangent_line():
         {("DELTA",)},
     ]
     assert recs[1].center == 0 and recs[2].center == z
-    assert proximity_check(recs, graph.terminal)
+    assert proximity_check(graph, recs)
 
 
 def test_resolve_sqrt2_cusp_stays_rational():
@@ -281,10 +280,10 @@ def test_resolve_sqrt2_cusp_stays_rational():
     assert [v.field_dim for v in graph.vertices] == [1, 1, 1]
     assert [v.self_int for v in graph.vertices] == [-3, -2, -1]
     assert graph.edges == {(0, 2), (1, 2)}
-    assert [r.branch_mult for r in recs] == [2, 1, 1]
+    assert strict_mults(graph.branch, recs) == [2, 1, 1]
     assert recs[1].center == 0 and recs[2].center is AT_INFINITY
     assert graph.terminal.center == Fraction(1, 2)
-    assert proximity_check(recs, graph.terminal)
+    assert proximity_check(graph, recs)
 
 
 def test_resolve_cusp_with_sqrt2_tail():
@@ -303,12 +302,12 @@ def test_resolve_cusp_with_sqrt2_tail():
         {("SPLITTING", 1)},
         {("DELTA",)},
     ]
-    assert [r.branch_mult for r in recs] == [2, 1, 1, 1, 1]
+    assert strict_mults(graph.branch, recs) == [2, 1, 1, 1, 1]
     assert [r.chart for r in recs] == [None, "A", "B", "A", "A"]
     assert recs[3].center == 1 and recs[4].center == -2 * z
     assert recs[4].field_after.dim == 2
     assert graph.terminal.chart == "A" and graph.terminal.center == 10
-    assert proximity_check(recs, graph.terminal)
+    assert proximity_check(graph, recs)
 
 
 def test_resolve_two_rupture_branch():
@@ -324,11 +323,11 @@ def test_resolve_two_rupture_branch():
         {("DEAD_END", 2)},
         {("RUPTURE", 2), ("DELTA",)},
     ]
-    assert [r.branch_mult for r in recs] == [4, 2, 2, 1, 1]
+    assert strict_mults(graph.branch, recs) == [4, 2, 2, 1, 1]
     assert graph.dead_end_leaves() == [0, 1, 3]
     assert graph.ruptures() == [2, 4]
     assert graph.terminal.center == Fraction(1, 4)
-    assert proximity_check(recs, graph.terminal)
+    assert proximity_check(graph, recs)
 
 
 def test_resolve_biquadratic_tower():
@@ -347,7 +346,7 @@ def test_resolve_biquadratic_tower():
     assert recs[1].center == s2 and recs[2].center == s3
     assert [r.chart for r in recs] == [None, "A", "A"]
     assert graph.terminal.center == 0
-    assert proximity_check(recs, graph.terminal)
+    assert proximity_check(graph, recs)
 
 
 def test_resolve_extra_steps_extends_chain():
@@ -357,10 +356,10 @@ def test_resolve_extra_steps_extends_chain():
     assert graph.edges == {(0, 2), (1, 2), (2, 3), (3, 4)}
     assert tag_sets(graph)[3] == {("PLAIN",)}
     assert tag_sets(graph)[4] == {("DELTA",)}
-    assert [r.branch_mult for r in recs] == [2, 1, 1, 1, 1]
+    assert strict_mults(cusp(), recs) == [2, 1, 1, 1, 1]
     assert graph.terminal.center == 0
     assert m_values(graph, recs) == {0: 2, 1: 3, 2: 6, 3: 7, 4: 8}
-    assert proximity_check(recs, graph.terminal)
+    assert proximity_check(graph, recs)
 
 
 def test_resolve_rejects_multiple_cover():
@@ -588,7 +587,7 @@ def test_case_iii_transverse_line():
     assert graph.case == "III" and graph.n_case3 == 1
     assert len(graph.vertices) == 1
     assert tag_sets(graph) == [{("INITIAL",), ("DEAD_END", 0), ("DELTA",)}]
-    assert graph.terminal.center is GENERIC and graph.terminal.branch_mult is None
+    assert graph.terminal.center is GENERIC
 
 
 def test_case_iii_cusp_prefix():
@@ -662,9 +661,9 @@ def test_conjugate_resolution_invariants():
 
 def test_proximity_check_detects_tampering():
     graph, recs = resolve(cusp())
-    assert proximity_check(recs, graph.terminal)
-    bad = [recs[0].replace(branch_mult=3)] + list(recs[1:])
-    assert not proximity_check(bad, graph.terminal)
+    mults = strict_mults(cusp(), recs + [graph.terminal])
+    assert mults == [2, 1, 1, 1] and proximity_check(graph, recs, mults)
+    assert not proximity_check(graph, recs, [3] + mults[1:])
 
 
 @st.composite
@@ -699,7 +698,7 @@ def test_resolution_invariants_on_random_branches(data):
     assert len(graph.edges) == n - 1 or n == 1
     mat = intersection_matrix(graph)
     assert is_negative_definite(mat)
-    assert proximity_check(recs, graph.terminal)
+    assert proximity_check(graph, recs)
     inv = minus_inverse(mat)
     m_map = m_values(graph, recs)
     assert [row[graph.delta()] for row in inv] == \

@@ -33,6 +33,7 @@ from slow_paths import (
     initial_state,
     noether_big_M,
     noether_m_values,
+    strict_mults,
 )
 from test_acceptance import CORPUS, DIVISORIAL_TARGETS, GENERIC_FAMILIES
 
@@ -85,7 +86,10 @@ def replay_m_values(graph, recs):
 
 
 def replay_big_M(graph, recs, m_map, mults):
-    """Orbit sums M over the conjugates parting at each jump below w."""
+    """Orbit sums M over the conjugates parting at each jump below w, each
+    shared chain weighted by the replayed multiplicities of curvettes at w
+    and at the last component."""
+    last = mults[graph.delta()]
     out = {}
     for v in graph.vertices:
         w = v.id
@@ -93,8 +97,7 @@ def replay_big_M(graph, recs, m_map, mults):
         total = m_map[w]
         for j, (rho, ell) in enumerate(below):
             later = prod(ell_q for _rho, ell_q in below[j + 1:])
-            shared = sum(recs[i].branch_mult * mults[w][i]
-                         for i in range(rho + 1))
+            shared = sum(last[i] * mults[w][i] for i in range(rho + 1))
             total += (ell - 1) * later * shared
         out[w] = total
     return out
@@ -107,14 +110,15 @@ def test_value_maps_match_the_blow_down_replay(name, p):
     m = m_values(graph, recs)
     assert m == replay_m_values(graph, recs)
     # the branch is a curvette at the last component
-    assert [rec.branch_mult for rec in recs] == \
+    assert strict_mults(graph.branch, recs) == \
         curvette_mults(recs, graph.delta())
     mults = {}
     for v in graph.vertices:
         replayed = _strict_mults_state(*replay_curvette(graph, recs, v.id),
                                        recs)
-        mults[v.id] = curvette_mults(recs, v.id)
-        assert replayed == mults[v.id] + [0] * (len(recs) - v.id - 1)
+        assert replayed == curvette_mults(recs, v.id) + \
+            [0] * (len(recs) - v.id - 1)
+        mults[v.id] = replayed
     assert big_M(graph, recs, m) == replay_big_M(graph, recs, m, mults)
 
 

@@ -504,8 +504,35 @@ def cmd_analyze(path, truncate=None):
     return 0
 
 
+def _json_text(value, indent=""):
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, for
+    dicts with string keys, lists, tuples, strings, ints, bools and None;
+    other types raise TypeError. The indented dump runs the pure-Python
+    encoder, a generator step per token; this joins each container once."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        parts = [json.encoder.encode_basestring_ascii(key) + ": "
+                 + _json_text(value[key], inner) for key in sorted(value)]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        parts = [_json_text(item, inner) for item in value]
+        ends = "[]"
+    else:
+        raise TypeError("%r is not JSON serializable" % (value,))
+    if not parts:
+        return ends
+    return "%s\n%s%s\n%s%s" % (ends[0], inner, (",\n" + inner).join(parts),
+                               indent, ends[1])
+
+
 def cmd_report(path, truncate=None):
-    print(json.dumps(_report(path, truncate), sort_keys=True, indent=2))
+    print(_json_text(_report(path, truncate)))
     return 0
 
 

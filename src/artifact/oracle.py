@@ -217,9 +217,10 @@ def _keyed_table(s, V, field, W):
     from _filtration), so the product term at coordinate k' of z^k times
     the c^b part of s_e lands at offset e*W + b*n + k' - k from it."""
     n = field.degree
-    terms = [(e * W + b * n, alg) for e, c in enumerate(s.coeffs[:V + 1])
-             for b, alg in enumerate(c.coeffs if isinstance(c, Poly)
-                                     else (c,)) if alg]
+    terms = [(e * W + b * n, alg)
+             for e, c in enumerate(s.tail[:max(0, V + 1 - s.shift)], s.shift)
+             for b, alg in (enumerate(c.tail, c.shift) if isinstance(c, Poly)
+                            else ((0, c),)) if alg]
     scale = lcm(*(alg.den for _at, alg in terms))
     table = [[] for _ in range(n)]
     for at, alg in terms:
@@ -234,8 +235,8 @@ def _keyed_table(s, V, field, W):
 def _c_degree(s, V):
     """The largest c power among the tau-coefficients of s up to tau^V;
     0 on a branch, whose coefficients are constants."""
-    return max((c.degree() for c in s.coeffs[:V + 1] if isinstance(c, Poly)),
-               default=0)
+    return max((c.degree() for c in s.tail[:max(0, V + 1 - s.shift)]
+                if isinstance(c, Poly)), default=0)
 
 
 def _times(column, table, limit):

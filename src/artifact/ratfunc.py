@@ -1,15 +1,20 @@
-"""Dense univariate polynomials and rational functions over exact scalars.
+"""Univariate polynomials and rational functions over exact scalars.
 
+A polynomial is a power of the variable times a dense tail whose first
+and last coefficients are nonzero (Poly), so its order and lowest
+coefficient are read off, not scanned for, and a product or a quotient by
+a power of the variable costs what the tails cost, whatever the exponents.
 Coefficients are duck-typed: anything with +, -, *, ==, bool (and / where a
 fraction field is needed) works. A small ring adapter supplies zero(), one()
 and from_fraction(), the first two prebuilt once (no code mutates a scalar,
 so they are shared), and the product kernel convolve(x, y): the coefficient
-list of the product of two polynomials of degree at least one, given as
-their coefficient lists. AmbientField already satisfies that protocol for
-number field scalars, with one integer convolution per product; the
-adapters below cover the nested constructions used elsewhere: polynomials
-in one extra variable (generic curvette constants) and their fraction
-fields (one-parameter families), whose convolve is the schoolbook loop.
+list of the product of two polynomials given as coefficient lists of two
+terms or more (Poly hands it the tails). AmbientField already satisfies
+that protocol for number field scalars, with one integer convolution per
+product; the adapters below cover the nested constructions used
+elsewhere: polynomials in one extra variable (generic curvette constants)
+and their fraction fields (one-parameter families), whose convolve is the
+schoolbook loop.
 The same loop, given a bound, skips the products past that power of the
 variable: Poly.mul_upto, the cut product of the generic curvettes.
 
@@ -118,48 +123,59 @@ class FractionField:
         return "FractionField(%r)" % (self.polyring,)
 
 
+def _poly(ring, shift, tail):
+    """The Poly t^shift times tail, with no scan: tail is a tuple whose
+    first and last entries are nonzero, or empty with shift 0."""
+    p = object.__new__(Poly)
+    p.ring, p.shift, p.tail = ring, shift, tail
+    return p
+
+
 class Poly:
-    """Dense polynomial, coefficient list lowest degree first. A Poly is
-    never mutated, so its order is found once, on first use."""
+    """A power of the variable, shift, times a tail: the coefficients from
+    the lowest nonzero one to the highest, lowest first; zero is shift 0
+    and an empty tail. A Poly is never mutated.
 
-    __slots__ = ("ring", "coeffs", "_order")
+    Poly(ring, coeffs, shift) is t^shift times the dense list coeffs, with
+    the zeros at both ends dropped: a scan of a dense list, two tests when
+    the ends are nonzero. Sums and products build through it, since a
+    cancellation, or a product of zero divisors (over z^2 - 1, say), can
+    zero an end. coeffs is the dense view, zeros below the order included.
+    """
 
-    def __init__(self, ring, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
+    __slots__ = ("ring", "shift", "tail")
+
+    def __init__(self, ring, coeffs, shift=0):
+        coeffs = tuple(coeffs)
+        lo, hi = 0, len(coeffs)
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        while hi > lo and not coeffs[hi - 1]:
+            hi -= 1
         self.ring = ring
-        self.coeffs = tuple(coeffs)
-        self._order = None
+        self.shift = shift + lo if lo < hi else 0
+        self.tail = coeffs[lo:hi]
 
     @staticmethod
     def monomial(ring, coeff, exp):
-        return Poly(ring, [ring.zero()] * exp + [coeff])
+        return _poly(ring, exp, (coeff,)) if coeff else Poly(ring, ())
+
+    @property
+    def coeffs(self):
+        return (self.ring.zero(),) * self.shift + self.tail
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return self.shift + len(self.tail) - 1 if self.tail else -1
 
     def order(self):
-        order = self._order
-        if order is None:
-            order = INFINITY
-            for i, c in enumerate(self.coeffs):
-                if c:
-                    order = i
-                    break
-            self._order = order
-        return order
+        return self.shift if self.tail else INFINITY
 
     def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ring.zero()
+        i -= self.shift
+        return self.tail[i] if 0 <= i < len(self.tail) else self.ring.zero()
 
     def low_coeff(self):
-        order = self.order()
-        if order is INFINITY:
-            return self.ring.zero()
-        return self.coeffs[order]
+        return self.tail[0] if self.tail else self.ring.zero()
 
     def _coerce(self, other):
         if isinstance(other, Poly) and (other.ring is self.ring
@@ -169,87 +185,107 @@ class Poly:
             return Poly(self.ring, [self.ring.from_fraction(other)])
         return Poly(self.ring, [other])
 
+    def _combine(self, other, negate):
+        """self + other, or self - other when negate, over the two tails:
+        self's tail is laid into the span of both, each nonzero term of
+        other added to (subtracted from) it within self's tail and copied
+        (negated) outside it."""
+        if not other.tail:
+            return self
+        if not self.tail:
+            return -other if negate else other
+        zero = self.ring.zero()
+        lo = min(self.shift, other.shift)
+        a = self.shift - lo
+        b = a + len(self.tail)
+        out = [zero] * a + list(self.tail)
+        out.extend([zero] * (other.shift - lo + len(other.tail) - b))
+        for i, c in enumerate(other.tail, other.shift - lo):
+            if c:
+                if a <= i < b:
+                    out[i] = out[i] - c if negate else out[i] + c
+                else:
+                    out[i] = -c if negate else c
+        return Poly(self.ring, out, lo)
+
     def __add__(self, other):
-        """Coefficientwise, over the two coefficient tuples: the longer
-        one is copied and each nonzero term of the other added in."""
-        x, y = self.coeffs, self._coerce(other).coeffs
-        if len(x) < len(y):
-            x, y = y, x
-        out = list(x)
-        for i, b in enumerate(y):
-            if b:
-                out[i] = out[i] + b
-        return Poly(self.ring, out)
+        return self._combine(self._coerce(other), False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        """Coefficientwise, as __add__: each nonzero term of other within
-        the length of self is subtracted, and the terms past it negated."""
-        x, y = self.coeffs, self._coerce(other).coeffs
-        out = list(x)
-        for i, b in enumerate(y[:len(x)]):
-            if b:
-                out[i] = out[i] - b
-        out.extend(-b for b in y[len(x):])
-        return Poly(self.ring, out)
+        return self._combine(self._coerce(other), True)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Poly(self.ring, [-c for c in self.coeffs])
+        return _poly(self.ring, self.shift, tuple(-c for c in self.tail))
 
     def __mul__(self, other):
-        """The convolution of the coefficients, by the ring's convolve. A
-        degree-0 operand (most often a RatFunc's denominator one) scales
-        the other operand instead, and the ring's one returns the other
-        operand itself."""
+        """The shifts added and the tails convolved, by the ring's
+        convolve. A one-term tail (most often a RatFunc's denominator one)
+        scales the other tail instead, and the ring's one returns the
+        other operand itself, or its tail at the summed shift."""
         other = self._coerce(other)
-        x, y = self.coeffs, other.coeffs
+        x, y = self.tail, other.tail
         if not x or not y:
-            return Poly(self.ring, [])
+            return Poly(self.ring, ())
+        shift = self.shift + other.shift
         if len(x) == 1 or len(y) == 1:
             one = (self.ring.one(),)
             if y == one:
-                return self
+                return _poly(self.ring, shift, x) if other.shift else self
             if x == one:
-                return other
-            return self.scale(y[0]) if len(y) == 1 else other.scale(x[0])
-        return Poly(self.ring, self.ring.convolve(x, y))
+                return _poly(self.ring, shift, y) if self.shift else other
+            p, s, by = (self, y[0], other.shift) if len(y) == 1 \
+                else (other, x[0], self.shift)
+            p = p.scale(s)
+            return _poly(self.ring, p.shift + by, p.tail) if by and p else p
+        return Poly(self.ring, self.ring.convolve(x, y), shift)
 
     __rmul__ = __mul__
 
     def mul_upto(self, other, bound):
-        """self * other up to the variable's power bound, by schoolbook;
-        bound None gives the whole product. Cutting is a ring map, so the
-        kept coefficients are those of the full product."""
-        return Poly(self.ring, schoolbook(self.ring.zero(), self.coeffs,
-                                          other.coeffs, bound))
+        """self * other up to the variable's power bound, by schoolbook
+        over the tails, cut at bound minus the two shifts; bound None gives
+        the whole product. Cutting is a ring map, so the kept coefficients
+        are those of the full product."""
+        shift = self.shift + other.shift
+        if bound is not None and bound < shift:
+            return Poly(self.ring, ())
+        return Poly(self.ring, schoolbook(
+            self.ring.zero(), self.tail, other.tail,
+            None if bound is None else bound - shift), shift)
 
     def scale(self, s):
-        return Poly(self.ring, [c * s if c else c for c in self.coeffs])
+        return Poly(self.ring, [c * s if c else c for c in self.tail],
+                    self.shift)
 
     def scale_arg(self, s):
-        """The polynomial p(s*t) as a polynomial in t."""
-        out = []
+        """The polynomial p(s*t) as a polynomial in t: the tail's terms
+        times s^shift, s^(shift+1), ..."""
         power = self.ring.one()
-        for k, c in enumerate(self.coeffs):
+        for _ in range(self.shift):
+            power = power * s
+        out = []
+        for k, c in enumerate(self.tail):
             if k:
                 power = power * s
             out.append(c * power if c else c)
-        return Poly(self.ring, out)
+        return Poly(self.ring, out, self.shift)
 
     def pdivmod(self, other):
         """Quotient and remainder; the divisor's leading coefficient must
         be invertible (field scalars). Only gcd calls it."""
-        if not other.coeffs:
+        if not other:
             raise DivisionByZero("polynomial division by zero")
         rem = list(self.coeffs)
-        n = len(other.coeffs)
+        div = other.coeffs
+        n = len(div)
         if len(rem) < n:
             return Poly(self.ring, []), self
-        inv = self.ring.one() / other.coeffs[-1]
+        inv = self.ring.one() / div[-1]
         quot = [self.ring.zero()] * (len(rem) - n + 1)
         while len(rem) >= n:
             if not rem[-1]:
@@ -258,7 +294,7 @@ class Poly:
             f = rem[-1] * inv
             k = len(rem) - n
             quot[k] = f
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(div):
                 rem[k + j] = rem[k + j] - f * b
             rem.pop()
         return Poly(self.ring, quot), Poly(self.ring, rem)
@@ -267,23 +303,23 @@ class Poly:
         """Monic gcd by Euclid. The runtime never calls it (see RatFunc);
         the tests use it as the reference, the benchmark's tracer by name."""
         a, b = self, other
-        while b.coeffs:
+        while b:
             a, b = b, a.pdivmod(b)[1]
-        if a.coeffs:
-            lead = a.coeffs[-1]
+        if a:
+            lead = a.tail[-1]
             if lead != self.ring.one():
                 a = a.scale(self.ring.one() / lead)
         return a
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.tail)
 
     def __eq__(self, other):
         if isinstance(other, Poly) and other.ring is not self.ring \
                 and other.ring != self.ring:
             return NotImplemented
         other = self._coerce(other)
-        return self.coeffs == other.coeffs
+        return self.shift == other.shift and self.tail == other.tail
 
     def __repr__(self):
         return "Poly(%s)" % (list(self.coeffs),)
@@ -292,12 +328,12 @@ class Poly:
 class RatFunc:
     """Quotient of two Polys over a field adapter.
 
-    Form: the common power of the variable is cancelled, and the
-    denominator's lowest nonzero coefficient is one. Zero is 0/1. No other
-    common factor is sought, so equality is value equality, by
-    cross-multiplication. The resolution needs no more: a chart step maps
-    coprime forms to coprime forms (resolution._tail_ok), so its states are
-    already reduced.
+    Form: the common power of the variable is cancelled (the smaller
+    shift is subtracted from both), and the denominator's lowest nonzero
+    coefficient is one. Zero is 0/1. No other common factor is sought, so
+    equality is value equality, by cross-multiplication. The resolution
+    needs no more: a chart step maps coprime forms to coprime forms
+    (resolution._tail_ok), so its states are already reduced.
 
     A RatFunc is never mutated, so its reciprocal is formed once, on first
     use, and kept in _inv; the reciprocal does not point back, which would
@@ -319,13 +355,13 @@ class RatFunc:
         self._inv = None
         if not num:
             self.num = num
-            self.den = Poly(ring, [ring.one()])
+            self.den = _poly(ring, 0, (ring.one(),))
             return
-        k = min(num.order(), den.order())
+        k = min(num.shift, den.shift)
         if k:
-            num = Poly(ring, num.coeffs[k:])
-            den = Poly(ring, den.coeffs[k:])
-        low = den.low_coeff()
+            num = _poly(ring, num.shift - k, num.tail)
+            den = _poly(ring, den.shift - k, den.tail)
+        low = den.tail[0]
         if low != ring.one():
             inv = ring.one() / low
             num = num.scale(inv)
@@ -393,6 +429,17 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def __pow__(self, e):
+        """self^e, e >= 1, by squaring; e = 1 gives self and its reciprocal."""
+        out, base = None, self
+        while e:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return out
 
     def _reciprocal(self):
         inv = self._inv

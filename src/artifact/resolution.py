@@ -144,29 +144,35 @@ def coordinates(p):
             return ring.gen()
         return coeff if ring is p.ambient else ring.from_scalar(coeff)
 
-    coeffs = [ring.zero()] * (p.y_terms[-1][0] + 1 if p.y_terms else 0)
+    low = p.y_terms[0][0] if p.y_terms else 0
+    tail = [ring.zero()] * (p.y_terms[-1][0] + 1 - low if p.y_terms else 0)
     for exp, coeff in p.y_terms:
-        coeffs[exp] = lift(coeff)
+        tail[exp - low] = lift(coeff)
     return (Poly.monomial(ring, lift(p.x_coeff), p.x_order),
-            Poly(ring, coeffs))
+            Poly(ring, tail, low))
 
 
-def _chart_step(u, w):
-    """One blow-up, chosen so the strict transform stays at finite distance.
+def _chart_step(u, w, most=1):
+    """Blow-ups chosen so the strict transform stays at finite distance:
+    one, or a chart-A row of up to most of them.
 
-    Returns (chart, c, u2, w2): the new exceptional set is {u2 = 0}, c is
-    the landing coordinate (always 0 in chart B) and w2 is already
-    translated by c, so the new point is again the origin. Coprime forms
-    stay coprime (see _tail_ok).
+    Returns (chart, c, u2, w2, steps): steps blow-ups were made, the last
+    exceptional set is {u2 = 0}, c is the last landing coordinate (always
+    0 in chart B) and w2 is already translated by c, so the new point is
+    again the origin. When ord u < ord w, the next q = ceil(ord w / ord u)
+    - 1 blow-ups are all chart A at center 0 and keep u; the row, cut at
+    most, is the one division w / u^q. Coprime forms stay coprime (see
+    _tail_ok).
     """
-    if u.order() <= w.order():
-        chart, u2, w2 = "A", u, w / u
+    if u.order() > w.order():
+        chart, u2, w2, steps = "B", w, u / w, 1
     else:
-        chart, u2, w2 = "B", w, u / w
+        steps = max(1, min(most, -(-w.order() // u.order()) - 1)) if w else 1
+        chart, u2, w2 = "A", u, w / u ** steps
     c = w2.value0()
     if c:
         w2 = w2 - c
-    return chart, c, u2, w2
+    return chart, c, u2, w2, steps
 
 
 def _tail_ok(u, w, sub):
@@ -202,7 +208,7 @@ def _tail_ok(u, w, sub):
     for poly in (u.num, u.den, w.num, w.den):
         if inv is not None:
             poly = poly.scale_arg(inv)
-        for c in poly.coeffs:
+        for c in poly.tail:
             if c:
                 k = _constant(c)
                 if k is None or not sub.contains_num(k):
@@ -405,7 +411,9 @@ def resolve(p, extra_steps=0):
     outside the current subfield, and the subfield tower is extended there.
     extra_steps > 0 prolongs the run by that many further blow-ups at the
     strict transform's intersection point (divisorial targets past the last
-    needed component).
+    needed component). A chart-A row at center 0 is one _chart_step when
+    no point inside it can stop the run (ord u >= 2, or satellite points),
+    and its inner points are recorded as the one-step run records them.
 
     With a GENERIC coefficient the run stops at the first parameter-dependent
     center: graph.case == "III", graph.n_case3 is the contact order of the
@@ -423,7 +431,7 @@ def resolve(p, extra_steps=0):
     extra_left = extra_steps
     case3_n = None
 
-    for _ in range(max_steps):
+    while len(records) < max_steps:
         i = len(records)
         # stop only at a point that did not just enlarge the subfield
         if i >= 1 and pending.field_after is records[-1].field_after \
@@ -434,8 +442,15 @@ def resolve(p, extra_steps=0):
                 break
             extra_left -= 1
         records.append(pending)
-        chart, c_scal, u, w = _chart_step(u, w)
+        # a chart-A row is one step while no point inside it can stop the
+        # run: it has ord u >= 2, or its points are satellites
+        most = 1 if u.order() == 1 and labels[1] is None else max_steps - i
+        chart, c_scal, u, w, steps = _chart_step(u, w, most)
         center = _constant(c_scal)
+        for j in range(i, i + steps - 1):   # the points inside a row
+            hosts = (j,) if labels[1] is None else (j, labels[1])
+            records.append(InfNearRecord(center, sub, hosts, "A"))
+        i += steps - 1
         if center is None:
             case3_n = int(u.order())
             terminal = InfNearRecord(GENERIC, sub, (i,), chart)
@@ -519,10 +534,9 @@ def generic_curvette(graph, recs, sigma=None, bound=None):
     chart, shift, _center = _landing_info(graph, recs, sigma)
     steps = [(chart, shift)] + [(recs[k].chart, _shift(recs[k]))
                                 for k in range(sigma, 0, -1)]
-    u = Poly.monomial(cring, cring.one(), 1)
+    # u = tau cut past tau^bound; w = c needs no cut: bound >= 0
+    u = Poly.monomial(cring, cring.one() if bound != 0 else cring.zero(), 1)
     w = Poly(cring, [cring.gen()])
-    if bound is not None:   # w = c needs no cut: bound >= 0
-        u = Poly(cring, u.coeffs[:bound + 1])
     for chart, shift in steps:
         if shift:
             w = w + Poly(cring, [Poly(ambient, [shift])])

@@ -30,10 +30,12 @@ integer rows).
 The full convolution of two Polys is here too: the runtime scales instead
 when an operand is a constant, and returns the other operand when that
 constant is the ring's one. So are the order and the lowest coefficient
-of a Poly by a scan on each call (the runtime scans once and keeps the
-order), and the sum and difference of two Polys one index at a time
-through Poly.coeff (the runtime walks the two coefficient tuples and skips
-zero terms).
+of a Poly by a scan of its dense coefficients on each call (the runtime
+reads them off its shift and tail), and the sum and difference of two
+Polys one index at a time through Poly.coeff (the runtime walks the two
+tails and skips zero terms). The resolution with one blow-up per chart
+step is here too (the runtime takes a chart-A row at center 0 as one
+division where no point inside it can stop the run).
 So is the division of RatFuncs by cross-multiplication, whose product
 denominator is rescaled by the inverse of its lowest coefficient (the
 runtime multiplies by the divisor's kept reciprocal), and the resolution's
@@ -64,21 +66,27 @@ from artifact.errors import (
     DivisionByZero,
     GenericCenter,
     ReduciblePolynomial,
+    ResolutionStuck,
 )
-from artifact.exactfield import AlgNum
+from artifact.exactfield import AlgNum, Subfield, span_close
 from artifact.linalg import SparseRowSpace
 from artifact.ratfunc import INFINITY, FractionField, Poly, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
     GENERIC,
     BranchParam,
+    InfNearRecord,
     _chart_step,
     _constant,
+    _default_cap,
+    _graph_of,
     _landing_info,
     _shift,
+    _tail_ok,
     coordinates,
     curvette_mults,
     generic_curvette,
+    normalize,
 )
 
 
@@ -357,13 +365,58 @@ def blow_up_once(p):
     UnrepresentableCurvette when the x part is not an exact monomial."""
     u, w = initial_state(p)
     mult = int(min(u.order(), w.order()))
-    chart, c_scal, u2, w2 = _chart_step(u, w)
+    chart, c_scal, u2, w2, _steps = _chart_step(u, w)
     center = _constant(c_scal)
     if center is None:
         raise GenericCenter("blown-up center carries the generic coefficient")
     if chart != "A":
         center = AT_INFINITY
     return center, _state_to_param(u2, w2, p.ambient), mult
+
+
+def reference_resolve(p, extra_steps=0):
+    """resolution.resolve one blow-up per chart step: the stop test runs
+    at every point, where resolve takes a chart-A row at center 0 in one
+    division when no point inside it can stop the run."""
+    p = normalize(p)
+    max_steps = _default_cap(p, extra_steps)
+    u, w = initial_state(p)
+    sub = Subfield.rationals(p.ambient)
+    records = []
+    labels = (None, None)
+    pending = InfNearRecord(None, sub, ())
+    extra_left = extra_steps
+    case3_n = None
+    for _ in range(max_steps):
+        i = len(records)
+        if i >= 1 and pending.field_after is records[-1].field_after \
+                and len(pending.host_components) == 1 \
+                and u.order() == 1 and _tail_ok(u, w, sub):
+            if extra_left == 0:
+                terminal = pending
+                break
+            extra_left -= 1
+        records.append(pending)
+        chart, c_scal, u, w, _steps = _chart_step(u, w)
+        center = _constant(c_scal)
+        if center is None:
+            case3_n = int(u.order())
+            terminal = InfNearRecord(GENERIC, sub, (i,), chart)
+            break
+        if chart == "A":
+            if not sub.contains_num(center):
+                sub = span_close([center], sub)
+            second = labels[1] if not center else None
+        else:
+            center = AT_INFINITY
+            second = labels[0]
+        labels = (i, second)
+        pending = InfNearRecord(center, sub,
+                                (i,) if second is None else labels, chart)
+    else:
+        raise ResolutionStuck(
+            "no stable point within %d blow-ups" % max_steps)
+    return _graph_of(records, case3_n, terminal, p), records
 
 
 def _state_to_param(u, w, ambient):
@@ -440,7 +493,7 @@ def _replay_step(u, w, chart, shift_scalar):
     None when the carrier does not pass through the recorded point: its own
     blow-up lands in the other chart, or (when a shift is given) at another
     point of the chart."""
-    chart2, c, u2, w2 = _chart_step(u, w)
+    chart2, c, u2, w2, _steps = _chart_step(u, w)
     if chart2 != chart or (shift_scalar is not None and c != shift_scalar):
         return None
     return u2, w2
@@ -482,7 +535,7 @@ def _intersect_states(ua, wa, ub, wb, bound):
         total += int(ma) * int(mb)
         if total > bound:
             return INFINITY
-        chart, ca, ua, wa = _chart_step(ua, wa)
+        chart, ca, ua, wa, _steps = _chart_step(ua, wa)
         nxt = _replay_step(ub, wb, chart, ca)
         if nxt is None:
             return total

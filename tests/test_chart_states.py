@@ -1,4 +1,5 @@
-"""The resolution's states are coprime without Euclid.
+"""The resolution's states are coprime without Euclid, and its chart-A
+rows give the run of one blow-up per step.
 
 RatFunc cancels only the common power of tau, and the chart steps keep the
 numerator and denominator of every state coprime (resolution._tail_ok), so
@@ -8,6 +9,14 @@ workload documents (the acceptance corpus among them) and over seeded
 random branches. Documents that once ran Euclid over a parameter field for
 minutes must now analyze within a time limit, and four heavy multi-pair
 documents keep their output.
+
+resolve takes a chart-A row at center 0 as one division where no point
+inside it can stop the run; slow_paths.reference_resolve takes one blow-up
+per step. Both give equal graphs, records and terminals, or the same
+refusal, on the same documents, and the work of a run follows its rows,
+not its exponents: a cusp ladder makes one chart-step count whatever k,
+and x = t^999, y = t^1000 tests a bounded number of field elements for
+zero per blow-up.
 """
 
 import contextlib
@@ -21,11 +30,12 @@ from math import prod
 import pytest
 
 from artifact import cli, resolution
-from artifact.errors import ArtifactError
-from artifact.exactfield import AmbientField
+from artifact.errors import ArtifactError, ResolutionStuck
+from artifact.exactfield import AlgNum, AmbientField
 from artifact.resolution import GENERIC, BranchParam, resolve
 
-from slow_paths import determinant, intersection_matrix
+import slow_paths
+from slow_paths import determinant, intersection_matrix, reference_resolve
 from test_exit_codes import time_limit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -51,11 +61,11 @@ def chart_steps(monkeypatch):
     states = []
     chart_step = resolution._chart_step
 
-    def checked(u, w):
-        out = chart_step(u, w)
-        for part in out[2:]:
+    def checked(u, w, most=1):
+        out = chart_step(u, w, most)
+        for part in out[2:4]:
             assert part.num.gcd(part.den).degree() == 0, part
-        states.append(out[2:])
+        states.append(out[2:4])
         return out
 
     monkeypatch.setattr(resolution, "_chart_step", checked)
@@ -205,3 +215,137 @@ def test_heavy_multipair_documents_keep_their_output(tmp_path, name):
     assert code == 0
     assert out == (PINNED / (name + ".analyze.txt")).read_text(
         encoding="utf-8")
+
+
+def outcome(run, p, extra_steps):
+    """run(p, extra_steps), or the class and message of its refusal."""
+    try:
+        return run(p, extra_steps=extra_steps)
+    except (ArtifactError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+Q = AmbientField([0, 1])
+
+
+def cusp(k):
+    return BranchParam(Q, 2, [(2 * k + 1, 1)])
+
+
+T999 = BranchParam(Q, 999, [(1000, 1)])
+
+
+def test_resolve_equals_the_one_step_reference(monkeypatch):
+    """Every resolve call of the four workloads at seeds 1 and 2, the
+    seeded random branches at extra_steps 0 and 2, the cusps k = 1..40 in
+    both modes and x = t^999, y = t^1000 with 1000 extra blow-ups: equal
+    graphs (terminal included) and records, or the same refusal. Rows of
+    more than one blow-up are taken, satellite rows with ord u = 1 among
+    them."""
+    calls = []
+
+    def recorded(p, extra_steps=0):
+        calls.append((p, extra_steps))
+        return resolve(p, extra_steps=extra_steps)
+
+    monkeypatch.setattr(cli, "resolve", recorded)
+    for workload in sorted(WORKLOADS.GENERATORS):
+        for seed in (1, 2):
+            for item in WORKLOADS.generate(workload, seed):
+                run_to_end(lambda: cli.build_analysis(
+                    cli.parse_input(item["doc"])))
+    monkeypatch.undo()
+    assert len(calls) > 120
+    rng = random.Random(20261018)
+    for k in range(120):
+        p = random_branch(rng, AmbientField(FIELDS[sorted(FIELDS)[k % 6]]))
+        calls += [(p, 0), (p, 2)]
+    calls += [(cusp(k), extra) for k in range(1, 41) for extra in (0, 3)]
+    calls.append((T999, 1000))
+
+    rows = []
+    chart_step = resolution._chart_step
+
+    def counted(u, w, most=1):
+        out = chart_step(u, w, most)
+        if out[4] > 1:
+            rows.append(u.order())
+        return out
+
+    monkeypatch.setattr(resolution, "_chart_step", counted)
+    for p, extra in calls:
+        assert outcome(resolve, p, extra) == \
+            outcome(reference_resolve, p, extra), (p, extra)
+    assert len(rows) > 100 and 1 in rows
+
+
+CAPPED = (cusp(10), BranchParam(Q, 12, [(13, 1)]))
+
+
+@pytest.mark.parametrize("cap", range(1, 16))
+def test_a_capped_row_stops_where_the_one_step_run_stops(monkeypatch, cap):
+    """With a cap of a few blow-ups, a row is cut at the cap: resolve and
+    the reference finish alike, or raise ResolutionStuck with the same
+    message, on a cusp whose first row is 10 blow-ups (12 points in all)
+    and on x = t^12, y = t^13, whose satellite row is 10 (13 points). A
+    run of n points needs a cap above n."""
+    points = [len(resolve(p)[1]) for p in CAPPED]
+    assert points == [12, 13]
+    for module in (resolution, slow_paths):
+        monkeypatch.setattr(module, "_default_cap", lambda *a: cap)
+    for p, n in zip(CAPPED, points):
+        got = outcome(resolve, p, 0)
+        assert got == outcome(reference_resolve, p, 0)
+        stuck = (ResolutionStuck,
+                 "no stable point within %d blow-ups" % cap)
+        assert (got == stuck) == (cap <= n)
+
+
+def test_a_cusp_ladder_makes_one_chart_step_count_whatever_k(monkeypatch):
+    """x = t^2, y = t^(2k+1) takes three chart steps at k = 10, 50 and
+    150: the row of k blow-ups, the chart-B step and the translation by
+    the last center; the run still records k + 2 points."""
+    counts = []
+    chart_step = resolution._chart_step
+
+    def counted(u, w, most=1):
+        counts[-1] += 1
+        return chart_step(u, w, most)
+
+    monkeypatch.setattr(resolution, "_chart_step", counted)
+    for k in (10, 50, 150):
+        counts.append(0)
+        assert len(resolve(cusp(k))[1]) == k + 2
+    assert counts == [3, 3, 3]
+
+
+def test_zero_tests_grow_linearly_with_the_blow_ups(tmp_path, monkeypatch):
+    """analyze --truncate 10 of x = t^999, y = t^1000, divisorial with
+    1000 extra blow-ups, tests at most 20 field elements for zero per
+    blow-up (AlgNum.__bool__). One blow-up per step on dense coefficient
+    lists made 509515 such tests for its 2000 blow-ups."""
+    path = tmp_path / "t999.json"
+    path.write_text(json.dumps({
+        "ambient": {"var": "z", "min_poly": [0, 1]},
+        "branch": {"x_order": 999, "y_terms": [{"exp": 1000, "coeff": [1]}]},
+        "mode": {"divisorial": {"extra_steps": 1000}}}), encoding="utf-8")
+    blow_ups = []
+    tests = [0]
+    is_nonzero = AlgNum.__bool__
+
+    def counted(self):
+        tests[0] += 1
+        return is_nonzero(self)
+
+    def recorded(p, extra_steps=0):
+        graph, recs = resolve(p, extra_steps=extra_steps)
+        blow_ups.append(len(recs))
+        return graph, recs
+
+    monkeypatch.setattr(cli, "resolve", recorded)
+    monkeypatch.setattr(AlgNum, "__bool__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["analyze", str(path), "--truncate", "10"]) == 0
+    monkeypatch.undo()
+    assert blow_ups == [2000]
+    assert 0 < tests[0] <= 20 * blow_ups[0]

@@ -20,6 +20,7 @@ from artifact.errors import ParseFailure
 from artifact.oracle import FiltrationReport
 from artifact.resolution import GENERIC
 from slow_paths import build_arg_parser
+from test_chart_states import WORKLOADS
 
 
 CUSP = {
@@ -244,6 +245,57 @@ def test_report_case2_partial_flag(tmp_path, capsys):
 
 
 # --- graph ---------------------------------------------------------------------
+
+def test_report_json_is_the_indented_sorted_dump(tmp_path, monkeypatch):
+    """Every report of the four workloads at seeds 1 and 2 prints as
+    json.dumps(report, sort_keys=True, indent=2) writes it."""
+    reports = []
+    json_text = cli._json_text
+
+    def checked(value, indent=""):
+        out = json_text(value, indent)
+        if not indent:
+            assert out == json.dumps(value, sort_keys=True, indent=2)
+            reports.append(value)
+        return out
+
+    monkeypatch.setattr(cli, "_json_text", checked)
+    for workload in sorted(WORKLOADS.GENERATORS):
+        for seed in (1, 2):
+            items = WORKLOADS.generate(workload, seed)
+            paths = WORKLOADS.write_documents(
+                items, str(tmp_path / ("%s_%d" % (workload, seed))))
+            for path in paths:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    cli.main(["report", path, "--json"])
+    assert len(reports) > 120
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+def test_json_text_equals_the_dump_on_any_report_shaped_value(value):
+    """Empty containers, non-ASCII and control characters in strings and
+    keys, large negative integers, bools beside ints."""
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True,
+                                               indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1: 2}, {1, 2},
+                                   [b"x"], {"a": object()}])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
 
 def test_graph_dot_cusp(tmp_path, capsys):
     path = write_doc(tmp_path, CUSP)

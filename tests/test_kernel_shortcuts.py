@@ -8,17 +8,17 @@ over the corpus documents that `analyze` accepts checks that
   multiplication (AmbientField.mul_matrix);
 - Poly.__mul__ hands a product to its ring's kernel (the integer
   convolution AmbientField.convolve over a number field, the schoolbook
-  loop ratfunc.schoolbook over the nested rings) only when both operands
-  have degree at least one, and the number-field kernel runs;
+  loop ratfunc.schoolbook over the nested rings) only when both tails
+  have two terms or more, and the number-field kernel runs;
 - Poly.scale and Poly.scale_arg multiply no zero coefficient, and
   resolution._tail_ok calls scale_arg with no factor one.
 Without the shortcuts the pass built 103 such matrices and ran the
 convolution step 1243 times in such products, and 32 of its 58 scale_arg
 calls had factor one. With them, the pass builds 56 matrices (one for
 each of the 39 fields, one for each of 17 irrational inverses; 2 more
-inverses are rational), makes 66 AmbientField.convolve calls and
-5 ratfunc.schoolbook calls; without the degree-0 shortcuts of
-Poly.__mul__ they would take 542 and 28 more products. _tail_ok rescales
+inverses are rational), makes 42 AmbientField.convolve calls and
+5 ratfunc.schoolbook calls; without the one-term shortcuts of
+Poly.__mul__ they would take 661 and 28 more products. _tail_ok rescales
 tau in 5 of its 49 calls, with 14 scale_arg calls: in the other 44 the
 lowest coefficient of u already lies in the subfield.
 
@@ -82,7 +82,7 @@ def test_corpus_pass_takes_the_shortcuts(monkeypatch):
 
     # each pass through the schoolbook convolution step and each call of
     # the number-field kernel, marked by whether an operand of that
-    # product has degree 0
+    # product has a one-term tail
     steps = []
     code = ratfunc.schoolbook.__code__
     line = convolution_line()

@@ -8,6 +8,8 @@ against the independent binomial-product pipeline, which is exercised
 explicitly in the differential tests at the bottom.
 """
 
+import contextlib
+import io
 import json
 import random
 from collections import Counter
@@ -161,6 +163,39 @@ def test_sparse_row_space_rejects_exact_combinations():
     space.add({1: 2, 2: 7})
     assert not space.add({0: 14, 1: 54, 2: 42})
     assert space.add({0: 14, 1: 54, 2: 35})
+
+
+def test_a_stored_vector_is_divided_by_its_content():
+    """The content 2 of {3: 2, 7: -4} is divided out, not only a content
+    above 2."""
+    space = SparseRowSpace()
+    assert space.add({3: 2, 7: -4}) == {3: 1, 7: -2}
+    assert space.rows == {3: {3: 1, 7: -2}}
+
+
+def test_the_quartic_verifications_store_primitive_vectors(tmp_path,
+                                                           monkeypatch):
+    """Every vector stored while verify runs the oracle_quartic workload
+    (seed 1) has content 1; contents of 2 occur among the rows fed."""
+    stored = []
+    contents = set()
+    add = SparseRowSpace.add
+
+    def checked(space, row):
+        contents.add(gcd(*row.values()))
+        out = add(space, row)
+        if out:
+            stored.append(gcd(*out.values()))
+        return out
+
+    monkeypatch.setattr(SparseRowSpace, "add", checked)
+    items = WORKLOADS.generate("oracle_quartic", 1)
+    paths = WORKLOADS.write_documents(items, str(tmp_path))
+    for item, path in zip(items, paths):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["verify", path, "--max-order", str(item["max_order"])])
+    assert len(stored) > 1000 and set(stored) == {1}
+    assert 2 in contents
 
 
 def test_column_echelon_counts_leads_per_level():

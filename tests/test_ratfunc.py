@@ -285,8 +285,8 @@ SPARSE_SQ2_COEFFS = st.one_of(st.just(SQ2.zero()), SQ2_COEFFS)
                           st.lists(SPARSE_SQ2_COEFFS, max_size=3)),
                 max_size=4))
 def test_order_and_low_coeff_equal_a_scan(run, field_cs, lam_terms):
-    """Poly.order keeps what its first call found; it and low_coeff equal
-    a scan from the low end, on the zero polynomial and after a run of
+    """Poly.order and low_coeff, read off the shift and the tail, equal a
+    scan from the low end, on the zero polynomial and after a run of
     zero coefficients, over Q(sqrt 2) and over Q(sqrt 2)[lam], whichever
     is called first, and again on a repeat."""
     def polys():
@@ -480,3 +480,119 @@ def test_each_division_by_one_divisor_takes_no_inverse_after_the_first(
     assert inverses == [z + 1]
     for num, got in zip(numerators, quotients):
         assert form(got) == form(reference_ratfunc_div(RatFunc.of(num), b))
+
+
+# --- Poly as a shift and a tail, against dense coefficient lists
+
+Z2M1 = AmbientField([-1, 0, 1])   # Q x Q: z - 1 and z + 1 are zero divisors
+
+
+def _field_scalars(field):
+    """Small elements; z - 1 and z + 1, the zero divisors over z^2 - 1,
+    are drawn most often."""
+    z = field.gen()
+    return st.sampled_from([field.zero(), field.one(), -field.one(), z,
+                            2 * z + 3, field.from_fraction(Fraction(1, 2))]
+                           + [z - 1, z + 1] * 3)
+
+
+def _poly_scalars(field):
+    ring = PolyRing(field, "c")
+    return ring, st.lists(_field_scalars(field), max_size=3).map(
+        lambda cs: Poly(field, cs))
+
+
+def _lam_scalars(field):
+    ring = FractionField(PolyRing(field, "lam"))
+    polys = st.lists(_field_scalars(field), max_size=2).map(
+        lambda cs: Poly(field, cs))
+    return ring, st.tuples(polys, polys.filter(bool)).map(
+        lambda nd: RatFunc(*nd))
+
+
+# (ring, scalars, whether the ring is a field)
+POLY_RINGS = [(Z2M1, _field_scalars(Z2M1), False),
+              (SQ2, _field_scalars(SQ2), True),
+              _poly_scalars(Z2M1) + (False,),
+              _lam_scalars(SQ2) + (True,)]
+
+
+def dense(p):
+    """The coefficient list of p after checking its form: a tail whose
+    first and last terms are nonzero, or zero as shift 0 and no tail."""
+    if p.tail:
+        assert p.tail[0] and p.tail[-1], p
+    else:
+        assert p.shift == 0
+    return list(p.coeffs)
+
+
+def trimmed(cs):
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def termwise(x, y, op, zero):
+    n = max(len(x), len(y))
+    x, y = x + [zero] * (n - len(x)), y + [zero] * (n - len(y))
+    return trimmed([op(a, b) for a, b in zip(x, y)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_shift_and_tail_arithmetic_equals_the_dense_lists(data):
+    """Over z^2 - 1, Q(sqrt 2), polynomials in c over z^2 - 1 and the
+    rational functions in lam: sums, and differences that cancel the low
+    or the high end; products, products of zero divisors among them
+    (reference_poly_mul); mul_upto at bounds below, at and past the two
+    shifts; scale and scale_arg; and over the fields, RatFunc's
+    cancellation of the common power of tau and its rescale. Each result
+    is in form and has the coefficients of the dense route."""
+    ring, scalar, is_field = data.draw(st.sampled_from(POLY_RINGS))
+    zero = ring.zero()
+    poly = st.tuples(st.integers(0, 3), st.lists(scalar, max_size=4)).map(
+        lambda t: Poly(ring, [zero] * t[0] + t[1]))
+    p, q, s = data.draw(poly), data.draw(poly), data.draw(scalar)
+    x, y = dense(p), dense(q)
+    assert dense(p + q) == termwise(x, y, operator.add, zero)
+    assert dense(p - q) == termwise(x, y, operator.sub, zero)
+    if p:
+        for end in (p.order(), p.degree()):
+            cut = Poly.monomial(ring, p.coeff(end), end)
+            assert dense(p - cut) == termwise(x, dense(cut), operator.sub,
+                                              zero)
+            assert dense(p + (-cut)) == dense(p - cut)
+    assert dense(p - p) == []
+    product = list(reference_poly_mul(p, q).coeffs)
+    assert dense(p * q) == product == dense(q * p)
+    for bound in range(p.shift + q.shift + 4):
+        assert dense(p.mul_upto(q, bound)) == trimmed(product[:bound + 1])
+    assert dense(p.mul_upto(q, None)) == product
+    assert dense(p.scale(s)) == trimmed([c * s for c in x])
+    powers = [ring.one()]
+    for _ in x[1:]:
+        powers.append(powers[-1] * s)
+    assert dense(p.scale_arg(s)) == trimmed([c * w for c, w in
+                                             zip(x, powers)])
+    k = data.draw(st.integers(0, 3))
+    if is_field and q:
+        t_k = Poly.monomial(ring, ring.one(), k)
+        f = RatFunc(p * t_k, q * t_k)
+        num, den = [], [ring.one()]
+        if p:
+            common = min(p.order(), q.order())
+            num, den = x[common:], y[common:]
+        inv = ring.one() / next(c for c in den if c)
+        assert dense(f.num) == trimmed([c * inv for c in num])
+        assert dense(f.den) == trimmed([c * inv for c in den])
+
+
+def test_a_product_of_zero_divisors_drops_its_zero_ends():
+    """((z-1) + (z+1)t) ((z+1) + (z-1)t) = 4t over z^2 - 1: the product
+    of the constant terms and that of the leading terms vanish."""
+    z = Z2M1.gen()
+    a, b = Poly(Z2M1, [z - 1, z + 1]), Poly(Z2M1, [z + 1, z - 1])
+    for got in (a * b, a.mul_upto(b, None), a.mul_upto(b, 5)):
+        assert (got.shift, got.tail) == (1, (Z2M1.from_fraction(4),))
+    assert (a * b).coeffs == reference_poly_mul(a, b).coeffs

@@ -129,9 +129,9 @@ def test_resolve_starts_from_the_public_coordinates(monkeypatch, p):
     states = []
     chart_step = resolution._chart_step
 
-    def recording(u, w):
+    def recording(u, w, most=1):
         states.append((u, w))
-        return chart_step(u, w)
+        return chart_step(u, w, most)
 
     monkeypatch.setattr(resolution, "_chart_step", recording)
     resolve(p)

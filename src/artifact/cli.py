@@ -537,7 +537,8 @@ def cmd_report(path, truncate=None):
 
 
 def cmd_graph(path):
-    print(render_dot(_report(path, None)))
+    # render_dot reads no expansion, so the report expands level 0 only
+    print(render_dot(build_report(build_analysis(load_input(path)), 0)))
     return 0
 
 

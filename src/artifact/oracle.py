@@ -5,7 +5,11 @@ coordinates is evaluated on a parametrization (or on a transversal curve with
 an indeterminate constant) and the resulting power series in tau is inspected
 coefficient by coefficient. No product formula or semigroup reasoning enters;
 the module exists so that the closed forms elsewhere in the package can be
-checked against something that cannot share their mistakes.
+checked against something that cannot share their mistakes. The one
+shortcut is linear algebra on the same substitution map: on a branch whose
+x has a nonzero rational lowest coefficient, once ord(x) consecutive levels
+have full dimension [L:Q], multiplication by x fills every later level, so
+the computation stops there (the argument is in _filtration).
 
 Two kinds of questions are answered:
 
@@ -41,6 +45,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import GenericCenter
+from .exactfield import AlgNum
 from .linalg import SparseRowSpace
 from .ratfunc import INFINITY, Poly
 from .record import Record
@@ -304,6 +309,31 @@ def _filtration(x, y, V, mode, field):
     m never joins the heads. Reducing x*r, whose earlier part is
     already reduced, takes a few steps where the raw image of m takes
     many.
+
+    The full-level stop. Call level w full when all W keys w*W ..
+    w*W + W - 1 are leads once the heads of weight w are processed (on a
+    branch W = n, so the level has dimension [L:Q]). When the lowest
+    coefficient a of x is a nonzero rational and the ox levels ending at w
+    are full, every level past w is full, so dims[w+1..V] = W and the
+    heads of larger weight are skipped. This is exact:
+    - The leads at levels <= w are final once weight w is done. A later
+      monomial has weight > w, the vector fed for it has order at least
+      its weight (x or y times a stored vector of order at least the
+      predecessor's weight), and reduction only raises a lead.
+    - Let S be the final span. Cutting is a ring map, so cut(x*S) lies in
+      S.
+    - The tau^(v+ox) coefficient of x*f, for f of order v, is a times the
+      tau^v coefficient of f; so the level v+ox classes of S contain a
+      times the level v classes. a is rational and nonzero, so a full
+      level v makes level v+ox full, and the ox full levels ending at w
+      fill every later level by induction.
+    Only the leads at levels <= w are counted: vectors stored before the
+    stop may have leads above w, and counting them would count those
+    levels twice. The rational test matters over a ring with zero
+    divisors: over Q[z]/(z^2 - 1), a = (1 - z)/2 maps a full level onto a
+    line. A curvette's coefficients are polynomials in c, so the
+    divisorial oracle never stops early; nor does a branch whose levels
+    settle below [L:Q].
     """
     V = int(V)
     if V < 0:
@@ -333,14 +363,29 @@ def _filtration(x, y, V, mode, field):
             if not i and weight + oy <= V:
                 heads[weight + oy].append((0, r, y_keyed))
 
+    # the full-level stop: stop full levels in a row end the run at top;
+    # stop is 0 when the lowest coefficient of x is not a nonzero rational
+    rows = space.rows
+    a = x.low_coeff()
+    stop = ox if isinstance(a, AlgNum) and a and not any(a.num[1:]) else 0
+    full = 0
+    top = V
     follow(0, 0, space.add({0: 1}))
     for weight, level in enumerate(heads):
         level.sort()
         for i, r, table in level:
             follow(weight, i, space.add(_times(r, table, limit)))
-    dims = [0] * (V + 1)
-    for lead in space.rows:
-        dims[lead // W] += 1
+        if stop:
+            lo = weight * W
+            full = full + 1 if all(map(rows.__contains__,
+                                       range(lo, lo + W))) else 0
+            if full == stop:
+                top = weight
+                break
+    dims = [0] * (top + 1) + [W] * (V - top)
+    for lead in rows:
+        if lead // W <= top:
+            dims[lead // W] += 1
     return FiltrationReport(V=V, dims=tuple(dims), mode=mode)
 
 

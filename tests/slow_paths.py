@@ -774,15 +774,17 @@ def keyed_times(column, table, limit):
 
 
 def sorted_monomial_adds(x, y, V, field):
-    """The vectors oracle._filtration feeds SparseRowSpace.add, in order,
-    from every monomial of weight <= V listed and sorted by (weight, i);
-    a monomial whose predecessor stored no vector is skipped at its turn.
-    x and y must vanish at the origin. The tables are reference_table's,
-    keyed by v*W + a*n + k with W = n*(imax*bx + jmax*by + 1), bx and by
-    their largest c powers: the entry (e, b, k', q) of row k becomes the
-    key offset e*W + b*n + k' - k. Over a field whose minimal polynomial
-    has integer coefficients, their D is the oracle's, so the vectors are
-    the very ones it feeds."""
+    """The full loop of oracle._filtration, with no early stop: the
+    vectors it feeds SparseRowSpace.add, in order, each with the weight of
+    its monomial, and the dims, the leads per level of the echelon they
+    leave. Every monomial of weight <= V is listed and sorted by (weight,
+    i); a monomial whose predecessor stored no vector is skipped at its
+    turn. x and y must vanish at the origin. The tables are
+    reference_table's, keyed by v*W + a*n + k with W = n*(imax*bx + jmax*by
+    + 1), bx and by their largest c powers: the entry (e, b, k', q) of row
+    k becomes the key offset e*W + b*n + k' - k. Over a field whose
+    minimal polynomial has integer coefficients, their D is the oracle's,
+    so the vectors are the very ones it feeds."""
     ox, oy = x.order(), y.order()
     imax = 0 if ox is INFINITY else V // ox
     jmax = 0 if oy is INFINITY else V // oy
@@ -802,14 +804,18 @@ def sorted_monomial_adds(x, y, V, field):
                          for j in range(jtop + 1))
     monomials.sort()
     space = SparseRowSpace()
-    fed = [{0: 1}]
-    stored = {(0, 0): space.add(fed[0])}
-    for _weight, i, j in monomials[1:]:
+    fed = [(0, {0: 1})]
+    stored = {(0, 0): space.add(fed[0][1])}
+    for weight, i, j in monomials[1:]:
         r = stored.get((i - 1, j) if i else (0, j - 1))
         if r:
-            fed.append(keyed_times(r, x_keyed if i else y_keyed, limit))
-            stored[(i, j)] = space.add(fed[-1])
-    return fed
+            fed.append((weight,
+                        keyed_times(r, x_keyed if i else y_keyed, limit)))
+            stored[(i, j)] = space.add(fed[-1][1])
+    dims = [0] * (V + 1)
+    for lead in space.rows:
+        dims[lead // W] += 1
+    return fed, tuple(dims)
 
 
 # --- records as frozen dataclasses ---------------------------------------------

@@ -324,6 +324,29 @@ def test_graph_dot_shows_splitting_and_field_growth(tmp_path, capsys):
     assert "m=2 M=3" in out
 
 
+def test_graph_expands_the_series_to_level_0_only(tmp_path, monkeypatch,
+                                                  capsys):
+    """render_dot reads no expansion, so graph builds its report at
+    truncate 0; the DOT text is the one of the report at the default
+    truncate."""
+    orders = []
+    expand = cli.expand
+
+    def recording(series, order):
+        orders.append(order)
+        return expand(series, order)
+
+    monkeypatch.setattr(cli, "expand", recording)
+    for doc in (CUSP, SQRT2_LINE, DIVISORIAL_CUSP, CASE2):
+        path = write_doc(tmp_path, doc)
+        orders.clear()
+        assert cli.main(["graph", path, "--dot"]) == 0
+        assert orders == [0]
+        analysis = cli.build_analysis(cli.load_input(path))
+        full = cli.build_report(analysis, cli.default_truncate(analysis))
+        assert capsys.readouterr().out == cli.render_dot(full) + "\n"
+
+
 # --- verify --------------------------------------------------------------------
 
 def test_verify_matches_the_oracle(tmp_path, capsys):

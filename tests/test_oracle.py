@@ -1065,19 +1065,33 @@ def test_valuation_axioms_on_random_polynomials(f, g):
             assert vsum == min(vf, vg)
 
 
-# --- only the live monomials reach the echelon
+# --- only the live monomials reach the echelon, up to the full-level stop
+
+
+def stop_level(x, dims, n):
+    """The weight after which _filtration stops on a branch, read off the
+    full loop's dims: the end of the first ox consecutive levels of
+    dimension n (ox the order of x), when the lowest coefficient of x is
+    a nonzero rational; the top level V otherwise."""
+    a = x.low_coeff()
+    if a and not any(a.num[1:]):
+        run = 0
+        for v, d in enumerate(dims):
+            run = run + 1 if d == n else 0
+            if run == x.order():
+                return v
+    return len(dims) - 1
 
 
 def test_each_product_feeds_one_add(monkeypatch):
-    """On curve_sq2_line (x = tau, y = sqrt2*tau) at V = 40, _times runs
-    once per add after the first (the unit): a monomial is multiplied out
-    only once its predecessor stored a vector. Of the 861 monomials of
-    weight <= 40, 120 reach add: y^j, x y^j and x^2 y^j, each y^j taken
-    first at its weight (i = 0); x^2 y^j adds nothing (x^2 = y^2 / 2),
-    so no chain goes past it."""
-    item = next(it for it in WORKLOADS.generate("corpus", 1)
-                if it["id"] == "curve_sq2_line")
-    branch = cli.build_analysis(cli.parse_input(item["doc"])).graph.branch
+    """_times runs once per add after the first (the unit): a monomial is
+    multiplied out only once its predecessor stored a vector. On
+    curve_sq2_line (x = tau, y = sqrt2*tau) at V = 40, levels 1 and up
+    have dimension 2 = [L:Q], and level 1 is full once y and x are added,
+    so the run stops after 3 adds. On qrt_cusp (x = tau^2, y = z*tau^5
+    over z^4 = 2) no level reaches dimension 4, and 73 of the 97
+    monomials of weight <= 40 reach add: a chain (fixed j, rising i)
+    ends at its first monomial that adds nothing."""
     counts = Counter()
     times, add = oracle._times, SparseRowSpace.add
 
@@ -1091,20 +1105,31 @@ def test_each_product_feeds_one_add(monkeypatch):
 
     monkeypatch.setattr(oracle, "_times", counted_times)
     monkeypatch.setattr(SparseRowSpace, "add", counted_add)
-    report = filtration_dims(branch, 40)
-    assert counts["times"] == counts["add"] - 1
-    assert counts["add"] == 41 + 40 + 39
-    assert report.dims == (1,) + (2,) * 40
+    item = next(it for it in WORKLOADS.generate("corpus", 1)
+                if it["id"] == "curve_sq2_line")
+    branch = cli.build_analysis(cli.parse_input(item["doc"])).graph.branch
+    assert filtration_dims(branch, 40).dims == (1,) + (2,) * 40
+    assert counts == {"times": 2, "add": 3}
+    p = dict(CORPUS)["qrt_cusp"]
+    assert sum(1 for i in range(21) for j in range(9)
+               if 2 * i + 5 * j <= 40) == 97
+    dims = sorted_monomial_adds(*coordinates(p), 40, p.ambient)[1]
+    assert max(dims) == 2
+    counts.clear()
+    assert filtration_dims(p, 40).dims == dims
+    assert counts == {"times": 72, "add": 73}
 
 
 def test_live_heads_feed_the_adds_of_the_sorted_monomial_list(monkeypatch):
     """Over the corpus documents that verify accepts, on branches and on
     curvettes, _filtration feeds SparseRowSpace.add the very vectors, in
-    the very order, that the full sorted monomial list feeds it."""
+    the very order, that the full sorted monomial list feeds it, up to the
+    weight where it stops (stop_level; curvettes, whose coefficients are
+    polynomials in c, never stop), and its dims are the full loop's."""
     fed = []
     add = SparseRowSpace.add
     filtration = oracle._filtration
-    modes = []
+    stops = Counter()
 
     def recording(self, row):
         fed.append(row)
@@ -1114,8 +1139,11 @@ def test_live_heads_feed_the_adds_of_the_sorted_monomial_list(monkeypatch):
         fed.clear()
         report = filtration(x, y, V, mode, field)
         got = list(fed)
-        assert got == sorted_monomial_adds(x, y, V, field)
-        modes.append(mode)
+        reference, dims = sorted_monomial_adds(x, y, V, field)
+        top = stop_level(x, dims, field.degree) if mode == "curve" else V
+        assert got == [vec for weight, vec in reference if weight <= top]
+        assert report.dims == dims
+        stops[mode, top < V] += 1
         return report
 
     monkeypatch.setattr(SparseRowSpace, "add", recording)
@@ -1124,4 +1152,80 @@ def test_live_heads_feed_the_adds_of_the_sorted_monomial_list(monkeypatch):
         if item["expect"]["verify"] == 0:
             analysis = cli.build_analysis(cli.parse_input(item["doc"]))
             assert cli.run_verification(analysis, item["max_order"])["match"]
-    assert Counter(modes) == {"curve": 29, "divisorial": 6}
+    assert stops == {("curve", True): 21, ("curve", False): 8,
+                     ("divisorial", False): 6}
+
+
+# --- the full-level stop against the full loop
+
+Z2M1 = AmbientField([-1, 0, 1])   # Q x Q: (1 - z)/2 is a zero divisor
+
+
+def test_the_stop_needs_a_rational_lowest_coefficient_of_x():
+    """Over z^2 - 1, x = e*tau with e = (1 - z)/2, an idempotent, and y =
+    (2 - z)*tau^3 - z*tau^5 + z*tau^8: levels 1 and 2 are not full, level 3
+    is, and so would be every later one if e*L were L. It is not: e*L is
+    the line of e, and level 4 has dimension 1. Over Q(sqrt2), x = z*tau
+    has a unit lowest coefficient that is not rational; the oracle runs to
+    V and agrees with the full loop."""
+    z = Z2M1.gen()
+    half = Z2M1.from_fraction(Fraction(1, 2))
+    p = BranchParam(Z2M1, 1, [(3, 2 - z), (5, -z), (8, z)],
+                    x_coeff=(1 - z) * half)
+    assert filtration_dims(p, 8).dims == (1, 1, 1, 2, 1, 1, 2, 1, 1) == \
+        sorted_monomial_adds(*coordinates(p), 8, Z2M1)[1]
+    q = BranchParam(SQ2, 1, [(2, 1), (3, SQ2.gen())], x_coeff=SQ2.gen())
+    assert filtration_dims(q, 30).dims == \
+        sorted_monomial_adds(*coordinates(q), 30, SQ2)[1]
+
+
+def _rescaled(p, x_coeff):
+    return BranchParam(p.ambient, p.x_order, p.y_terms, x_coeff=x_coeff)
+
+
+@pytest.mark.parametrize("name,p", CORPUS, ids=[n for n, _p in CORPUS])
+def test_stopped_dims_equal_the_full_loop_on_the_corpus(name, p):
+    """At V = 60, each corpus branch as given and with x_coeff -3/2."""
+    for q in (p, _rescaled(p, Fraction(-3, 2))):
+        assert filtration_dims(q, 60).dims == \
+            sorted_monomial_adds(*coordinates(q), 60, q.ambient)[1]
+
+
+def _drawn_branch(rng):
+    """x = a*tau^m and y with two to four terms over a corpus field or
+    z^2 - 1; a is 1, a rational other than 1, or a drawn field element,
+    and the coefficients of y are small integer combinations of the power
+    basis."""
+    field = rng.choice((Q, SQ2, SQ3, GOLDEN, CBRT2, BIQ, QRT2, Z2M1))
+    n = field.degree
+
+    def element():
+        return field.element([rng.randint(-2, 2) for _ in range(n)])
+
+    x_coeff = rng.choice((1, Fraction(rng.choice((-3, -1, 2, 5)),
+                                      rng.choice((1, 2, 3))), None))
+    while x_coeff is None or not x_coeff:
+        x_coeff = element()
+    m = rng.randint(1, 4)
+    exps = sorted(rng.sample(range(m, 3 * m + 6), rng.randint(2, 4)))
+    return BranchParam(field, m, [(e, element()) for e in exps],
+                       x_coeff=x_coeff)
+
+
+def test_stopped_dims_equal_the_full_loop_on_drawn_branches():
+    """Over 120 seeded branches at V = 30, at least 30 of them stopped
+    early and at least 10 with x_coeff a rational other than 1."""
+    rng = random.Random(11)
+    stopped = rescaled = 0
+    failures = []
+    for _ in range(120):
+        p = _drawn_branch(rng)
+        x, y = coordinates(p)
+        dims = sorted_monomial_adds(x, y, 30, p.ambient)[1]
+        if filtration_dims(p, 30).dims != dims:
+            failures.append(repr(p))
+        if stop_level(x, dims, p.ambient.degree) < 30:
+            stopped += 1
+            rescaled += p.x_coeff != 1
+    assert not failures, "\n".join(failures)
+    assert stopped >= 30 and rescaled >= 10

@@ -12,13 +12,13 @@ splitting stream), runs resolution and the series pipeline, and emits:
 
 The command line takes four forms, read by parse_command_line:
 `analyze PATH [--truncate N]`, `report PATH --json [--truncate N]`,
-`graph PATH --dot` and `verify PATH [--max-order V]`. Its rules are those
-of the standard library's parser for these forms (tests/slow_paths.py
-holds such a parser as the reference), without importing it or building
-anything per process: options before or after the path, `--opt=value`,
-unique prefixes, `--` ending the options, the last of a repeated option
-winning, and `int()` reading the values. `-h`/`--help` prints the usage
-and exits 0.
+`graph PATH --dot` and `verify PATH [--max-order V]`. A line in one of
+these forms, spelled as written here with N or V in ASCII digits, is read
+directly. Any other line is read by the standard library's argparse,
+imported only then, so its rules hold: options before or after the path,
+`--opt=value`, unique prefixes, `--` ending the options, the last of a
+repeated option winning, and `int()` reading the values. `-h`/`--help`
+prints the usage and exits 0.
 
 Exit codes: 0 success, 2 parse/schema failure or a refused command line,
 3 mathematical validation failure, 4 verification mismatch. Rationals in
@@ -588,49 +588,13 @@ COMMANDS = {
     "verify": ("--max-order", DEFAULT_MAX_ORDER, None),
 }
 
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# Longest value the direct reading takes: int() refuses longer digit
+# strings under the lowest limit PYTHONINTMAXSTRDIGITS may set.
+_MAX_VALUE_DIGITS = 640
 
 
 class UsageError(Exception):
     """A command line that parse_command_line refuses; main exits 2."""
-
-
-def _option(token, options):
-    """What one argument names before any "--": None for a positional,
-    else (option, its inline text or None), with option "" when unknown.
-
-    "--name" and "--name=text" take any unique prefix of a long option;
-    "-h" may run on into more text, which must be more h's. A lone "-", a
-    negative number and text with a space are positionals.
-    """
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in options:
-        return token, None
-    name, eq, text = token.partition("=")
-    if eq and name in options:
-        return name, text
-    if token[1] == "-":
-        found = [option for option in options if option.startswith(name)]
-        if len(found) > 1:
-            raise UsageError("ambiguous option: %s could match %s"
-                             % (token, ", ".join(found)))
-        if found:
-            return found[0], text if eq else None
-    elif token[1] == "h":
-        return "-h", token[2:]
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return "", None
-
-
-def _help_request(option, text):
-    """None, which stands for a help request; "-h" may run on into more
-    h's, and any other inline text is refused."""
-    if text is not None and (option != "-h" or not text or text.strip("h")):
-        raise UsageError("argument -h/--help: ignored explicit argument %r"
-                         % text)
-    return None
 
 
 def parse_command_line(argv):
@@ -638,75 +602,63 @@ def parse_command_line(argv):
     request; value is the --truncate or --max-order value or its default
     (None for graph). Raises UsageError for any other line.
 
-    Options may come before or after the path, "--" ends them, and the
-    last of a repeated option wins. A help request is answered even when
-    the path or the flag is missing or an argument is left over, but not
-    after a refused option or value earlier on the line, nor when an
-    ambiguous option follows the command.
+    A documented form (command, a path not starting with "-", the required
+    flag once, at most one option and its digits) is read directly; any
+    other line goes to the argparse parser of _parse_with_argparse.
     """
-    stray = []
-    for at, token in enumerate(argv):
-        found = None if token == "--" else _option(token, ("-h", "--help"))
-        if found is None:
-            break
-        if found[0]:
-            return _help_request(*found)
-        stray.append(token)
-    else:
-        raise UsageError("the following arguments are required: command")
-    command = argv[at]
-    if command not in COMMANDS:
-        raise UsageError("invalid choice: %r (choose from %s)"
-                         % (command, ", ".join(COMMANDS)))
-    valued, value, flag = COMMANDS[command]
-    options = ("-h", "--help") + tuple(o for o in (valued, flag) if o)
-    args = argv[at + 1:]
-    # every option before "--" is read before any takes effect, so an
-    # ambiguous one is refused even after a help request
-    cut = args.index("--") if "--" in args else len(args)
-    kinds = ([_option(token, options) for token in args[:cut]]
-             + ["--"] * (cut < len(args)) + [None] * (len(args) - cut - 1))
-    path = None
-    flag_seen = flag is None
-    k = 0
-    while k < len(args):
-        kind = kinds[k]
-        if kind == "--" and path is None and k + 1 < len(args):
-            k += 1  # a "--" before the path is dropped
-            kind = None
-        if kind is None and path is None:
-            path = args[k]
-            if kinds[k + 1:k + 2] == ["--"]:
-                k += 1  # and so is one right after it
-        elif kind is None or kind == "--" or not kind[0]:
-            stray.append(args[k])
-        elif kind[0] in ("-h", "--help"):
-            return _help_request(*kind)
-        elif kind[0] == flag:
-            if kind[1] is not None:
-                raise UsageError("argument %s: ignored explicit argument %r"
-                                 % kind)
-            flag_seen = True
-        else:
-            text = kind[1]
-            if text is None:
-                if kinds[k + 1:k + 2] != [None]:
-                    raise UsageError("argument %s: expected one argument"
-                                     % valued)
-                k += 1
-                text = args[k]
-            try:
-                value = int(text)
-            except ValueError:
-                raise UsageError("argument %s: invalid int value: %r"
-                                 % (valued, text))
-        k += 1
-    if stray:
-        raise UsageError("unrecognized arguments: %s" % " ".join(stray))
-    if path is None or not flag_seen:
-        raise UsageError("the following arguments are required: %s"
-                         % ("PATH" if path is None else flag))
-    return command, path, value
+    if len(argv) >= 2 and argv[0] in COMMANDS and argv[1][:1] != "-":
+        valued, value, flag = COMMANDS[argv[0]]
+        rest = argv[2:]
+        if flag is None or rest.count(flag) == 1:
+            if flag is not None:
+                rest.remove(flag)
+            if not rest:
+                return argv[0], argv[1], value
+            if len(rest) == 2 and rest[0] == valued:
+                text = rest[1]
+                if (text.isascii() and text.isdigit()
+                        and len(text) <= _MAX_VALUE_DIGITS):
+                    return argv[0], argv[1], int(text)
+    return _parse_with_argparse(argv)
+
+
+def _parse_with_argparse(argv):
+    """parse_command_line for a line off the documented forms: the standard
+    library's parser, imported and built only here, with its refusals
+    raised as UsageError and a help request returned as None."""
+    import argparse
+
+    class HelpRequest(Exception):
+        pass
+
+    class Help(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            raise HelpRequest
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    def add_help(parser):
+        parser.add_argument("-h", "--help", action=Help, nargs=0)
+
+    parser = Parser(prog="artifact", add_help=False)
+    add_help(parser)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (valued, value, flag) in COMMANDS.items():
+        sub = commands.add_parser(command, add_help=False)
+        add_help(sub)
+        sub.add_argument("path", metavar="PATH")
+        if valued:
+            sub.add_argument(valued, type=int, dest="value")
+        if flag:
+            sub.add_argument(flag, action="store_true", required=True)
+        sub.set_defaults(value=value)
+    try:
+        args = parser.parse_args(argv)
+    except HelpRequest:
+        return None
+    return args.command, args.path, args.value
 
 
 def main(argv=None):

@@ -481,16 +481,17 @@ def _shift(point):
 
 
 def _landing_info(graph, recs, sigma):
-    """(chart, shift or None, center) of the point where the branch lands on
+    """(chart, shift or None) of the point where the branch lands on
     component sigma: record sigma+1, or past the last record graph.terminal,
-    the InfNearRecord of the never-blown point. shift None means the raw
-    chart is used (chart B, or a landing outside K_sigma)."""
+    the InfNearRecord of the never-blown point. shift is the point's center
+    in chart A; None means the raw chart is used (chart B, or a landing
+    outside K_sigma)."""
     point = recs[sigma + 1] if sigma + 1 < len(recs) else graph.terminal
     shift = _shift(point)
     if shift is GENERIC or (shift is not None and
                             not recs[sigma].field_after.contains_num(shift)):
         shift = None
-    return point.chart, shift, point.center
+    return point.chart, shift
 
 
 class GenericCurvette(Record):
@@ -531,7 +532,7 @@ def generic_curvette(graph, recs, sigma=None, bound=None):
         sigma = graph.delta()
     ambient = graph.ambient
     cring = PolyRing(ambient, "c")
-    chart, shift, _center = _landing_info(graph, recs, sigma)
+    chart, shift = _landing_info(graph, recs, sigma)
     steps = [(chart, shift)] + [(recs[k].chart, _shift(recs[k]))
                                 for k in range(sigma, 0, -1)]
     # u = tau cut past tau^bound; w = c needs no cut: bound >= 0

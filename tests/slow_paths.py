@@ -49,8 +49,8 @@ The package's records (frozen values with equality, hashing and a repr) are
 rebuilt here as frozen dataclasses with the same fields and defaults; the
 runtime shares one hand-written base class instead, which imports nothing.
 The argparse parser of the four commands is here too: the runtime reads
-the command line with cli.parse_command_line, which imports nothing and
-builds nothing per process.
+the four documented forms directly and builds its own argparse parser only
+for any other line, so this one checks both routes.
 
 Not named reference.py: pytest puts both tests/ and bench/ on sys.path, and
 bench/reference.py would shadow it.
@@ -449,9 +449,10 @@ def constant_collision(graph, recs, sigma, c):
     """Why c cannot give a curvette at component sigma, or None. Read in the
     coordinate of generic_curvette, c must avoid the branch's landing point
     and, for sigma >= 1, the corner with the older component."""
-    _chart, shift, center = _landing_info(graph, recs, sigma)
+    _chart, shift = _landing_info(graph, recs, sigma)
     eff = c + shift if shift else c
-    if shift is not None and isinstance(center, AlgNum) and eff == center:
+    # a shift is the center of the landing point
+    if shift is not None and isinstance(shift, AlgNum) and eff == shift:
         return "constant hits the branch's landing point"
     if sigma >= 1 and not eff:
         return "constant hits the corner with an older component"

@@ -588,10 +588,30 @@ def test_documented_forms_and_refusals(doc_path, capsys):
     for argv in ([], ["bogus", "-h"], ["graph", doc_path],
                  ["analyze", doc_path, "x"], ["analyze", doc_path, "-hx"],
                  ["verify", doc_path, "--max-order"],
-                 ["analyze", "-h", "--=3"]):
+                 ["analyze", "-h", "--=3"],
+                 ["analyze", doc_path, "--max-order", "3"],
+                 ["verify", doc_path, "--truncate", "3"],
+                 ["analyze", doc_path, "--truncate", "²"],
+                 ["verify", doc_path, "--max-order", "9" * 4301]):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(cli.USAGE + "\nartifact: error: ")
+
+
+def test_documented_forms_are_read_without_argparse(doc_path, capsys,
+                                                    monkeypatch):
+    """The lines bench/run.py's argv_for builds, and graph's, never reach
+    argparse: building its parser in every process once took a third of
+    a cusp's analyze."""
+    def refuse(argv):
+        raise AssertionError("argparse read %r" % (argv,))
+
+    monkeypatch.setattr(cli, "_parse_with_argparse", refuse)
+    for argv in (["analyze", doc_path], ["report", doc_path, "--json"],
+                 ["verify", doc_path, "--max-order", "12"],
+                 ["graph", doc_path, "--dot"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
 
 
 def test_list_sizing_inputs_are_capped(tmp_path, capsys):

@@ -4,10 +4,10 @@ nothing more.
 Each check runs in a fresh interpreter, where sys.modules shows what an
 import really loads. Importing artifact.cli (or artifact) must not load
 dataclasses or inspect, nor argparse or gettext: each, with the modules
-it pulls in, adds milliseconds to every process, and the command line is
-read by a small parser of its own. Running the commands afterwards must
-not import a single module, so no import cost moves from start-up into a
-command.
+it pulls in, adds milliseconds to every process, and a command line in a
+documented form is read without argparse. Running the commands afterwards
+must not import a single module, so no import cost moves from start-up
+into a command.
 """
 
 import json

@@ -13,7 +13,7 @@ splitting stream), runs resolution and the series pipeline, and emits:
 The command line takes four forms, read by parse_command_line:
 `analyze PATH [--truncate N]`, `report PATH --json [--truncate N]`,
 `graph PATH --dot` and `verify PATH [--max-order V]`. A line in one of
-these forms, spelled as written here with N or V in ASCII digits, is read
+these forms, spelled as written here with N or V in digits, is read
 directly. Any other line is read by the standard library's argparse,
 imported only then, so its rules hold: options before or after the path,
 `--opt=value`, unique prefixes, `--` ending the options, the last of a
@@ -588,10 +588,6 @@ COMMANDS = {
     "verify": ("--max-order", DEFAULT_MAX_ORDER, None),
 }
 
-# Longest value the direct reading takes: int() refuses longer digit
-# strings under the lowest limit PYTHONINTMAXSTRDIGITS may set.
-_MAX_VALUE_DIGITS = 640
-
 
 class UsageError(Exception):
     """A command line that parse_command_line refuses; main exits 2."""
@@ -603,22 +599,26 @@ def parse_command_line(argv):
     (None for graph). Raises UsageError for any other line.
 
     A documented form (command, a path not starting with "-", the required
-    flag once, at most one option and its digits) is read directly; any
-    other line goes to the argparse parser of _parse_with_argparse.
+    flag right after it, at most one option and its digits) is read
+    directly; any other line goes to the argparse parser of
+    _parse_with_argparse.
     """
     if len(argv) >= 2 and argv[0] in COMMANDS and argv[1][:1] != "-":
         valued, value, flag = COMMANDS[argv[0]]
         rest = argv[2:]
-        if flag is None or rest.count(flag) == 1:
-            if flag is not None:
-                rest.remove(flag)
-            if not rest:
-                return argv[0], argv[1], value
-            if len(rest) == 2 and rest[0] == valued:
-                text = rest[1]
-                if (text.isascii() and text.isdigit()
-                        and len(text) <= _MAX_VALUE_DIGITS):
+        if flag is not None:
+            if rest[:1] != [flag]:
+                return _parse_with_argparse(argv)
+            rest = rest[1:]
+        if not rest:
+            return argv[0], argv[1], value
+        if len(rest) == 2 and rest[0] == valued:
+            text = rest[1]
+            if text.isdigit():
+                try:
                     return argv[0], argv[1], int(text)
+                except ValueError:  # a superscript digit, or too many digits
+                    pass
     return _parse_with_argparse(argv)
 
 

@@ -36,26 +36,32 @@ MUTANTS = (
      'argv[0] in COMMANDS and argv[1][:1] != "-":',
      "argv[0] in COMMANDS:", CLI_TESTS, False),
     ("the required flag is not required", CLI,
-     "if flag is None or rest.count(flag) == 1:",
-     "if flag is None or rest.count(flag) <= 1:", CLI_TESTS, False),
-    ("the value is checked by isdigit() alone", CLI,
-     "if (text.isascii() and text.isdigit()",
-     "if (text.isdigit()", CLI_TESTS, False),
-    ("the digit bound is dropped", CLI,
-     "\n                        and len(text) <= _MAX_VALUE_DIGITS):",
-     "):", CLI_TESTS, False),
+     "        if flag is not None:\n",
+     "        if flag is not None and rest:\n", CLI_TESTS, False),
+    ("the required flag is read anywhere after the path", CLI,
+     "            if rest[:1] != [flag]:\n"
+     "                return _parse_with_argparse(argv)\n"
+     "            rest = rest[1:]",
+     "            if rest.count(flag) != 1:\n"
+     "                return _parse_with_argparse(argv)\n"
+     "            rest.remove(flag)", CLI_TESTS, False),
+    ("the value is not checked by isdigit()", CLI,
+     "if text.isdigit():", "if True:", CLI_TESTS, False),
+    ("int()'s refusal is not caught", CLI,
+     "                try:\n"
+     "                    return argv[0], argv[1], int(text)\n"
+     "                except ValueError:"
+     "  # a superscript digit, or too many digits\n"
+     "                    pass",
+     "                return argv[0], argv[1], int(text)", CLI_TESTS, False),
     ("the other command's option is read directly", CLI,
      "rest[0] == valued:",
      'rest[0] in ("--truncate", "--max-order"):', CLI_TESTS, False),
     # argparse accepts a repeated store_true flag as well
     ("the required flag is accepted twice", CLI,
-     "if flag is None or rest.count(flag) == 1:\n"
-     "            if flag is not None:\n"
-     "                rest.remove(flag)",
-     "if flag is None or flag in rest:\n"
-     "            if flag is not None:\n"
-     "                rest = [token for token in rest if token != flag]",
-     CLI_TESTS, True),
+     "            rest = rest[1:]",
+     "            while rest[:1] == [flag]:\n"
+     "                rest = rest[1:]", CLI_TESTS, True),
 )
 
 

@@ -592,7 +592,9 @@ def test_documented_forms_and_refusals(doc_path, capsys):
                  ["analyze", doc_path, "--max-order", "3"],
                  ["verify", doc_path, "--truncate", "3"],
                  ["analyze", doc_path, "--truncate", "²"],
-                 ["verify", doc_path, "--max-order", "9" * 4301]):
+                 ["analyze", doc_path, "--truncate", "-1_0"],
+                 ["verify", doc_path, "--max-order", "9" * 4301],
+                 ["report", doc_path, "--truncate", "--json", "3"]):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(cli.USAGE + "\nartifact: error: ")

@@ -7,9 +7,13 @@ coefficient by coefficient. No product formula or semigroup reasoning enters;
 the module exists so that the closed forms elsewhere in the package can be
 checked against something that cannot share their mistakes. The one
 shortcut is linear algebra on the same substitution map: on a branch whose
-x has a nonzero rational lowest coefficient, once ord(x) consecutive levels
-have full dimension [L:Q], multiplication by x fills every later level, so
-the computation stops there (the argument is in _filtration).
+x has a nonzero rational lowest coefficient, every level v has dimension
+at most that of U_(v mod ord x), the rational span of the products of
+coefficients of x and y whose tau powers sum to v mod ord(x)
+(_residue_dims), and once ord(x) consecutive levels reach that bound,
+multiplication by x fills every later level to it, so the computation
+stops there (the argument is in _filtration). The bound is [L:Q] at every
+level once one of the spans is all of L, as over Q.
 
 Two kinds of questions are answered:
 
@@ -205,36 +209,82 @@ def divisorial_value(f, gc):
 
 # --- filtration dimensions by rank growth ------------------------------------
 
-def _keyed_table(s, V, field, W):
-    """Multiplication by D*s on integer-keyed vectors, for the
-    tau-polynomial s and a positive integer D, as table[k] for each field
-    coordinate k: the (key offset, integer) terms of z^k times the
-    tau-coefficients s_e with e <= V, by increasing offset.
+def _terms(s, V, field):
+    """The nonzero coefficients of the tau-polynomial s up to tau^V, as
+    (e, b, alg, rows): alg is the ambient-field element at tau^e and c
+    power b, and rows its integer matrix of multiplication
+    (AmbientField.mul_matrix). A coefficient s_e is an ambient-field
+    element (b = 0), or a polynomial in the curvette constant c with one
+    element per c power b. The matrices are read here once, for both
+    _keyed_table and _residue_dims."""
+    return [(e, b, alg, field.mul_matrix(alg.num))
+            for e, c in enumerate(s.tail[:max(0, V + 1 - s.shift)], s.shift)
+            for b, alg in (enumerate(c.tail, c.shift) if isinstance(c, Poly)
+                           else ((0, c),)) if alg]
 
-    A coefficient s_e is an ambient-field element, or a polynomial in the
-    curvette constant c with one ambient-field element per c power b.
-    Column k of the matrix of multiplication by an element num/den
-    (AmbientField.mul_matrix) is its product with z^k, over the field's
-    _scale times den; each is brought to D = _scale times the lcm of the
-    den, so the table reads one matrix per nonzero (tau power, c power)
-    coefficient and makes no field product. A vector entry at tau^v, c
-    power a and field coordinate k is keyed v*W + a*n + k (n = [L:Q], W
-    from _filtration), so the product term at coordinate k' of z^k times
-    the c^b part of s_e lands at offset e*W + b*n + k' - k from it."""
-    n = field.degree
-    terms = [(e * W + b * n, alg)
-             for e, c in enumerate(s.tail[:max(0, V + 1 - s.shift)], s.shift)
-             for b, alg in (enumerate(c.tail, c.shift) if isinstance(c, Poly)
-                            else ((0, c),)) if alg]
-    scale = lcm(*(alg.den for _at, alg in terms))
+
+def _keyed_table(terms, n, W):
+    """Multiplication by D*s on integer-keyed vectors, for the
+    tau-polynomial s with the terms _terms lists and a positive integer D,
+    as table[k] for each field coordinate k < n = [L:Q]: the (key offset,
+    integer) terms of z^k times the tau-coefficients s_e, by increasing
+    offset.
+
+    Column k of the matrix of multiplication by an element num/den is its
+    product with z^k, over the field's _scale times den; each is brought
+    to D = _scale times the lcm of the den, so the table reads one matrix
+    per nonzero (tau power, c power) coefficient and makes no field
+    product. A vector entry at tau^v, c power a and field coordinate k is
+    keyed v*W + a*n + k (W from _filtration), so the product term at
+    coordinate k' of z^k times the c^b part of s_e lands at offset
+    e*W + b*n + k' - k from it."""
+    scale = lcm(*(alg.den for _e, _b, alg, _rows in terms))
     table = [[] for _ in range(n)]
-    for at, alg in terms:
+    for e, b, alg, rows in terms:
         f = scale // alg.den
-        for k2, row in enumerate(field.mul_matrix(alg.num)):
+        at = e * W + b * n
+        for k2, row in enumerate(rows):
             for k, a in enumerate(row):
                 if a:
                     table[k].append((at + k2 - k, a * f))
     return table
+
+
+def _residue_dims(terms, ox, n):
+    """The dimensions of U_0 .. U_(ox-1) on a branch, or None once one of
+    them is n = [L:Q]. U_r is the rational span of the products of
+    coefficients of x and y (the terms, as _terms lists them) whose tau
+    powers sum to r mod ox, the empty product 1 in U_0.
+
+    A closure over residue blocks: a vector of U_r is keyed r*n + k by
+    field coordinate k, 1 starts in block 0, and each vector the echelon
+    stores is multiplied by each term, by its integer matrix, into block
+    (r + e) % ox. A rational term only moves the vector to that block,
+    and one with e = 0 mod ox is skipped, since it moves it nowhere. Over
+    Q, U_0 holds 1 and is all of L, so no vector is formed."""
+    if n == 1:
+        return None
+    space = SparseRowSpace()
+    ranks = [0] * ox
+    todo = [(0, {0: 1})]
+    while todo:
+        r, u = todo.pop()
+        u = space.add(u)
+        if not u:
+            continue
+        ranks[r] += 1
+        if ranks[r] == n:
+            return None
+        lo = r * n
+        for e, _b, alg, rows in terms:
+            s = (r + e) % ox
+            if any(alg.num[1:]):
+                todo.append((s, {s * n + k2: sum(row[c - lo] * m
+                                                 for c, m in u.items())
+                                 for k2, row in enumerate(rows)}))
+            elif s != r:
+                todo.append((s, {c + (s - r) * n: m for c, m in u.items()}))
+    return ranks
 
 
 def _c_degree(s, V):
@@ -310,12 +360,18 @@ def _filtration(x, y, V, mode, field):
     already reduced, takes a few steps where the raw image of m takes
     many.
 
-    The full-level stop. Call level w full when all W keys w*W ..
-    w*W + W - 1 are leads once the heads of weight w are processed (on a
-    branch W = n, so the level has dimension [L:Q]). When the lowest
-    coefficient a of x is a nonzero rational and the ox levels ending at w
-    are full, every level past w is full, so dims[w+1..V] = W and the
-    heads of larger weight are skipped. This is exact:
+    The full-level stop, when the lowest coefficient a of x is a nonzero
+    rational (then W = n, as the coefficients are field elements). Let
+    U_r, for r mod ox, be the rational span of the products of the
+    tau-coefficients of x and y up to tau^V whose tau powers sum to r mod
+    ox, with 1 in U_0. The tau^v coefficient of a polynomial in x and y is
+    a sum of such products, so the level v classes lie in U_(v mod ox) (in
+    any commutative ring, z^2 - 1 included), and cap_r = dim U_r bounds
+    dims[v] for v = r mod ox (_residue_dims; cap_r = n for every r once
+    one U_r is all of L). Call level w full when it has cap_(w mod ox)
+    leads once the heads of weight w are processed. When the ox levels
+    ending at w are full, dims[v] = cap_(v mod ox) for every v past w, and
+    the heads of larger weight are skipped. This is exact:
     - The leads at levels <= w are final once weight w is done. A later
       monomial has weight > w, the vector fed for it has order at least
       its weight (x or y times a stored vector of order at least the
@@ -324,16 +380,16 @@ def _filtration(x, y, V, mode, field):
       S.
     - The tau^(v+ox) coefficient of x*f, for f of order v, is a times the
       tau^v coefficient of f; so the level v+ox classes of S contain a
-      times the level v classes. a is rational and nonzero, so a full
-      level v makes level v+ox full, and the ox full levels ending at w
-      fill every later level by induction.
+      times the level v classes. A full level v has all of U_(v mod ox)
+      as its classes, a is rational and nonzero, so a*U_r = U_r and level
+      v+ox is full too; the ox full levels ending at w fill every later
+      level by induction.
     Only the leads at levels <= w are counted: vectors stored before the
     stop may have leads above w, and counting them would count those
     levels twice. The rational test matters over a ring with zero
     divisors: over Q[z]/(z^2 - 1), a = (1 - z)/2 maps a full level onto a
     line. A curvette's coefficients are polynomials in c, so the
-    divisorial oracle never stops early; nor does a branch whose levels
-    settle below [L:Q].
+    divisorial oracle never stops early.
     """
     V = int(V)
     if V < 0:
@@ -346,9 +402,12 @@ def _filtration(x, y, V, mode, field):
         raise ValueError("y image must vanish at the origin")
     imax = 0 if ox is INFINITY else V // ox
     jmax = 0 if oy is INFINITY else V // oy
-    W = field.degree * (imax * _c_degree(x, V) + jmax * _c_degree(y, V) + 1)
-    x_keyed = _keyed_table(x, V, field, W)
-    y_keyed = _keyed_table(y, V, field, W)
+    n = field.degree
+    W = n * (imax * _c_degree(x, V) + jmax * _c_degree(y, V) + 1)
+    x_terms = _terms(x, V, field)
+    y_terms = _terms(y, V, field)
+    x_keyed = _keyed_table(x_terms, n, W)
+    y_keyed = _keyed_table(y_terms, n, W)
     limit = (V + 1) * W
     space = SparseRowSpace()
     # heads[v]: the live monomials x^i y^j of weight v, each as its i, the
@@ -363,11 +422,15 @@ def _filtration(x, y, V, mode, field):
             if not i and weight + oy <= V:
                 heads[weight + oy].append((0, r, y_keyed))
 
-    # the full-level stop: stop full levels in a row end the run at top;
-    # stop is 0 when the lowest coefficient of x is not a nonzero rational
+    # the full-level stop: stop full levels in a row end the run at top,
+    # level v full when it has caps[v % ox] leads; stop is 0 when the
+    # lowest coefficient of x is not a nonzero rational, or when ox > V,
+    # where a stop would fill no level, and then no bound is formed
     rows = space.rows
     a = x.low_coeff()
-    stop = ox if isinstance(a, AlgNum) and a and not any(a.num[1:]) else 0
+    stop = ox if ox <= V and isinstance(a, AlgNum) and a and \
+        not any(a.num[1:]) else 0
+    caps = stop and (_residue_dims(x_terms + y_terms, ox, n) or [W] * ox)
     full = 0
     top = V
     follow(0, 0, space.add({0: 1}))
@@ -377,15 +440,17 @@ def _filtration(x, y, V, mode, field):
             follow(weight, i, space.add(_times(r, table, limit)))
         if stop:
             lo = weight * W
-            full = full + 1 if all(map(rows.__contains__,
-                                       range(lo, lo + W))) else 0
+            leads = sum(map(rows.__contains__, range(lo, lo + W)))
+            full = full + 1 if leads == caps[weight % ox] else 0
             if full == stop:
                 top = weight
                 break
-    dims = [0] * (top + 1) + [W] * (V - top)
+    dims = [0] * (V + 1)
     for lead in rows:
         if lead // W <= top:
             dims[lead // W] += 1
+    for v in range(top + 1, V + 1):
+        dims[v] = caps[v % ox]
     return FiltrationReport(V=V, dims=tuple(dims), mode=mode)
 
 

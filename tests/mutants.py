@@ -29,6 +29,10 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CLI = "src/artifact/cli.py"
 CLI_TESTS = ("tests/test_cli.py", "tests/test_exit_codes.py")
+ORACLE = "src/artifact/oracle.py"
+ORACLE_TESTS = ("tests/test_oracle.py", "tests/test_work_counts.py")
+POINCARE = "src/artifact/poincare.py"
+POINCARE_TESTS = ("tests/test_poincare.py",)
 
 # (what the mutant does, file, old text, new text, test files, equivalent)
 MUTANTS = (
@@ -62,6 +66,22 @@ MUTANTS = (
      "            rest = rest[1:]",
      "            while rest[:1] == [flag]:\n"
      "                rest = rest[1:]", CLI_TESTS, True),
+    ("residues are taken without % ox", ORACLE,
+     "s = (r + e) % ox", "s = r + e", ORACLE_TESTS, False),
+    ("levels above the stop are filled with W", ORACLE,
+     "dims[v] = caps[v % ox]", "dims[v] = W", ORACLE_TESTS, False),
+    # the dims stay; only the work of the bound grows
+    ("the bound does not give up once a residue fills L", ORACLE,
+     "        if ranks[r] == n:\n"
+     "            return None\n", "", ORACLE_TESTS, False),
+    ("every rational term is skipped", ORACLE,
+     "elif s != r:", "elif False:", ORACLE_TESTS, False),
+    ("the stable range starts at Delta + 1", POINCARE,
+     "for v in range(Delta, n + 1):", "for v in range(Delta + 1, n + 1):",
+     POINCARE_TESTS, False),
+    ("the last pre-stable check needs Delta >= 2", POINCARE,
+     "if Delta >= 1 and not", "if Delta >= 2 and not", POINCARE_TESTS,
+     False),
 )
 
 

@@ -44,7 +44,10 @@ lowest coefficient of u already lies in the subfield), with membership by
 the Fraction rref (the runtime answers Q and the whole field without a
 reduction). The oracle's monomials listed and sorted in full, each skipped
 at the add when its predecessor left no vector, are here too (the runtime
-keeps only the live chain heads, by weight).
+keeps only the live chain heads, by weight), and so are the dimensions
+that bound its levels by residue mod ord(x), closed by Fraction products
+(the runtime closes integer vectors in its echelon, only moves a vector
+for a rational coefficient, and gives up once one residue fills L).
 The package's records (frozen values with equality, hashing and a repr) are
 rebuilt here as frozen dataclasses with the same fields and defaults; the
 runtime shares one hand-written base class instead, which imports nothing.
@@ -818,6 +821,33 @@ def sorted_monomial_adds(x, y, V, field):
         dims[lead // W] += 1
     return fed, tuple(dims)
 
+
+
+def reference_residue_dims(x, y, V, field):
+    """[dim U_0, .., dim U_(ox-1)] for the branch images x and y, ox the
+    order of x: U_r is the rational span of the products of the
+    tau-coefficients of x and y up to tau^V whose tau powers sum to r mod
+    ox, the empty product 1 in U_0. Closed by Fraction products of
+    coordinate polynomials, reduced mod the minimal polynomial, each kept
+    when reduce_against leaves a remainder; every coefficient multiplies
+    every vector kept, with no shortcut for a rational one."""
+    ox = x.order()
+    modulus = list(field.min_poly)
+    coeffs = [(e, list(c.coords)) for s in (x, y)
+              for e, c in enumerate(s.coeffs[:V + 1]) if c]
+    blocks = [([], []) for _ in range(ox)]
+    todo = [(0, [Fraction(1)] + [Fraction(0)] * (field.degree - 1))]
+    while todo:
+        r, u = todo.pop()
+        basis, pivots = blocks[r]
+        if not any(reduce_against(u, basis, pivots)):
+            continue
+        blocks[r] = rref(basis + [u])
+        for e, c in coeffs:
+            rem = _pdivmod(_pmul(u, c), modulus)[1]
+            todo.append(((r + e) % ox,
+                         rem + [Fraction(0)] * (field.degree - len(rem))))
+    return [len(basis) for basis, _pivots in blocks]
 
 # --- records as frozen dataclasses ---------------------------------------------
 

@@ -29,6 +29,8 @@ from artifact.oracle import (
     _c_degree,
     _filtration,
     _keyed_table,
+    _residue_dims,
+    _terms,
     _times,
     divisorial_filtration_dims,
     divisorial_value,
@@ -57,6 +59,7 @@ from slow_paths import (
     conjugate_param,
     evaluate_poly,
     reference_filtration_dims,
+    reference_residue_dims,
     reference_table,
     rref,
     sorted_monomial_adds,
@@ -173,19 +176,41 @@ def test_a_stored_vector_is_divided_by_its_content():
     assert space.rows == {3: {3: 1, 7: -2}}
 
 
+def bound_running(monkeypatch):
+    """Wraps oracle._residue_dims so that it raises a flag while it runs:
+    returns the flag, a list whose one entry is True then. The tests that
+    record the echelon's adds skip those of the bound."""
+    running = [False]
+    residue_dims = oracle._residue_dims
+
+    def flagged(terms, ox, n):
+        running[0] = True
+        try:
+            return residue_dims(terms, ox, n)
+        finally:
+            running[0] = False
+
+    monkeypatch.setattr(oracle, "_residue_dims", flagged)
+    return running
+
+
 def test_the_quartic_verifications_store_primitive_vectors(tmp_path,
                                                            monkeypatch):
-    """Every vector stored while verify runs the oracle_quartic workload
-    (seed 1) has content 1; contents of 2 occur among the rows fed."""
+    """Every vector the oracle stores while verify runs the
+    oracle_quartic workload (seed 1), outside its residue bound, has
+    content 1, and there are at least 387 of them; contents of 2 occur
+    among the rows fed."""
     stored = []
     contents = set()
     add = SparseRowSpace.add
+    in_bound = bound_running(monkeypatch)
 
     def checked(space, row):
-        contents.add(gcd(*row.values()))
         out = add(space, row)
-        if out:
-            stored.append(gcd(*out.values()))
+        if not in_bound[0]:
+            contents.add(gcd(*row.values()))
+            if out:
+                stored.append(gcd(*out.values()))
         return out
 
     monkeypatch.setattr(SparseRowSpace, "add", checked)
@@ -194,7 +219,7 @@ def test_the_quartic_verifications_store_primitive_vectors(tmp_path,
     for item, path in zip(items, paths):
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(["verify", path, "--max-order", str(item["max_order"])])
-    assert len(stored) > 1000 and set(stored) == {1}
+    assert len(stored) >= 387 and set(stored) == {1}
     assert 2 in contents
 
 
@@ -789,8 +814,8 @@ def test_keyed_times_equals_tuple_times(data):
         edge = V + 1 - s.order()
         column.update({(V, (0, 0)): 1, (edge, (0, 0)): -2,
                        (edge - 1, (0, n - 1)): 3, (0, (a_max, n - 1)): 5})
-        assert _unkeyed(_times(_keyed(column, W, n),
-                               _keyed_table(s, V, field, W), (V + 1) * W),
+        table = _keyed_table(_terms(s, V, field), n, W)
+        assert _unkeyed(_times(_keyed(column, W, n), table, (V + 1) * W),
                         W, n) == \
             tuple_times(column, reference_table(s, V, field), V)
 
@@ -1068,39 +1093,51 @@ def test_valuation_axioms_on_random_polynomials(f, g):
 # --- only the live monomials reach the echelon, up to the full-level stop
 
 
-def stop_level(x, dims, n):
+def stop_level(x, dims, n, caps=None):
     """The weight after which _filtration stops on a branch, read off the
-    full loop's dims: the end of the first ox consecutive levels of
-    dimension n (ox the order of x), when the lowest coefficient of x is
-    a nonzero rational; the top level V otherwise."""
+    full loop's dims: the end of the first ox consecutive levels v (ox the
+    order of x) of dimension caps[v % ox], when the lowest coefficient of
+    x is a nonzero rational; the top level V otherwise. caps are the
+    residue dims of the reference (reference_residue_dims); as in the
+    runtime, whose bound then gives up, every cap is n = [L:Q] when one
+    of them is n or when they are not given."""
     a = x.low_coeff()
+    ox = x.order()
+    if caps is None or n in caps:
+        caps = [n] * ox
     if a and not any(a.num[1:]):
         run = 0
         for v, d in enumerate(dims):
-            run = run + 1 if d == n else 0
-            if run == x.order():
+            run = run + 1 if d == caps[v % ox] else 0
+            if run == ox:
                 return v
     return len(dims) - 1
 
 
 def test_each_product_feeds_one_add(monkeypatch):
-    """_times runs once per add after the first (the unit): a monomial is
-    multiplied out only once its predecessor stored a vector. On
-    curve_sq2_line (x = tau, y = sqrt2*tau) at V = 40, levels 1 and up
-    have dimension 2 = [L:Q], and level 1 is full once y and x are added,
-    so the run stops after 3 adds. On qrt_cusp (x = tau^2, y = z*tau^5
-    over z^4 = 2) no level reaches dimension 4, and 73 of the 97
-    monomials of weight <= 40 reach add: a chain (fixed j, rising i)
-    ends at its first monomial that adds nothing."""
+    """_times runs once per add after the first (the unit), the adds of
+    the residue bound left out: a monomial is multiplied out only once its
+    predecessor stored a vector. On curve_sq2_line (x = tau, y =
+    sqrt2*tau) at V = 40, levels 1 and up have dimension 2 = [L:Q], and
+    level 1 is full once y and x are added, so the run stops after 3
+    adds. On qrt_cusp (x = tau^2, y = z*tau^5 over z^4 = 2) no level
+    reaches dimension 4, but each level past the conductor reaches 2 =
+    dim U_(v mod 2), so the run stops after 18 adds. With x = z*tau^2
+    instead of tau^2 on biq_cusp (y = sqrt2*tau^3 + sqrt3*tau^5 over
+    z^4 - 10z^2 + 1, z = sqrt2 + sqrt3), the lowest coefficient of x is
+    not rational and the run goes to V; 138 of the 154 monomials of
+    weight <= 40 reach add: a chain (fixed j, rising i) ends at its first
+    monomial that adds nothing."""
     counts = Counter()
     times, add = oracle._times, SparseRowSpace.add
+    in_bound = bound_running(monkeypatch)
 
     def counted_times(column, table, limit):
         counts["times"] += 1
         return times(column, table, limit)
 
     def counted_add(self, row):
-        counts["add"] += 1
+        counts["add"] += not in_bound[0]
         return add(self, row)
 
     monkeypatch.setattr(oracle, "_times", counted_times)
@@ -1111,28 +1148,37 @@ def test_each_product_feeds_one_add(monkeypatch):
     assert filtration_dims(branch, 40).dims == (1,) + (2,) * 40
     assert counts == {"times": 2, "add": 3}
     p = dict(CORPUS)["qrt_cusp"]
-    assert sum(1 for i in range(21) for j in range(9)
-               if 2 * i + 5 * j <= 40) == 97
     dims = sorted_monomial_adds(*coordinates(p), 40, p.ambient)[1]
     assert max(dims) == 2
     counts.clear()
     assert filtration_dims(p, 40).dims == dims
-    assert counts == {"times": 72, "add": 73}
+    assert counts == {"times": 17, "add": 18}
+    p = _rescaled(dict(CORPUS)["biq_cusp"], BIQ.gen())
+    assert sum(1 for i in range(21) for j in range(14)
+               if 2 * i + 3 * j <= 40) == 154
+    dims = sorted_monomial_adds(*coordinates(p), 40, p.ambient)[1]
+    counts.clear()
+    assert filtration_dims(p, 40).dims == dims
+    assert counts == {"times": 137, "add": 138}
 
 
 def test_live_heads_feed_the_adds_of_the_sorted_monomial_list(monkeypatch):
     """Over the corpus documents that verify accepts, on branches and on
     curvettes, _filtration feeds SparseRowSpace.add the very vectors, in
     the very order, that the full sorted monomial list feeds it, up to the
-    weight where it stops (stop_level; curvettes, whose coefficients are
-    polynomials in c, never stop), and its dims are the full loop's."""
+    weight where it stops (stop_level, with the caps of the reference
+    residue bound; curvettes, whose coefficients are polynomials in c,
+    never stop), and its dims are the full loop's. The adds of the
+    residue bound are left out."""
     fed = []
     add = SparseRowSpace.add
     filtration = oracle._filtration
     stops = Counter()
+    in_bound = bound_running(monkeypatch)
 
     def recording(self, row):
-        fed.append(row)
+        if not in_bound[0]:
+            fed.append(row)
         return add(self, row)
 
     def checked(x, y, V, mode, field):
@@ -1140,7 +1186,8 @@ def test_live_heads_feed_the_adds_of_the_sorted_monomial_list(monkeypatch):
         report = filtration(x, y, V, mode, field)
         got = list(fed)
         reference, dims = sorted_monomial_adds(x, y, V, field)
-        top = stop_level(x, dims, field.degree) if mode == "curve" else V
+        top = V if mode != "curve" else stop_level(
+            x, dims, field.degree, reference_residue_dims(x, y, V, field))
         assert got == [vec for weight, vec in reference if weight <= top]
         assert report.dims == dims
         stops[mode, top < V] += 1
@@ -1152,7 +1199,7 @@ def test_live_heads_feed_the_adds_of_the_sorted_monomial_list(monkeypatch):
         if item["expect"]["verify"] == 0:
             analysis = cli.build_analysis(cli.parse_input(item["doc"]))
             assert cli.run_verification(analysis, item["max_order"])["match"]
-    assert stops == {("curve", True): 21, ("curve", False): 8,
+    assert stops == {("curve", True): 28, ("curve", False): 1,
                      ("divisorial", False): 6}
 
 
@@ -1229,3 +1276,99 @@ def test_stopped_dims_equal_the_full_loop_on_drawn_branches():
             rescaled += p.x_coeff != 1
     assert not failures, "\n".join(failures)
     assert stopped >= 30 and rescaled >= 10
+
+
+# --- the residue bound against the Fraction closure
+
+
+def _runtime_residue_dims(p, V):
+    x, y = coordinates(p)
+    return _residue_dims(_terms(x, V, p.ambient) + _terms(y, V, p.ambient),
+                         x.order(), p.ambient.degree)
+
+
+def _graded_branch(rng):
+    """x = a*tau^m, a 1 or a rational, and y with two to four terms over a
+    corpus field of degree > 1 or z^2 - 1, each a small integer times one
+    power z^k. On about half of the branches k is s*e mod [L:Q] for the
+    term's tau power e and one drawn s, a grading that the products of
+    coefficients keep when z^[L:Q] is rational, so that they often span
+    less than L in each residue mod m."""
+    field = rng.choice((SQ2, SQ3, GOLDEN, CBRT2, BIQ, QRT2, Z2M1))
+    n = field.degree
+    s = rng.randrange(n) if rng.random() < 0.5 else None
+
+    def element(e):
+        k = rng.randrange(n) if s is None else s * e % n
+        return field.element(
+            [rng.choice((1, -1, 2)) if i == k else 0 for i in range(n)])
+
+    m = rng.randint(2, 4)
+    exps = sorted(rng.sample(range(m + 1, 3 * m + 6), rng.randint(2, 4)))
+    x_coeff = rng.choice((1, Fraction(rng.choice((-3, 2, 5)), 2)))
+    return BranchParam(field, m, [(e, element(e)) for e in exps],
+                       x_coeff=x_coeff)
+
+
+def test_residue_dims_equal_the_fraction_closure():
+    """The runtime bound (oracle._residue_dims) is the Fraction closure
+    of the products of coefficients by residue (reference_residue_dims)
+    wherever it does not give up, and it gives up exactly when one
+    residue fills L: on the corpus branches at V = 60, on 160 drawn
+    branches at V = 40 (at least 60 of them bounded below [L:Q]) and on
+    a branch over z^2 - 1. biq_cusp and qrt_cusp have U = [2, 2], and
+    sq2_cusp [1, 1]."""
+    rng = random.Random(5)
+    z = Z2M1.gen()
+    cases = [(p, 60) for _n, p in CORPUS]
+    cases += [(_graded_branch(rng), 40) for _ in range(160)]
+    cases.append((BranchParam(Z2M1, 2, [(3, z), (7, 3 * z)],
+                              x_coeff=Fraction(1, 2)), 30))
+    bounded = 0
+    failures = []
+    for p, V in cases:
+        got = _runtime_residue_dims(p, V)
+        ref = reference_residue_dims(*coordinates(p), V, p.ambient)
+        if got is None:
+            ok = p.ambient.degree in ref
+        else:
+            ok = got == ref
+            bounded += 1
+        if not ok:
+            failures.append("%r: runtime %s, reference %s" % (p, got, ref))
+    assert not failures, "\n".join(failures)
+    assert bounded >= 60
+    assert _runtime_residue_dims(cases[-1][0], 30) == [1, 1]
+    corpus = dict(CORPUS)
+    assert _runtime_residue_dims(corpus["biq_cusp"], 60) == [2, 2]
+    assert _runtime_residue_dims(corpus["qrt_cusp"], 60) == [2, 2]
+    assert _runtime_residue_dims(corpus["sq2_cusp"], 60) == [1, 1]
+
+
+def test_bounded_dims_equal_the_full_loop_on_graded_branches():
+    """Over 120 seeded branches whose coefficients are powers of z (at
+    least 40 of them bounded below [L:Q] and stopped before V = 30), the
+    dims with the residue bound's stop are the full loop's. Over z^2 - 1
+    with y = z*tau^3 + 3z*tau^7, U = [1, 1] and the run stops at level 3."""
+    rng = random.Random(17)
+    stopped = 0
+    failures = []
+    for _ in range(120):
+        p = _graded_branch(rng)
+        x, y = coordinates(p)
+        dims = sorted_monomial_adds(x, y, 30, p.ambient)[1]
+        if filtration_dims(p, 30).dims != dims:
+            failures.append(repr(p))
+        caps = reference_residue_dims(x, y, 30, p.ambient)
+        if p.ambient.degree not in caps and \
+                stop_level(x, dims, p.ambient.degree, caps) < 30:
+            stopped += 1
+    assert not failures, "\n".join(failures)
+    assert stopped >= 40
+    z = Z2M1.gen()
+    p = BranchParam(Z2M1, 2, [(3, z), (7, 3 * z)], x_coeff=Fraction(1, 2))
+    x, y = coordinates(p)
+    dims = sorted_monomial_adds(x, y, 30, Z2M1)[1]
+    assert filtration_dims(p, 30).dims == dims
+    assert stop_level(x, dims, 2, reference_residue_dims(x, y, 30, Z2M1)) \
+        == 3

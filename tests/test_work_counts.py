@@ -2,16 +2,20 @@
 
 Times on a small shared machine cannot resolve a few percent, and counts
 do not depend on the machine. Each `verify --max-order N` call that the
-benchmark makes on the corpus and oracle_quartic workloads at seed 1 runs
-in-process here, with counting wrappers local to this test, and three
-totals per workload must equal the pinned ones:
-- the SparseRowSpace.add calls;
+benchmark makes on its four workloads at seed 1 runs in-process here,
+with counting wrappers local to this test, and three totals per workload
+must equal the pinned ones:
+- the SparseRowSpace.add calls, those of the residue bound
+  (oracle._residue_dims) included;
 - the vectors those calls stored;
 - the levels the oracle reported, len(dims) = V + 1 per oracle call.
 A change that makes the oracle do more work fails here. Disabling the
 full-level stop of oracle._filtration is one such change: it keeps every
-output and the levels, and raises the other two counts. A change that
-lowers a count re-pins it and says why.
+output and the levels, and raises the other two counts. So is a residue
+bound that no longer gives up once one residue fills L. cusp_ladder and
+multipair_fields gain nothing from the stop; their counts show a lost
+early exit that their times would hide in noise. A change that lowers a
+count re-pins it and says why.
 """
 
 import contextlib
@@ -27,8 +31,10 @@ SEED = 1
 
 # {workload: (add calls, vectors stored, levels)}
 PINNED = {
-    "corpus": (2071, 1952, 1305),
-    "oracle_quartic": (1177, 1065, 623),
+    "corpus": (1819, 1748, 1305),
+    "oracle_quartic": (464, 419, 623),
+    "cusp_ladder": (83, 83, 191),
+    "multipair_fields": (195, 187, 244),
 }
 
 

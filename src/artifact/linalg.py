@@ -1,16 +1,17 @@
 """Exact linear algebra helpers for the filtration oracle.
 
-The brute-force filtration oracle feeds up to thousands of vectors, one per
-monomial, to SparseRowSpace, a column echelon keyed by lead. The vectors
-hold integers only: the oracle builds each one as x or y times the vector
-that add() returned for the monomial's predecessor, with integer
+The brute-force filtration oracle feeds vectors to SparseRowSpace, a
+column echelon keyed by lead, or to the oracle's Q[x]-module variant of
+it, which looks up its pivots and stores its vectors its own way. The
+vectors hold integers only: the oracle builds each one as x or y times the
+vector that add() returned for the predecessor, with integer
 multiplication tables of the coordinate images. Its keys are integers too:
 the oracle packs the tau order v, the c power a and the field coordinate k
 of an entry into v*W + a*n + k, with W larger than any a*n + k, so that
 comparing two keys is comparing their (v, a, k) triples and no tuple is
 built or hashed. A vector is made primitive on entry and reduced
 fraction-free (cross-multiplication plus content stripping), each time
-only against the stored vector that shares its lead. The small dense
+only against the one vector pivot() gives for its lead. The small dense
 echelons of number-field inverses and subfields use the same idiom on
 integer rows, in exactfield. invert, a Fraction Gauss-Jordan, serves only
 the tests' reference resolution.minus_inverse.
@@ -47,7 +48,10 @@ class SparseRowSpace:
     under which it is stored, and add() returns it. The filtration oracle
     feeds it vectors keyed by integers ordered as (tau order, c power,
     field coordinate), builds the next vector from the returned one, and
-    counts the stored leads per tau order.
+    counts the stored leads per tau order. A subclass that overrides
+    pivot() and store() keeps this one reduction step: the oracle's
+    Q[x]-module echelon forms its pivot from the stored vector of the
+    lead's class and stores one vector per class.
     """
 
     def __init__(self):
@@ -57,6 +61,15 @@ class SparseRowSpace:
     def rank(self):
         return len(self.rows)
 
+    def pivot(self, lead):
+        """The vector to reduce a vector with this lead against, with the
+        same lead, or None when the lead is free."""
+        return self.rows.get(lead)
+
+    def store(self, lead, work):
+        """Stores work, whose lead has no pivot."""
+        self.rows[lead] = work
+
     def add(self, row):
         """row: {key: int}. On rank increase, returns the reduced vector
         it stored (truthy), which no later add() changes; returns {} when
@@ -64,9 +77,9 @@ class SparseRowSpace:
         work = _primitive({c: v for c, v in row.items() if v})
         while work:
             lead = min(work)
-            piv = self.rows.get(lead)
+            piv = self.pivot(lead)
             if piv is None:
-                self.rows[lead] = work
+                self.store(lead, work)
                 return work
             g = gcd(work[lead], piv[lead])
             a, b = piv[lead] // g, work[lead] // g

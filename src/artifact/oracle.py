@@ -6,14 +6,11 @@ an indeterminate constant) and the resulting power series in tau is inspected
 coefficient by coefficient. No product formula or semigroup reasoning enters;
 the module exists so that the closed forms elsewhere in the package can be
 checked against something that cannot share their mistakes. The one
-shortcut is linear algebra on the same substitution map: on a branch whose
-x has a nonzero rational lowest coefficient, every level v has dimension
-at most that of U_(v mod ord x), the rational span of the products of
-coefficients of x and y whose tau powers sum to v mod ord(x)
-(_residue_dims), and once ord(x) consecutive levels reach that bound,
-multiplication by x fills every later level to it, so the computation
-stops there (the argument is in _filtration). The bound is [L:Q] at every
-level once one of the spans is all of L, as over Q.
+shortcut is linear algebra on the same substitution map: where the lowest
+coefficient of x has a nonzero rational constant term (in c, on a
+curvette), multiplying by x shifts every lead by ord(x) levels, so the
+span is closed as a Q[x]-module, one generator per lead class, fed only
+the powers of y (the argument is in _filtration).
 
 Two kinds of questions are answered:
 
@@ -28,15 +25,16 @@ Two kinds of questions are answered:
   curvette alike) are tabulated once each, as one keyed integer table of
   multiplication on the rational coordinates read off the integer matrix
   of multiplication (AmbientField.mul_matrix) of each nonzero coefficient,
-  with no field product (_keyed_table). The monomials x^i y^j are taken in
-  increasing (weight, i) order, a monomial order (weight i*ox + j*oy, with
-  ox and oy the orders of x and y); the vector fed for each is x (or, for
-  i = 0, y) times the vector that the echelon stored for its predecessor,
-  cut past tau^V; the echelon divides it by its content. That adds to the
-  span what the image of the monomial adds, because x times what came
-  earlier came earlier too (the argument is in _filtration). The echelon
-  is an integer column echelon keyed by lead, whose leads per level are
-  the dimensions. A vector is a dict from one integer key, v*W + a*n + k
+  with no field product (_keyed_table). The vector fed for y^j is y times
+  the vector that the echelon stored for y^(j-1), cut past tau^V; the
+  echelon divides it by its content. Where x does not shift the leads,
+  every monomial x^i y^j is fed, in increasing (weight, i) order, a
+  monomial order (weight i*ox + j*oy, with ox and oy the orders of x and
+  y), as x (or, for i = 0, y) times the vector stored for its
+  predecessor. Either way the span grows by what the image of the
+  monomial adds (the argument is in _filtration). The echelon is an
+  integer column echelon keyed by lead, whose leads per level are the
+  dimensions. A vector is a dict from one integer key, v*W + a*n + k
   for the tau^v coefficient's c power a and field coordinate k (n = [L:Q],
   W the width of a level, derived in _filtration), to an integer; W
   exceeds every a*n + k that can occur, so the integer order of the keys
@@ -49,7 +47,6 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import GenericCenter
-from .exactfield import AlgNum
 from .linalg import SparseRowSpace
 from .ratfunc import INFINITY, Poly
 from .record import Record
@@ -209,82 +206,39 @@ def divisorial_value(f, gc):
 
 # --- filtration dimensions by rank growth ------------------------------------
 
-def _terms(s, V, field):
-    """The nonzero coefficients of the tau-polynomial s up to tau^V, as
-    (e, b, alg, rows): alg is the ambient-field element at tau^e and c
-    power b, and rows its integer matrix of multiplication
-    (AmbientField.mul_matrix). A coefficient s_e is an ambient-field
-    element (b = 0), or a polynomial in the curvette constant c with one
-    element per c power b. The matrices are read here once, for both
-    _keyed_table and _residue_dims."""
-    return [(e, b, alg, field.mul_matrix(alg.num))
-            for e, c in enumerate(s.tail[:max(0, V + 1 - s.shift)], s.shift)
-            for b, alg in (enumerate(c.tail, c.shift) if isinstance(c, Poly)
-                           else ((0, c),)) if alg]
-
-
-def _keyed_table(terms, n, W):
+def _keyed_table(s, V, field, W):
     """Multiplication by D*s on integer-keyed vectors, for the
-    tau-polynomial s with the terms _terms lists and a positive integer D,
-    as table[k] for each field coordinate k < n = [L:Q]: the (key offset,
-    integer) terms of z^k times the tau-coefficients s_e, by increasing
-    offset.
+    tau-polynomial s cut past tau^V and a positive integer D, as table[k]
+    for each field coordinate k < n = [L:Q]: the (key offset, integer)
+    terms of z^k times the tau-coefficients s_e, by increasing offset. A
+    coefficient s_e is an ambient-field element, or a polynomial in the
+    curvette constant c with one element per c power b (b = 0 on a
+    branch).
 
-    Column k of the matrix of multiplication by an element num/den is its
-    product with z^k, over the field's _scale times den; each is brought
-    to D = _scale times the lcm of the den, so the table reads one matrix
-    per nonzero (tau power, c power) coefficient and makes no field
-    product. A vector entry at tau^v, c power a and field coordinate k is
-    keyed v*W + a*n + k (W from _filtration), so the product term at
-    coordinate k' of z^k times the c^b part of s_e lands at offset
-    e*W + b*n + k' - k from it."""
-    scale = lcm(*(alg.den for _e, _b, alg, _rows in terms))
+    Column k of the integer matrix of multiplication
+    (AmbientField.mul_matrix) by an element num/den is its product with
+    z^k, over the field's _scale times den; each is brought to D = _scale
+    times the lcm of the den, so the table reads one matrix per nonzero
+    (tau power, c power) coefficient and makes no field product. A vector
+    entry at tau^v, c power a and field coordinate k is keyed v*W + a*n +
+    k (W from _filtration), so the product term at coordinate k' of z^k
+    times the c^b part of s_e lands at offset e*W + b*n + k' - k from
+    it."""
+    n = field.degree
+    terms = [(e, b, alg)
+             for e, c in enumerate(s.tail[:max(0, V + 1 - s.shift)], s.shift)
+             for b, alg in (enumerate(c.tail, c.shift) if isinstance(c, Poly)
+                            else ((0, c),)) if alg]
+    scale = lcm(*(alg.den for _e, _b, alg in terms))
     table = [[] for _ in range(n)]
-    for e, b, alg, rows in terms:
+    for e, b, alg in terms:
         f = scale // alg.den
         at = e * W + b * n
-        for k2, row in enumerate(rows):
+        for k2, row in enumerate(field.mul_matrix(alg.num)):
             for k, a in enumerate(row):
                 if a:
                     table[k].append((at + k2 - k, a * f))
     return table
-
-
-def _residue_dims(terms, ox, n):
-    """The dimensions of U_0 .. U_(ox-1) on a branch, or None once one of
-    them is n = [L:Q]. U_r is the rational span of the products of
-    coefficients of x and y (the terms, as _terms lists them) whose tau
-    powers sum to r mod ox, the empty product 1 in U_0.
-
-    A closure over residue blocks: a vector of U_r is keyed r*n + k by
-    field coordinate k, 1 starts in block 0, and each vector the echelon
-    stores is multiplied by each term, by its integer matrix, into block
-    (r + e) % ox. A rational term only moves the vector to that block,
-    and one with e = 0 mod ox is skipped, since it moves it nowhere. Over
-    Q, U_0 holds 1 and is all of L, so no vector is formed."""
-    if n == 1:
-        return None
-    space = SparseRowSpace()
-    ranks = [0] * ox
-    todo = [(0, {0: 1})]
-    while todo:
-        r, u = todo.pop()
-        u = space.add(u)
-        if not u:
-            continue
-        ranks[r] += 1
-        if ranks[r] == n:
-            return None
-        lo = r * n
-        for e, _b, alg, rows in terms:
-            s = (r + e) % ox
-            if any(alg.num[1:]):
-                todo.append((s, {s * n + k2: sum(row[c - lo] * m
-                                                 for c, m in u.items())
-                                 for k2, row in enumerate(rows)}))
-            elif s != r:
-                todo.append((s, {c + (s - r) * n: m for c, m in u.items()}))
-    return ranks
 
 
 def _c_degree(s, V):
@@ -313,6 +267,35 @@ def _times(column, table, limit):
     return out
 
 
+class _XModule(SparseRowSpace):
+    """The echelon of _filtration as a Q[x]-module, where x shifts every
+    lead by P = ord(x)*W: rows maps a lead class mod P to (lead, [g, x*g,
+    x^2*g, ..]), its one generator g, which has that lead, and the
+    x-multiples of g formed so far (_times by x's keyed table, cut at
+    limit). x^k*g has lead lead(g) + k*P, the pivot of that lead. Every
+    vector fed lies at levels above every stored lead (_filtration), so a
+    vector stored lands in a class with no generator."""
+
+    def __init__(self, x_keyed, P, limit):
+        super().__init__()
+        self.x_keyed = x_keyed
+        self.P = P
+        self.limit = limit
+
+    def pivot(self, lead):
+        gen = self.rows.get(lead % self.P)
+        if gen is None:
+            return None
+        k = (lead - gen[0]) // self.P
+        shifts = gen[1]
+        while len(shifts) <= k:
+            shifts.append(_times(shifts[-1], self.x_keyed, self.limit))
+        return shifts[k]
+
+    def store(self, lead, work):
+        self.rows[lead % self.P] = (lead, [work])
+
+
 def _filtration(x, y, V, mode, field):
     """Levelwise dimensions from a column echelon of the substitution map.
 
@@ -334,18 +317,44 @@ def _filtration(x, y, V, mode, field):
     The span is that of the images of the monomials x^i y^j of weight
     i*ox + j*oy <= V (ox, oy the orders of x and y), cut past tau^V. A
     monomial of larger weight has an image of order beyond V, which cuts
-    to zero. The monomials are fed in increasing (weight, i) order, a
-    monomial order: m < m' gives x*m < x*m' and y*m < y*m'. The vector
-    fed for x^i y^j is x*r, where r is the vector stored for its
-    predecessor x^(i-1) y^j (y*r, with r stored for y^(j-1), when i = 0),
-    multiplied by the integer table of x or y (_times) and cut past tau^V
-    (cutting is a ring map); add divides it by its content. The unit 1
-    starts. A monomial joins the heads of its weight only once its
-    predecessor stored a vector, and the weights are taken in increasing
-    order, each sorted by i: every monomial joins while a smaller weight
-    is taken (ox, oy >= 1), so the sort sees all of its weight. The chains
-    (fixed j, rising i, and the y^j chain itself) thus end at their first
-    monomial that adds nothing, and the adds run in (weight, i) order.
+    to zero. Cutting is a ring map, so the span is the Q[x]-module that
+    the cut powers of y generate.
+
+    The module echelon, when the lowest coefficient a of x has a nonzero
+    rational c^0 term (a itself on a branch). The tau^(v+ox) coefficient
+    of x*g, for g of order v, is a times the tau^v coefficient g_v of g.
+    The c^0 term of a is a nonzero rational, so it keeps every key of g_v,
+    and the c^j terms of a raise the c power; so x*g has lead lead(g) + P,
+    P = ox*W, or cuts to zero. _XModule keeps one generator per lead class
+    mod P; the x^k*g then have distinct leads, so they are an echelon of
+    the module the generators span, and dims[v] is the number of
+    generators whose level lead // W is at most v and congruent to v mod
+    ox. The unit 1 starts, and the vector fed for y^(j+1) is y*r, with r
+    the vector stored for y^j: r is a nonzero rational multiple of y^j
+    plus an element of the module M of the lower powers, and y*M lies in
+    the module of y, .., y^j, so y*r adds what y^(j+1) adds. The order of
+    y*r exceeds the level of r, and reduction only raises a lead, so the
+    stored leads rise from one power to the next: a vector is reduced
+    against the generator of its class, whose lead is smaller, and it is
+    stored only in a class that has none. The chain ends at the first
+    power y^j that reduces to zero: then y^j lies in M, so y*M does, and
+    every later power with it. The rational test matters over a ring
+    with zero divisors: over Q[z]/(z^2 - 1), a = (1 - z)/2 can kill the
+    lead of g_v.
+
+    Elsewhere (a c^0 term that is irrational or zero, or x = 0) every
+    monomial is fed, in increasing (weight, i) order, a monomial order:
+    m < m' gives x*m < x*m' and y*m < y*m'. The vector fed for x^i y^j is
+    x*r, where r is the vector stored for its predecessor x^(i-1) y^j
+    (y*r, with r stored for y^(j-1), when i = 0), multiplied by the
+    integer table of x or y (_times) and cut past tau^V; add divides it by
+    its content. The unit 1 starts. A monomial joins the heads of its
+    weight only once its predecessor stored a vector, and the weights are
+    taken in increasing order, each sorted by i: every monomial joins
+    while a smaller weight is taken (ox, oy >= 1), so the sort sees all of
+    its weight. The chains (fixed j, rising i, and the y^j chain itself)
+    thus end at their first monomial that adds nothing, and the adds run
+    in (weight, i) order.
 
     Why the span after each monomial m is the span of the images of the
     monomials up to m. By induction, the vector stored for the predecessor
@@ -359,37 +368,6 @@ def _filtration(x, y, V, mode, field):
     m never joins the heads. Reducing x*r, whose earlier part is
     already reduced, takes a few steps where the raw image of m takes
     many.
-
-    The full-level stop, when the lowest coefficient a of x is a nonzero
-    rational (then W = n, as the coefficients are field elements). Let
-    U_r, for r mod ox, be the rational span of the products of the
-    tau-coefficients of x and y up to tau^V whose tau powers sum to r mod
-    ox, with 1 in U_0. The tau^v coefficient of a polynomial in x and y is
-    a sum of such products, so the level v classes lie in U_(v mod ox) (in
-    any commutative ring, z^2 - 1 included), and cap_r = dim U_r bounds
-    dims[v] for v = r mod ox (_residue_dims; cap_r = n for every r once
-    one U_r is all of L). Call level w full when it has cap_(w mod ox)
-    leads once the heads of weight w are processed. When the ox levels
-    ending at w are full, dims[v] = cap_(v mod ox) for every v past w, and
-    the heads of larger weight are skipped. This is exact:
-    - The leads at levels <= w are final once weight w is done. A later
-      monomial has weight > w, the vector fed for it has order at least
-      its weight (x or y times a stored vector of order at least the
-      predecessor's weight), and reduction only raises a lead.
-    - Let S be the final span. Cutting is a ring map, so cut(x*S) lies in
-      S.
-    - The tau^(v+ox) coefficient of x*f, for f of order v, is a times the
-      tau^v coefficient of f; so the level v+ox classes of S contain a
-      times the level v classes. A full level v has all of U_(v mod ox)
-      as its classes, a is rational and nonzero, so a*U_r = U_r and level
-      v+ox is full too; the ox full levels ending at w fill every later
-      level by induction.
-    Only the leads at levels <= w are counted: vectors stored before the
-    stop may have leads above w, and counting them would count those
-    levels twice. The rational test matters over a ring with zero
-    divisors: over Q[z]/(z^2 - 1), a = (1 - z)/2 maps a full level onto a
-    line. A curvette's coefficients are polynomials in c, so the
-    divisorial oracle never stops early.
     """
     V = int(V)
     if V < 0:
@@ -404,11 +382,22 @@ def _filtration(x, y, V, mode, field):
     jmax = 0 if oy is INFINITY else V // oy
     n = field.degree
     W = n * (imax * _c_degree(x, V) + jmax * _c_degree(y, V) + 1)
-    x_terms = _terms(x, V, field)
-    y_terms = _terms(y, V, field)
-    x_keyed = _keyed_table(x_terms, n, W)
-    y_keyed = _keyed_table(y_terms, n, W)
+    x_keyed = _keyed_table(x, V, field, W)
+    y_keyed = _keyed_table(y, V, field, W)
     limit = (V + 1) * W
+    dims = [0] * (V + 1)
+    a = x.low_coeff()
+    if isinstance(a, Poly):
+        a = a.coeff(0)
+    if a and not any(a.num[1:]):
+        space = _XModule(x_keyed, ox * W, limit)
+        r = space.add({0: 1})
+        while r:
+            r = space.add(_times(r, y_keyed, limit))
+        for lead, _shifts in space.rows.values():
+            for v in range(lead // W, V + 1, ox):
+                dims[v] += 1
+        return FiltrationReport(V=V, dims=tuple(dims), mode=mode)
     space = SparseRowSpace()
     # heads[v]: the live monomials x^i y^j of weight v, each as its i, the
     # vector stored for its predecessor and the table to multiply it by;
@@ -422,35 +411,13 @@ def _filtration(x, y, V, mode, field):
             if not i and weight + oy <= V:
                 heads[weight + oy].append((0, r, y_keyed))
 
-    # the full-level stop: stop full levels in a row end the run at top,
-    # level v full when it has caps[v % ox] leads; stop is 0 when the
-    # lowest coefficient of x is not a nonzero rational, or when ox > V,
-    # where a stop would fill no level, and then no bound is formed
-    rows = space.rows
-    a = x.low_coeff()
-    stop = ox if ox <= V and isinstance(a, AlgNum) and a and \
-        not any(a.num[1:]) else 0
-    caps = stop and (_residue_dims(x_terms + y_terms, ox, n) or [W] * ox)
-    full = 0
-    top = V
     follow(0, 0, space.add({0: 1}))
     for weight, level in enumerate(heads):
         level.sort()
         for i, r, table in level:
             follow(weight, i, space.add(_times(r, table, limit)))
-        if stop:
-            lo = weight * W
-            leads = sum(map(rows.__contains__, range(lo, lo + W)))
-            full = full + 1 if leads == caps[weight % ox] else 0
-            if full == stop:
-                top = weight
-                break
-    dims = [0] * (V + 1)
-    for lead in rows:
-        if lead // W <= top:
-            dims[lead // W] += 1
-    for v in range(top + 1, V + 1):
-        dims[v] = caps[v % ox]
+    for lead in space.rows:
+        dims[lead // W] += 1
     return FiltrationReport(V=V, dims=tuple(dims), mode=mode)
 
 

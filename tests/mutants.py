@@ -66,16 +66,24 @@ MUTANTS = (
      "            rest = rest[1:]",
      "            while rest[:1] == [flag]:\n"
      "                rest = rest[1:]", CLI_TESTS, True),
-    ("residues are taken without % ox", ORACLE,
-     "s = (r + e) % ox", "s = r + e", ORACLE_TESTS, False),
-    ("levels above the stop are filled with W", ORACLE,
-     "dims[v] = caps[v % ox]", "dims[v] = W", ORACLE_TESTS, False),
-    # the dims stay; only the work of the bound grows
-    ("the bound does not give up once a residue fills L", ORACLE,
-     "        if ranks[r] == n:\n"
-     "            return None\n", "", ORACLE_TESTS, False),
-    ("every rational term is skipped", ORACLE,
-     "elif s != r:", "elif False:", ORACLE_TESTS, False),
+    ("a generator counts only at its own level", ORACLE,
+     "for v in range(lead // W, V + 1, ox):",
+     "for v in range(lead // W, lead // W + 1):", ORACLE_TESTS, False),
+    ("the lead class is taken mod W, not mod ord(x)*W", ORACLE,
+     "_XModule(x_keyed, ox * W, limit)", "_XModule(x_keyed, W, limit)",
+     ORACLE_TESTS, False),
+    # y^j is fed only when y^(j+1) survives the cut
+    ("the y-chain stops one power early", ORACLE,
+     "            r = space.add(_times(r, y_keyed, limit))",
+     "            y_r = _times(r, y_keyed, limit)\n"
+     "            r = _times(y_r, y_keyed, limit) and space.add(y_r)",
+     ORACLE_TESTS, False),
+    ("a new vector replaces a generator with a smaller lead", ORACLE,
+     "if gen is None:", "if gen is None or gen[0] < lead:",
+     ORACLE_TESTS, False),
+    ("any nonzero lowest coefficient of x takes the module", ORACLE,
+     "if a and not any(a.num[1:]):", "if a:",
+     ORACLE_TESTS + ("tests/test_workload_outputs.py",), False),
     ("the stable range starts at Delta + 1", POINCARE,
      "for v in range(Delta, n + 1):", "for v in range(Delta + 1, n + 1):",
      POINCARE_TESTS, False),

@@ -44,10 +44,11 @@ lowest coefficient of u already lies in the subfield), with membership by
 the Fraction rref (the runtime answers Q and the whole field without a
 reduction). The oracle's monomials listed and sorted in full, each skipped
 at the add when its predecessor left no vector, are here too (the runtime
-keeps only the live chain heads, by weight), and so are the dimensions
-that bound its levels by residue mod ord(x), closed by Fraction products
-(the runtime closes integer vectors in its echelon, only moves a vector
-for a rational coefficient, and gives up once one residue fills L).
+keeps only the live chain heads, by weight, and feeds only the powers of
+y to a Q[x]-module echelon where x shifts the leads), and so are the
+dimensions of the spans that bound its levels by residue mod ord(x),
+closed by Fraction products (the tests check that no level of the
+runtime's dims exceeds them).
 The package's records (frozen values with equality, hashing and a repr) are
 rebuilt here as frozen dataclasses with the same fields and defaults; the
 runtime shares one hand-written base class instead, which imports nothing.
@@ -778,10 +779,10 @@ def keyed_times(column, table, limit):
 
 
 def sorted_monomial_adds(x, y, V, field):
-    """The full loop of oracle._filtration, with no early stop: the
-    vectors it feeds SparseRowSpace.add, in order, each with the weight of
-    its monomial, and the dims, the leads per level of the echelon they
-    leave. Every monomial of weight <= V is listed and sorted by (weight,
+    """The monomial loop of oracle._filtration, for every input, with no
+    Q[x]-module shortcut: the vectors it feeds SparseRowSpace.add, in
+    order, each with the weight of its monomial, and the dims, the leads
+    per level of the echelon they leave. Every monomial of weight <= V is listed and sorted by (weight,
     i); a monomial whose predecessor stored no vector is skipped at its
     turn. x and y must vanish at the origin. The tables are
     reference_table's, keyed by v*W + a*n + k with W = n*(imax*bx + jmax*by

@@ -16,7 +16,7 @@ from artifact.errors import (
     ReduciblePolynomial,
 )
 from artifact.exactfield import AlgNum, AmbientField, Subfield, span_close
-from artifact.oracle import _keyed_table, _terms
+from artifact.oracle import _keyed_table
 from artifact.ratfunc import Poly, PolyRing
 
 from slow_paths import (
@@ -325,8 +325,7 @@ def test_ring_operations_create_no_fractions(monkeypatch, p):
     member = [full.contains_num(a), rat.contains_num(a)]
     # c-degree at most 1: a tau level's keys b*n + k' stay below W = 2n
     W = 2 * n
-    tables = [_keyed_table(_terms(s, 2, field), n, W)
-              for s in (branch, curvette)]
+    tables = [_keyed_table(s, 2, field, W) for s in (branch, curvette)]
     monkeypatch.undo()
     assert created == []
     assert results[0].coords == reference_algnum_mul(a, b)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact import cli, linalg, oracle
-from artifact.errors import GenericCenter
+from artifact.errors import ArtifactError, GenericCenter
 from artifact.exactfield import AlgNum, AmbientField
 from artifact.linalg import SparseRowSpace
 from artifact.oracle import (
@@ -29,8 +29,6 @@ from artifact.oracle import (
     _c_degree,
     _filtration,
     _keyed_table,
-    _residue_dims,
-    _terms,
     _times,
     divisorial_filtration_dims,
     divisorial_value,
@@ -176,41 +174,20 @@ def test_a_stored_vector_is_divided_by_its_content():
     assert space.rows == {3: {3: 1, 7: -2}}
 
 
-def bound_running(monkeypatch):
-    """Wraps oracle._residue_dims so that it raises a flag while it runs:
-    returns the flag, a list whose one entry is True then. The tests that
-    record the echelon's adds skip those of the bound."""
-    running = [False]
-    residue_dims = oracle._residue_dims
-
-    def flagged(terms, ox, n):
-        running[0] = True
-        try:
-            return residue_dims(terms, ox, n)
-        finally:
-            running[0] = False
-
-    monkeypatch.setattr(oracle, "_residue_dims", flagged)
-    return running
-
-
 def test_the_quartic_verifications_store_primitive_vectors(tmp_path,
                                                            monkeypatch):
     """Every vector the oracle stores while verify runs the
-    oracle_quartic workload (seed 1), outside its residue bound, has
-    content 1, and there are at least 387 of them; contents of 2 occur
-    among the rows fed."""
+    oracle_quartic workload (seed 1) has content 1, and there are at least
+    218 of them; contents of 2 occur among the rows fed."""
     stored = []
     contents = set()
     add = SparseRowSpace.add
-    in_bound = bound_running(monkeypatch)
 
     def checked(space, row):
         out = add(space, row)
-        if not in_bound[0]:
-            contents.add(gcd(*row.values()))
-            if out:
-                stored.append(gcd(*out.values()))
+        contents.add(gcd(*row.values()))
+        if out:
+            stored.append(gcd(*out.values()))
         return out
 
     monkeypatch.setattr(SparseRowSpace, "add", checked)
@@ -219,7 +196,7 @@ def test_the_quartic_verifications_store_primitive_vectors(tmp_path,
     for item, path in zip(items, paths):
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(["verify", path, "--max-order", str(item["max_order"])])
-    assert len(stored) >= 387 and set(stored) == {1}
+    assert len(stored) >= 218 and set(stored) == {1}
     assert 2 in contents
 
 
@@ -708,12 +685,13 @@ def test_filtration_dims_equal_raw_column_reference(name, p, extra, V):
 
 def test_oracle_reduction_steps_stay_linear(monkeypatch):
     """A reduction step is a _primitive call after the first of each add.
-    Reducing x times a reduced vector takes about one step per monomial;
-    the raw columns took 14475 steps for these 884 monomials."""
-    graph, recs = resolve(dict(CORPUS)["biq_cusp"], extra_steps=1)
+    On biq_cusp with x = z*tau^2, which feeds every live monomial,
+    reducing x times a reduced vector takes about one step per monomial;
+    the raw columns took 8594 steps for these 884 monomials."""
+    p = _rescaled(dict(CORPUS)["biq_cusp"], BIQ.gen())
     V = 100
-    gc = generic_curvette(graph, recs, bound=V)
-    ox, oy = gc.x.order(), gc.y.order()
+    x, y = coordinates(p)
+    ox, oy = x.order(), y.order()
     monomials = sum((V - i * ox) // oy + 1 for i in range(V // ox + 1))
     assert monomials == 884
     calls = Counter()
@@ -730,7 +708,7 @@ def test_oracle_reduction_steps_stay_linear(monkeypatch):
 
     monkeypatch.setattr(linalg, "_primitive", counted_primitive)
     monkeypatch.setattr(SparseRowSpace, "add", counted_add)
-    divisorial_filtration_dims(gc, V)
+    filtration_dims(p, V)
     assert 0 < calls["primitive"] - calls["add"] <= 2 * monomials
 
 
@@ -814,7 +792,7 @@ def test_keyed_times_equals_tuple_times(data):
         edge = V + 1 - s.order()
         column.update({(V, (0, 0)): 1, (edge, (0, 0)): -2,
                        (edge - 1, (0, n - 1)): 3, (0, (a_max, n - 1)): 5})
-        table = _keyed_table(_terms(s, V, field), n, W)
+        table = _keyed_table(s, V, field, W)
         assert _unkeyed(_times(_keyed(column, W, n), table, (V + 1) * W),
                         W, n) == \
             tuple_times(column, reference_table(s, V, field), V)
@@ -1090,54 +1068,31 @@ def test_valuation_axioms_on_random_polynomials(f, g):
             assert vsum == min(vf, vg)
 
 
-# --- only the live monomials reach the echelon, up to the full-level stop
-
-
-def stop_level(x, dims, n, caps=None):
-    """The weight after which _filtration stops on a branch, read off the
-    full loop's dims: the end of the first ox consecutive levels v (ox the
-    order of x) of dimension caps[v % ox], when the lowest coefficient of
-    x is a nonzero rational; the top level V otherwise. caps are the
-    residue dims of the reference (reference_residue_dims); as in the
-    runtime, whose bound then gives up, every cap is n = [L:Q] when one
-    of them is n or when they are not given."""
-    a = x.low_coeff()
-    ox = x.order()
-    if caps is None or n in caps:
-        caps = [n] * ox
-    if a and not any(a.num[1:]):
-        run = 0
-        for v, d in enumerate(dims):
-            run = run + 1 if d == caps[v % ox] else 0
-            if run == ox:
-                return v
-    return len(dims) - 1
+# --- where x does not shift the leads, only the live monomials reach the
+# echelon
 
 
 def test_each_product_feeds_one_add(monkeypatch):
-    """_times runs once per add after the first (the unit), the adds of
-    the residue bound left out: a monomial is multiplied out only once its
-    predecessor stored a vector. On curve_sq2_line (x = tau, y =
-    sqrt2*tau) at V = 40, levels 1 and up have dimension 2 = [L:Q], and
-    level 1 is full once y and x are added, so the run stops after 3
-    adds. On qrt_cusp (x = tau^2, y = z*tau^5 over z^4 = 2) no level
-    reaches dimension 4, but each level past the conductor reaches 2 =
-    dim U_(v mod 2), so the run stops after 18 adds. With x = z*tau^2
-    instead of tau^2 on biq_cusp (y = sqrt2*tau^3 + sqrt3*tau^5 over
-    z^4 - 10z^2 + 1, z = sqrt2 + sqrt3), the lowest coefficient of x is
-    not rational and the run goes to V; 138 of the 154 monomials of
-    weight <= 40 reach add: a chain (fixed j, rising i) ends at its first
-    monomial that adds nothing."""
+    """Where the lowest coefficient of x is not rational, the oracle feeds
+    every live monomial, and _times runs once per add after the first (the
+    unit): a monomial is multiplied out only once its predecessor stored a
+    vector. On curve_sq2_line (y = sqrt2*tau) with x = sqrt2*tau, x = y:
+    level v is the line of sqrt2^v, and each weight w > 0 makes two adds,
+    y^w, which is stored, and x*y^(w-1), which adds nothing and ends its
+    chain, so 81 adds at V = 40. On qrt_cusp (y = z*tau^5 over z^4 = 2)
+    with x = z*tau^2, 97 adds. On biq_cusp (y = sqrt2*tau^3 + sqrt3*tau^5
+    over z^4 - 10z^2 + 1, z = sqrt2 + sqrt3) with x = z*tau^2, 138 of the
+    154 monomials of weight <= 40 reach add: a chain (fixed j, rising i)
+    ends at its first monomial that adds nothing."""
     counts = Counter()
     times, add = oracle._times, SparseRowSpace.add
-    in_bound = bound_running(monkeypatch)
 
     def counted_times(column, table, limit):
         counts["times"] += 1
         return times(column, table, limit)
 
     def counted_add(self, row):
-        counts["add"] += not in_bound[0]
+        counts["add"] += 1
         return add(self, row)
 
     monkeypatch.setattr(oracle, "_times", counted_times)
@@ -1145,40 +1100,36 @@ def test_each_product_feeds_one_add(monkeypatch):
     item = next(it for it in WORKLOADS.generate("corpus", 1)
                 if it["id"] == "curve_sq2_line")
     branch = cli.build_analysis(cli.parse_input(item["doc"])).graph.branch
-    assert filtration_dims(branch, 40).dims == (1,) + (2,) * 40
-    assert counts == {"times": 2, "add": 3}
-    p = dict(CORPUS)["qrt_cusp"]
-    dims = sorted_monomial_adds(*coordinates(p), 40, p.ambient)[1]
-    assert max(dims) == 2
-    counts.clear()
-    assert filtration_dims(p, 40).dims == dims
-    assert counts == {"times": 17, "add": 18}
-    p = _rescaled(dict(CORPUS)["biq_cusp"], BIQ.gen())
+    corpus = dict(CORPUS)
     assert sum(1 for i in range(21) for j in range(14)
                if 2 * i + 3 * j <= 40) == 154
-    dims = sorted_monomial_adds(*coordinates(p), 40, p.ambient)[1]
-    counts.clear()
-    assert filtration_dims(p, 40).dims == dims
-    assert counts == {"times": 137, "add": 138}
+    for p, adds in ((_rescaled(branch, branch.ambient.gen()), 81),
+                    (_rescaled(corpus["qrt_cusp"], QRT2.gen()), 97),
+                    (_rescaled(corpus["biq_cusp"], BIQ.gen()), 138)):
+        dims = sorted_monomial_adds(*coordinates(p), 40, p.ambient)[1]
+        counts.clear()
+        assert filtration_dims(p, 40).dims == dims
+        assert counts == {"times": adds - 1, "add": adds}
+    assert filtration_dims(_rescaled(branch, branch.ambient.gen()),
+                           40).dims == (1,) * 41
 
 
 def test_live_heads_feed_the_adds_of_the_sorted_monomial_list(monkeypatch):
-    """Over the corpus documents that verify accepts, on branches and on
-    curvettes, _filtration feeds SparseRowSpace.add the very vectors, in
-    the very order, that the full sorted monomial list feeds it, up to the
-    weight where it stops (stop_level, with the caps of the reference
-    residue bound; curvettes, whose coefficients are polynomials in c,
-    never stop), and its dims are the full loop's. The adds of the
-    residue bound are left out."""
+    """Where the oracle feeds every live monomial, _filtration feeds
+    SparseRowSpace.add the very vectors, in the very order, that the full
+    sorted monomial list feeds it, and its dims are the full loop's: on
+    the divisorial curvettes of qrt_cusp that the oracle_quartic workload
+    verifies (seed 1; the lowest coefficient of x is z^2/2), and on the
+    corpus branches over fields of degree > 1 with x = z*tau^m. The other
+    verify calls of the workload close the span as a Q[x]-module, and
+    their dims are the full loop's too."""
     fed = []
     add = SparseRowSpace.add
     filtration = oracle._filtration
-    stops = Counter()
-    in_bound = bound_running(monkeypatch)
+    paths = Counter()
 
     def recording(self, row):
-        if not in_bound[0]:
-            fed.append(row)
+        fed.append((type(self), row))
         return add(self, row)
 
     def checked(x, y, V, mode, field):
@@ -1186,35 +1137,66 @@ def test_live_heads_feed_the_adds_of_the_sorted_monomial_list(monkeypatch):
         report = filtration(x, y, V, mode, field)
         got = list(fed)
         reference, dims = sorted_monomial_adds(x, y, V, field)
-        top = V if mode != "curve" else stop_level(
-            x, dims, field.degree, reference_residue_dims(x, y, V, field))
-        assert got == [vec for weight, vec in reference if weight <= top]
+        loop = all(kind is SparseRowSpace for kind, _row in got)
+        if loop:
+            assert [row for _kind, row in got] == \
+                [vec for _weight, vec in reference]
         assert report.dims == dims
-        stops[mode, top < V] += 1
+        paths[mode, loop] += 1
         return report
 
     monkeypatch.setattr(SparseRowSpace, "add", recording)
     monkeypatch.setattr(oracle, "_filtration", checked)
-    for item in WORKLOADS.generate("corpus", 1):
-        if item["expect"]["verify"] == 0:
-            analysis = cli.build_analysis(cli.parse_input(item["doc"]))
-            assert cli.run_verification(analysis, item["max_order"])["match"]
-    assert stops == {("curve", True): 28, ("curve", False): 1,
-                     ("divisorial", False): 6}
+    for item in WORKLOADS.generate("oracle_quartic", 1):
+        analysis = cli.build_analysis(cli.parse_input(item["doc"]))
+        assert cli.run_verification(analysis, item["max_order"])["match"]
+    for _name, p in CORPUS:
+        if p.ambient.degree > 1:
+            filtration_dims(_rescaled(p, p.ambient.gen()), 30)
+    assert paths == {("curve", False): 8, ("divisorial", False): 2,
+                     ("divisorial", True): 3, ("curve", True): 22}
 
 
-# --- the full-level stop against the full loop
+# --- the Q[x]-module echelon against the full loop
 
 Z2M1 = AmbientField([-1, 0, 1])   # Q x Q: (1 - z)/2 is a zero divisor
 
 
-def test_the_stop_needs_a_rational_lowest_coefficient_of_x():
-    """Over z^2 - 1, x = e*tau with e = (1 - z)/2, an idempotent, and y =
-    (2 - z)*tau^3 - z*tau^5 + z*tau^8: levels 1 and 2 are not full, level 3
-    is, and so would be every later one if e*L were L. It is not: e*L is
-    the line of e, and level 4 has dimension 1. Over Q(sqrt2), x = z*tau
-    has a unit lowest coefficient that is not rational; the oracle runs to
-    V and agrees with the full loop."""
+def counting_modules(monkeypatch):
+    """Makes each oracle call that closes its span as a Q[x]-module
+    (oracle._XModule) count itself: returns the Counter whose "module"
+    entry is the number of such calls so far, "stored" that of the
+    vectors they stored and "above" that of those whose lead was above
+    every lead stored before, so that no generator was displaced."""
+    made = Counter()
+
+    class Counted(oracle._XModule):
+        def __init__(self, *args):
+            made["module"] += 1
+            super().__init__(*args)
+
+        def store(self, lead, work):
+            made["stored"] += 1
+            made["above"] += all(g < lead for g, _xs in self.rows.values())
+            super().store(lead, work)
+
+    monkeypatch.setattr(oracle, "_XModule", Counted)
+    return made
+
+
+def test_the_stop_needs_a_rational_lowest_coefficient_of_x(monkeypatch):
+    """The module echelon, whose y-chain stops at the first power that
+    reduces to zero, runs only where the c^0 term of the lowest
+    coefficient a of x is a nonzero rational. Over z^2 - 1, x = e*tau with
+    e = (1 - z)/2, an idempotent, and y = (2 - z)*tau^3 - z*tau^5 +
+    z*tau^8: level 3 has dimension 2, but e*L is the line of e, so x does
+    not carry level 3 onto level 4, which has dimension 1. Over Q(sqrt2),
+    x = z*tau has a unit lowest coefficient that is not rational. On both
+    the oracle feeds every live monomial and agrees with the full loop.
+    Over z^2 - 1 with x = tau^2/2 and y = z*tau^3 + 3z*tau^7, and on the
+    golden-field curvette GOLDEN_DENSE at V = 40 (x = tau), the module
+    echelon runs and agrees with the full loop."""
+    made = counting_modules(monkeypatch)
     z = Z2M1.gen()
     half = Z2M1.from_fraction(Fraction(1, 2))
     p = BranchParam(Z2M1, 1, [(3, 2 - z), (5, -z), (8, z)],
@@ -1224,6 +1206,15 @@ def test_the_stop_needs_a_rational_lowest_coefficient_of_x():
     q = BranchParam(SQ2, 1, [(2, 1), (3, SQ2.gen())], x_coeff=SQ2.gen())
     assert filtration_dims(q, 30).dims == \
         sorted_monomial_adds(*coordinates(q), 30, SQ2)[1]
+    assert not made
+    r = BranchParam(Z2M1, 2, [(3, z), (7, 3 * z)], x_coeff=Fraction(1, 2))
+    assert filtration_dims(r, 30).dims == \
+        sorted_monomial_adds(*coordinates(r), 30, Z2M1)[1]
+    graph, recs = resolve(GOLDEN_DENSE, extra_steps=0)
+    gc = generic_curvette(graph, recs, bound=40)
+    assert divisorial_filtration_dims(gc, 40).dims == \
+        sorted_monomial_adds(gc.x, gc.y, 40, gc.ambient)[1]
+    assert made["module"] == 2
 
 
 def _rescaled(p, x_coeff):
@@ -1259,32 +1250,53 @@ def _drawn_branch(rng):
                        x_coeff=x_coeff)
 
 
-def test_stopped_dims_equal_the_full_loop_on_drawn_branches():
-    """Over 120 seeded branches at V = 30, at least 30 of them stopped
-    early and at least 10 with x_coeff a rational other than 1."""
+def test_stopped_dims_equal_the_full_loop_on_drawn_branches(monkeypatch):
+    """The oracle's dims are the full loop's on 200 seeded branches at
+    V = 30 and on 200 divisorial curvettes (extra_steps 0 to 2) of seeded
+    branches at V = 20; a drawn branch that cannot be resolved, over
+    z^2 - 1 or one that traverses its branch more than once, gives no
+    curvette. At least 100 curve calls and 50 divisorial calls close the
+    span as a Q[x]-module, 10 of those curve calls with x_coeff a rational
+    other than 1, and at least 50 calls of each mode feed every live
+    monomial. Each vector the module echelon stores has a lead above
+    every lead it stored before."""
+    made = counting_modules(monkeypatch)
     rng = random.Random(11)
-    stopped = rescaled = 0
+    paths = Counter()
+    rescaled = 0
     failures = []
-    for _ in range(120):
+
+    def check(mode, x, y, V, field, report):
+        module = made["module"] > before
+        paths[mode, module] += 1
+        if report.dims != sorted_monomial_adds(x, y, V, field)[1]:
+            failures.append("%s %r" % (mode, p))
+        return module
+
+    while paths["divisorial", True] + paths["divisorial", False] < 200:
         p = _drawn_branch(rng)
-        x, y = coordinates(p)
-        dims = sorted_monomial_adds(x, y, 30, p.ambient)[1]
-        if filtration_dims(p, 30).dims != dims:
-            failures.append(repr(p))
-        if stop_level(x, dims, p.ambient.degree) < 30:
-            stopped += 1
-            rescaled += p.x_coeff != 1
+        extra = rng.randint(0, 2)
+        if paths["curve", True] + paths["curve", False] < 200:
+            before = made["module"]
+            report = filtration_dims(p, 30)
+            if check("curve", *coordinates(p), 30, p.ambient, report):
+                rescaled += p.x_coeff != 1
+        try:
+            graph, recs = resolve(p, extra_steps=extra)
+        except ArtifactError:
+            continue
+        gc = generic_curvette(graph, recs, bound=20)
+        before = made["module"]
+        report = divisorial_filtration_dims(gc, 20)
+        check("divisorial", gc.x, gc.y, 20, gc.ambient, report)
     assert not failures, "\n".join(failures)
-    assert stopped >= 30 and rescaled >= 10
+    assert made["stored"] == made["above"] > 0
+    assert paths["curve", True] >= 100 and paths["divisorial", True] >= 50
+    assert paths["curve", False] >= 50 and paths["divisorial", False] >= 50
+    assert rescaled >= 10
 
 
-# --- the residue bound against the Fraction closure
-
-
-def _runtime_residue_dims(p, V):
-    x, y = coordinates(p)
-    return _residue_dims(_terms(x, V, p.ambient) + _terms(y, V, p.ambient),
-                         x.order(), p.ambient.degree)
+# --- the levels against the residue spans
 
 
 def _graded_branch(rng):
@@ -1310,14 +1322,15 @@ def _graded_branch(rng):
                        x_coeff=x_coeff)
 
 
-def test_residue_dims_equal_the_fraction_closure():
-    """The runtime bound (oracle._residue_dims) is the Fraction closure
-    of the products of coefficients by residue (reference_residue_dims)
-    wherever it does not give up, and it gives up exactly when one
-    residue fills L: on the corpus branches at V = 60, on 160 drawn
-    branches at V = 40 (at least 60 of them bounded below [L:Q]) and on
-    a branch over z^2 - 1. biq_cusp and qrt_cusp have U = [2, 2], and
-    sq2_cusp [1, 1]."""
+def test_curve_dims_stay_within_the_residue_spans():
+    """The level v classes of a branch lie in U_(v mod ord x), the
+    rational span of the products of coefficients of x and y whose tau
+    powers sum to v mod ord(x) (reference_residue_dims, a Fraction
+    closure), so dims[v] <= dim U_(v mod ord x): on the corpus branches at
+    V = 60, on 160 drawn branches at V = 40 (on at least 60 of them some
+    U_r is smaller than L) and on a branch over z^2 - 1. biq_cusp and
+    qrt_cusp have U = [2, 2], and sq2_cusp [1, 1], and their top levels
+    reach it."""
     rng = random.Random(5)
     z = Z2M1.gen()
     cases = [(p, 60) for _n, p in CORPUS]
@@ -1327,31 +1340,31 @@ def test_residue_dims_equal_the_fraction_closure():
     bounded = 0
     failures = []
     for p, V in cases:
-        got = _runtime_residue_dims(p, V)
-        ref = reference_residue_dims(*coordinates(p), V, p.ambient)
-        if got is None:
-            ok = p.ambient.degree in ref
-        else:
-            ok = got == ref
-            bounded += 1
-        if not ok:
-            failures.append("%r: runtime %s, reference %s" % (p, got, ref))
+        caps = reference_residue_dims(*coordinates(p), V, p.ambient)
+        dims = filtration_dims(p, V).dims
+        if any(d > caps[v % len(caps)] for v, d in enumerate(dims)):
+            failures.append("%r: dims %s, U %s" % (p, dims, caps))
+        bounded += p.ambient.degree not in caps
     assert not failures, "\n".join(failures)
     assert bounded >= 60
-    assert _runtime_residue_dims(cases[-1][0], 30) == [1, 1]
+    assert reference_residue_dims(*coordinates(cases[-1][0]), 30, Z2M1) \
+        == [1, 1]
     corpus = dict(CORPUS)
-    assert _runtime_residue_dims(corpus["biq_cusp"], 60) == [2, 2]
-    assert _runtime_residue_dims(corpus["qrt_cusp"], 60) == [2, 2]
-    assert _runtime_residue_dims(corpus["sq2_cusp"], 60) == [1, 1]
+    for name, caps in (("biq_cusp", [2, 2]), ("qrt_cusp", [2, 2]),
+                       ("sq2_cusp", [1, 1])):
+        p = corpus[name]
+        assert reference_residue_dims(*coordinates(p), 60, p.ambient) == caps
+        assert list(filtration_dims(p, 60).dims[-2:]) == caps
 
 
 def test_bounded_dims_equal_the_full_loop_on_graded_branches():
-    """Over 120 seeded branches whose coefficients are powers of z (at
-    least 40 of them bounded below [L:Q] and stopped before V = 30), the
-    dims with the residue bound's stop are the full loop's. Over z^2 - 1
-    with y = z*tau^3 + 3z*tau^7, U = [1, 1] and the run stops at level 3."""
+    """Over 120 seeded branches whose coefficients are powers of z (on at
+    least 40 of them no U_r is all of L, so that no level fills L), the
+    dims of the module echelon are the full loop's. Over z^2 - 1 with y =
+    z*tau^3 + 3z*tau^7, U = [1, 1], and every level from 2 on reaches
+    it."""
     rng = random.Random(17)
-    stopped = 0
+    bounded = 0
     failures = []
     for _ in range(120):
         p = _graded_branch(rng)
@@ -1359,16 +1372,13 @@ def test_bounded_dims_equal_the_full_loop_on_graded_branches():
         dims = sorted_monomial_adds(x, y, 30, p.ambient)[1]
         if filtration_dims(p, 30).dims != dims:
             failures.append(repr(p))
-        caps = reference_residue_dims(x, y, 30, p.ambient)
-        if p.ambient.degree not in caps and \
-                stop_level(x, dims, p.ambient.degree, caps) < 30:
-            stopped += 1
+        bounded += p.ambient.degree not in \
+            reference_residue_dims(x, y, 30, p.ambient)
     assert not failures, "\n".join(failures)
-    assert stopped >= 40
+    assert bounded >= 40
     z = Z2M1.gen()
     p = BranchParam(Z2M1, 2, [(3, z), (7, 3 * z)], x_coeff=Fraction(1, 2))
     x, y = coordinates(p)
     dims = sorted_monomial_adds(x, y, 30, Z2M1)[1]
-    assert filtration_dims(p, 30).dims == dims
-    assert stop_level(x, dims, 2, reference_residue_dims(x, y, 30, Z2M1)) \
-        == 3
+    assert filtration_dims(p, 30).dims == dims == (1, 0) + (1,) * 29
+    assert reference_residue_dims(x, y, 30, Z2M1) == [1, 1]

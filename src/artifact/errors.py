@@ -29,10 +29,6 @@ class NotIrreducibleParam(ArtifactError):
     """Parametrization traces a multiple cover (gcd of exponents > 1)."""
 
 
-class TruncationTooShort(ArtifactError):
-    """A finite expansion does not reach far enough for the requested check."""
-
-
 class GenericCenter(ArtifactError):
     """A computation on a concrete branch met a generic coefficient."""
 
@@ -47,18 +43,6 @@ class BadSemigroupData(ArtifactError):
 
 class MissingDelta(ArtifactError):
     """Divisorial series requested without a marked divisor value."""
-
-
-class IndexOutOfRange(ArtifactError):
-    """Partial-series index outside 1..s+1."""
-
-
-class TruncationInconclusive(ArtifactError):
-    """Factorization cannot certify closure from finitely many terms."""
-
-    def __init__(self, message, factors=None):
-        super().__init__(message)
-        self.factors = factors
 
 
 class ResolutionStuck(ArtifactError):

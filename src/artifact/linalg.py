@@ -57,10 +57,6 @@ class SparseRowSpace:
     def __init__(self):
         self.rows = {}      # lead -> primitive integer dict with that lead
 
-    @property
-    def rank(self):
-        return len(self.rows)
-
     def pivot(self, lead):
         """The vector to reduce a vector with this lead against, with the
         same lead, or None when the lead is free."""

@@ -1,49 +1,42 @@
-"""Brute-force ground truth for valuation orders and filtration dimensions.
+"""Brute-force ground truth for filtration dimensions.
 
-Everything here works by direct substitution: a polynomial in the two base
-coordinates is evaluated on a parametrization (or on a transversal curve with
-an indeterminate constant) and the resulting power series in tau is inspected
-coefficient by coefficient. No product formula or semigroup reasoning enters;
-the module exists so that the closed forms elsewhere in the package can be
-checked against something that cannot share their mistakes. The one
-shortcut is linear algebra on the same substitution map: where the lowest
-coefficient of x has a nonzero rational constant term (in c, on a
-curvette), multiplying by x shifts every lead by ord(x) levels, so the
-span is closed as a Q[x]-module, one generator per lead class, fed only
-the powers of y (the argument is in _filtration).
+filtration_dims and divisorial_filtration_dims compute, for each level v,
+the rational dimension of the space of polynomials in the two base
+coordinates of value exactly v modulo those of higher value, by exact
+rank computations on the coefficient matrix of the substitution map: a
+polynomial goes to the power series in tau that it becomes on a
+parametrization (or on a transversal curve with an indeterminate
+constant c). No product formula or semigroup reasoning enters; the module
+exists so that the closed forms elsewhere in the package can be checked
+against something that cannot share their mistakes. The one shortcut is
+linear algebra on the same substitution map: where the lowest coefficient
+of x has a nonzero rational constant term (in c, on a curvette),
+multiplying by x shifts every lead by ord(x) levels, so the span is
+closed as a Q[x]-module, one generator per lead class, fed only the
+powers of y (the argument is in _filtration).
 
-Two kinds of questions are answered:
-
-* orders: value_of gives the vanishing order of f along a branch (with the
-  leading coefficient), divisorial_value the least tau-order with a nonzero
-  polynomial-in-c coefficient on a generic transversal curve;
-* dimensions: filtration_dims and divisorial_filtration_dims compute, for
-  each level v, the rational dimension of the space of polynomials of value
-  exactly v modulo those of higher value, by exact rank computations on the
-  coefficient matrix of the substitution map. Only what levels 0..V read is
-  computed, and in integers: x and y (a branch parametrization or a
-  curvette alike) are tabulated once each, as one keyed integer table of
-  multiplication on the rational coordinates read off the integer matrix
-  of multiplication (AmbientField.mul_matrix) of each nonzero coefficient,
-  with no field product (_keyed_table). The vector fed for y^j is y times
-  the vector that the echelon stored for y^(j-1), cut past tau^V; the
-  echelon divides it by its content. Where x does not shift the leads,
-  every monomial x^i y^j is fed, in increasing (weight, i) order, a
-  monomial order (weight i*ox + j*oy, with ox and oy the orders of x and
-  y), as x (or, for i = 0, y) times the vector stored for its
-  predecessor. Either way the span grows by what the image of the
-  monomial adds (the argument is in _filtration). The echelon is an
-  integer column echelon keyed by lead, whose leads per level are the
-  dimensions. A vector is a dict from one integer key, v*W + a*n + k
-  for the tau^v coefficient's c power a and field coordinate k (n = [L:Q],
-  W the width of a level, derived in _filtration), to an integer; W
-  exceeds every a*n + k that can occur, so the integer order of the keys
-  is the (v, a, k) order and lead // W is the level of a lead.
+Only what levels 0..V read is computed, and in integers: x and y (a
+branch parametrization or a curvette alike) are tabulated once each, as
+one keyed integer table of multiplication on the rational coordinates
+read off the integer matrix of multiplication (AmbientField.mul_matrix)
+of each nonzero coefficient, with no field product (_keyed_table). The
+vector fed for y^j is y times the vector that the echelon stored for
+y^(j-1), cut past tau^V; the echelon divides it by its content. Where x
+does not shift the leads, every monomial x^i y^j is fed, in increasing
+(weight, i) order, a monomial order (weight i*ox + j*oy, with ox and oy
+the orders of x and y), as x (or, for i = 0, y) times the vector stored
+for its predecessor. Either way the span grows by what the image of the
+monomial adds (the argument is in _filtration). The echelon is an
+integer column echelon keyed by lead, whose leads per level are the
+dimensions. A vector is a dict from one integer key, v*W + a*n + k for
+the tau^v coefficient's c power a and field coordinate k (n = [L:Q], W
+the width of a level, derived in _filtration), to an integer; W exceeds
+every a*n + k that can occur, so the integer order of the keys is the
+(v, a, k) order and lead // W is the level of a lead.
 
 All arithmetic is exact; a zero is a proven zero.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import GenericCenter
@@ -51,69 +44,6 @@ from .linalg import SparseRowSpace
 from .ratfunc import INFINITY, Poly
 from .record import Record
 from .resolution import coordinates
-
-
-# --- polynomials in the base coordinates -------------------------------------
-
-def _canon_terms(terms):
-    bucket = {}
-    for i, j, q in terms:
-        i = int(i)
-        j = int(j)
-        if i < 0 or j < 0:
-            raise ValueError("monomial exponents must be non-negative")
-        q = Fraction(q)
-        bucket[(i, j)] = bucket.get((i, j), Fraction(0)) + q
-    return tuple((i, j, q) for (i, j), q in sorted(bucket.items()) if q)
-
-
-class PolyXY(Record):
-    """Polynomial in the two base coordinates with rational coefficients.
-
-    terms is a normalized tuple of (x exponent, y exponent, coefficient):
-    exponents sorted lexicographically, duplicates merged, zeros dropped.
-    Addition and multiplication are provided so tests can build products and
-    sums of corpus elements; the heavy lifting happens after substitution.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self._assign(_canon_terms(terms))
-
-    @staticmethod
-    def monomial(i, j, coeff=1):
-        return PolyXY([(i, j, coeff)])
-
-    @property
-    def degree(self):
-        """Largest total degree of a term; -1 for the zero polynomial."""
-        return max((i + j for i, j, _q in self.terms), default=-1)
-
-    def __add__(self, other):
-        if not isinstance(other, PolyXY):
-            return NotImplemented
-        return PolyXY(self.terms + other.terms)
-
-    def __neg__(self):
-        return PolyXY([(i, j, -q) for i, j, q in self.terms])
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyXY):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, PolyXY):
-            return NotImplemented
-        prods = []
-        for i1, j1, q1 in self.terms:
-            for i2, j2, q2 in other.terms:
-                prods.append((i1 + i2, j1 + j2, q1 * q2))
-        return PolyXY(prods)
-
-    def __bool__(self):
-        return bool(self.terms)
 
 
 class FiltrationReport(Record):
@@ -134,74 +64,6 @@ class FiltrationReport(Record):
             raise ValueError("need one dimension per level 0..V")
         if any(a < 0 for a in dims):
             raise ValueError("dimensions must be non-negative")
-
-
-# --- substitution -------------------------------------------------------------
-
-def _poly_one(ring):
-    return Poly(ring, [ring.one()])
-
-
-def _powers(base, top):
-    """[base^0, .., base^top]."""
-    out = [_poly_one(base.ring)]
-    for _ in range(top):
-        out.append(out[-1] * base)
-    return out
-
-
-def _substitute(f, x, y):
-    """f(x, y) as an exact tau-polynomial.
-
-    x and y are the coordinate images; the rational coefficients of f enter
-    through their coefficient ring's from_fraction.
-    """
-    imax = max((i for i, _j, _q in f.terms), default=0)
-    jmax = max((j for _i, j, _q in f.terms), default=0)
-    xs = _powers(x, imax)
-    ys = _powers(y, jmax)
-    acc = Poly(x.ring, [])
-    for i, j, q in f.terms:
-        acc = acc + (xs[i] * ys[j]).scale(x.ring.from_fraction(q))
-    return acc
-
-
-def value_of(f, branch):
-    """Vanishing order and leading coefficient of f along the branch.
-
-    Substitutes the parametrization into f exactly and reads off the least
-    tau-order with a nonzero coefficient; returns (order, coefficient) with
-    the coefficient in the ambient field. f vanishing identically on the
-    branch gives (INFINITY, None); since the parametrization is polynomial
-    the substitution result is a polynomial and the zero test is exact, no
-    truncation threshold is involved.
-
-    A branch marked with a generic coefficient is handled transparently: the
-    marker becomes a fresh indeterminate and the returned coefficient lives
-    in the rational-function field in that indeterminate.
-    """
-    total = _substitute(f, *coordinates(branch))
-    order = total.order()
-    if order is INFINITY:
-        return INFINITY, None
-    return order, total.coeff(order)
-
-
-def divisorial_value(f, gc):
-    """Value of f for the divisorial valuation behind a generic curvette.
-
-    gc carries the transversal curve at the chosen component with the
-    constant kept as the indeterminate c; the value is the least tau-order
-    whose coefficient is nonzero as a polynomial in c. Zero-testing is
-    polynomial identity, never sampling, so an accidental vanishing at
-    special constants cannot fool the order. Only the zero polynomial gives
-    INFINITY.
-    """
-    total = _substitute(f, gc.x, gc.y)
-    order = total.order()
-    if order is INFINITY:
-        return INFINITY
-    return order
 
 
 # --- filtration dimensions by rank growth ------------------------------------
@@ -448,14 +310,3 @@ def divisorial_filtration_dims(gc, V):
     cut past tau^V (generic_curvette with bound=V) gives the same dims.
     """
     return _filtration(gc.x, gc.y, V, "divisorial", gc.ambient)
-
-
-def observed_semigroup(branch, V):
-    """Values v <= V attained by the branch valuation on polynomials.
-
-    Reads the levels with a positive filtration dimension; by exactness of
-    the rank computation this is the degree-V-certified part of the value
-    semigroup over the rationals.
-    """
-    report = filtration_dims(branch, V)
-    return {v for v, a in enumerate(report.dims) if a}

@@ -19,18 +19,17 @@ values at the dead ends, ruptures, jumps and last component, and derives the
 gcd tower e, N, the product ell_total, the conductor c and the
 stabilization order Delta from them itself.
 
-From these it assembles three series as exact products of binomials
-(1 - t^a)^s: the characteristic series of the rational semigroup of values,
-the dimension series of the valuation filtration on the local ring, and the
-analogue for the divisorial valuation of the last component. Expansion,
-binomial refactorization, conductor bounds and the symmetry test are all
-exact integer computations.
+From these it assembles two series as exact products of binomials
+(1 - t^a)^s: the dimension series of the valuation filtration on the local
+ring, which is the characteristic series of the rational semigroup of
+values times one factor per field jump, and the analogue for the
+divisorial valuation of the last component. Expansion is an exact integer
+computation.
 """
 
 from math import gcd
 
-from .errors import (BadSemigroupData, IndexOutOfRange, MissingDelta,
-                     TruncationInconclusive, TruncationTooShort)
+from .errors import BadSemigroupData, MissingDelta
 from .record import Record
 from . import resolution as _res
 
@@ -289,13 +288,6 @@ def _splitting_pairs(splitting):
     return pairs
 
 
-def semigroup_series(nd):
-    """Characteristic series of the semigroup generated by M_sigma:
-    product of (1 - t^{M_tau_i}) over the ruptures divided by the product
-    of (1 - t^{M_sigma_i}) over the dead ends."""
-    return SeriesProduct.of(_semigroup_pairs(nd))
-
-
 def classical_series(nd):
     """Dimension series of the valuation filtration: the semigroup series
     times one factor (1 - t^{ell M_rho}) / (1 - t^{M_rho}) per field
@@ -314,17 +306,6 @@ def divisorial_series(nd):
     return SeriesProduct.of(_semigroup_pairs(nd) + [(nd.M_delta, -1)]
                             + _splitting_pairs(nd.splitting),
                             partial=nd.partial)
-
-
-def partial_series(nd, j):
-    """Intermediate series with only the first j - 1 jump factors: j = 1
-    gives the semigroup series, j = s + 1 the full filtration series. Each
-    is exact even on partial data (the prefix is known)."""
-    if not 1 <= j <= nd.s + 1:
-        raise IndexOutOfRange(
-            "stage %d outside 1..%d" % (j, nd.s + 1))
-    return SeriesProduct.of(_semigroup_pairs(nd)
-                            + _splitting_pairs(nd.splitting[:j - 1]))
 
 
 def expand(sp, order):
@@ -349,151 +330,3 @@ def _times_binomial_power(co, a, s):
         else:
             for v in range(a, top + 1):
                 co[v] += co[v - a]
-
-
-# --- conductor, symmetry, semigroup utilities -------------------------------
-
-def conductor_delta(nd):
-    """(c, Delta): least value with c + Z>=0 inside the semigroup of the
-    M_sigma, and the stabilization order Delta = c plus the jump
-    corrections."""
-    return nd.c_conductor, nd.Delta
-
-
-def symmetry_check(expansion, Delta, ell_total):
-    """True when the coefficients pair up as a_v + a_{Delta-1-v} =
-    ell_total below Delta, stay at ell_total from Delta on, and the last
-    pre-stable coefficient sits strictly below ell_total."""
-    co = expansion.coeffs
-    n = len(co) - 1
-    if n < Delta:
-        raise TruncationTooShort(
-            "expansion reaches %d but the stabilization order is %d"
-            % (n, Delta))
-    for v in range(Delta):
-        if co[v] + co[Delta - 1 - v] != ell_total:
-            return False
-    for v in range(Delta, n + 1):
-        if co[v] != ell_total:
-            return False
-    if Delta >= 1 and not co[Delta - 1] < ell_total:
-        return False
-    return True
-
-
-def _sieve(gens, limit):
-    gens = sorted({int(g) for g in gens})
-    if any(g < 1 for g in gens):
-        raise ValueError("semigroup generators must be positive")
-    reach = [False] * (limit + 1)
-    if limit >= 0:
-        reach[0] = True
-    for n in range(1, limit + 1):
-        for g in gens:
-            if g > n:
-                break
-            if reach[n - g]:
-                reach[n] = True
-                break
-    return reach
-
-
-def membership(gens, v):
-    """True when v is a sum of generators (0 included as the empty sum)."""
-    if v < 0:
-        return False
-    return _sieve(gens, v)[v]
-
-
-def gaps(gens, bound):
-    """Positive integers below bound outside the generated semigroup."""
-    if bound <= 1:
-        return []
-    reach = _sieve(gens, bound - 1)
-    return [n for n in range(1, bound) if not reach[n]]
-
-
-class GeneratorCheck(Record):
-    """Outcome of the minimal-generator test; falsy on failure, with the
-    first failing (rule, index, value) as witness."""
-
-    __slots__ = ("ok", "witness")
-
-    def __init__(self, ok, witness=None):
-        self._assign(ok, witness)
-
-    def __bool__(self):
-        return self.ok
-
-
-def minimal_generator_check(M_sigma, N):
-    """Check every later generator against the subsemigroup of the earlier
-    ones: (N_i - 1) M_i stays outside, N_i M_i falls inside, and the
-    previous scaled generator N_{i-1} M_{i-1} stays below M_i."""
-    M = [int(x) for x in M_sigma]
-    Ns = [int(x) for x in N]
-    if len(Ns) != len(M) - 1:
-        raise ValueError("need one quotient per generator after the first")
-    for i in range(1, len(M)):
-        n_i = Ns[i - 1]
-        head = M[:i]
-        outside = (n_i - 1) * M[i]
-        if membership(head, outside):
-            return GeneratorCheck(False, ("excluded", i, outside))
-        inside = n_i * M[i]
-        if not membership(head, inside):
-            return GeneratorCheck(False, ("included", i, inside))
-        scaled = (Ns[i - 2] if i >= 2 else 1) * M[i - 1]
-        if not scaled < M[i]:
-            return GeneratorCheck(False, ("ordered", i, scaled))
-    return GeneratorCheck(True, None)
-
-
-# --- binomial refactorization ------------------------------------------------
-
-class BinomialFactorization(Record):
-    """factors: the unique (m, s_m) with m within the expansion order;
-    is_cyclotomic: True when a finite product source certifies closure,
-    None when no source was given (finitely many terms can never certify
-    on their own)."""
-
-    __slots__ = ("factors", "is_cyclotomic")
-
-    def __init__(self, factors, is_cyclotomic=None):
-        self._assign(factors, is_cyclotomic)
-
-
-def binomial_factorization(se, source=None):
-    """Peel the unique binomial powers (1 - t^m)^{s_m} out of an expansion.
-
-    The s_m for m up to the truncation order are recovered iteratively and
-    are unique. Closure (cyclotomicity) is only certified when source, the
-    product the expansion came from, is supplied, is not a partial-product
-    truncation, and has no factor beyond the truncation order; otherwise
-    TruncationInconclusive carries the peeled prefix in .factors.
-    """
-    co = list(se.coeffs)
-    if co[0] != 1:
-        raise ValueError("factorization needs constant term 1")
-    n = len(co) - 1
-    out = []
-    for m in range(1, n + 1):
-        s_m = -co[m]
-        if s_m == 0:
-            continue
-        out.append((m, s_m))
-        _times_binomial_power(co, m, -s_m)
-    factors = tuple(out)
-    if source is None:
-        return BinomialFactorization(factors, None)
-    if source.partial:
-        raise TruncationInconclusive(
-            "source is a truncation of an infinite product; closure cannot "
-            "be read off %d terms" % (n + 1), factors=factors)
-    if any(a > n for a, _s in source.factors):
-        raise TruncationInconclusive(
-            "source has a factor beyond the expansion order %d" % n,
-            factors=factors)
-    if factors != source.factors:
-        raise ValueError("expansion does not match the claimed source")
-    return BinomialFactorization(factors, True)

@@ -526,8 +526,9 @@ def generic_curvette(graph, recs, sigma=None, bound=None):
 
     With a bound, x and y are the curvette's coordinates cut past
     tau^bound, which is all the filtration dimensions of levels 0..bound
-    read; divisorial_value needs the whole curvette (no bound). Cutting is
-    a ring map, so the coefficients up to tau^bound are exact."""
+    read; the value of one polynomial needs the whole curvette (no
+    bound). Cutting is a ring map, so the coefficients up to tau^bound are
+    exact."""
     if sigma is None:
         sigma = graph.delta()
     ambient = graph.ambient

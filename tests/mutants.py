@@ -1,9 +1,10 @@
 """Mutation check: do the tests catch a broken fast path?
 
-Each mutant is one textual edit of a source file, with the test files that
-must catch it. The script copies the repository into a temporary directory,
-applies one mutant at a time, runs `pytest -x` on its test files and prints
-killed, survived or equivalent. A mutant marked equivalent changes nothing
+Each mutant is one textual edit of a source file, or of a check in
+tests/output_checks.py, with the test files that must catch it. The
+script copies the repository into a temporary directory, applies one
+mutant at a time, runs `pytest -x` on its test files and prints killed,
+survived or equivalent. A mutant marked equivalent changes nothing
 a user can observe, so it is expected to survive.
 
 Run from anywhere, with pytest and hypothesis installed:
@@ -31,8 +32,8 @@ CLI = "src/artifact/cli.py"
 CLI_TESTS = ("tests/test_cli.py", "tests/test_exit_codes.py")
 ORACLE = "src/artifact/oracle.py"
 ORACLE_TESTS = ("tests/test_oracle.py", "tests/test_work_counts.py")
-POINCARE = "src/artifact/poincare.py"
-POINCARE_TESTS = ("tests/test_poincare.py",)
+CHECKS = "tests/output_checks.py"
+CHECKS_TESTS = ("tests/test_poincare.py",)
 
 # (what the mutant does, file, old text, new text, test files, equivalent)
 MUTANTS = (
@@ -84,11 +85,11 @@ MUTANTS = (
     ("any nonzero lowest coefficient of x takes the module", ORACLE,
      "if a and not any(a.num[1:]):", "if a:",
      ORACLE_TESTS + ("tests/test_workload_outputs.py",), False),
-    ("the stable range starts at Delta + 1", POINCARE,
+    ("the stable range starts at Delta + 1", CHECKS,
      "for v in range(Delta, n + 1):", "for v in range(Delta + 1, n + 1):",
-     POINCARE_TESTS, False),
-    ("the last pre-stable check needs Delta >= 2", POINCARE,
-     "if Delta >= 1 and not", "if Delta >= 2 and not", POINCARE_TESTS,
+     CHECKS_TESTS, False),
+    ("the last pre-stable check needs Delta >= 2", CHECKS,
+     "if Delta >= 1 and not", "if Delta >= 2 and not", CHECKS_TESTS,
      False),
 )
 

@@ -23,31 +23,33 @@ from artifact import (
     GENERIC,
     AmbientField,
     BranchParam,
-    PolyXY,
-    binomial_factorization,
     case_II_data,
     classical_series,
     divisorial_filtration_dims,
     divisorial_series,
-    divisorial_value,
     expand,
     filtration_dims,
     generic_curvette,
     m_values,
+    numerical_data,
+    resolve,
+)
+from artifact import cli
+from artifact.resolution import minus_inverse
+
+from output_checks import (
+    PolyXY,
+    TruncationInconclusive,
+    binomial_factorization,
+    divisorial_value,
     membership,
     minimal_generator_check,
-    numerical_data,
     observed_semigroup,
     partial_series,
-    resolve,
     semigroup_series,
     symmetry_check,
     value_of,
 )
-from artifact import cli
-from artifact.errors import TruncationInconclusive
-from artifact.resolution import minus_inverse
-
 from slow_paths import (conjugate_param, intersection_matrix,
                         is_negative_definite)
 from test_chart_states import WORKLOADS

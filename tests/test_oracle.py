@@ -25,22 +25,17 @@ from artifact.exactfield import AlgNum, AmbientField
 from artifact.linalg import SparseRowSpace
 from artifact.oracle import (
     FiltrationReport,
-    PolyXY,
     _c_degree,
     _filtration,
     _keyed_table,
     _times,
     divisorial_filtration_dims,
-    divisorial_value,
     filtration_dims,
-    observed_semigroup,
-    value_of,
 )
 from artifact.poincare import (
     classical_series,
     divisorial_series,
     expand,
-    membership,
     numerical_data,
 )
 from artifact.ratfunc import INFINITY, Poly, PolyRing
@@ -52,6 +47,13 @@ from artifact.resolution import (
     resolve,
 )
 
+from output_checks import (
+    PolyXY,
+    divisorial_value,
+    membership,
+    observed_semigroup,
+    value_of,
+)
 from slow_paths import (
     _monomial_columns,
     conjugate_param,
@@ -142,7 +144,7 @@ def test_polyxy_arithmetic():
 
 def test_sparse_row_space_tracks_rank():
     space = SparseRowSpace()
-    assert space.rank == 0
+    assert len(space.rows) == 0
     assert space.add({0: 1, 2: 3})
     assert space.add({0: 2, 1: 1})
     # 2 (first) - (second), i.e. the row {1: -1/2, 2: 3} scaled by 2
@@ -150,7 +152,7 @@ def test_sparse_row_space_tracks_rank():
     assert not space.add({})
     assert not space.add({0: 0, 5: 0})
     assert space.add({5: 7})
-    assert space.rank == 3
+    assert len(space.rows) == 3
     # dependent on all three
     assert not space.add({0: 3, 1: 1, 2: 3, 5: 14})
 

@@ -1,13 +1,27 @@
-"""Each reference route of tests/slow_paths.py exists once: no top-level
-name there is also defined in src/artifact, and the oracle's reference
-uses none of the oracle's kernels. Every name in artifact.__all__
-survives a star import. The runtime runs no polynomial Euclid. Value
-classes take equality, hashing and immutability from Record."""
+"""Each reference route of tests/slow_paths.py and each check of
+tests/output_checks.py exists once: no top-level name there is also
+defined in src/artifact, and the oracle's reference uses none of the
+oracle's kernels. The four commands reach every function and class of
+src/artifact. Every name in artifact.__all__ survives a star import. The
+runtime runs no polynomial Euclid. Value classes take equality, hashing
+and immutability from Record."""
 
 import ast
+import contextlib
+import importlib
+import io
+import json
 import pathlib
+import sys
 
 import artifact
+from artifact import cli
+
+from test_chart_states import WORKLOADS
+from test_cli import CASE2
+from test_workload_outputs import SEED, argv_for
+
+PACKAGE = pathlib.Path(artifact.__file__).parent
 
 
 def top_level_names(path):
@@ -23,12 +37,107 @@ def top_level_names(path):
 
 def test_slow_paths_define_nothing_the_package_defines():
     package = set()
-    for path in pathlib.Path(artifact.__file__).parent.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         package |= top_level_names(path)
     references = top_level_names(
         pathlib.Path(__file__).with_name("slow_paths.py"))
+    checks = top_level_names(
+        pathlib.Path(__file__).with_name("output_checks.py"))
     assert "GENERIC" in package and "curvette_param" in references
+    assert "symmetry_check" in checks
     assert sorted(references & package) == []
+    assert sorted(checks & package) == []
+
+
+# The functions of src/artifact that no command reaches, with the reason
+# each one stays.
+UNREACHED = {
+    "linalg.invert": "looked up by `bench/spans.py`; ROADMAP item 1c",
+    "resolution.minus_inverse":
+        "looked up by `bench/spans.py`; ROADMAP item 1c",
+}
+
+
+def own_codes(cls):
+    """The code objects of the functions that cls's body defines: its
+    methods, static and class methods, and property getters."""
+    codes = []
+    for value in vars(cls).values():
+        if isinstance(value, (staticmethod, classmethod)):
+            value = value.__func__
+        elif isinstance(value, property):
+            value = value.fget
+        if hasattr(value, "__code__"):
+            codes.append(value.__code__)
+    return codes
+
+
+def commands_reach(tmp_path):
+    """The code objects that the commands run, traced by sys.setprofile:
+    analyze, report --json, verify --max-order N (as the benchmark passes
+    them) and graph --dot on every document of the four workloads at
+    SEED, and, on one case2 document, analyze in its documented form and
+    in one form that only argparse reads."""
+    lines = []
+    for workload in sorted(WORKLOADS.GENERATORS):
+        items = WORKLOADS.generate(workload, SEED)
+        paths = WORKLOADS.write_documents(items, str(tmp_path / workload))
+        for item, path in zip(items, paths):
+            lines += [argv_for(command, path, item)
+                      for command in WORKLOADS.COMMANDS]
+            lines.append(["graph", path, "--dot"])
+    case2 = tmp_path / "case2.json"
+    case2.write_text(json.dumps(CASE2))
+    lines += [["analyze", str(case2)],
+              ["analyze", "--truncate", "5", str(case2)]]
+    reached = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for argv in lines:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    return reached
+
+
+def test_commands_reach_every_function_and_class(tmp_path):
+    """src/artifact holds what the commands run: each module-level
+    function runs, and so does a function defined in each class that is
+    not an exception class. A class also counts when a module-level name
+    holds one of its instances, which the import builds (GENERIC and
+    AT_INFINITY, which the commands compare with). Code that only the
+    tests call lives in tests/ (output_checks.py, slow_paths.py);
+    UNREACHED names the exceptions."""
+    reached = commands_reach(tmp_path)
+    modules = {path: importlib.import_module(
+        "artifact" if path.stem == "__init__" else "artifact." + path.stem)
+        for path in sorted(PACKAGE.glob("*.py"))}
+    constants = {type(value) for module in modules.values()
+                 for value in vars(module).values()}
+    unreached = []
+    for path, module in modules.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            obj = getattr(module, node.name)
+            if isinstance(obj, type):
+                if issubclass(obj, BaseException) or obj in constants:
+                    continue
+                codes = own_codes(obj)
+            else:
+                codes = [obj.__code__]
+            if reached.isdisjoint(codes):
+                unreached.append("%s.%s" % (path.stem, node.name))
+    assert sorted(set(unreached) - set(UNREACHED)) == []
+    assert sorted(set(UNREACHED) - set(unreached)) == []   # still needed
 
 
 def test_slow_paths_keep_their_own_oracle_product():
@@ -61,7 +170,7 @@ def test_runtime_calls_no_polynomial_gcd():
     no gcd-canonical form, and Poly.gcd is the tests' reference. math.gcd
     on integers stays allowed."""
     calls = []
-    for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in ast.walk(tree):
             func = getattr(node, "func", None)
@@ -85,7 +194,7 @@ def test_only_record_and_arithmetic_types_define_equality():
     __setattr__ itself is Record or an arithmetic type; every other value
     class inherits them from Record."""
     found = []
-    for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef) or cls.name in OWN_EQUALITY:
@@ -112,7 +221,7 @@ def test_no_module_reads_another_modules_private_names():
     """A module of src/artifact reaches another module only through its
     public names: no `from .x import _y` and no `module._y`."""
     found = []
-    for path in sorted(pathlib.Path(artifact.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         modules = set()
         reads = []

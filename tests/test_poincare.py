@@ -11,35 +11,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact.errors import (
-    BadSemigroupData,
-    IndexOutOfRange,
-    MissingDelta,
-    TruncationInconclusive,
-    TruncationTooShort,
-)
+from artifact.errors import BadSemigroupData, MissingDelta
 from artifact.exactfield import AmbientField
 from artifact.poincare import (
-    BinomialFactorization,
-    GeneratorCheck,
     NumericalData,
     SeriesExpansion,
     SeriesProduct,
     big_M,
-    binomial_factorization,
     case_II_data,
     char_invariants,
     classical_series,
-    conductor_delta,
     divisorial_series,
     expand,
-    gaps,
-    membership,
-    minimal_generator_check,
     numerical_data,
-    partial_series,
-    semigroup_series,
-    symmetry_check,
 )
 from artifact.resolution import (
     GENERIC,
@@ -47,6 +31,19 @@ from artifact.resolution import (
     m_values,
     normalize,
     resolve,
+)
+
+from output_checks import (
+    IndexOutOfRange,
+    TruncationInconclusive,
+    TruncationTooShort,
+    binomial_factorization,
+    gaps,
+    membership,
+    minimal_generator_check,
+    partial_series,
+    semigroup_series,
+    symmetry_check,
 )
 
 Q = AmbientField.rationals()
@@ -434,14 +431,12 @@ def test_series_expansion_validation():
 # --- conductor and symmetry --------------------------------------------------
 
 def test_conductor_delta_frozen_values():
-    assert conductor_delta(curve_nd(BranchParam(Q, 1, []))) == (0, 0)
-    assert conductor_delta(curve_nd(cusp())) == (2, 2)
-    assert conductor_delta(curve_nd(sqrt2_line())) == (0, 1)
-    assert conductor_delta(curve_nd(tower_line())) == (0, 4)
-    assert conductor_delta(curve_nd(cbrt2_line())) == (0, 2)
-    assert conductor_delta(curve_nd(cusp_sqrt2_tail())) == (2, 9)
-    assert conductor_delta(curve_nd(tangent_cusp())) == (4, 6)
-    assert conductor_delta(curve_nd(two_pair_sqrt2())) == (16, 42)
+    for p, want in [(BranchParam(Q, 1, []), (0, 0)), (cusp(), (2, 2)),
+                    (sqrt2_line(), (0, 1)), (tower_line(), (0, 4)),
+                    (cbrt2_line(), (0, 2)), (cusp_sqrt2_tail(), (2, 9)),
+                    (tangent_cusp(), (4, 6)), (two_pair_sqrt2(), (16, 42))]:
+        nd = curve_nd(p)
+        assert (nd.c_conductor, nd.Delta) == want
 
 
 def test_symmetry_check_on_corpus():

@@ -4,7 +4,8 @@ Each record class is compared with a frozen dataclass of the same fields
 and defaults (slow_paths.REFERENCE_RECORDS) on the records of a resolved
 corpus branch with a field jump and of a divisorial target past a jump
 (the branch, its quotient graph, a generic curvette and a subfield among
-them, and one PolyXY):
+them), and on the records of tests/output_checks.py (a refactorization,
+two generator checks and one PolyXY):
 field values, ==, !=, hash, repr, construction by position and by keyword,
 replace, and the errors for an unknown argument, a derived field and an
 assignment. The validation errors of the checked records are pinned.
@@ -18,15 +19,15 @@ import pytest
 from artifact import cli
 from artifact.errors import BadSemigroupData
 from artifact.exactfield import AlgNum
-from artifact.oracle import (FiltrationReport, PolyXY,
-                             divisorial_filtration_dims, filtration_dims)
-from artifact.poincare import (BinomialFactorization, GeneratorCheck,
-                               NumericalData, SeriesExpansion, SeriesProduct,
-                               binomial_factorization, expand,
-                               minimal_generator_check)
+from artifact.oracle import (FiltrationReport, divisorial_filtration_dims,
+                             filtration_dims)
+from artifact.poincare import (NumericalData, SeriesExpansion, SeriesProduct,
+                               expand)
 from artifact.ratfunc import PolyRing
 from artifact.resolution import GENERIC, BranchParam, generic_curvette
 
+from output_checks import (BinomialFactorization, GeneratorCheck, PolyXY,
+                           binomial_factorization, minimal_generator_check)
 from slow_paths import REFERENCE_RECORDS
 from test_chart_states import WORKLOADS
 

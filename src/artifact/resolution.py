@@ -527,8 +527,22 @@ def generic_curvette(graph, recs, sigma=None, bound=None):
     With a bound, x and y are the curvette's coordinates cut past
     tau^bound, which is all the filtration dimensions of levels 0..bound
     read; the value of one polynomial needs the whole curvette (no
-    bound). Cutting is a ring map, so the coefficients up to tau^bound are
-    exact."""
+    bound). Each product is cut at the precision the rest of the chain
+    reads, in two passes over the steps:
+    - forward, lower bounds (ou, ow) on the orders of u and of the
+      translated w before each step: (1, 0) at the start, ow = 0 after a
+      nonzero translation, ow = ou + ow after chart A, and (ou + ow, ou)
+      after chart B;
+    - backward from (Nu, Nw) = (bound + 1, bound + 1), the powers of tau
+      below which u and w are needed after each step: chart A forms w
+      mod tau^Nw and needs (max(Nu, Nw - ow), Nw - ou) before it; chart B
+      forms u mod tau^Nu and needs (max(Nu - ow, Nw), Nu - ou).
+    This is exact: ab - a'b' = (a - a')b + a'(b - b') for a' = a mod
+    tau^Na and b' = b mod tau^Nb, so the product mod tau^N depends only on
+    each factor mod tau^(N - the other factor's order). Lower bounds only
+    raise the precision kept, so that holds over zero divisors too. The
+    needs are bound + 1 after the last step and never above it, so x and
+    y are exactly the whole curvette's coordinates cut past tau^bound."""
     if sigma is None:
         sigma = graph.delta()
     ambient = graph.ambient
@@ -536,16 +550,30 @@ def generic_curvette(graph, recs, sigma=None, bound=None):
     chart, shift = _landing_info(graph, recs, sigma)
     steps = [(chart, shift)] + [(recs[k].chart, _shift(recs[k]))
                                 for k in range(sigma, 0, -1)]
+    cuts = [bound] * len(steps)   # step k's product is cut past cuts[k]
+    if bound is not None:
+        orders, ou, ow = [], 1, 0
+        for chart, shift in steps:
+            ow = 0 if shift else ow
+            orders.append((ou, ow))
+            ou, ow = (ou, ou + ow) if chart == "A" else (ou + ow, ou)
+        nu = nw = bound + 1
+        for k in range(len(steps) - 1, -1, -1):
+            ou, ow = orders[k]
+            if steps[k][0] == "A":
+                cuts[k], nu, nw = nw - 1, max(nu, nw - ow), nw - ou
+            else:
+                cuts[k], nu, nw = nu - 1, max(nu - ow, nw), nu - ou
     # u = tau cut past tau^bound; w = c needs no cut: bound >= 0
     u = Poly.monomial(cring, cring.one() if bound != 0 else cring.zero(), 1)
     w = Poly(cring, [cring.gen()])
-    for chart, shift in steps:
+    for (chart, shift), cut in zip(steps, cuts):
         if shift:
             w = w + Poly(cring, [Poly(ambient, [shift])])
         if chart == "A":
-            w = u.mul_upto(w, bound)
+            w = u.mul_upto(w, cut)
         else:
-            u, w = u.mul_upto(w, bound), u
+            u, w = u.mul_upto(w, cut), u
     return GenericCurvette(u, w, sigma)
 
 

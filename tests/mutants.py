@@ -32,6 +32,7 @@ CLI = "src/artifact/cli.py"
 CLI_TESTS = ("tests/test_cli.py", "tests/test_exit_codes.py")
 ORACLE = "src/artifact/oracle.py"
 ORACLE_TESTS = ("tests/test_oracle.py", "tests/test_work_counts.py")
+RESOLUTION = "src/artifact/resolution.py"
 CHECKS = "tests/output_checks.py"
 CHECKS_TESTS = ("tests/test_poincare.py",)
 
@@ -85,6 +86,21 @@ MUTANTS = (
     ("any nonzero lowest coefficient of x takes the module", ORACLE,
      "if a and not any(a.num[1:]):", "if a:",
      ORACLE_TESTS + ("tests/test_workload_outputs.py",), False),
+    ("the records' translations are dropped", RESOLUTION,
+     "(recs[k].chart, _shift(recs[k]))", "(recs[k].chart, None)",
+     ORACLE_TESTS, False),
+    ("the order is not reset to 0 at a translation", RESOLUTION,
+     "ow = 0 if shift else ow", "ow = ow", ORACLE_TESTS, False),
+    ("chart A's w-need subtracts ow", RESOLUTION,
+     "max(nu, nw - ow), nw - ou", "max(nu, nw - ow), nw - ow",
+     ORACLE_TESTS, False),
+    ("chart B's needs are swapped", RESOLUTION,
+     "max(nu - ow, nw), nu - ou", "nu - ou, max(nu - ow, nw)",
+     ORACLE_TESTS, False),
+    # the curvette is unchanged; only the count of products rises
+    ("every curvette product is cut at V", RESOLUTION,
+     "    if bound is not None:\n        orders",
+     "    if False:\n        orders", ORACLE_TESTS, False),
     ("the stable range starts at Delta + 1", CHECKS,
      "for v in range(Delta, n + 1):", "for v in range(Delta + 1, n + 1):",
      CHECKS_TESTS, False),

@@ -4,7 +4,8 @@ defined in src/artifact, and the oracle's reference uses none of the
 oracle's kernels. The four commands reach every function and class of
 src/artifact. Every name in artifact.__all__ survives a star import. The
 runtime runs no polynomial Euclid. Value classes take equality, hashing
-and immutability from Record."""
+and immutability from Record. No module of tests/ has the name of one
+of bench/."""
 
 import ast
 import contextlib
@@ -157,6 +158,17 @@ def test_slow_paths_keep_their_own_oracle_product():
         elif isinstance(node, ast.Attribute) and node.attr in kernels:
             taken.append(node.attr)
     assert taken == []
+
+
+def test_tests_and_bench_share_no_module_name():
+    """pytest imports tests/*.py and bench/*.py by their bare names, with
+    both folders on one sys.path (neither is a package), so a module of
+    one folder named like one of the other is shadowed by it in a full
+    run: `from checks import PolyXY` in a test would get bench/checks.py."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    tests, bench = ({path.stem for path in (root / folder).glob("*.py")}
+                    for folder in ("tests", "bench"))
+    assert sorted(tests & bench) == []
 
 
 def test_star_import_resolves_every_public_name():

@@ -3,18 +3,18 @@
 The brute-force filtration oracle feeds vectors to SparseRowSpace, a
 column echelon keyed by lead, or to the oracle's Q[x]-module variant of
 it, which looks up its pivots and stores its vectors its own way. The
-vectors hold integers only: the oracle builds each one as x or y times the
-vector that add() returned for the predecessor, with integer
-multiplication tables of the coordinate images. Its keys are integers too:
-the oracle packs the tau order v, the c power a and the field coordinate k
-of an entry into v*W + a*n + k, with W larger than any a*n + k, so that
-comparing two keys is comparing their (v, a, k) triples and no tuple is
-built or hashed. A vector is made primitive on entry and reduced
-fraction-free (cross-multiplication plus content stripping), each time
-only against the one vector pivot() gives for its lead. The small dense
-echelons of number-field inverses and subfields use the same idiom on
-integer rows, in exactfield. invert, a Fraction Gauss-Jordan, serves only
-the tests' reference resolution.minus_inverse.
+vectors hold integers only: the oracle builds each one as x or y times a
+vector that add() returned, the last power of y or the last link of its
+x-chain, with integer multiplication tables of the coordinate images. Its
+keys are integers too: the oracle packs the tau order v, the c power a and
+the field coordinate k of an entry into v*W + a*n + k, with W larger than
+any a*n + k, so that comparing two keys is comparing their (v, a, k)
+triples and no tuple is built or hashed. A vector is made primitive on
+entry and reduced fraction-free (cross-multiplication plus content
+stripping), each time only against the one vector pivot() gives for its
+lead. The small dense echelons of number-field inverses and subfields use
+the same idiom on integer rows, in exactfield. invert, a Fraction
+Gauss-Jordan, serves only the tests' reference resolution.minus_inverse.
 """
 
 from fractions import Fraction

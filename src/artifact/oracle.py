@@ -12,8 +12,8 @@ against something that cannot share their mistakes. The one shortcut is
 linear algebra on the same substitution map: where the lowest coefficient
 of x has a nonzero rational constant term (in c, on a curvette),
 multiplying by x shifts every lead by ord(x) levels, so the span is
-closed as a Q[x]-module, one generator per lead class, fed only the
-powers of y (the argument is in _filtration).
+closed as a Q[x]-module, one generator per lead class (the argument is
+in _filtration).
 
 Only what levels 0..V read is computed, and in integers: x and y (a
 branch parametrization or a curvette alike) are tabulated once each, as
@@ -22,17 +22,17 @@ read off the integer matrix of multiplication (AmbientField.mul_matrix)
 of each nonzero coefficient, with no field product (_keyed_table). The
 vector fed for y^j is y times the vector that the echelon stored for
 y^(j-1), cut past tau^V; the echelon divides it by its content. Where x
-does not shift the leads, every monomial x^i y^j is fed, in increasing
-(weight, i) order, a monomial order (weight i*ox + j*oy, with ox and oy
-the orders of x and y), as x (or, for i = 0, y) times the vector stored
-for its predecessor. Either way the span grows by what the image of the
-monomial adds (the argument is in _filtration). The echelon is an
-integer column echelon keyed by lead, whose leads per level are the
-dimensions. A vector is a dict from one integer key, v*W + a*n + k for
-the tau^v coefficient's c power a and field coordinate k (n = [L:Q], W
-the width of a level, derived in _filtration), to an integer; W exceeds
-every a*n + k that can occur, so the integer order of the keys is the
-(v, a, k) order and lead // W is the level of a lead.
+does not shift the leads, the vector stored for each power of y is
+followed by its x-chain, x times the vector stored last, until one adds
+nothing or cuts to zero, before y steps again. Either way the span grows
+by what the power of y, or x times the vector before, adds (the argument
+is in _filtration). The echelon is an integer column echelon keyed by
+lead, whose leads per level are the dimensions. A vector is a dict from
+one integer key, v*W + a*n + k for the tau^v coefficient's c power a and
+field coordinate k (n = [L:Q], W the width of a level, derived in
+_filtration), to an integer; W exceeds every a*n + k that can occur, so
+the integer order of the keys is the (v, a, k) order and lead // W is
+the level of a lead.
 
 All arithmetic is exact; a zero is a proven zero.
 """
@@ -182,54 +182,35 @@ def _filtration(x, y, V, mode, field):
     to zero. Cutting is a ring map, so the span is the Q[x]-module that
     the cut powers of y generate.
 
-    The module echelon, when the lowest coefficient a of x has a nonzero
-    rational c^0 term (a itself on a branch). The tau^(v+ox) coefficient
-    of x*g, for g of order v, is a times the tau^v coefficient g_v of g.
-    The c^0 term of a is a nonzero rational, so it keeps every key of g_v,
-    and the c^j terms of a raise the c power; so x*g has lead lead(g) + P,
-    P = ox*W, or cuts to zero. _XModule keeps one generator per lead class
-    mod P; the x^k*g then have distinct leads, so they are an echelon of
-    the module the generators span, and dims[v] is the number of
-    generators whose level lead // W is at most v and congruent to v mod
-    ox. The unit 1 starts, and the vector fed for y^(j+1) is y*r, with r
-    the vector stored for y^j: r is a nonzero rational multiple of y^j
-    plus an element of the module M of the lower powers, and y*M lies in
-    the module of y, .., y^j, so y*r adds what y^(j+1) adds. The order of
-    y*r exceeds the level of r, and reduction only raises a lead, so the
-    stored leads rise from one power to the next: a vector is reduced
-    against the generator of its class, whose lead is smaller, and it is
-    stored only in a class that has none. The chain ends at the first
-    power y^j that reduces to zero: then y^j lies in M, so y*M does, and
-    every later power with it. The rational test matters over a ring
-    with zero divisors: over Q[z]/(z^2 - 1), a = (1 - z)/2 can kill the
-    lead of g_v.
+    One loop feeds the echelon, the unit 1 first. Before each y step the
+    span is M_j, the Q[x]-module of 1, y, .., y^j, and it is closed
+    under x. The vector r_j stored for y^j is a nonzero rational
+    multiple of y^j plus an element of M_(j-1), and y*M_(j-1) lies in
+    M_j, so y*r_j adds exactly what y^(j+1) adds. Following the x-chain
+    of the vector stored (x*s fed, with s the vector stored last) until
+    it reduces to zero, or until its order plus ox passes V and x*s cuts
+    to zero, closes the span under x again: x times any earlier vector
+    is already in it. If y*r_j reduces to zero, y*M_j lies in M_j, and
+    every later power of y is already in the span. In a SparseRowSpace,
+    dims[v] is the number of leads at level v. Reducing x*s or y*r_j,
+    whose earlier part is already reduced, takes a few steps where the
+    raw image of a monomial takes many.
 
-    Elsewhere (a c^0 term that is irrational or zero, or x = 0) every
-    monomial is fed, in increasing (weight, i) order, a monomial order:
-    m < m' gives x*m < x*m' and y*m < y*m'. The vector fed for x^i y^j is
-    x*r, where r is the vector stored for its predecessor x^(i-1) y^j
-    (y*r, with r stored for y^(j-1), when i = 0), multiplied by the
-    integer table of x or y (_times) and cut past tau^V; add divides it by
-    its content. The unit 1 starts. A monomial joins the heads of its
-    weight only once its predecessor stored a vector, and the weights are
-    taken in increasing order, each sorted by i: every monomial joins
-    while a smaller weight is taken (ox, oy >= 1), so the sort sees all of
-    its weight. The chains (fixed j, rising i, and the y^j chain itself)
-    thus end at their first monomial that adds nothing, and the adds run
-    in (weight, i) order.
-
-    Why the span after each monomial m is the span of the images of the
-    monomials up to m. By induction, the vector stored for the predecessor
-    p is a nonzero rational multiple of the image of p plus a combination
-    of images of monomials before p. Times x (or y), that is a nonzero
-    multiple of the image of m plus images of x (or y) times monomials
-    before p; in a monomial order those come before m, and they are
-    already in the span (or cut to zero). So feeding x*r adds what the
-    image of m would add. When p left no vector (its image lies in the
-    span of the earlier ones), neither does m, by the same argument, and
-    m never joins the heads. Reducing x*r, whose earlier part is
-    already reduced, takes a few steps where the raw image of m takes
-    many.
+    Where the lowest coefficient a of x has a nonzero rational c^0 term
+    (a itself on a branch), no x-chain is walked. The tau^(v+ox)
+    coefficient of x*g, for g of order v, is a times the tau^v coefficient
+    g_v of g. The c^0 term of a is a nonzero rational, so it keeps every
+    key of g_v, and the c^j terms of a raise the c power; so x*g has lead
+    lead(g) + P, P = ox*W, or cuts to zero. _XModule keeps one generator
+    per lead class mod P; the x^k*g then have distinct leads, so they are
+    an echelon of the module the generators span, already closed under x,
+    and dims[v] is the number of generators whose level lead // W is at
+    most v and congruent to v mod ox. The order of y*r_j exceeds the level
+    of r_j, and reduction only raises a lead, so the stored leads rise
+    from one power to the next: a vector is reduced against the generator
+    of its class, whose lead is smaller, and it is stored only in a class
+    that has none. The rational test matters over a ring with zero
+    divisors: over Q[z]/(z^2 - 1), a = (1 - z)/2 can kill the lead of g_v.
     """
     V = int(V)
     if V < 0:
@@ -251,35 +232,21 @@ def _filtration(x, y, V, mode, field):
     a = x.low_coeff()
     if isinstance(a, Poly):
         a = a.coeff(0)
-    if a and not any(a.num[1:]):
-        space = _XModule(x_keyed, ox * W, limit)
-        r = space.add({0: 1})
-        while r:
-            r = space.add(_times(r, y_keyed, limit))
-        for lead, _shifts in space.rows.values():
+    shifts = a and not any(a.num[1:])
+    space = _XModule(x_keyed, ox * W, limit) if shifts else SparseRowSpace()
+    r = space.add({0: 1})
+    while r:
+        s = r
+        while not shifts and s and min(s) // W + ox <= V:  # else x*s cuts to 0
+            s = space.add(_times(s, x_keyed, limit))
+        r = space.add(_times(r, y_keyed, limit))
+    if shifts:
+        for lead, _xs in space.rows.values():
             for v in range(lead // W, V + 1, ox):
                 dims[v] += 1
-        return FiltrationReport(V=V, dims=tuple(dims), mode=mode)
-    space = SparseRowSpace()
-    # heads[v]: the live monomials x^i y^j of weight v, each as its i, the
-    # vector stored for its predecessor and the table to multiply it by;
-    # no two share an i, so sorting them never compares the vectors
-    heads = [[] for _ in range(V + 1)]
-
-    def follow(weight, i, r):
-        if r:
-            if weight + ox <= V:
-                heads[weight + ox].append((i + 1, r, x_keyed))
-            if not i and weight + oy <= V:
-                heads[weight + oy].append((0, r, y_keyed))
-
-    follow(0, 0, space.add({0: 1}))
-    for weight, level in enumerate(heads):
-        level.sort()
-        for i, r, table in level:
-            follow(weight, i, space.add(_times(r, table, limit)))
-    for lead in space.rows:
-        dims[lead // W] += 1
+    else:
+        for lead in space.rows:
+            dims[lead // W] += 1
     return FiltrationReport(V=V, dims=tuple(dims), mode=mode)
 
 

@@ -76,15 +76,25 @@ MUTANTS = (
      ORACLE_TESTS, False),
     # y^j is fed only when y^(j+1) survives the cut
     ("the y-chain stops one power early", ORACLE,
-     "            r = space.add(_times(r, y_keyed, limit))",
-     "            y_r = _times(r, y_keyed, limit)\n"
-     "            r = _times(y_r, y_keyed, limit) and space.add(y_r)",
+     "        r = space.add(_times(r, y_keyed, limit))",
+     "        y_r = _times(r, y_keyed, limit)\n"
+     "        r = _times(y_r, y_keyed, limit) and space.add(y_r)",
      ORACLE_TESTS, False),
+    ("the x-chain stops one level early", ORACLE,
+     "min(s) // W + ox <= V:", "min(s) // W + ox < V:", ORACLE_TESTS,
+     False),
+    # the unit's vector is the only one with a key 0
+    ("the x-chain is walked only after the unit", ORACLE,
+     "        s = r\n", "        s = r if 0 in r else {}\n", ORACLE_TESTS,
+     False),
+    ("the x-chain multiplies r, not s", ORACLE,
+     "s = space.add(_times(s, x_keyed, limit))",
+     "s = space.add(_times(r, x_keyed, limit))", ORACLE_TESTS, False),
     ("a new vector replaces a generator with a smaller lead", ORACLE,
      "if gen is None:", "if gen is None or gen[0] < lead:",
      ORACLE_TESTS, False),
     ("any nonzero lowest coefficient of x takes the module", ORACLE,
-     "if a and not any(a.num[1:]):", "if a:",
+     "shifts = a and not any(a.num[1:])", "shifts = a",
      ORACLE_TESTS + ("tests/test_workload_outputs.py",), False),
     ("the records' translations are dropped", RESOLUTION,
      "(recs[k].chart, _shift(recs[k]))", "(recs[k].chart, None)",

@@ -44,9 +44,9 @@ lowest coefficient of u already lies in the subfield), with membership by
 the Fraction rref (the runtime answers Q and the whole field without a
 reduction). The oracle's monomials listed and sorted in full, each skipped
 at the add when its predecessor left no vector, are here too (the runtime
-keeps only the live chain heads, by weight, and feeds only the powers of
-y to a Q[x]-module echelon where x shifts the leads), and so are the
-dimensions of the spans that bound its levels by residue mod ord(x),
+feeds the powers of y, each followed by the x-chain of its reduced vector,
+or by none where x shifts the leads of a Q[x]-module echelon), and so are
+the dimensions of the spans that bound its levels by residue mod ord(x),
 closed by Fraction products (the tests check that no level of the
 runtime's dims exceeds them).
 The package's records (frozen values with equality, hashing and a repr) are
@@ -779,17 +779,18 @@ def keyed_times(column, table, limit):
 
 
 def sorted_monomial_adds(x, y, V, field):
-    """The monomial loop of oracle._filtration, for every input, with no
+    """The weight-ordered monomial loop that oracle._filtration ran before
+    it walked the x-chain of each power of y, for every input, with no
     Q[x]-module shortcut: the vectors it feeds SparseRowSpace.add, in
     order, each with the weight of its monomial, and the dims, the leads
-    per level of the echelon they leave. Every monomial of weight <= V is listed and sorted by (weight,
-    i); a monomial whose predecessor stored no vector is skipped at its
-    turn. x and y must vanish at the origin. The tables are
-    reference_table's, keyed by v*W + a*n + k with W = n*(imax*bx + jmax*by
-    + 1), bx and by their largest c powers: the entry (e, b, k', q) of row
-    k becomes the key offset e*W + b*n + k' - k. Over a field whose
-    minimal polynomial has integer coefficients, their D is the oracle's,
-    so the vectors are the very ones it feeds."""
+    per level of the echelon they leave. Every monomial of weight <= V is
+    listed and sorted by (weight, i); a monomial whose predecessor stored
+    no vector is skipped at its turn. x and y must vanish at the origin.
+    The tables are reference_table's, keyed by v*W + a*n + k with W =
+    n*(imax*bx + jmax*by + 1), bx and by their largest c powers: the entry
+    (e, b, k', q) of row k becomes the key offset e*W + b*n + k' - k. Over
+    a field whose minimal polynomial has integer coefficients, their D is
+    the oracle's, so the vectors are the very ones that loop fed."""
     ox, oy = x.order(), y.order()
     imax = 0 if ox is INFINITY else V // ox
     jmax = 0 if oy is INFINITY else V // oy
@@ -901,9 +902,6 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
                       _numerical_derived),
     _reference_record("SeriesProduct", ["factors"], [("partial", False)]),
     _reference_record("SeriesExpansion", ["coeffs"], [("partial", False)]),
-    _reference_record("GeneratorCheck", ["ok"], [("witness", None)]),
-    _reference_record("BinomialFactorization", ["factors"],
-                      [("is_cyclotomic", None)]),
     _reference_record("InfNearRecord", ["center", "field_after",
                                         "host_components"],
                       [("chart", None)]),
@@ -916,7 +914,6 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
     _reference_record("GenericCurvette", ["x", "y", "component"]),
     _reference_record("Subfield", ["field", "rows"], derived=["pivots"],
                       post_init=_subfield_derived),
-    _reference_record("PolyXY", ["terms"]),
 )}
 
 

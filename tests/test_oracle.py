@@ -685,17 +685,11 @@ def test_filtration_dims_equal_raw_column_reference(name, p, extra, V):
             reference_filtration_dims(gc.x, gc.y, V, gc.ambient)
 
 
-def test_oracle_reduction_steps_stay_linear(monkeypatch):
-    """A reduction step is a _primitive call after the first of each add.
-    On biq_cusp with x = z*tau^2, which feeds every live monomial,
-    reducing x times a reduced vector takes about one step per monomial;
-    the raw columns took 8594 steps for these 884 monomials."""
-    p = _rescaled(dict(CORPUS)["biq_cusp"], BIQ.gen())
-    V = 100
-    x, y = coordinates(p)
-    ox, oy = x.order(), y.order()
-    monomials = sum((V - i * ox) // oy + 1 for i in range(V // ox + 1))
-    assert monomials == 884
+def counting_reductions(monkeypatch):
+    """Makes SparseRowSpace.add and linalg._primitive count themselves:
+    returns the Counter of add calls ("add"), of the vectors they stored
+    ("stored") and of _primitive calls ("primitive"). A reduction step is
+    a _primitive call after the first of each add."""
     calls = Counter()
     primitive = linalg._primitive
     add = SparseRowSpace.add
@@ -706,12 +700,30 @@ def test_oracle_reduction_steps_stay_linear(monkeypatch):
 
     def counted_add(space, row):
         calls["add"] += 1
-        return add(space, row)
+        out = add(space, row)
+        calls["stored"] += bool(out)
+        return out
 
     monkeypatch.setattr(linalg, "_primitive", counted_primitive)
     monkeypatch.setattr(SparseRowSpace, "add", counted_add)
+    return calls
+
+
+def test_oracle_reduction_steps_stay_linear(monkeypatch):
+    """On biq_cusp with x = z*tau^2, where the oracle walks the x-chain of
+    each power of y, reducing x or y times a reduced vector takes at most
+    one step per stored vector: 99 steps for 364 vectors. The raw columns
+    took 8594 steps for these 884 monomials."""
+    p = _rescaled(dict(CORPUS)["biq_cusp"], BIQ.gen())
+    V = 100
+    x, y = coordinates(p)
+    ox, oy = x.order(), y.order()
+    monomials = sum((V - i * ox) // oy + 1 for i in range(V // ox + 1))
+    assert monomials == 884
+    calls = counting_reductions(monkeypatch)
     filtration_dims(p, V)
-    assert 0 < calls["primitive"] - calls["add"] <= 2 * monomials
+    assert calls["stored"] == 364
+    assert 0 < calls["primitive"] - calls["add"] <= calls["stored"]
 
 
 # --- integer keys against (tau order, (c power, coordinate)) tuples --------------
@@ -1103,22 +1115,22 @@ def test_valuation_axioms_on_random_polynomials(f, g):
             assert vsum == min(vf, vg)
 
 
-# --- where x does not shift the leads, only the live monomials reach the
-# echelon
+# --- where x does not shift the leads, the x-chain of each power of y
+# closes the span under x
 
 
 def test_each_product_feeds_one_add(monkeypatch):
-    """Where the lowest coefficient of x is not rational, the oracle feeds
-    every live monomial, and _times runs once per add after the first (the
-    unit): a monomial is multiplied out only once its predecessor stored a
-    vector. On curve_sq2_line (y = sqrt2*tau) with x = sqrt2*tau, x = y:
-    level v is the line of sqrt2^v, and each weight w > 0 makes two adds,
-    y^w, which is stored, and x*y^(w-1), which adds nothing and ends its
-    chain, so 81 adds at V = 40. On qrt_cusp (y = z*tau^5 over z^4 = 2)
-    with x = z*tau^2, 97 adds. On biq_cusp (y = sqrt2*tau^3 + sqrt3*tau^5
-    over z^4 - 10z^2 + 1, z = sqrt2 + sqrt3) with x = z*tau^2, 138 of the
-    154 monomials of weight <= 40 reach add: a chain (fixed j, rising i)
-    ends at its first monomial that adds nothing."""
+    """Where the lowest coefficient of x is not rational, the oracle walks
+    the x-chain of each power of y, and _times runs once per add after
+    the first (the unit): a vector is multiplied out only once add stored
+    it. On curve_sq2_line (y = sqrt2*tau) with x = sqrt2*tau, x = y: level
+    v is the line of sqrt2^v. The x-chain of the unit stores x, .., x^40
+    and stops where x^41 cuts to zero, and y then adds nothing, so 42
+    adds at V = 40. On qrt_cusp (y = z*tau^5 over z^4 = 2) with x =
+    z*tau^2, 97 adds. On biq_cusp (y = sqrt2*tau^3 + sqrt3*tau^5 over
+    z^4 - 10z^2 + 1, z = sqrt2 + sqrt3) with x = z*tau^2, 125 adds, fewer
+    than the 154 monomials of weight <= 40: a chain ends at its first
+    vector that adds nothing."""
     counts = Counter()
     times, add = oracle._times, SparseRowSpace.add
 
@@ -1138,9 +1150,9 @@ def test_each_product_feeds_one_add(monkeypatch):
     corpus = dict(CORPUS)
     assert sum(1 for i in range(21) for j in range(14)
                if 2 * i + 3 * j <= 40) == 154
-    for p, adds in ((_rescaled(branch, branch.ambient.gen()), 81),
+    for p, adds in ((_rescaled(branch, branch.ambient.gen()), 42),
                     (_rescaled(corpus["qrt_cusp"], QRT2.gen()), 97),
-                    (_rescaled(corpus["biq_cusp"], BIQ.gen()), 138)):
+                    (_rescaled(corpus["biq_cusp"], BIQ.gen()), 125)):
         dims = sorted_monomial_adds(*coordinates(p), 40, p.ambient)[1]
         counts.clear()
         assert filtration_dims(p, 40).dims == dims
@@ -1149,38 +1161,50 @@ def test_each_product_feeds_one_add(monkeypatch):
                            40).dims == (1,) * 41
 
 
-def test_live_heads_feed_the_adds_of_the_sorted_monomial_list(monkeypatch):
-    """Where the oracle feeds every live monomial, _filtration feeds
-    SparseRowSpace.add the very vectors, in the very order, that the full
-    sorted monomial list feeds it, and its dims are the full loop's: on
+def test_each_vector_fed_is_x_or_y_times_a_stored_one(monkeypatch):
+    """After the unit, every vector _filtration feeds SparseRowSpace.add is
+    the product (_times) of a vector that add returned with the table of
+    x or y, and its dims are those of the full sorted monomial list: on
     the divisorial curvettes of qrt_cusp that the oracle_quartic workload
     verifies (seed 1; the lowest coefficient of x is z^2/2), and on the
     corpus branches over fields of degree > 1 with x = z*tau^m. The other
     verify calls of the workload close the span as a Q[x]-module, and
     their dims are the full loop's too."""
     fed = []
-    add = SparseRowSpace.add
+    returned = []
+    products = {}
+    add, times = SparseRowSpace.add, oracle._times
     filtration = oracle._filtration
     paths = Counter()
 
     def recording(self, row):
         fed.append((type(self), row))
-        return add(self, row)
+        out = add(self, row)
+        returned.append(out)
+        return out
+
+    def recording_times(column, table, limit):
+        out = times(column, table, limit)
+        products[id(out)] = (out, column)
+        return out
 
     def checked(x, y, V, mode, field):
         fed.clear()
+        returned.clear()
+        products.clear()
         report = filtration(x, y, V, mode, field)
-        got = list(fed)
-        reference, dims = sorted_monomial_adds(x, y, V, field)
-        loop = all(kind is SparseRowSpace for kind, _row in got)
-        if loop:
-            assert [row for _kind, row in got] == \
-                [vec for _weight, vec in reference]
-        assert report.dims == dims
+        assert fed[0][1] == {0: 1}
+        for _kind, row in fed[1:]:
+            out, column = products[id(row)]
+            assert out is row
+            assert any(column is r for r in returned if r)
+        assert report.dims == sorted_monomial_adds(x, y, V, field)[1]
+        loop = all(kind is SparseRowSpace for kind, _row in fed)
         paths[mode, loop] += 1
         return report
 
     monkeypatch.setattr(SparseRowSpace, "add", recording)
+    monkeypatch.setattr(oracle, "_times", recording_times)
     monkeypatch.setattr(oracle, "_filtration", checked)
     for item in WORKLOADS.generate("oracle_quartic", 1):
         analysis = cli.build_analysis(cli.parse_input(item["doc"]))
@@ -1226,10 +1250,10 @@ def test_the_stop_needs_a_rational_lowest_coefficient_of_x(monkeypatch):
     e = (1 - z)/2, an idempotent, and y = (2 - z)*tau^3 - z*tau^5 +
     z*tau^8: level 3 has dimension 2, but e*L is the line of e, so x does
     not carry level 3 onto level 4, which has dimension 1. Over Q(sqrt2),
-    x = z*tau has a unit lowest coefficient that is not rational. On both
-    the oracle feeds every live monomial and agrees with the full loop.
-    Over z^2 - 1 with x = tau^2/2 and y = z*tau^3 + 3z*tau^7, and on the
-    golden-field curvette GOLDEN_DENSE at V = 40 (x = tau), the module
+    x = z*tau has a unit lowest coefficient that is not rational. On both the
+    oracle walks the x-chain of each power of y and agrees with the full
+    loop. Over z^2 - 1 with x = tau^2/2 and y = z*tau^3 + 3z*tau^7, and on
+    the golden-field curvette GOLDEN_DENSE at V = 40 (x = tau), the module
     echelon runs and agrees with the full loop."""
     made = counting_modules(monkeypatch)
     z = Z2M1.gen()
@@ -1290,11 +1314,11 @@ def test_stopped_dims_equal_the_full_loop_on_drawn_branches(monkeypatch):
     V = 30 and on 200 divisorial curvettes (extra_steps 0 to 2) of seeded
     branches at V = 20; a drawn branch that cannot be resolved, over
     z^2 - 1 or one that traverses its branch more than once, gives no
-    curvette. At least 100 curve calls and 50 divisorial calls close the
-    span as a Q[x]-module, 10 of those curve calls with x_coeff a rational
-    other than 1, and at least 50 calls of each mode feed every live
-    monomial. Each vector the module echelon stores has a lead above
-    every lead it stored before."""
+    curvette. At least 100 curve calls and 50 divisorial calls close the span
+    as a Q[x]-module, 10 of those curve calls with x_coeff a rational
+    other than 1, and at least 50 calls of each mode walk the x-chain of
+    each power of y. Each vector the module echelon stores has a lead
+    above every lead it stored before."""
     made = counting_modules(monkeypatch)
     rng = random.Random(11)
     paths = Counter()
@@ -1329,6 +1353,26 @@ def test_stopped_dims_equal_the_full_loop_on_drawn_branches(monkeypatch):
     assert paths["curve", True] >= 100 and paths["divisorial", True] >= 50
     assert paths["curve", False] >= 50 and paths["divisorial", False] >= 50
     assert rescaled >= 10
+
+
+def test_the_x_chain_stays_small_on_the_slowest_drawn_branch(monkeypatch):
+    """Draw 261 of _drawn_branch under Random(11), written out: over
+    z^4 - 10z^2 + 1, x = (1 - 2z^3)*tau and y has terms at tau^1, 4, 5
+    and 6. The weight-ordered loop over every live monomial, which the
+    oracle once ran, took 23 s on it at V = 60 on a 2-vCPU machine. At
+    V = 30 the dims are the full loop's; at V = 60 the x-chain driver
+    makes at most 239 adds, stores at most 238 vectors and takes at most
+    397 reduction steps."""
+    z = BIQ.element
+    p = BranchParam(BIQ, 1, [(1, z([-2, 2, 2, 1])), (4, z([0, -2, 0, 2])),
+                             (5, z([-1, 2, 2, 0])), (6, z([-1, 0, -2, 2]))],
+                    x_coeff=z([1, 0, 0, -2]))
+    assert filtration_dims(p, 30).dims == \
+        sorted_monomial_adds(*coordinates(p), 30, BIQ)[1]
+    calls = counting_reductions(monkeypatch)
+    assert filtration_dims(p, 60).dims == (1, 2, 3) + (4,) * 58
+    assert calls["add"] <= 239 and calls["stored"] <= 238
+    assert calls["primitive"] - calls["add"] <= 397
 
 
 # --- the levels against the residue spans

@@ -18,15 +18,14 @@ A change that makes the oracle do more work fails here. Feeding every
 monomial where x shifts the leads is one such change: it keeps every
 output and the levels, and raises the first two counts. Only the
 divisorial curvettes of qrt_cusp, whose x has the irrational lowest
-coefficient z^2/2, still feed every live monomial. Cutting each product
-of the blow-down at tau^V, and not at the precision the rest of the
-chain reads, is another: it keeps the curvette and raises the fourth
+coefficient z^2/2, walk the x-chain of each power of y. Cutting each
+product of the blow-down at tau^V, and not at the precision the rest of
+the chain reads, is another: it keeps the curvette and raises the fourth
 count on cusp_ladder from 28 to 247 (cusp_k8_div1 5 to 45, cusp_k12_div2
 9 to 83, cusp_k16_div3 14 to 119). On cusp_k16_div3 (V = 16), 16 chart-A
 steps follow the chart-B step, each multiplying w by u of order 2, so y
 cut past tau^16 is 0, yet a cut at tau^16 forms every term of w below it
-at each step. A change that lowers a count re-pins it and says
-why.
+at each step. A change that lowers a count re-pins it and says why.
 """
 
 import contextlib
@@ -45,7 +44,7 @@ SEED = 1
 # {entry: (add calls, vectors stored, levels, curvette products)}
 PINNED = {
     "corpus": (233, 198, 1305, 35),
-    "oracle_quartic": (237, 218, 623, 66),
+    "oracle_quartic": (231, 218, 623, 66),
     "cusp_ladder": (18, 11, 191, 28),
     "multipair_fields": (32, 28, 244, 0),
     "golden_dense_div0_V80": (55, 54, 81, 3),

@@ -262,19 +262,6 @@ class Poly:
         return Poly(self.ring, [c * s if c else c for c in self.tail],
                     self.shift)
 
-    def scale_arg(self, s):
-        """The polynomial p(s*t) as a polynomial in t: the tail's terms
-        times s^shift, s^(shift+1), ..."""
-        power = self.ring.one()
-        for _ in range(self.shift):
-            power = power * s
-        out = []
-        for k, c in enumerate(self.tail):
-            if k:
-                power = power * s
-            out.append(c * power if c else c)
-        return Poly(self.ring, out, self.shift)
-
     def pdivmod(self, other):
         """Quotient and remainder; the divisor's leading coefficient must
         be invertible (field scalars). Only gcd calls it."""

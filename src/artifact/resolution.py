@@ -188,7 +188,14 @@ def _tail_ok(u, w, sub):
     constant in sub (d = 1 among them), that keeps every membership, since
     sub is a field and d^-e a nonzero element of it, and keeps every
     constant a constant; so the rescale is skipped. Only a d outside sub,
-    or one that depends on lam, is worth rescaling by.
+    or one that depends on lam, is worth rescaling by. d^-1 is the lowest
+    numerator coefficient of u's reciprocal, since the form makes u's
+    denominator start at one; RatFunc keeps that reciprocal, and the
+    chart-A division w / u that follows, where the run goes on, reads it
+    again, so the inverse of d is formed once per u. One pass walks the nonzero
+    coefficients of the four forms, each rescaled by a power from one
+    table shared by the four and extended as the exponents need, and
+    returns at the first one outside sub.
 
     RatFunc's forms are reduced here without a gcd. With u = A/B and
     w = C/D, gcd(A, B) = gcd(C, D) = gcd(A, C) = gcd(B, D) = 1 up to powers
@@ -201,15 +208,17 @@ def _tail_ok(u, w, sub):
     """
     if not w:
         return True
-    d = u.num.low_coeff()   # the form makes u.den.low_coeff() one
+    d = u.num.low_coeff()
     k = _constant(d)
-    inv = None if k is not None and sub.contains_num(k) \
-        else u.num.ring.one() / d
+    powers = None if k is not None and sub.contains_num(k) \
+        else [u.num.ring.one(), u._reciprocal().num.low_coeff()]  # d^-e
     for poly in (u.num, u.den, w.num, w.den):
-        if inv is not None:
-            poly = poly.scale_arg(inv)
-        for c in poly.tail:
+        for e, c in enumerate(poly.tail, poly.shift):
             if c:
+                if powers is not None and e:
+                    while len(powers) <= e:
+                        powers.append(powers[-1] * powers[1])
+                    c = c * powers[e]
                 k = _constant(c)
                 if k is None or not sub.contains_num(k):
                     return False
@@ -415,6 +424,22 @@ def resolve(p, extra_steps=0):
     no point inside it can stop the run (ord u >= 2, or satellite points),
     and its inner points are recorded as the one-step run records them.
 
+    Once _tail_ok holds at a point it is not asked again, since every later
+    point would answer true. There ord u = 1 and the translated w has order
+    >= 1, so the step is chart A: it keeps u, hence d, and w / u - c has
+    order >= 1 again, so every later step is chart A as well. Rescaling tau
+    is a ring map that fixes constant terms, so the center c, the constant
+    term of w / u, lies in sub, and sub never grows. With the notation of
+    _tail_ok, the new forms are (CB - cDA, DA) times one scalar and a power
+    of tau. Their denominator starts at tau^0 with coefficient one, before
+    and after the rescale, so the scalar is the inverse of a coefficient of
+    the rescaled DA, which lies in sub, and the rescaled forms stay in
+    sub[tau]. A chart-A step from a free point lands on a free point, so
+    every later point keeps the subfield, one host and ord u = 1, and its
+    stop test would answer true; a local flag stands in for the call. The
+    saving shows where the run goes past the stop (divisorial
+    extra_steps >= 1).
+
     With a GENERIC coefficient the run stops at the first parameter-dependent
     center: graph.case == "III", graph.n_case3 is the contact order of the
     family with the final component, the terminal's center is GENERIC,
@@ -430,13 +455,15 @@ def resolve(p, extra_steps=0):
     pending = InfNearRecord(None, sub, ())
     extra_left = extra_steps
     case3_n = None
+    settled = False   # _tail_ok held at an earlier point
 
     while len(records) < max_steps:
         i = len(records)
         # stop only at a point that did not just enlarge the subfield
         if i >= 1 and pending.field_after is records[-1].field_after \
                 and len(pending.host_components) == 1 \
-                and u.order() == 1 and _tail_ok(u, w, sub):
+                and u.order() == 1 and (settled or _tail_ok(u, w, sub)):
+            settled = True
             if extra_left == 0:
                 terminal = pending
                 break

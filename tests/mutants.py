@@ -33,6 +33,7 @@ CLI_TESTS = ("tests/test_cli.py", "tests/test_exit_codes.py")
 ORACLE = "src/artifact/oracle.py"
 ORACLE_TESTS = ("tests/test_oracle.py", "tests/test_work_counts.py")
 RESOLUTION = "src/artifact/resolution.py"
+RESOLUTION_TESTS = ("tests/test_resolution.py", "tests/test_chart_states.py")
 CHECKS = "tests/output_checks.py"
 CHECKS_TESTS = ("tests/test_poincare.py",)
 
@@ -111,6 +112,19 @@ MUTANTS = (
     ("every curvette product is cut at V", RESOLUTION,
      "    if bound is not None:\n        orders",
      "    if False:\n        orders", ORACLE_TESTS, False),
+    # set where the stop test is first asked, whatever it answers
+    ("the stop flag is set without a true answer", RESOLUTION,
+     "(settled or _tail_ok(u, w, sub))",
+     "(settled or (settled := True) and _tail_ok(u, w, sub))",
+     RESOLUTION_TESTS, False),
+    ("the rescale's power is off by one", RESOLUTION,
+     "c = c * powers[e]", "c = c * powers[e - 1]", RESOLUTION_TESTS, False),
+    ("the stop test skips w's denominator", RESOLUTION,
+     "for poly in (u.num, u.den, w.num, w.den):",
+     "for poly in (u.num, u.den, w.num):", RESOLUTION_TESTS, False),
+    ("any constant d skips the rescale", RESOLUTION,
+     "powers = None if k is not None and sub.contains_num(k)",
+     "powers = None if k is not None", RESOLUTION_TESTS, False),
     ("the stable range starts at Delta + 1", CHECKS,
      "for v in range(Delta, n + 1):", "for v in range(Delta + 1, n + 1):",
      CHECKS_TESTS, False),

@@ -39,16 +39,19 @@ division where no point inside it can stop the run).
 So is the division of RatFuncs by cross-multiplication, whose product
 denominator is rescaled by the inverse of its lowest coefficient (the
 runtime multiplies by the divisor's kept reciprocal), and the resolution's
-tail test with tau always rescaled (the runtime skips the rescale when the
-lowest coefficient of u already lies in the subfield), with membership by
-the Fraction rref (the runtime answers Q and the whole field without a
-reduction). The oracle's monomials listed and sorted in full, each skipped
-at the add when its predecessor left no vector, are here too (the runtime
-feeds the powers of y, each followed by the x-chain of its reduced vector,
-or by none where x shifts the leads of a Q[x]-module echelon), and so are
-the dimensions of the spans that bound its levels by residue mod ord(x),
-closed by Fraction products (the tests check that no level of the
-runtime's dims exceeds them).
+tail test with tau always rescaled, each form in full by the substitution
+p(s*t) before any coefficient is tested (the runtime skips the rescale
+when the lowest coefficient of u already lies in the subfield, reads the
+inverse off u's kept reciprocal, and rescales and tests the coefficients
+in one pass that returns at the first one outside the subfield), with
+membership by the Fraction rref (the runtime answers Q and the whole field
+without a reduction). The oracle's monomials listed and sorted in full,
+each skipped at the add when its predecessor left no vector, are here too
+(the runtime feeds the powers of y, each followed by the x-chain of its
+reduced vector, or by none where x shifts the leads of a Q[x]-module
+echelon), and so are the dimensions of the spans that bound its levels
+by residue mod ord(x), closed by Fraction products (the tests check that
+no level of the runtime's dims exceeds them).
 The package's records (frozen values with equality, hashing and a repr) are
 rebuilt here as frozen dataclasses with the same fields and defaults; the
 runtime shares one hand-written base class instead, which imports nothing.
@@ -86,7 +89,6 @@ from artifact.resolution import (
     _graph_of,
     _landing_info,
     _shift,
-    _tail_ok,
     coordinates,
     curvette_mults,
     generic_curvette,
@@ -214,17 +216,29 @@ def reference_contains(sub, a):
     return not any(reduce_against(a.coords, rows, pivots))
 
 
+def scale_arg(p, s):
+    """The polynomial p(s*t) as a polynomial in t: the coefficient of t^e
+    of the dense list times s^e, each power the one below times s."""
+    power, out = p.ring.one(), []
+    for c in p.coeffs:
+        out.append(c * power if c else c)
+        power = power * s
+    return Poly(p.ring, out)
+
+
 def reference_tail_ok(u, w, sub):
     """resolution._tail_ok with tau always rescaled by the inverse of the
     lowest coefficient of u, one included (over lam that inverse is
-    reference_ratfunc_div's), and membership by reference_contains."""
+    reference_ratfunc_div's), each of the four forms in full by scale_arg
+    before any coefficient is tested, and membership by
+    reference_contains."""
     if not w:
         return True
     one, d = u.num.ring.one(), u.num.low_coeff()
     inv = reference_ratfunc_div(one, d) if isinstance(d, RatFunc) \
         else one / d
-    for poly in (u.num, u.den, w.num, w.den):
-        for c in poly.scale_arg(inv).coeffs:
+    for poly in [scale_arg(f, inv) for f in (u.num, u.den, w.num, w.den)]:
+        for c in poly.coeffs:
             if c:
                 k = _constant(c)
                 if k is None or not reference_contains(sub, k):
@@ -379,9 +393,11 @@ def blow_up_once(p):
 
 
 def reference_resolve(p, extra_steps=0):
-    """resolution.resolve one blow-up per chart step: the stop test runs
-    at every point, where resolve takes a chart-A row at center 0 in one
-    division when no point inside it can stop the run."""
+    """resolution.resolve one blow-up per chart step, with the stop test
+    reference_tail_ok asked at every point that can stop the run: resolve
+    takes a chart-A row at center 0 in one division when no point inside
+    it can stop the run, and asks its own _tail_ok only until it first
+    holds."""
     p = normalize(p)
     max_steps = _default_cap(p, extra_steps)
     u, w = initial_state(p)
@@ -395,7 +411,7 @@ def reference_resolve(p, extra_steps=0):
         i = len(records)
         if i >= 1 and pending.field_after is records[-1].field_after \
                 and len(pending.host_components) == 1 \
-                and u.order() == 1 and _tail_ok(u, w, sub):
+                and u.order() == 1 and reference_tail_ok(u, w, sub):
             if extra_left == 0:
                 terminal = pending
                 break
@@ -781,11 +797,10 @@ def keyed_times(column, table, limit):
 def sorted_monomial_adds(x, y, V, field):
     """The weight-ordered monomial loop that oracle._filtration ran before
     it walked the x-chain of each power of y, for every input, with no
-    Q[x]-module shortcut: the vectors it feeds SparseRowSpace.add, in
-    order, each with the weight of its monomial, and the dims, the leads
-    per level of the echelon they leave. Every monomial of weight <= V is
-    listed and sorted by (weight, i); a monomial whose predecessor stored
-    no vector is skipped at its turn. x and y must vanish at the origin.
+    Q[x]-module shortcut: the dims, the leads per level of the echelon
+    that the vectors it feeds SparseRowSpace.add leave. Every monomial of
+    weight <= V is listed and sorted by (weight, i); a monomial whose
+    predecessor stored no vector is skipped at its turn. x and y must vanish at the origin.
     The tables are reference_table's, keyed by v*W + a*n + k with W =
     n*(imax*bx + jmax*by + 1), bx and by their largest c powers: the entry
     (e, b, k', q) of row k becomes the key offset e*W + b*n + k' - k. Over
@@ -810,18 +825,16 @@ def sorted_monomial_adds(x, y, V, field):
                          for j in range(jtop + 1))
     monomials.sort()
     space = SparseRowSpace()
-    fed = [(0, {0: 1})]
-    stored = {(0, 0): space.add(fed[0][1])}
-    for weight, i, j in monomials[1:]:
+    stored = {(0, 0): space.add({0: 1})}
+    for _weight, i, j in monomials[1:]:
         r = stored.get((i - 1, j) if i else (0, j - 1))
         if r:
-            fed.append((weight,
-                        keyed_times(r, x_keyed if i else y_keyed, limit)))
-            stored[(i, j)] = space.add(fed[-1][1])
+            stored[(i, j)] = space.add(
+                keyed_times(r, x_keyed if i else y_keyed, limit))
     dims = [0] * (V + 1)
     for lead in space.rows:
         dims[lead // W] += 1
-    return fed, tuple(dims)
+    return tuple(dims)
 
 
 

@@ -10,17 +10,22 @@ over the corpus documents that `analyze` accepts checks that
   convolution AmbientField.convolve over a number field, the schoolbook
   loop ratfunc.schoolbook over the nested rings) only when both tails
   have two terms or more, and the number-field kernel runs;
-- Poly.scale and Poly.scale_arg multiply no zero coefficient, and
-  resolution._tail_ok calls scale_arg with no factor one.
+- Poly.scale multiplies no zero coefficient, and the rescale of tau in
+  resolution._tail_ok multiplies no zero coefficient and no coefficient
+  by a power of the inverse of d, u's lowest coefficient, that is one.
 Without the shortcuts the pass built 103 such matrices and ran the
-convolution step 1243 times in such products, and 32 of its 58 scale_arg
-calls had factor one. With them, the pass builds 56 matrices (one for
-each of the 39 fields, one for each of 17 irrational inverses; 2 more
-inverses are rational), makes 42 AmbientField.convolve calls and
-5 ratfunc.schoolbook calls; without the one-term shortcuts of
-Poly.__mul__ they would take 661 and 28 more products. _tail_ok rescales
-tau in 5 of its 49 calls, with 14 scale_arg calls: in the other 44 the
-lowest coefficient of u already lies in the subfield.
+convolution step 1243 times in such products, and 32 of the 58
+polynomials the tail test rescaled were rescaled by a factor one. With
+them, the pass builds 51 matrices (one for each of the 39 fields, one for
+each of 12 irrational inverses; 2 more inverses are rational; 56 and 17
+when the tail test formed its own inverse of d), makes
+42 AmbientField.convolve calls and 5 ratfunc.schoolbook calls; without
+the one-term shortcuts of Poly.__mul__ they would take 661 and 28 more
+products. _tail_ok rescales tau in 5 of its 45 calls, with 50 products
+in its own frame (81 when each of the four forms was rescaled in full
+before any coefficient was tested): in the other 40 the lowest
+coefficient of u already lies in the subfield. resolve asks it 45
+times, not 49: once the test has held, a run does not ask again.
 
 The ring and field checks of Poly, RatFunc, AlgNum, BranchParam and the
 subfield helpers test identity before they compare two fields by their
@@ -32,7 +37,7 @@ two different rings.
 import inspect
 import sys
 
-from artifact import cli, ratfunc
+from artifact import cli, ratfunc, resolution
 from artifact.exactfield import AlgNum, AmbientField
 from artifact.ratfunc import Poly, RatFunc
 
@@ -105,32 +110,33 @@ def test_corpus_pass_takes_the_shortcuts(monkeypatch):
     def on_call(frame, _event, _arg):
         return in_mul if frame.f_code is code else None
 
-    # the factor of each scale_arg call, and each product of a coefficient
-    # made inside scale or scale_arg, marked by whether it was zero
+    # each product made inside scale or in _tail_ok's own frame, marked by
+    # whether its coefficient was zero; the power of the inverse of d that
+    # each product of _tail_ok's rescale multiplies by, marked by whether
+    # it was one; and the kinds of coefficient scaled or rescaled
     factors = []
     zero_products = []
     coefficients = set()
-    scaling = {Poly.scale.__code__, Poly.scale_arg.__code__}
-    scale, scale_arg = Poly.scale, Poly.scale_arg
+    tail_ok = resolution._tail_ok.__code__
+    scaling = {Poly.scale.__code__, tail_ok}
+    scale = Poly.scale
 
     def traced_scale(self, s):
         coefficients.update(type(c) for c in self.coeffs)
         return scale(self, s)
 
-    def traced_scale_arg(self, s):
-        coefficients.update(type(c) for c in self.coeffs)
-        factors.append(s == self.ring.one())
-        return scale_arg(self, s)
-
     def counted(mul):
         def product(self, other):
-            if sys._getframe(1).f_code in scaling:
+            caller = sys._getframe(1).f_code
+            if caller in scaling:
                 zero_products.append(not self)
+            if caller is tail_ok:
+                coefficients.add(type(self))
+                factors.append(other == 1)
             return mul(self, other)
         return product
 
     monkeypatch.setattr(Poly, "scale", traced_scale)
-    monkeypatch.setattr(Poly, "scale_arg", traced_scale_arg)
     for cls in (AlgNum, RatFunc):
         monkeypatch.setattr(cls, "__mul__", counted(cls.__mul__))
 

@@ -1153,7 +1153,7 @@ def test_each_product_feeds_one_add(monkeypatch):
     for p, adds in ((_rescaled(branch, branch.ambient.gen()), 42),
                     (_rescaled(corpus["qrt_cusp"], QRT2.gen()), 97),
                     (_rescaled(corpus["biq_cusp"], BIQ.gen()), 125)):
-        dims = sorted_monomial_adds(*coordinates(p), 40, p.ambient)[1]
+        dims = sorted_monomial_adds(*coordinates(p), 40, p.ambient)
         counts.clear()
         assert filtration_dims(p, 40).dims == dims
         assert counts == {"times": adds - 1, "add": adds}
@@ -1198,7 +1198,7 @@ def test_each_vector_fed_is_x_or_y_times_a_stored_one(monkeypatch):
             out, column = products[id(row)]
             assert out is row
             assert any(column is r for r in returned if r)
-        assert report.dims == sorted_monomial_adds(x, y, V, field)[1]
+        assert report.dims == sorted_monomial_adds(x, y, V, field)
         loop = all(kind is SparseRowSpace for kind, _row in fed)
         paths[mode, loop] += 1
         return report
@@ -1261,18 +1261,18 @@ def test_the_stop_needs_a_rational_lowest_coefficient_of_x(monkeypatch):
     p = BranchParam(Z2M1, 1, [(3, 2 - z), (5, -z), (8, z)],
                     x_coeff=(1 - z) * half)
     assert filtration_dims(p, 8).dims == (1, 1, 1, 2, 1, 1, 2, 1, 1) == \
-        sorted_monomial_adds(*coordinates(p), 8, Z2M1)[1]
+        sorted_monomial_adds(*coordinates(p), 8, Z2M1)
     q = BranchParam(SQ2, 1, [(2, 1), (3, SQ2.gen())], x_coeff=SQ2.gen())
     assert filtration_dims(q, 30).dims == \
-        sorted_monomial_adds(*coordinates(q), 30, SQ2)[1]
+        sorted_monomial_adds(*coordinates(q), 30, SQ2)
     assert not made
     r = BranchParam(Z2M1, 2, [(3, z), (7, 3 * z)], x_coeff=Fraction(1, 2))
     assert filtration_dims(r, 30).dims == \
-        sorted_monomial_adds(*coordinates(r), 30, Z2M1)[1]
+        sorted_monomial_adds(*coordinates(r), 30, Z2M1)
     graph, recs = resolve(GOLDEN_DENSE, extra_steps=0)
     gc = generic_curvette(graph, recs, bound=40)
     assert divisorial_filtration_dims(gc, 40).dims == \
-        sorted_monomial_adds(gc.x, gc.y, 40, gc.ambient)[1]
+        sorted_monomial_adds(gc.x, gc.y, 40, gc.ambient)
     assert made["module"] == 2
 
 
@@ -1285,7 +1285,7 @@ def test_stopped_dims_equal_the_full_loop_on_the_corpus(name, p):
     """At V = 60, each corpus branch as given and with x_coeff -3/2."""
     for q in (p, _rescaled(p, Fraction(-3, 2))):
         assert filtration_dims(q, 60).dims == \
-            sorted_monomial_adds(*coordinates(q), 60, q.ambient)[1]
+            sorted_monomial_adds(*coordinates(q), 60, q.ambient)
 
 
 def _drawn_branch(rng):
@@ -1328,7 +1328,7 @@ def test_stopped_dims_equal_the_full_loop_on_drawn_branches(monkeypatch):
     def check(mode, x, y, V, field, report):
         module = made["module"] > before
         paths[mode, module] += 1
-        if report.dims != sorted_monomial_adds(x, y, V, field)[1]:
+        if report.dims != sorted_monomial_adds(x, y, V, field):
             failures.append("%s %r" % (mode, p))
         return module
 
@@ -1368,7 +1368,7 @@ def test_the_x_chain_stays_small_on_the_slowest_drawn_branch(monkeypatch):
                              (5, z([-1, 2, 2, 0])), (6, z([-1, 0, -2, 2]))],
                     x_coeff=z([1, 0, 0, -2]))
     assert filtration_dims(p, 30).dims == \
-        sorted_monomial_adds(*coordinates(p), 30, BIQ)[1]
+        sorted_monomial_adds(*coordinates(p), 30, BIQ)
     calls = counting_reductions(monkeypatch)
     assert filtration_dims(p, 60).dims == (1, 2, 3) + (4,) * 58
     assert calls["add"] <= 239 and calls["stored"] <= 238
@@ -1448,7 +1448,7 @@ def test_bounded_dims_equal_the_full_loop_on_graded_branches():
     for _ in range(120):
         p = _graded_branch(rng)
         x, y = coordinates(p)
-        dims = sorted_monomial_adds(x, y, 30, p.ambient)[1]
+        dims = sorted_monomial_adds(x, y, 30, p.ambient)
         if filtration_dims(p, 30).dims != dims:
             failures.append(repr(p))
         bounded += p.ambient.degree not in \
@@ -1458,6 +1458,6 @@ def test_bounded_dims_equal_the_full_loop_on_graded_branches():
     z = Z2M1.gen()
     p = BranchParam(Z2M1, 2, [(3, z), (7, 3 * z)], x_coeff=Fraction(1, 2))
     x, y = coordinates(p)
-    dims = sorted_monomial_adds(x, y, 30, Z2M1)[1]
+    dims = sorted_monomial_adds(x, y, 30, Z2M1)
     assert filtration_dims(p, 30).dims == dims == (1, 0) + (1,) * 29
     assert reference_residue_dims(x, y, 30, Z2M1) == [1, 1]

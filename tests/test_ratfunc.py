@@ -23,6 +23,7 @@ from slow_paths import (
     evaluate_poly,
     reference_poly_mul,
     reference_ratfunc_div,
+    scale_arg,
     scan_low_coeff,
     scan_order,
 )
@@ -105,9 +106,20 @@ def test_poly_gcd_monic():
 
 
 def test_poly_evaluate_scale():
+    """evaluate_poly by Horner, and slow_paths.scale_arg, p(s*t) as a
+    polynomial in t: its value at t is p's at s*t, over Q and over
+    Q(sqrt2), zeros below the order and inside the tail included."""
     assert evaluate_poly(qpoly(1, 2, 3), Fraction(2)) == 17
     u = qpoly(0, 2, 4)
-    assert u.scale_arg(Fraction(1, 2)) == qpoly(0, 1, 1)
+    assert scale_arg(u, Fraction(1, 2)) == qpoly(0, 1, 1)
+    r2 = SQ2.gen()
+    for p, s in ((qpoly(0, 0, 3, 0, -1), Fraction(-2, 3)),
+                 (Poly(SQ2, [SQ2.zero(), r2, SQ2.zero(), r2 + 1], 2),
+                  1 - r2)):
+        scaled = scale_arg(p, s)
+        assert scaled.order() == p.order()
+        for t in (Fraction(1, 2), Fraction(3)):
+            assert evaluate_poly(scaled, t) == evaluate_poly(p, s * t)
 
 
 def test_poly_mul_upto_is_the_cut_product():
@@ -546,7 +558,7 @@ def test_shift_and_tail_arithmetic_equals_the_dense_lists(data):
     rational functions in lam: sums, and differences that cancel the low
     or the high end; products, products of zero divisors among them
     (reference_poly_mul); mul_upto at bounds below, at and past the two
-    shifts; scale and scale_arg; and over the fields, RatFunc's
+    shifts; scale; and over the fields, RatFunc's
     cancellation of the common power of tau and its rescale. Each result
     is in form and has the coefficients of the dense route."""
     ring, scalar, is_field = data.draw(st.sampled_from(POLY_RINGS))
@@ -570,11 +582,6 @@ def test_shift_and_tail_arithmetic_equals_the_dense_lists(data):
         assert dense(p.mul_upto(q, bound)) == trimmed(product[:bound + 1])
     assert dense(p.mul_upto(q, None)) == product
     assert dense(p.scale(s)) == trimmed([c * s for c in x])
-    powers = [ring.one()]
-    for _ in x[1:]:
-        powers.append(powers[-1] * s)
-    assert dense(p.scale_arg(s)) == trimmed([c * w for c, w in
-                                             zip(x, powers)])
     k = data.draw(st.integers(0, 3))
     if is_field and q:
         t_k = Poly.monomial(ring, ring.one(), k)

@@ -5,6 +5,7 @@ replaying the blow-up charts by hand on the exact states; the comments next
 to each fixture say what the branch is, the asserts freeze the replay.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -18,7 +19,7 @@ from artifact.errors import (
     ResolutionStuck,
 )
 from artifact import cli, resolution
-from artifact.exactfield import AmbientField, Subfield
+from artifact.exactfield import AlgNum, AmbientField, Subfield
 from artifact.ratfunc import INFINITY, FractionField, Poly, PolyRing, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
@@ -721,11 +722,46 @@ def test_tail_rescale_decides_a_root_two_coefficient():
     assert reference_tail_ok(u, w, rat) is True
 
 
+TAIL_OK = _tail_ok.__code__
+
+
+def rescale_products(monkeypatch):
+    """A list that gets the two operands of each product AlgNum or RatFunc
+    forms in _tail_ok's own frame while the patch holds. The only products
+    there are the rescale's: a coefficient times a power of the inverse of
+    the lowest coefficient d of u, and a power of it times that inverse,
+    which extends the table; so the list is empty when tau is not
+    rescaled."""
+    products = []
+
+    def traced(mul):
+        def product(self, other):
+            if sys._getframe(1).f_code is TAIL_OK:
+                products.append((self, other))
+            return mul(self, other)
+        return product
+
+    for cls in (AlgNum, RatFunc):
+        monkeypatch.setattr(cls, "__mul__", traced(cls.__mul__))
+    return products
+
+
+def is_power_of_inverse(b, d, top=8):
+    """Whether b = d^-e for some e in 1..top."""
+    for _ in range(top):
+        b = b * d
+        if b == 1:
+            return True
+    return False
+
+
 def test_tail_skips_the_rescale_by_an_element_of_the_subfield(monkeypatch):
     """A lowest coefficient of u in sub (2 in Q, sqrt2 in Q(sqrt2), the
     constant 2 over lam) leaves the answer as the rescale gives it, and
-    no scale_arg runs; outside sub (sqrt2 over Q), or not a constant
-    (lam + 1), the rescale runs."""
+    _tail_ok multiplies nothing; outside sub (sqrt2 over Q), or not a
+    constant (lam + 1), the rescale runs, and each product it forms is by
+    a power of the inverse of that coefficient. A coefficient of w's
+    denominator outside sub makes the answer False, rescaled or not."""
     r2 = SQ2.gen()
     rat = Subfield.rationals(SQ2)
     full = Subfield(SQ2, [[1, 0], [0, 1]])
@@ -734,7 +770,10 @@ def test_tail_skips_the_rescale_by_an_element_of_the_subfield(monkeypatch):
     def state(ring, *coeffs):
         return RatFunc.of(Poly(ring, [ring.zero()] + list(coeffs)))
 
-    two = SQ2.from_fraction(2)
+    def over(num, *den):
+        return RatFunc(num.num, Poly(SQ2, list(den)))
+
+    one, two = SQ2.one(), SQ2.from_fraction(2)
     cases = [
         (state(SQ2, two), state(SQ2, two, 3 * two), rat, True, False),
         (state(SQ2, two), state(SQ2, two, r2), rat, False, False),
@@ -745,48 +784,48 @@ def test_tail_skips_the_rescale_by_an_element_of_the_subfield(monkeypatch):
          True),
         (state(lam, lam.from_scalar(two)), state(lam, lam.gen()), rat, False,
          False),
+        (state(SQ2, one), over(state(SQ2, one), one, r2), rat, False, False),
+        (state(SQ2, r2), over(state(SQ2, r2), one, two), rat, False, True),
+        (state(SQ2, r2), over(state(SQ2, r2), one, r2), rat, True, True),
     ]
-    rescaled = []
-    scale_arg = Poly.scale_arg
-
-    def traced(self, s):
-        rescaled.append(s)
-        return scale_arg(self, s)
-
     for u, w, sub, answer, rescales in cases:
         assert reference_tail_ok(u, w, sub) is answer
-        rescaled.clear()
-        monkeypatch.setattr(Poly, "scale_arg", traced)
-        assert _tail_ok(u, w, sub) is answer
-        monkeypatch.undo()
-        assert bool(rescaled) is rescales
+        with monkeypatch.context() as patch:
+            products = rescale_products(patch)
+            assert _tail_ok(u, w, sub) is answer
+        assert bool(products) is rescales
+        d = u.num.low_coeff()
+        assert all(is_power_of_inverse(b, d) for _a, b in products)
 
 
 def test_tail_ok_equals_the_always_rescaled_reference(monkeypatch):
     """On every call the resolution makes over the four workloads at
     seeds 1 and 2, _tail_ok answers as the reference that always
     rescales tau and tests membership by the Fraction rref; the calls
-    include both answers, with and without a rescale."""
+    include both answers, with and without a rescale, and no run asks
+    again once the test has held."""
     answers = []
     rescaled = []
-    scale_arg_calls = [0]
     tail_ok = resolution._tail_ok
-    scale_arg = Poly.scale_arg
+    products = rescale_products(monkeypatch)
+    runs = []
+    resolve = cli.resolve
 
-    def traced(self, s):
-        scale_arg_calls[0] += 1
-        return scale_arg(self, s)
+    def counted_resolve(p, extra_steps=0):
+        runs.append([])
+        return resolve(p, extra_steps=extra_steps)
 
     def checked(u, w, sub):
-        before = scale_arg_calls[0]
+        before = len(products)
         got = tail_ok(u, w, sub)
-        rescaled.append(scale_arg_calls[0] > before)
+        rescaled.append(len(products) > before)
         assert got is reference_tail_ok(u, w, sub)
         answers.append(got)
+        runs[-1].append(got)
         return got
 
-    monkeypatch.setattr(Poly, "scale_arg", traced)
     monkeypatch.setattr(resolution, "_tail_ok", checked)
+    monkeypatch.setattr(cli, "resolve", counted_resolve)
     for workload in sorted(WORKLOADS.GENERATORS):
         for seed in (1, 2):
             for item in WORKLOADS.generate(workload, seed):
@@ -794,3 +833,4 @@ def test_tail_ok_equals_the_always_rescaled_reference(monkeypatch):
                     cli.parse_input(item["doc"])))
     assert answers.count(True) > 100 and answers.count(False) > 20
     assert True in rescaled and rescaled.count(False) > 100
+    assert all(True not in run[:-1] for run in runs)

@@ -22,7 +22,6 @@ from .resolution import (
 )
 from .poincare import (
     NumericalData,
-    SeriesExpansion,
     SeriesProduct,
     case_II_data,
     char_invariants,
@@ -56,7 +55,6 @@ __all__ = [
     "PolyRing",
     "QuotientGraph",
     "RatFunc",
-    "SeriesExpansion",
     "SeriesProduct",
     "Subfield",
     "case_II_data",

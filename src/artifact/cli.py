@@ -374,7 +374,7 @@ def build_report(analysis, truncate):
             "formula": formula_text(analysis.series),
             "partial": analysis.series.partial,
             "truncate": truncate,
-            "expansion": list(expand(analysis.series, truncate).coeffs),
+            "expansion": list(expand(analysis.series, truncate)),
         },
         "verification": None,
     }
@@ -455,7 +455,7 @@ def run_verification(analysis, max_order):
     if analysis.n is not None:
         raise ValueError("cannot verify a generic-marker branch; verify the "
                          "divisorial target of its reduced family instead")
-    expected = expand(analysis.series, max_order).coeffs
+    expected = expand(analysis.series, max_order)
     if analysis.nd.M_delta is not None:
         gc = generic_curvette(analysis.graph, analysis.recs,
                               bound=max_order)

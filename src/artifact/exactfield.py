@@ -210,11 +210,6 @@ class AmbientField:
             return self.from_fraction(-self.min_poly[0])
         return AlgNum(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
-    @staticmethod
-    def rationals():
-        """Q presented as Q[z]/(z)."""
-        return AmbientField([0, 1])
-
     def __eq__(self, other):
         return isinstance(other, AmbientField) and self.min_poly == other.min_poly
 

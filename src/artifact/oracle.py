@@ -13,7 +13,8 @@ linear algebra on the same substitution map: where the lowest coefficient
 of x has a nonzero rational constant term (in c, on a curvette),
 multiplying by x shifts every lead by ord(x) levels, so the span is
 closed as a Q[x]-module, one generator per lead class (the argument is
-in _filtration).
+in _filtration). Each returns a FiltrationReport, which holds only the
+tuple dims of levels 0..V; the caller knows V and the kind of valuation.
 
 Only what levels 0..V read is computed, and in integers: x and y (a
 branch parametrization or a curvette alike) are tabulated once each, as
@@ -50,18 +51,14 @@ class FiltrationReport(Record):
     """Levelwise dimensions of a value filtration, computed by brute force.
 
     dims[v] is the rational dimension of the space of polynomial classes of
-    value exactly v, for v = 0..V. mode tells which kind of valuation
-    produced the numbers.
+    value exactly v, for v = 0..V, so V is len(dims) - 1. The caller knows
+    which kind of valuation it asked for.
     """
 
-    __slots__ = ("V", "dims", "mode")
+    __slots__ = ("dims",)
 
-    def __init__(self, V, dims, mode):
-        self._assign(V, dims, mode)
-        if mode not in ("curve", "divisorial"):
-            raise ValueError("mode must be 'curve' or 'divisorial'")
-        if len(dims) != V + 1:
-            raise ValueError("need one dimension per level 0..V")
+    def __init__(self, dims):
+        self._assign(dims)
         if any(a < 0 for a in dims):
             raise ValueError("dimensions must be non-negative")
 
@@ -158,7 +155,7 @@ class _XModule(SparseRowSpace):
         self.rows[lead % self.P] = (lead, [work])
 
 
-def _filtration(x, y, V, mode, field):
+def _filtration(x, y, V, field):
     """Levelwise dimensions from a column echelon of the substitution map.
 
     Row (v, a, k) of the map holds field coordinate k of the c^a part of
@@ -247,7 +244,7 @@ def _filtration(x, y, V, mode, field):
     else:
         for lead in space.rows:
             dims[lead // W] += 1
-    return FiltrationReport(V=V, dims=tuple(dims), mode=mode)
+    return FiltrationReport(tuple(dims))
 
 
 def filtration_dims(branch, V):
@@ -263,7 +260,7 @@ def filtration_dims(branch, V):
     """
     if branch.has_generic:
         raise GenericCenter("filtration dimensions need a concrete branch")
-    return _filtration(*coordinates(branch), V, "curve", branch.ambient)
+    return _filtration(*coordinates(branch), V, branch.ambient)
 
 
 def divisorial_filtration_dims(gc, V):
@@ -276,4 +273,4 @@ def divisorial_filtration_dims(gc, V):
     are therefore indexed by (c power, field coordinate) pairs. A curvette
     cut past tau^V (generic_curvette with bound=V) gives the same dims.
     """
-    return _filtration(gc.x, gc.y, V, "divisorial", gc.ambient)
+    return _filtration(gc.x, gc.y, V, gc.ambient)

@@ -23,8 +23,9 @@ From these it assembles two series as exact products of binomials
 (1 - t^a)^s: the dimension series of the valuation filtration on the local
 ring, which is the characteristic series of the rational semigroup of
 values times one factor per field jump, and the analogue for the
-divisorial valuation of the last component. Expansion is an exact integer
-computation.
+divisorial valuation of the last component. expand turns a product into
+its first coefficients, a plain tuple of integers, by an exact integer
+computation; the product keeps the partial flag.
 """
 
 from math import gcd
@@ -161,14 +162,6 @@ class NumericalData(Record):
         self._assign(m_sigma, M_sigma, M_tau, splitting, M_delta, partial, e,
                      N, ell, c, delta)
 
-    @property
-    def g(self):
-        return len(self.M_tau)
-
-    @property
-    def s(self):
-        return len(self.splitting)
-
 
 def value_maps(graph, recs):
     """Per-vertex value maps (m, M).
@@ -255,26 +248,6 @@ class SeriesProduct(Record):
         factors = tuple(sorted((a, s) for a, s in acc.items() if s))
         return SeriesProduct(factors, partial)
 
-    def __mul__(self, other):
-        return SeriesProduct.of(self.factors + other.factors,
-                                self.partial or other.partial)
-
-
-class SeriesExpansion(Record):
-    """Coefficients a_0..a_N of a series expansion; partial is inherited
-    from a partial product source."""
-
-    __slots__ = ("coeffs", "partial")
-
-    def __init__(self, coeffs, partial=False):
-        self._assign(coeffs, partial)
-        if not coeffs:
-            raise ValueError("an expansion has at least the constant term")
-
-    @property
-    def truncation(self):
-        return len(self.coeffs) - 1
-
 
 def _semigroup_pairs(nd):
     return ([(M, 1) for M in nd.M_tau] + [(M, -1) for M in nd.M_sigma])
@@ -309,14 +282,15 @@ def divisorial_series(nd):
 
 
 def expand(sp, order):
-    """Exact integer coefficients of the product up to t^order."""
+    """The exact integer coefficients a_0..a_order of the product, as a
+    tuple; whether they truncate an infinite product is sp.partial."""
     if order < 0:
         raise ValueError("expansion order must be non-negative")
     co = [0] * (order + 1)
     co[0] = 1
     for a, s in sp.factors:
         _times_binomial_power(co, a, s)
-    return SeriesExpansion(tuple(co), partial=sp.partial)
+    return tuple(co)
 
 
 def _times_binomial_power(co, a, s):

@@ -524,19 +524,16 @@ def _landing_info(graph, recs, sigma):
 class GenericCurvette(Record):
     """Transversal section at a component with an indeterminate constant.
 
-    x and y are polynomials in tau whose coefficients lie in ring, the
-    polynomials in the constant over ambient; substituting any concrete
-    admissible value specializes it.
+    x and y are polynomials in tau whose coefficients are polynomials in
+    the constant c over ambient; substituting any concrete admissible
+    value specializes it. The component is the one its caller asked
+    generic_curvette for.
     """
 
-    __slots__ = ("x", "y", "component")
+    __slots__ = ("x", "y")
 
-    def __init__(self, x, y, component):
-        self._assign(x, y, component)
-
-    @property
-    def ring(self):
-        return self.x.ring
+    def __init__(self, x, y):
+        self._assign(x, y)
 
     @property
     def ambient(self):
@@ -601,7 +598,7 @@ def generic_curvette(graph, recs, sigma=None, bound=None):
             w = u.mul_upto(w, cut)
         else:
             u, w = u.mul_upto(w, cut), u
-    return GenericCurvette(u, w, sigma)
+    return GenericCurvette(u, w)
 
 
 # --- value maps and intersection matrices from the recorded graph

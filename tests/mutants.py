@@ -1,4 +1,5 @@
-"""Mutation check: do the tests catch a broken fast path?
+"""Mutation check: do the tests catch a broken fast path, or code that
+no command reads?
 
 Each mutant is one textual edit of a source file, or of a check in
 tests/output_checks.py, with the test files that must catch it. The
@@ -34,6 +35,8 @@ ORACLE = "src/artifact/oracle.py"
 ORACLE_TESTS = ("tests/test_oracle.py", "tests/test_work_counts.py")
 RESOLUTION = "src/artifact/resolution.py"
 RESOLUTION_TESTS = ("tests/test_resolution.py", "tests/test_chart_states.py")
+POINCARE = "src/artifact/poincare.py"
+SURFACE_TESTS = ("tests/test_package_surface.py",)
 CHECKS = "tests/output_checks.py"
 CHECKS_TESTS = ("tests/test_poincare.py",)
 
@@ -125,6 +128,12 @@ MUTANTS = (
     ("any constant d skips the rescale", RESOLUTION,
      "powers = None if k is not None and sub.contains_num(k)",
      "powers = None if k is not None", RESOLUTION_TESTS, False),
+    ("an unread property NumericalData.g is re-added", POINCARE,
+     "                     N, ell, c, delta)\n",
+     "                     N, ell, c, delta)\n\n"
+     "    @property\n"
+     "    def g(self):\n"
+     "        return len(self.M_tau)\n", SURFACE_TESTS, False),
     ("the stable range starts at Delta + 1", CHECKS,
      "for v in range(Delta, n + 1):", "for v in range(Delta + 1, n + 1):",
      CHECKS_TESTS, False),

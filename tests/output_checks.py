@@ -185,9 +185,9 @@ def partial_series(nd, j):
     """Intermediate series with only the first j - 1 jump factors: j = 1
     gives the semigroup series, j = s + 1 the full filtration series. Each
     is exact even on partial data (the prefix is known)."""
-    if not 1 <= j <= nd.s + 1:
-        raise IndexOutOfRange(
-            "stage %d outside 1..%d" % (j, nd.s + 1))
+    s = len(nd.splitting)
+    if not 1 <= j <= s + 1:
+        raise IndexOutOfRange("stage %d outside 1..%d" % (j, s + 1))
     return classical_series(nd.replace(splitting=nd.splitting[:j - 1],
                                        partial=False))
 
@@ -201,11 +201,11 @@ def semigroup_series(nd):
 
 # --- symmetry and semigroup utilities ----------------------------------------
 
-def symmetry_check(expansion, Delta, ell_total):
-    """True when the coefficients pair up as a_v + a_{Delta-1-v} =
-    ell_total below Delta, stay at ell_total from Delta on, and the last
-    pre-stable coefficient sits strictly below ell_total."""
-    co = expansion.coeffs
+def symmetry_check(co, Delta, ell_total):
+    """True when the coefficients co of an expansion pair up as a_v +
+    a_{Delta-1-v} = ell_total below Delta, stay at ell_total from Delta
+    on, and the last pre-stable coefficient sits strictly below
+    ell_total."""
     n = len(co) - 1
     if n < Delta:
         raise TruncationTooShort(
@@ -304,8 +304,9 @@ class BinomialFactorization(Record):
         self._assign(factors, is_cyclotomic)
 
 
-def binomial_factorization(se, source=None):
-    """Peel the unique binomial powers (1 - t^m)^{s_m} out of an expansion.
+def binomial_factorization(coeffs, source=None):
+    """Peel the unique binomial powers (1 - t^m)^{s_m} out of the
+    coefficients of an expansion.
 
     The s_m for m up to the truncation order are recovered iteratively and
     are unique. Closure (cyclotomicity) is only certified when source, the
@@ -313,7 +314,7 @@ def binomial_factorization(se, source=None):
     truncation, and has no factor beyond the truncation order; otherwise
     TruncationInconclusive carries the peeled prefix in .factors.
     """
-    co = list(se.coeffs)
+    co = list(coeffs)
     if co[0] != 1:
         raise ValueError("factorization needs constant term 1")
     n = len(co) - 1

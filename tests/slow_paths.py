@@ -907,14 +907,13 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
                       [("extra_steps", 0), ("splitting_prefix", ()),
                        ("truncate", None)]),
     _reference_record("Analysis", ["doc", "graph", "recs", "nd", "series"]),
-    _reference_record("FiltrationReport", ["V", "dims", "mode"]),
+    _reference_record("FiltrationReport", ["dims"]),
     _reference_record("NumericalData", ["m_sigma", "M_sigma", "M_tau",
                                         "splitting"],
                       [("M_delta", None), ("partial", False)],
                       ["e", "N", "ell_total", "c_conductor", "Delta"],
                       _numerical_derived),
     _reference_record("SeriesProduct", ["factors"], [("partial", False)]),
-    _reference_record("SeriesExpansion", ["coeffs"], [("partial", False)]),
     _reference_record("InfNearRecord", ["center", "field_after",
                                         "host_components"],
                       [("chart", None)]),
@@ -924,7 +923,7 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
     _reference_record("QuotientGraph", ["vertices", "edges", "geodesic",
                                         "n_case3", "splittings", "terminal",
                                         "branch"]),
-    _reference_record("GenericCurvette", ["x", "y", "component"]),
+    _reference_record("GenericCurvette", ["x", "y"]),
     _reference_record("Subfield", ["field", "rows"], derived=["pivots"],
                       post_init=_subfield_derived),
 )}

@@ -438,7 +438,7 @@ def test_verify_reports_first_mismatch(tmp_path, capsys, monkeypatch):
         real = oracle.filtration_dims(branch, V)
         dims = list(real.dims)
         dims[5] += 1
-        return FiltrationReport(V=V, dims=tuple(dims), mode="curve")
+        return FiltrationReport(tuple(dims))
 
     monkeypatch.setattr(cli, "filtration_dims", shifted)
     code = cli.main(["verify", write_doc(tmp_path, CUSP),

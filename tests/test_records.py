@@ -17,11 +17,10 @@ import pytest
 
 from artifact import cli
 from artifact.errors import BadSemigroupData
-from artifact.exactfield import AlgNum
+from artifact.exactfield import AlgNum, AmbientField
 from artifact.oracle import (FiltrationReport, divisorial_filtration_dims,
                              filtration_dims)
-from artifact.poincare import (NumericalData, SeriesExpansion, SeriesProduct,
-                               expand)
+from artifact.poincare import NumericalData, SeriesProduct
 from artifact.ratfunc import PolyRing
 from artifact.record import Record
 from artifact.resolution import GENERIC, BranchParam, generic_curvette
@@ -37,14 +36,12 @@ def records_of(doc_id):
     doc = cli.parse_input(DOCS[doc_id])
     analysis = cli.build_analysis(doc)
     nd, series, graph = analysis.nd, analysis.series, analysis.graph
-    order = max(a for a, _s in series.factors)
-    se = expand(series, order)
     curvette = generic_curvette(graph, analysis.recs, bound=8)
     if nd.M_delta is None:
         report = filtration_dims(graph.branch, 8)
     else:
         report = divisorial_filtration_dims(curvette, 8)
-    return ([doc, analysis, nd, series, se, report, graph.terminal,
+    return ([doc, analysis, nd, series, report, graph.terminal,
              nd.replace(partial=True), graph.branch, graph, curvette,
              analysis.recs[-1].field_after]
             + list(analysis.recs) + list(graph.vertices))
@@ -153,8 +150,8 @@ def test_derived_properties_are_the_values_once_stored():
         assert analysis.n == (graph.n_case3 if doc.mode == "curve"
                               and graph.case == "III" else None)
         curvette = generic_curvette(graph, analysis.recs)
-        assert curvette.ring == PolyRing(branch.ambient, "c")
-        assert curvette.y.ring == curvette.ring
+        assert curvette.x.ring == curvette.y.ring == PolyRing(
+            branch.ambient, "c")
         assert curvette.ambient is branch.ambient
         for rec, vertex in zip(analysis.recs, graph.vertices):
             sub = rec.field_after
@@ -209,11 +206,12 @@ VALIDATION_ERRORS = [
      "invalid splitting entry"),
     (NumericalData, dict(NUMERICAL, M_delta=0), BadSemigroupData,
      "divisor value must be positive"),
-    (FiltrationReport, {"V": 1, "dims": (1, 1), "mode": "other"},
-     ValueError, "mode must be 'curve' or 'divisorial'"),
-    (FiltrationReport, {"V": 2, "dims": (1, 1), "mode": "curve"},
-     ValueError, "need one dimension per level 0..V"),
-    (FiltrationReport, {"V": 1, "dims": (1, -1), "mode": "divisorial"},
+    (BranchParam, {"ambient": AmbientField([0, 1]), "x_order": 0,
+                   "y_terms": ()}, ValueError, "x order must be positive"),
+    (BranchParam, {"ambient": AmbientField([0, 1]), "x_order": 2,
+                   "y_terms": ((0, 1),)}, ValueError,
+     "y exponents must be positive"),
+    (FiltrationReport, {"dims": (1, -1)},
      ValueError, "dimensions must be non-negative"),
     (SeriesProduct, {"factors": ((3, 1), (2, -1))}, ValueError,
      "factors must be normalized: ascending distinct exponents, nonzero "
@@ -221,8 +219,6 @@ VALIDATION_ERRORS = [
     (SeriesProduct, {"factors": ((2, 0),)}, ValueError,
      "factors must be normalized: ascending distinct exponents, nonzero "
      "powers"),
-    (SeriesExpansion, {"coeffs": ()}, ValueError,
-     "an expansion has at least the constant term"),
 ]
 
 

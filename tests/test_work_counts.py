@@ -74,8 +74,8 @@ def verify_work(entry, out_dir, monkeypatch):
         counts["stored"] += bool(out)
         return out
 
-    def counted_filtration(x, y, V, mode, field):
-        report = filtration(x, y, V, mode, field)
+    def counted_filtration(x, y, V, field):
+        report = filtration(x, y, V, field)
         counts["levels"] += len(report.dims)
         return report
 

@@ -372,7 +372,7 @@ def build_report(analysis, truncate):
         "series": {
             "factors": ordered_factors(analysis.series),
             "formula": formula_text(analysis.series),
-            "partial": analysis.series.partial,
+            "partial": nd.partial,
             "truncate": truncate,
             "expansion": list(expand(analysis.series, truncate)),
         },

@@ -302,77 +302,6 @@ class QuotientGraph(Record):
         return self._tagged("RUPTURE")
 
 
-def _geodesic_path(n_vertices, edges, start, goal):
-    adj = {i: [] for i in range(n_vertices)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = {start: None}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        if cur == goal:
-            break
-        for nb in sorted(adj[cur]):
-            if nb not in parent:
-                parent[nb] = cur
-                queue.append(nb)
-    if goal not in parent:
-        raise ArtifactError("vertex %d is not connected to vertex %d"
-                            % (goal, start))
-    path = [goal]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return list(reversed(path)), adj
-
-
-def _assign_tags(n, edges, splittings):
-    """Tag sets per vertex, derived from the finished tree shape."""
-    tags = [set() for _ in range(n)]
-    for j, (vid, _ell) in enumerate(splittings, start=1):
-        tags[vid].add(("SPLITTING", j))
-    geodesic, adj = _geodesic_path(n, edges, 0, n - 1)
-    geo_set = set(geodesic)
-    # every vertex a walk has entered; in a tree no walk enters one twice
-    # or comes back to the geodesic, so a cycle stops the walk
-    seen = set(geodesic)
-    chains = []
-    for gv in geodesic:
-        for nb in adj[gv]:
-            if nb in geo_set:
-                continue
-            walk = []
-            prev, cur = gv, nb
-            while True:
-                if cur in seen:
-                    raise ArtifactError("side branch at vertex %d is not a "
-                                        "chain" % gv)
-                seen.add(cur)
-                walk.append(cur)
-                nxt = [x for x in adj[cur] if x != prev]
-                if not nxt:
-                    break
-                if len(nxt) != 1:
-                    raise ArtifactError("side branch at vertex %d is not a "
-                                        "chain" % gv)
-                prev, cur = cur, nxt[0]
-            chains.append((gv, walk))
-    attach_points = [gv for gv, _ in chains]
-    if len(attach_points) != len(set(attach_points)):
-        raise ArtifactError("several dead-end chains at one vertex")
-    chains.sort(key=lambda c: geodesic.index(c[0]))
-    for i, (gv, walk) in enumerate(chains, start=1):
-        tags[gv].add(("RUPTURE", i))
-        tags[walk[-1]].add(("DEAD_END", i))
-    tags[0].add(("INITIAL",))
-    tags[0].add(("DEAD_END", 0))
-    tags[n - 1].add(("DELTA",))
-    for t in tags:
-        if not t:
-            t.add(("PLAIN",))
-    return tags, geodesic
-
-
 def _default_cap(p, extra_steps):
     top = p.y_terms[-1][0] if p.y_terms else p.x_order
     return 50 + 10 * (p.x_order + top + p.ambient.degree) + extra_steps
@@ -383,30 +312,94 @@ def _graph_of(records, n_case3, terminal, branch):
 
     Point k creates component k with self-intersection -1; each component
     hosting point k loses one more and gains an edge to k, and a point on
-    two components separates them. A splitting (k - 1, ell) sits where
-    point k is the first with a larger subfield, of degree ell over the
-    subfield of point k - 1.
+    two components separates them. So the graph is a tree: each new
+    component attaches to its hosts, and a satellite point replaces the
+    edge between its two hosts. The geodesic from 0 to n - 1 is the one
+    path between them, and no neighbour order is needed to find it. A
+    splitting (k - 1, ell) sits where point k is the first with a larger
+    subfield, of degree ell over the subfield of point k - 1.
     """
     n = len(records)
     selfints = [-1] * n
-    edges = set()
+    adj = [[] for _ in range(n)]
     splittings = []
     for k, rec in enumerate(records):
         hosts = rec.host_components
         for h in hosts:
             selfints[h] -= 1
-            edges.add((h, k))
+            adj[h].append(k)
+            adj[k].append(h)
         if len(hosts) == 2:
-            edges.discard(tuple(sorted(hosts)))
+            a, b = hosts
+            adj[a].remove(b)
+            adj[b].remove(a)
         before = records[k - 1].field_after if k else rec.field_after
         if rec.field_after is not before:
             splittings.append((k - 1, rel_degree(before, rec.field_after)))
-    tags, geodesic = _assign_tags(n, edges, splittings)
-    vertices = [Vertex(id=k, tags=frozenset(tags[k]), self_int=selfints[k],
-                       field_dim=rec.field_after.dim)
+    geodesic, chains = _geodesic_and_chains(adj)
+    tags = [set() for _ in range(n)]
+    for j, (vid, _ell) in enumerate(splittings, start=1):
+        tags[vid].add(("SPLITTING", j))
+    for i, (gv, leaf) in enumerate(chains, start=1):
+        tags[gv].add(("RUPTURE", i))
+        tags[leaf].add(("DEAD_END", i))
+    tags[0].update({("INITIAL",), ("DEAD_END", 0)})
+    tags[n - 1].add(("DELTA",))
+    vertices = [Vertex(id=k, tags=frozenset(tags[k] or {("PLAIN",)}),
+                       self_int=selfints[k], field_dim=rec.field_after.dim)
                 for k, rec in enumerate(records)]
+    edges = [(a, b) for a, nbs in enumerate(adj) for b in nbs if a < b]
     return QuotientGraph(vertices, edges, geodesic, n_case3, splittings,
                          terminal, branch)
+
+
+def _geodesic_and_chains(adj):
+    """The geodesic from vertex 0 to the last vertex of the tree given by
+    its adjacency lists, and the side chains in geodesic order, each as
+    (the geodesic vertex it leaves, its far end).
+
+    A walk from 0 sets parent links, breadth first, so that on an input
+    with a cycle the geodesic is a shortest path and a cycle it reaches
+    stops a side walk.
+    """
+    last = len(adj) - 1
+    parent = [None] * len(adj)
+    parent[0] = 0
+    order = [0]
+    for cur in order:   # also visits the vertices appended on the way
+        for nb in adj[cur]:
+            if parent[nb] is None:
+                parent[nb] = cur
+                order.append(nb)
+    if parent[last] is None:
+        raise ArtifactError("vertex %d is not connected to vertex 0" % last)
+    geodesic = [last]
+    while geodesic[-1]:
+        geodesic.append(parent[geodesic[-1]])
+    geodesic.reverse()
+    on_path = set(geodesic)
+    # every vertex a walk has entered; in a tree no walk enters one twice
+    # or comes back to the geodesic
+    seen = set(geodesic)
+    chains = []
+    for gv in geodesic:
+        for nb in adj[gv]:
+            if nb in on_path:
+                continue
+            if chains and chains[-1][0] == gv:
+                raise ArtifactError("several dead-end chains at one vertex")
+            prev, cur = gv, nb
+            while True:
+                nxt = [x for x in adj[cur] if x != prev]
+                if cur in seen or len(nxt) > 1:
+                    raise ArtifactError("side branch at vertex %d is not a "
+                                        "chain" % gv)
+                seen.add(cur)
+                if not nxt:
+                    break
+                prev, cur = cur, nxt[0]
+            chains.append((gv, cur))
+    return geodesic, chains
 
 
 def resolve(p, extra_steps=0):

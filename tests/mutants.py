@@ -35,6 +35,7 @@ ORACLE = "src/artifact/oracle.py"
 ORACLE_TESTS = ("tests/test_oracle.py", "tests/test_work_counts.py")
 RESOLUTION = "src/artifact/resolution.py"
 RESOLUTION_TESTS = ("tests/test_resolution.py", "tests/test_chart_states.py")
+GRAPH_TESTS = ("tests/test_resolution.py",)
 POINCARE = "src/artifact/poincare.py"
 SURFACE_TESTS = ("tests/test_package_surface.py",)
 CHECKS = "tests/output_checks.py"
@@ -128,6 +129,17 @@ MUTANTS = (
     ("any constant d skips the rescale", RESOLUTION,
      "powers = None if k is not None and sub.contains_num(k)",
      "powers = None if k is not None", RESOLUTION_TESTS, False),
+    ("a satellite point's two hosts keep their edge", RESOLUTION,
+     "            adj[a].remove(b)\n            adj[b].remove(a)\n",
+     "            pass\n", GRAPH_TESTS, False),
+    ("ruptures are numbered from the far end of the geodesic", RESOLUTION,
+     "enumerate(chains, start=1)", "enumerate(reversed(chains), start=1)",
+     GRAPH_TESTS, False),
+    ("a second dead-end chain at one vertex is accepted", RESOLUTION,
+     "if chains and chains[-1][0] == gv:", "if False:", GRAPH_TESTS,
+     False),
+    ("the geodesic is read from n - 1 to 0", RESOLUTION,
+     "    geodesic.reverse()\n", "", GRAPH_TESTS, False),
     ("an unread property NumericalData.g is re-added", POINCARE,
      "                     N, ell, c, delta)\n",
      "                     N, ell, c, delta)\n\n"

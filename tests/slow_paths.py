@@ -35,7 +35,12 @@ reads them off its shift and tail), and the sum and difference of two
 Polys one index at a time through Poly.coeff (the runtime walks the two
 tails and skips zero terms). The resolution with one blow-up per chart
 step is here too (the runtime takes a chart-A row at center 0 as one
-division where no point inside it can stop the run).
+division where no point inside it can stop the run), and it reads its
+graph with the earlier builder: a breadth-first search over sorted
+neighbours for the geodesic, the attach points of the side chains
+checked and the chains sorted after every walk (the runtime walks
+adjacency lists once from vertex 0 and reads the geodesic back along
+the parent links).
 So is the division of RatFuncs by cross-multiplication, whose product
 denominator is rescaled by the inverse of its lowest coefficient (the
 runtime multiplies by the divisor's kept reciprocal), and the resolution's
@@ -75,7 +80,7 @@ from artifact.errors import (
     ReduciblePolynomial,
     ResolutionStuck,
 )
-from artifact.exactfield import AlgNum, Subfield, span_close
+from artifact.exactfield import AlgNum, Subfield, rel_degree, span_close
 from artifact.linalg import SparseRowSpace
 from artifact.ratfunc import INFINITY, FractionField, Poly, RatFunc
 from artifact.resolution import (
@@ -83,10 +88,11 @@ from artifact.resolution import (
     GENERIC,
     BranchParam,
     InfNearRecord,
+    QuotientGraph,
+    Vertex,
     _chart_step,
     _constant,
     _default_cap,
-    _graph_of,
     _landing_info,
     _shift,
     coordinates,
@@ -392,6 +398,111 @@ def blow_up_once(p):
     return center, _state_to_param(u2, w2, p.ambient), mult
 
 
+def _geodesic_path(n_vertices, edges, start, goal):
+    adj = {i: [] for i in range(n_vertices)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = {start: None}
+    queue = [start]
+    while queue:
+        cur = queue.pop(0)
+        if cur == goal:
+            break
+        for nb in sorted(adj[cur]):
+            if nb not in parent:
+                parent[nb] = cur
+                queue.append(nb)
+    if goal not in parent:
+        raise ArtifactError("vertex %d is not connected to vertex %d"
+                            % (goal, start))
+    path = [goal]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return list(reversed(path)), adj
+
+
+def _assign_tags(n, edges, splittings):
+    """Tag sets per vertex, derived from the finished tree shape."""
+    tags = [set() for _ in range(n)]
+    for j, (vid, _ell) in enumerate(splittings, start=1):
+        tags[vid].add(("SPLITTING", j))
+    geodesic, adj = _geodesic_path(n, edges, 0, n - 1)
+    geo_set = set(geodesic)
+    # every vertex a walk has entered; in a tree no walk enters one twice
+    # or comes back to the geodesic, so a cycle stops the walk
+    seen = set(geodesic)
+    chains = []
+    for gv in geodesic:
+        for nb in adj[gv]:
+            if nb in geo_set:
+                continue
+            walk = []
+            prev, cur = gv, nb
+            while True:
+                if cur in seen:
+                    raise ArtifactError("side branch at vertex %d is not a "
+                                        "chain" % gv)
+                seen.add(cur)
+                walk.append(cur)
+                nxt = [x for x in adj[cur] if x != prev]
+                if not nxt:
+                    break
+                if len(nxt) != 1:
+                    raise ArtifactError("side branch at vertex %d is not a "
+                                        "chain" % gv)
+                prev, cur = cur, nxt[0]
+            chains.append((gv, walk))
+    attach_points = [gv for gv, _ in chains]
+    if len(attach_points) != len(set(attach_points)):
+        raise ArtifactError("several dead-end chains at one vertex")
+    chains.sort(key=lambda c: geodesic.index(c[0]))
+    for i, (gv, walk) in enumerate(chains, start=1):
+        tags[gv].add(("RUPTURE", i))
+        tags[walk[-1]].add(("DEAD_END", i))
+    tags[0].add(("INITIAL",))
+    tags[0].add(("DEAD_END", 0))
+    tags[n - 1].add(("DELTA",))
+    for t in tags:
+        if not t:
+            t.add(("PLAIN",))
+    return tags, geodesic
+
+
+def reference_graph_of(records, n_case3, terminal, branch):
+    """resolution._graph_of with a breadth-first search over sorted
+    neighbours for the geodesic, a check of the attach points after every
+    side walk and a sort of the chains by geodesic position: the quotient
+    graph, its shape read off the records.
+
+    Point k creates component k with self-intersection -1; each component
+    hosting point k loses one more and gains an edge to k, and a point on
+    two components separates them. A splitting (k - 1, ell) sits where
+    point k is the first with a larger subfield, of degree ell over the
+    subfield of point k - 1.
+    """
+    n = len(records)
+    selfints = [-1] * n
+    edges = set()
+    splittings = []
+    for k, rec in enumerate(records):
+        hosts = rec.host_components
+        for h in hosts:
+            selfints[h] -= 1
+            edges.add((h, k))
+        if len(hosts) == 2:
+            edges.discard(tuple(sorted(hosts)))
+        before = records[k - 1].field_after if k else rec.field_after
+        if rec.field_after is not before:
+            splittings.append((k - 1, rel_degree(before, rec.field_after)))
+    tags, geodesic = _assign_tags(n, edges, splittings)
+    vertices = [Vertex(id=k, tags=frozenset(tags[k]), self_int=selfints[k],
+                       field_dim=rec.field_after.dim)
+                for k, rec in enumerate(records)]
+    return QuotientGraph(vertices, edges, geodesic, n_case3, splittings,
+                         terminal, branch)
+
+
 def reference_resolve(p, extra_steps=0):
     """resolution.resolve one blow-up per chart step, with the stop test
     reference_tail_ok asked at every point that can stop the run: resolve
@@ -436,7 +547,7 @@ def reference_resolve(p, extra_steps=0):
     else:
         raise ResolutionStuck(
             "no stable point within %d blow-ups" % max_steps)
-    return _graph_of(records, case3_n, terminal, p), records
+    return reference_graph_of(records, case3_n, terminal, p), records
 
 
 def _state_to_param(u, w, ambient):

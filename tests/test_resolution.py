@@ -5,6 +5,7 @@ replaying the blow-up charts by hand on the exact states; the comments next
 to each fixture say what the branch is, the asserts freeze the replay.
 """
 
+import random
 import sys
 from fractions import Fraction
 from math import gcd
@@ -23,8 +24,8 @@ from artifact.exactfield import AlgNum, AmbientField, Subfield
 from artifact.ratfunc import INFINITY, FractionField, Poly, PolyRing, RatFunc
 from artifact.resolution import (
     AT_INFINITY,
-    _assign_tags,
-    _geodesic_path,
+    QuotientGraph,
+    _geodesic_and_chains,
     _shift,
     _tail_ok,
     GENERIC,
@@ -37,7 +38,7 @@ from artifact.resolution import (
     resolve,
 )
 
-from test_chart_states import WORKLOADS, run_to_end
+from test_chart_states import FIELDS, WORKLOADS, random_branch, run_to_end
 from test_exit_codes import time_limit
 
 from slow_paths import (
@@ -51,6 +52,7 @@ from slow_paths import (
     intersection_matrix,
     is_negative_definite,
     proximity_check,
+    reference_graph_of,
     reference_tail_ok,
     strict_mults,
 )
@@ -374,12 +376,21 @@ def test_resolve_step_cap(monkeypatch):
         resolve(cusp())
 
 
+def adjacency(n, edges):
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 def test_assign_tags_rejects_trees_of_no_branch():
     # a side branch that forks, then two dead-end chains at one vertex
     with pytest.raises(ArtifactError, match="not a chain"):
-        _assign_tags(6, {(0, 1), (1, 5), (1, 2), (2, 3), (2, 4)}, [])
+        _geodesic_and_chains(adjacency(
+            6, {(0, 1), (1, 5), (1, 2), (2, 3), (2, 4)}))
     with pytest.raises(ArtifactError, match="several dead-end chains"):
-        _assign_tags(5, {(0, 1), (1, 4), (1, 2), (1, 3)}, [])
+        _geodesic_and_chains(adjacency(5, {(0, 1), (1, 4), (1, 2), (1, 3)}))
 
 
 # Edge sets that are no tree: one cycle through every vertex, a cycle cut
@@ -393,18 +404,57 @@ NOT_TREES = {
 
 @pytest.mark.parametrize("name", sorted(NOT_TREES))
 def test_tags_and_geodesic_refuse_edge_sets_of_no_tree(name):
-    """Both helpers end in ArtifactError, not in a KeyError or an endless
-    walk; the cycle through every vertex has a geodesic, 0-3, and its
-    side walk comes back to vertex 0."""
+    """The walk ends in ArtifactError, not in a KeyError or an endless
+    loop: the cycle through every vertex has a geodesic, 0-3, and its
+    side walk comes back to vertex 0; the other two never reach the last
+    vertex."""
     n, edges = NOT_TREES[name]
     with time_limit(5, sorted(edges)):
-        with pytest.raises(ArtifactError, match="not a chain|not connected"):
-            _assign_tags(n, edges, [])
         if name == "cycle":
-            assert _geodesic_path(n, edges, 0, n - 1)[0] == [0, 3]
+            with pytest.raises(ArtifactError,
+                               match="side branch at vertex 0 is not a "
+                                     "chain"):
+                _geodesic_and_chains(adjacency(n, edges))
         else:
-            with pytest.raises(ArtifactError, match="not connected"):
-                _geodesic_path(n, edges, 0, n - 1)
+            with pytest.raises(ArtifactError,
+                               match="vertex %d is not connected to vertex 0"
+                                     % (n - 1)):
+                _geodesic_and_chains(adjacency(n, edges))
+
+
+def test_graph_equals_the_sorted_search_reference(monkeypatch):
+    """On the records of every resolve call of the four workloads at seed
+    1, and of 400 seeded random branches over six fields at extra_steps 0
+    and 2, the graph read off in one walk over adjacency lists has every
+    field equal to the one the breadth-first search over sorted
+    neighbours gives. Graphs with two or more ruptures and case III
+    graphs are among them."""
+    runs = []
+
+    def recorded(p, extra_steps=0):
+        runs.append(resolve(p, extra_steps=extra_steps))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "resolve", recorded)
+    for workload in sorted(WORKLOADS.GENERATORS):
+        for item in WORKLOADS.generate(workload, 1):
+            run_to_end(lambda: cli.build_analysis(
+                cli.parse_input(item["doc"])))
+    monkeypatch.undo()
+    assert len(runs) >= 60
+    rng = random.Random(20261021)
+    for k in range(400):
+        p = random_branch(rng, AmbientField(FIELDS[sorted(FIELDS)[k % 6]]))
+        for extra in (0, 2):
+            run_to_end(lambda: runs.append(resolve(p, extra_steps=extra)))
+    for graph, recs in runs:
+        want = reference_graph_of(recs, graph.n_case3, graph.terminal,
+                                  graph.branch)
+        for name in QuotientGraph.__slots__:
+            assert getattr(graph, name) == getattr(want, name), (name, recs)
+    assert len(runs) >= 680
+    assert sum(len(graph.ruptures()) >= 2 for graph, _ in runs) >= 20
+    assert sum(graph.case == "III" for graph, _ in runs) >= 100
 
 
 # --- strict multiplicities and intersection numbers

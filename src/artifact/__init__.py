@@ -26,7 +26,6 @@ from .poincare import (
     case_II_data,
     char_invariants,
     classical_series,
-    divisorial_series,
     expand,
     numerical_data,
     value_maps,
@@ -61,7 +60,6 @@ __all__ = [
     "char_invariants",
     "classical_series",
     "divisorial_filtration_dims",
-    "divisorial_series",
     "errors",
     "expand",
     "filtration_dims",

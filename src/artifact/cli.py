@@ -35,8 +35,8 @@ from fractions import Fraction
 from .errors import ArtifactError, FormulaMismatch, ParseFailure
 from .exactfield import AmbientField
 from .oracle import divisorial_filtration_dims, filtration_dims
-from .poincare import (case_II_data, classical_series, divisorial_series,
-                       expand, numerical_data, value_maps)
+from .poincare import (case_II_data, classical_series, expand,
+                       numerical_data, value_maps)
 from .record import Record
 from .resolution import GENERIC, BranchParam, generic_curvette, resolve
 
@@ -231,13 +231,14 @@ class Analysis(Record):
     build_analysis picks the valuation; the commands read it from here: nd
     carries M_delta for a divisorial valuation, nd.partial marks an abstract
     splitting stream, and n is set for a curve-mode generic marker: the
-    valuation is n times the divisorial one of the reduced family.
+    valuation is n times the divisorial one of the reduced family. The
+    series is classical_series(nd), built where a command reads it.
     """
 
-    __slots__ = ("doc", "graph", "recs", "nd", "series")
+    __slots__ = ("doc", "graph", "recs", "nd")
 
-    def __init__(self, doc, graph, recs, nd, series):
-        self._assign(doc, graph, recs, nd, series)
+    def __init__(self, doc, graph, recs, nd):
+        self._assign(doc, graph, recs, nd)
 
     @property
     def n(self):
@@ -245,7 +246,9 @@ class Analysis(Record):
 
 
 def build_analysis(doc):
-    """Run resolution and assemble invariants and series for the mode."""
+    """Run resolution and assemble the numerical data for the mode: the
+    divisorial valuation for mode divisorial and for a curve-mode generic
+    marker (case III), the curve valuation otherwise."""
     field = AmbientField(doc.min_poly)
     terms = []
     for exp, coeff in doc.y_terms:
@@ -255,16 +258,12 @@ def build_analysis(doc):
             terms.append((exp, field.element(coeff)))
     graph, recs = resolve(BranchParam(field, doc.x_order, terms),
                           extra_steps=doc.extra_steps)
-    if doc.mode == "divisorial" or (doc.mode == "curve"
-                                    and graph.case == "III"):
-        nd = numerical_data(graph, recs, mode="divisorial")
-        series = divisorial_series(nd)
-    else:
-        nd = numerical_data(graph, recs)
-        if doc.mode == "case2":
-            nd = case_II_data(nd, doc.splitting_prefix)
-        series = classical_series(nd)
-    return Analysis(doc=doc, graph=graph, recs=recs, nd=nd, series=series)
+    divisorial = doc.mode == "divisorial" or (doc.mode == "curve"
+                                              and graph.case == "III")
+    nd = numerical_data(graph, recs, "divisorial" if divisorial else "curve")
+    if doc.mode == "case2":
+        nd = case_II_data(nd, doc.splitting_prefix)
+    return Analysis(doc=doc, graph=graph, recs=recs, nd=nd)
 
 
 def default_truncate(analysis):
@@ -340,6 +339,7 @@ def build_report(analysis, truncate):
     graph = analysis.graph
     m_map, M_map = value_maps(graph, analysis.recs)
     nd = analysis.nd
+    series = classical_series(nd)
     return {
         "case": graph.case,
         "mode": analysis.doc.mode,
@@ -370,11 +370,11 @@ def build_report(analysis, truncate):
             "M_delta": nd.M_delta,
         },
         "series": {
-            "factors": ordered_factors(analysis.series),
-            "formula": formula_text(analysis.series),
+            "factors": ordered_factors(series),
+            "formula": formula_text(series),
             "partial": nd.partial,
             "truncate": truncate,
-            "expansion": list(expand(analysis.series, truncate)),
+            "expansion": list(expand(series, truncate)),
         },
         "verification": None,
     }
@@ -442,12 +442,13 @@ def render_dot(report):
 def run_verification(analysis, max_order):
     """Differential test of the series against the brute-force oracle.
 
-    Compares the expansion of the mode's series with the oracle's filtration
-    dimensions for v <= max_order and reports the first disagreeing level,
-    if any. Concrete curve branches and divisorial targets (including the
-    reduced graph of a generic family) can be verified; partial splitting
-    streams have no complete formula to compare, and a curve-mode generic
-    marker should be verified through its divisorial reduction.
+    Compares the expansion of classical_series(nd) with the oracle's
+    filtration dimensions for v <= max_order and reports the first
+    disagreeing level, if any. Concrete curve branches and divisorial
+    targets (including the reduced graph of a generic family) can be
+    verified; partial splitting streams have no complete formula to
+    compare, and a curve-mode generic marker should be verified through
+    its divisorial reduction.
     """
     if analysis.nd.partial:
         raise ValueError("cannot verify a partial splitting stream: the "
@@ -455,7 +456,7 @@ def run_verification(analysis, max_order):
     if analysis.n is not None:
         raise ValueError("cannot verify a generic-marker branch; verify the "
                          "divisorial target of its reduced family instead")
-    expected = expand(analysis.series, max_order)
+    expected = expand(classical_series(analysis.nd), max_order)
     if analysis.nd.M_delta is not None:
         gc = generic_curvette(analysis.graph, analysis.recs,
                               bound=max_order)

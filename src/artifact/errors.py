@@ -41,10 +41,6 @@ class BadSemigroupData(ArtifactError):
     """Characteristic gcd sequence does not end at 1."""
 
 
-class MissingDelta(ArtifactError):
-    """Divisorial series requested without a marked divisor value."""
-
-
 class ResolutionStuck(ArtifactError):
     """Blow-up loop exceeded its safety cap without reaching a stop point."""
 

@@ -93,8 +93,6 @@ class AmbientField:
 
     def __init__(self, min_poly):
         coeffs = [Fraction(a) for a in min_poly]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
         if len(coeffs) < 2:
             raise ValueError("defining polynomial must have degree >= 1")
         if coeffs[-1] != 1:

@@ -19,18 +19,18 @@ values at the dead ends, ruptures, jumps and last component, and derives the
 gcd tower e, N, the product ell_total, the conductor c and the
 stabilization order Delta from them itself.
 
-From these it assembles two series as exact products of binomials
-(1 - t^a)^s: the dimension series of the valuation filtration on the local
-ring, which is the characteristic series of the rational semigroup of
-values times one factor per field jump, and the analogue for the
-divisorial valuation of the last component. expand turns a product into
-its first coefficients, a plain tuple of integers, by an exact integer
-computation; the product keeps the partial flag.
+From these classical_series assembles the classical series of the
+valuation as an exact product of binomials (1 - t^a)^s: the
+characteristic series of the rational semigroup of values, times
+1 / (1 - t^M_delta) for the divisorial valuation of the last component,
+times one factor per field jump. expand turns a product into its first
+coefficients, a plain tuple of integers, by an exact integer computation;
+whether they truncate an infinite product is the data's partial flag.
 """
 
 from math import gcd
 
-from .errors import BadSemigroupData, MissingDelta
+from .errors import BadSemigroupData
 from .record import Record
 from . import resolution as _res
 
@@ -221,14 +221,12 @@ def case_II_data(nd, prefix):
 class SeriesProduct(Record):
     """Finite product of binomials (1 - t^a)^s, normalized: exponents a
     ascending and pairwise distinct, powers s nonzero. The empty product is
-    the constant series 1. partial marks a truncation of an infinite
-    product (its expansion is only trusted below the first missing
-    factor)."""
+    the constant series 1."""
 
-    __slots__ = ("factors", "partial")
+    __slots__ = ("factors",)
 
-    def __init__(self, factors, partial=False):
-        self._assign(factors, partial)
+    def __init__(self, factors):
+        self._assign(factors)
         last = 0
         for a, s in factors:
             if a <= last or s == 0:
@@ -237,7 +235,7 @@ class SeriesProduct(Record):
             last = a
 
     @staticmethod
-    def of(pairs, partial=False):
+    def of(pairs):
         acc = {}
         for a, s in pairs:
             a = int(a)
@@ -246,44 +244,26 @@ class SeriesProduct(Record):
                 raise ValueError("binomial exponent must be positive")
             acc[a] = acc.get(a, 0) + s
         factors = tuple(sorted((a, s) for a, s in acc.items() if s))
-        return SeriesProduct(factors, partial)
-
-
-def _semigroup_pairs(nd):
-    return ([(M, 1) for M in nd.M_tau] + [(M, -1) for M in nd.M_sigma])
-
-
-def _splitting_pairs(splitting):
-    pairs = []
-    for M_rho, ell in splitting:
-        pairs.append((ell * M_rho, 1))
-        pairs.append((M_rho, -1))
-    return pairs
+        return SeriesProduct(factors)
 
 
 def classical_series(nd):
-    """Dimension series of the valuation filtration: the semigroup series
-    times one factor (1 - t^{ell M_rho}) / (1 - t^{M_rho}) per field
-    jump."""
-    return SeriesProduct.of(_semigroup_pairs(nd)
-                            + _splitting_pairs(nd.splitting),
-                            partial=nd.partial)
-
-
-def divisorial_series(nd):
-    """Dimension series for the divisorial valuation of the last component:
-    the semigroup series times 1 / (1 - t^{M_delta}) times the jump
-    factors."""
-    if nd.M_delta is None:
-        raise MissingDelta("numerical data carries no divisor value")
-    return SeriesProduct.of(_semigroup_pairs(nd) + [(nd.M_delta, -1)]
-                            + _splitting_pairs(nd.splitting),
-                            partial=nd.partial)
+    """Classical series of the valuation: the semigroup series
+    (1 - t^{M_tau_i}) / (1 - t^{M_sigma_i}), times 1 / (1 - t^{M_delta})
+    when nd is divisorial data, times one factor
+    (1 - t^{ell M_rho}) / (1 - t^{M_rho}) per field jump."""
+    pairs = [(M, 1) for M in nd.M_tau] + [(M, -1) for M in nd.M_sigma]
+    if nd.M_delta is not None:
+        pairs.append((nd.M_delta, -1))
+    for M_rho, ell in nd.splitting:
+        pairs += [(ell * M_rho, 1), (M_rho, -1)]
+    return SeriesProduct.of(pairs)
 
 
 def expand(sp, order):
     """The exact integer coefficients a_0..a_order of the product, as a
-    tuple; whether they truncate an infinite product is sp.partial."""
+    tuple; whether they truncate an infinite product is nd.partial of the
+    data the product was built from."""
     if order < 0:
         raise ValueError("expansion order must be non-negative")
     co = [0] * (order + 1)

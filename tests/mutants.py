@@ -37,6 +37,7 @@ RESOLUTION = "src/artifact/resolution.py"
 RESOLUTION_TESTS = ("tests/test_resolution.py", "tests/test_chart_states.py")
 GRAPH_TESTS = ("tests/test_resolution.py",)
 POINCARE = "src/artifact/poincare.py"
+POINCARE_TESTS = ("tests/test_poincare.py",)
 SURFACE_TESTS = ("tests/test_package_surface.py",)
 CHECKS = "tests/output_checks.py"
 CHECKS_TESTS = ("tests/test_poincare.py",)
@@ -140,6 +141,16 @@ MUTANTS = (
      False),
     ("the geodesic is read from n - 1 to 0", RESOLUTION,
      "    geodesic.reverse()\n", "", GRAPH_TESTS, False),
+    ("the M_delta factor is skipped", POINCARE,
+     "    if nd.M_delta is not None:\n        pairs.append",
+     "    if False:\n        pairs.append", POINCARE_TESTS, False),
+    ("the M_delta factor is added to curve data too", POINCARE,
+     "    if nd.M_delta is not None:\n        pairs.append",
+     "    if nd.M_delta is None:\n        pairs.append", POINCARE_TESTS,
+     False),
+    ("the jump factor's powers change sign", POINCARE,
+     "pairs += [(ell * M_rho, 1), (M_rho, -1)]",
+     "pairs += [(ell * M_rho, -1), (M_rho, 1)]", POINCARE_TESTS, False),
     ("an unread property NumericalData.g is re-added", POINCARE,
      "                     N, ell, c, delta)\n",
      "                     N, ell, c, delta)\n\n"

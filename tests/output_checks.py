@@ -181,15 +181,22 @@ def observed_semigroup(branch, V):
 
 # --- partial-stage series ----------------------------------------------------
 
-def partial_series(nd, j):
-    """Intermediate series with only the first j - 1 jump factors: j = 1
-    gives the semigroup series, j = s + 1 the full filtration series. Each
-    is exact even on partial data (the prefix is known)."""
+def stage_data(nd, j):
+    """The data of stage j: nd with only its first j - 1 jumps and no
+    divisor value, flagged complete (the prefix is known even on partial
+    data)."""
     s = len(nd.splitting)
     if not 1 <= j <= s + 1:
         raise IndexOutOfRange("stage %d outside 1..%d" % (j, s + 1))
-    return classical_series(nd.replace(splitting=nd.splitting[:j - 1],
-                                       partial=False))
+    return nd.replace(splitting=nd.splitting[:j - 1], M_delta=None,
+                      partial=False)
+
+
+def partial_series(nd, j):
+    """Intermediate series with only the first j - 1 jump factors: j = 1
+    gives the semigroup series, j = s + 1 the full filtration series of
+    the curve valuation. Each is exact even on partial data."""
+    return classical_series(stage_data(nd, j))
 
 
 def semigroup_series(nd):
@@ -310,9 +317,10 @@ def binomial_factorization(coeffs, source=None):
 
     The s_m for m up to the truncation order are recovered iteratively and
     are unique. Closure (cyclotomicity) is only certified when source, the
-    product the expansion came from, is supplied, is not a partial-product
-    truncation, and has no factor beyond the truncation order; otherwise
-    TruncationInconclusive carries the peeled prefix in .factors.
+    NumericalData whose classical series the expansion came from, is
+    supplied, is not flagged partial, and its series has no factor beyond
+    the truncation order; otherwise TruncationInconclusive carries the
+    peeled prefix in .factors.
     """
     co = list(coeffs)
     if co[0] != 1:
@@ -332,10 +340,11 @@ def binomial_factorization(coeffs, source=None):
         raise TruncationInconclusive(
             "source is a truncation of an infinite product; closure cannot "
             "be read off %d terms" % (n + 1), factors=factors)
-    if any(a > n for a, _s in source.factors):
+    claimed = classical_series(source).factors
+    if any(a > n for a, _s in claimed):
         raise TruncationInconclusive(
             "source has a factor beyond the expansion order %d" % n,
             factors=factors)
-    if factors != source.factors:
+    if factors != claimed:
         raise ValueError("expansion does not match the claimed source")
     return BinomialFactorization(factors, True)

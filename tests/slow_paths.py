@@ -1017,14 +1017,14 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
                                    "mode"],
                       [("extra_steps", 0), ("splitting_prefix", ()),
                        ("truncate", None)]),
-    _reference_record("Analysis", ["doc", "graph", "recs", "nd", "series"]),
+    _reference_record("Analysis", ["doc", "graph", "recs", "nd"]),
     _reference_record("FiltrationReport", ["dims"]),
     _reference_record("NumericalData", ["m_sigma", "M_sigma", "M_tau",
                                         "splitting"],
                       [("M_delta", None), ("partial", False)],
                       ["e", "N", "ell_total", "c_conductor", "Delta"],
                       _numerical_derived),
-    _reference_record("SeriesProduct", ["factors"], [("partial", False)]),
+    _reference_record("SeriesProduct", ["factors"]),
     _reference_record("InfNearRecord", ["center", "field_after",
                                         "host_components"],
                       [("chart", None)]),

@@ -26,7 +26,6 @@ from artifact import (
     case_II_data,
     classical_series,
     divisorial_filtration_dims,
-    divisorial_series,
     expand,
     filtration_dims,
     generic_curvette,
@@ -45,8 +44,8 @@ from output_checks import (
     membership,
     minimal_generator_check,
     observed_semigroup,
-    partial_series,
     semigroup_series,
+    stage_data,
     symmetry_check,
     value_of,
 )
@@ -151,7 +150,7 @@ def test_criterion_01_rational_branches_series_equal_oracle():
         _graph, _recs, nd = _curve_data(p)
         classical = classical_series(nd)
         assert classical.factors == semigroup_series(nd).factors
-        assert not classical.partial
+        assert not nd.partial
         se = expand(classical, 30)
         assert set(se) <= {0, 1}
         assert filtration_dims(p, 30).dims == se
@@ -250,7 +249,7 @@ def test_criterion_07_divisorial_targets_equal_oracle():
     for name, p, extra in DIVISORIAL_TARGETS:
         graph, recs = resolve(p, extra_steps=extra)
         nd = numerical_data(graph, recs, "divisorial")
-        se = expand(divisorial_series(nd), 30)
+        se = expand(classical_series(nd), 30)
         gc = generic_curvette(graph, recs)
         assert divisorial_filtration_dims(gc, 30).dims == se, name
         if name.startswith("past_splitting"):
@@ -328,33 +327,33 @@ def test_criterion_09_conjugation_invariance():
 
 
 def test_criterion_10_binomial_factorization_round_trips():
-    products = []
+    sources = []
     for _name, p in CORPUS:
         _graph, _recs, nd = _curve_data(p)
-        products.append(semigroup_series(nd))
-        products.append(classical_series(nd))
+        sources.append(stage_data(nd, 1))
+        sources.append(nd)
         for j in range(1, len(nd.splitting) + 2):
-            products.append(partial_series(nd, j))
+            sources.append(stage_data(nd, j))
     for _name, p, extra in DIVISORIAL_TARGETS:
         graph, recs = resolve(p, extra_steps=extra)
-        products.append(divisorial_series(numerical_data(graph, recs,
-                                                         "divisorial")))
-    for sp in products:
+        sources.append(numerical_data(graph, recs, "divisorial"))
+    for nd in sources:
+        sp = classical_series(nd)
         order = max((a for a, _s in sp.factors), default=1)
-        bf = binomial_factorization(expand(sp, order), source=sp)
+        bf = binomial_factorization(expand(sp, order), source=nd)
         assert bf.is_cyclotomic is True
         assert bf.factors == sp.factors
 
     _graph, _recs, nd = _curve_data(BranchParam(Q, 2, [(3, 1)]))
     stream = case_II_data(nd, [(7, 2), (11, 2), (13, 2), (17, 2), (19, 2)])
-    sp = classical_series(stream)
-    assert sp.partial
+    assert stream.partial
     with pytest.raises(TruncationInconclusive) as exc:
-        binomial_factorization(expand(sp, 40), source=sp)
+        binomial_factorization(expand(classical_series(stream), 40),
+                               source=stream)
     assert exc.value.factors
     print("ACCEPTANCE 10: PASS - %d emitted products round-trip through the "
           "binomial factorization; the 5-factor splitting stream is reported "
-          "inconclusive rather than closed" % len(products))
+          "inconclusive rather than closed" % len(sources))
 
 
 def test_criterion_11_semigroup_series_is_the_oracle_value_set():

@@ -242,3 +242,16 @@ def test_file_that_is_not_utf8_is_a_parse_failure():
     assert code == 2
     assert err.startswith("parse error: cannot read ")
     assert "can't decode byte 0xff" in err
+
+
+def test_trailing_zero_coefficient_is_refused_as_not_monic():
+    """A defining polynomial whose leading coefficient is 0 is not monic.
+    Its listed degree (3) sets the number of coordinates, so the refusal
+    names the polynomial, not the coordinates."""
+    doc = {"ambient": {"var": "z", "min_poly": ["-2", "0", "1", "0"]},
+           "branch": {"x_order": 2,
+                      "y_terms": [{"exp": 3, "coeff": [1, 0, 0]}]},
+           "mode": "curve"}
+    code, err = exit_code_and_stderr(json.dumps(doc), "analyze")
+    assert code == 3
+    assert err == "validation error: defining polynomial must be monic\n"

@@ -34,7 +34,6 @@ from artifact.oracle import (
 )
 from artifact.poincare import (
     classical_series,
-    divisorial_series,
     expand,
     numerical_data,
 )
@@ -375,7 +374,7 @@ def test_divisorial_filtration_cusp_rupture():
     report = divisorial_filtration_dims(gc, 6)
     assert report.dims == (1, 0, 1, 1, 1, 1, 2)
     nd = numerical_data(graph, recs, mode="divisorial")
-    assert report.dims == expand(divisorial_series(nd), 6)
+    assert report.dims == expand(classical_series(nd), 6)
 
 
 def test_divisorial_filtration_frozen_field_cases():
@@ -407,7 +406,7 @@ def test_divisorial_dims_match_divisorial_series():
         nd = numerical_data(graph, recs, mode="divisorial")
         gc = generic_curvette(graph, recs)
         assert divisorial_filtration_dims(gc, V).dims == \
-            expand(divisorial_series(nd), V)
+            expand(classical_series(nd), V)
 
 
 # --- the integer profile against stacked Fraction blocks --------------------------
@@ -990,7 +989,7 @@ def test_generic_family_dims_are_the_series_at_t_to_the_n(name, p):
     V = 40
     graph, recs = resolve(p)
     n = graph.n_case3
-    series = expand(divisorial_series(
+    series = expand(classical_series(
         numerical_data(graph, recs, mode="divisorial")), V // n)
     x, y = family_xy(p)
     assert _filtration(x, y, V, p.ambient).dims == tuple(
@@ -1030,7 +1029,7 @@ def test_drawn_case_iii_families_match_the_divisorial_oracle():
         graph, recs = resolve(p)
         assert graph.case == "III", p
         jumps += bool(graph.splittings) and graph.n_case3 > 1
-        series = expand(divisorial_series(
+        series = expand(classical_series(
             numerical_data(graph, recs, mode="divisorial")), V)
         oracle_dims = divisorial_filtration_dims(
             generic_curvette(graph, recs, bound=V), V).dims

@@ -76,7 +76,7 @@ UNREACHED_MEMBERS = {
     "Poly.coeffs": "read by dunder methods and by Poly.pdivmod",
     "Record._values": "read by dunder methods",
     "Poly.gcd": "looked up by `bench/spans.py`; ROADMAP item 1c",
-    "Poly.pdivmod": "looked up by `bench/spans.py`; ROADMAP item 1c",
+    "Poly.pdivmod": "called only by Poly.gcd; ROADMAP item 1c",
 }
 
 

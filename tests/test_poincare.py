@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact.errors import BadSemigroupData, MissingDelta
+from artifact.errors import BadSemigroupData
 from artifact.exactfield import AmbientField
 from artifact.poincare import (
     NumericalData,
@@ -20,7 +20,6 @@ from artifact.poincare import (
     case_II_data,
     char_invariants,
     classical_series,
-    divisorial_series,
     expand,
     numerical_data,
 )
@@ -42,6 +41,7 @@ from output_checks import (
     minimal_generator_check,
     partial_series,
     semigroup_series,
+    stage_data,
     symmetry_check,
 )
 
@@ -320,7 +320,6 @@ def test_series_product_multiplication():
     b = SeriesProduct.of([(3, -1), (6, -1)])
     ab = SeriesProduct.of(a.factors + b.factors)
     assert ab.factors == ((2, -1), (3, -1))
-    assert not ab.partial
     assert expand(ab, 8) == tuple(
         sum(x * y for x, y in zip(expand(a, v)[::-1], expand(b, v)))
         for v in range(9))
@@ -349,25 +348,33 @@ def test_semigroup_and_classical_series_products():
 
 
 def test_divisorial_series_products():
-    assert divisorial_series(divisor_nd(BranchParam(Q, 1, []))).factors == \
+    assert classical_series(divisor_nd(BranchParam(Q, 1, []))).factors == \
         ((1, -2),)
-    assert divisorial_series(
+    assert classical_series(
         divisor_nd(BranchParam(Q, 1, []), extra=1)).factors == \
         ((1, -1), (2, -1))
-    assert divisorial_series(divisor_nd(cusp())).factors == \
+    assert classical_series(divisor_nd(cusp())).factors == \
         ((2, -1), (3, -1))
-    assert divisorial_series(divisor_nd(cusp(), extra=2)).factors == \
+    assert classical_series(divisor_nd(cusp(), extra=2)).factors == \
         ((2, -1), (3, -1), (6, 1), (8, -1))
-    assert divisorial_series(divisor_nd(sqrt2_line())).factors == \
+    assert classical_series(divisor_nd(sqrt2_line())).factors == \
         ((1, -2), (2, 1), (3, -1))
-    assert divisorial_series(
+    assert classical_series(
         divisor_nd(BranchParam(Q, 2, [(3, GENERIC)]))).factors == \
         ((2, -1), (3, -1))
 
 
 def test_divisorial_series_needs_a_divisor_value():
-    with pytest.raises(MissingDelta):
-        divisorial_series(curve_nd(cusp()))
+    """The factor 1 / (1 - t^M_delta) comes only with a divisor value: the
+    cusp's curve data gives the semigroup series, and the same data with
+    the M_delta of its last component gives the divisorial series."""
+    nd = curve_nd(cusp())
+    assert nd.M_delta is None
+    assert classical_series(nd).factors == ((2, -1), (3, -1), (6, 1))
+    assert classical_series(nd.replace(M_delta=6)) == \
+        classical_series(divisor_nd(cusp()))
+    assert classical_series(nd.replace(M_delta=8)).factors == \
+        ((2, -1), (3, -1), (6, 1), (8, -1))
 
 
 def test_partial_series_stages():
@@ -390,7 +397,6 @@ def test_expand_basics():
         (1, 0, -1, 0, 0, 0)
     with pytest.raises(ValueError):
         expand(SeriesProduct.of([(1, -1)]), -1)
-    assert expand(SeriesProduct.of([(1, -1)], partial=True), 2) == (1, 1, 1)
     assert type(expand(SeriesProduct.of([(1, -1)]), 0)) is tuple
 
 
@@ -412,16 +418,16 @@ def test_expand_frozen_series():
 
 
 def test_expand_frozen_divisorial_series():
-    assert expand(divisorial_series(divisor_nd(BranchParam(Q, 1, []))),
+    assert expand(classical_series(divisor_nd(BranchParam(Q, 1, []))),
                   3) == (1, 2, 3, 4)
-    assert expand(divisorial_series(
+    assert expand(classical_series(
         divisor_nd(BranchParam(Q, 1, []), extra=1)), 4) == \
         (1, 1, 2, 2, 3)
-    assert expand(divisorial_series(divisor_nd(cusp())), 6) == \
+    assert expand(classical_series(divisor_nd(cusp())), 6) == \
         (1, 0, 1, 1, 1, 1, 2)
-    assert expand(divisorial_series(divisor_nd(cusp(), extra=2)), 8) \
+    assert expand(classical_series(divisor_nd(cusp(), extra=2)), 8) \
         == (1, 0, 1, 1, 1, 1, 1, 1, 2)
-    assert expand(divisorial_series(divisor_nd(sqrt2_line())), 4) == \
+    assert expand(classical_series(divisor_nd(sqrt2_line())), 4) == \
         (1, 2, 2, 3, 4)
 
 
@@ -564,12 +570,9 @@ def test_case_II_data_marks_products_partial():
     assert nd.partial and len(nd.splitting) == 5
     assert nd.ell_total == 32
     assert (nd.c_conductor, nd.Delta) == (2, 69)
-    sp = classical_series(nd)
-    assert sp.partial
-    assert not semigroup_series(nd).partial
     # the staged prefixes are exact objects even on truncated data
-    assert partial_series(nd, 6).factors == sp.factors
-    assert not partial_series(nd, 6).partial
+    assert not stage_data(nd, 1).partial and not stage_data(nd, 6).partial
+    assert partial_series(nd, 6) == classical_series(nd)
 
 
 # --- binomial refactorization ------------------------------------------------
@@ -587,22 +590,22 @@ def test_binomial_factorization_without_source():
 
 def test_binomial_factorization_round_trips_products():
     nds = [curve_nd(p) for p in all_curve_branches()]
-    products = [semigroup_series(nd) for nd in nds]
-    products += [classical_series(nd) for nd in nds]
-    products += [divisorial_series(divisor_nd(p, extra=e))
-                 for p, e in [(cusp(), 0), (cusp(), 2), (sqrt2_line(), 0),
-                              (BranchParam(Q, 1, []), 1)]]
-    for sp in products:
+    sources = [stage_data(nd, 1) for nd in nds] + nds
+    sources += [divisor_nd(p, extra=e)
+                for p, e in [(cusp(), 0), (cusp(), 2), (sqrt2_line(), 0),
+                             (BranchParam(Q, 1, []), 1)]]
+    for nd in sources:
+        sp = classical_series(nd)
         order = max((a for a, _s in sp.factors), default=1)
-        bf = binomial_factorization(expand(sp, order), source=sp)
+        bf = binomial_factorization(expand(sp, order), source=nd)
         assert bf.factors == sp.factors
         assert bf.is_cyclotomic is True
 
 
 def test_binomial_factorization_flags_short_truncations():
-    sp = classical_series(curve_nd(cusp()))
+    nd = curve_nd(cusp())
     with pytest.raises(TruncationInconclusive) as exc:
-        binomial_factorization(expand(sp, 4), source=sp)
+        binomial_factorization(expand(classical_series(nd), 4), source=nd)
     assert exc.value.factors == ((2, -1), (3, -1))
 
 
@@ -611,15 +614,16 @@ def test_binomial_factorization_refuses_closure_on_partial_products():
                       [(7, 2), (11, 2), (13, 2), (17, 2), (19, 2)])
     sp = classical_series(nd)
     with pytest.raises(TruncationInconclusive) as exc:
-        binomial_factorization(expand(sp, 40), source=sp)
+        binomial_factorization(expand(sp, 40), source=nd)
     assert exc.value.factors == sp.factors
 
 
 def test_binomial_factorization_rejects_wrong_source():
-    sp = SeriesProduct.of([(1, -1)])
+    nd = curve_nd(BranchParam(Q, 1, []))
+    assert classical_series(nd).factors == ((1, -1),)
     se = expand(SeriesProduct.of([(1, -2), (2, 1)]), 4)
     with pytest.raises(ValueError):
-        binomial_factorization(se, source=sp)
+        binomial_factorization(se, source=nd)
 
 
 # --- random rational branches ------------------------------------------------
@@ -661,7 +665,7 @@ def test_series_invariants_on_random_rational_branches(data):
     assert minimal_generator_check(nd.M_sigma, nd.N)
     sp = semigroup_series(nd)
     order = max((a for a, _s in sp.factors), default=1)
-    bf = binomial_factorization(expand(sp, order), source=sp)
+    bf = binomial_factorization(expand(sp, order), source=nd)
     assert bf.factors == sp.factors and bf.is_cyclotomic is True
     assert_segment_values_divide(graph, recs, m_values(graph, recs))
 

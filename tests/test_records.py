@@ -20,7 +20,8 @@ from artifact.errors import BadSemigroupData
 from artifact.exactfield import AlgNum, AmbientField
 from artifact.oracle import (FiltrationReport, divisorial_filtration_dims,
                              filtration_dims)
-from artifact.poincare import NumericalData, SeriesProduct
+from artifact.poincare import (NumericalData, SeriesProduct,
+                               classical_series)
 from artifact.ratfunc import PolyRing
 from artifact.record import Record
 from artifact.resolution import GENERIC, BranchParam, generic_curvette
@@ -35,15 +36,15 @@ def records_of(doc_id):
     """Every record the pipeline makes for one corpus document."""
     doc = cli.parse_input(DOCS[doc_id])
     analysis = cli.build_analysis(doc)
-    nd, series, graph = analysis.nd, analysis.series, analysis.graph
+    nd, graph = analysis.nd, analysis.graph
     curvette = generic_curvette(graph, analysis.recs, bound=8)
     if nd.M_delta is None:
         report = filtration_dims(graph.branch, 8)
     else:
         report = divisorial_filtration_dims(curvette, 8)
-    return ([doc, analysis, nd, series, report, graph.terminal,
-             nd.replace(partial=True), graph.branch, graph, curvette,
-             analysis.recs[-1].field_after]
+    return ([doc, analysis, nd, classical_series(nd), report,
+             graph.terminal, nd.replace(partial=True), graph.branch, graph,
+             curvette, analysis.recs[-1].field_after]
             + list(analysis.recs) + list(graph.vertices))
 
 

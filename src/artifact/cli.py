@@ -248,11 +248,15 @@ class Analysis(Record):
 def build_analysis(doc):
     """Run resolution and assemble the numerical data for the mode: the
     divisorial valuation for mode divisorial and for a curve-mode generic
-    marker (case III), the curve valuation otherwise."""
+    marker (case III), the curve valuation otherwise. resolve ignores
+    extra_steps on a generic marker, so extra_steps > 0 there is refused."""
     field = AmbientField(doc.min_poly)
     terms = []
     for exp, coeff in doc.y_terms:
         if coeff is GENERIC:
+            if doc.extra_steps:
+                raise ValueError("extra_steps must be 0 on a generic-marker "
+                                 "branch: its run stops at the marker")
             terms.append((exp, GENERIC))
         else:
             terms.append((exp, field.element(coeff)))
@@ -314,16 +318,21 @@ def formula_text(series):
     return "%s/%s" % (numerator, denominator)
 
 
-def _tag_text(tags):
-    rendered = []
-    for tag in sorted(tags):
-        name = tag[0]
-        args = tag[1:]
-        if args:
-            rendered.append("%s(%s)" % (name, ",".join(str(a) for a in args)))
-        else:
-            rendered.append(name)
-    return ",".join(rendered)
+def _kinds(graph):
+    """Each vertex's roles, sorted and joined by commas: INITIAL, DELTA
+    (the last vertex), DEAD_END(i), RUPTURE(i), SPLITTING(j), or PLAIN for
+    none. A vertex holds at most one role of each name, so the texts sort
+    as the roles."""
+    roles = [[] for _ in graph.self_ints]
+    roles[0].append("INITIAL")
+    roles[-1].append("DELTA")
+    for i, v in enumerate(graph.dead_ends):
+        roles[v].append("DEAD_END(%d)" % i)
+    for i, v in enumerate(graph.ruptures, start=1):
+        roles[v].append("RUPTURE(%d)" % i)
+    for j, (v, _ell) in enumerate(graph.splittings, start=1):
+        roles[v].append("SPLITTING(%d)" % j)
+    return [",".join(sorted(names)) or "PLAIN" for names in roles]
 
 
 def build_report(analysis, truncate):
@@ -337,7 +346,7 @@ def build_report(analysis, truncate):
     own block.
     """
     graph = analysis.graph
-    m_map, M_map = value_maps(graph, analysis.recs)
+    m, M = value_maps(graph, analysis.recs)
     nd = analysis.nd
     series = classical_series(nd)
     return {
@@ -346,13 +355,13 @@ def build_report(analysis, truncate):
         "n": analysis.n,
         "graph": {
             "vertices": [{
-                "id": v.id,
-                "kind": _tag_text(v.tags),
-                "self_int": v.self_int,
-                "field_dim": v.field_dim,
-                "m": m_map[v.id],
-                "M": M_map[v.id],
-            } for v in graph.vertices],
+                "id": k,
+                "kind": kind,
+                "self_int": graph.self_ints[k],
+                "field_dim": analysis.recs[k].field_after.dim,
+                "m": m[k],
+                "M": M[k],
+            } for k, kind in enumerate(_kinds(graph))],
             "edges": [list(e) for e in sorted(graph.edges)],
             "geodesic": list(graph.geodesic),
             "branch_vertex": graph.delta(),

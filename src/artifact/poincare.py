@@ -65,10 +65,10 @@ def char_invariants(m_sigma):
     return tuple(e), tuple(N)
 
 
-def big_M(graph, recs, m_map):
-    """Galois-orbit value sums M per component, from representative values m.
+def big_M(graph, recs, m):
+    """Galois-orbit value sums M per vertex, from representative values m.
 
-    graph.splittings lists (vertex id, degree) for the components hosting
+    graph.splittings lists (vertex, degree) for the components hosting
     the field jumps, in creation order. A component sitting above j
     jump points has an orbit of ell_1 * .. * ell_j conjugates of its
     transversal curve; a conjugate that parts ways at jump j shares only the
@@ -84,24 +84,23 @@ def big_M(graph, recs, m_map):
                                   at each blown-up point up to rho_j)
 
     and the shared-chain sums vanish for jumps the component does not sit
-    above, so only those actually below it contribute. With a curvette at
+    above, so only the vertices past rho_j take jump j. With a curvette at
     the last component's multiplicities up to rho_j as weights (a resolved
     branch's own; a case III family's are n_case3 times them), each
     shared-chain sum is a proximity sum (resolution.proximity_sums), so
     each jump takes one pass over the records, and a running product per
     component gives the product of the later ell.
     """
-    out = {v.id: int(m_map[v.id]) for v in graph.vertices}
-    later = dict.fromkeys(out, 1)
+    out = list(m)
+    later = [1] * len(out)
     last = _res.curvette_mults(recs, graph.delta()) if graph.splittings else ()
     for rho, ell in reversed(graph.splittings):
         shared = _res.proximity_sums(
             recs, last[:rho + 1] + [0] * (len(last) - rho - 1))
-        for w_id in out:
-            if rho < w_id:
-                out[w_id] += (ell - 1) * later[w_id] * shared[w_id]
-                later[w_id] *= ell
-    return out
+        for w in range(rho + 1, len(out)):
+            out[w] += (ell - 1) * later[w] * shared[w]
+            later[w] *= ell
+    return tuple(out)
 
 
 def _conductor_pair(M_sigma, N, splitting):
@@ -164,7 +163,7 @@ class NumericalData(Record):
 
 
 def value_maps(graph, recs):
-    """Per-vertex value maps (m, M).
+    """Per-vertex value maps (m, M), two tuples indexed by vertex.
 
     m is the value of a transversal curve at each component, from the
     proximity relation of the records (resolution.m_values). One formula
@@ -173,8 +172,8 @@ def value_maps(graph, recs):
     component. M weights m with the conjugate-orbit contributions below
     each field jump.
     """
-    m_map = _res.m_values(graph, recs)
-    return m_map, big_M(graph, recs, m_map)
+    m = _res.m_values(graph, recs)
+    return m, big_M(graph, recs, m)
 
 
 def numerical_data(graph, recs, mode="curve"):
@@ -196,16 +195,13 @@ def numerical_data(graph, recs, mode="curve"):
         raise ValueError(
             "a generic marker leaves a reduced family graph (case III), "
             "which has only divisorial data")
-    m_map, M_map = value_maps(graph, recs)
-    sigmas = graph.dead_end_leaves()
-    M_delta = int(M_map[graph.delta()]) if mode == "divisorial" else None
+    m, M = value_maps(graph, recs)
     return NumericalData(
-        m_sigma=tuple(int(m_map[v]) for v in sigmas),
-        M_sigma=tuple(int(M_map[v]) for v in sigmas),
-        M_tau=tuple(int(M_map[v]) for v in graph.ruptures()),
-        splitting=tuple((int(M_map[rho]), int(ell))
-                        for rho, ell in graph.splittings),
-        M_delta=M_delta)
+        m_sigma=tuple(m[v] for v in graph.dead_ends),
+        M_sigma=tuple(M[v] for v in graph.dead_ends),
+        M_tau=tuple(M[v] for v in graph.ruptures),
+        splitting=tuple((M[rho], ell) for rho, ell in graph.splittings),
+        M_delta=M[graph.delta()] if mode == "divisorial" else None)
 
 
 def case_II_data(nd, prefix):

@@ -244,37 +244,31 @@ class InfNearRecord(Record):
         self._assign(center, field_after, host_components, chart)
 
 
-class Vertex(Record):
-    __slots__ = ("id", "tags", "self_int", "field_dim")
-
-    def __init__(self, id, tags, self_int, field_dim):
-        self._assign(id, tags, self_int, field_dim)
-
-
 class QuotientGraph(Record):
     """Quotient dual graph of the run: a tree of exceptional components.
 
-    Vertex tags are sets of tuples: ("INITIAL",), ("DEAD_END", i),
-    ("RUPTURE", i), ("SPLITTING", j), ("DELTA",), ("PLAIN",); several tags can
-    sit on one vertex. splittings lists (vertex id, field degree) in creation
-    order. For a run stopped at a parameter-dependent center, case is "III"
-    and n_case3 is the contact order of the family with the last component
-    (else case is "I" and n_case3 None).
-    terminal is the InfNearRecord of the first point not blown up and branch
-    the normalized parametrization. The subfield of component k is the
-    field_after of the k-th record; vertices, edges and splittings are read
-    off the records once the run ends (_graph_of).
+    Component k is vertex k, created by the k-th record, and its subfield
+    is that record's field_after. self_ints lists the self-intersections;
+    dead_ends lists sigma_0..sigma_g (vertex 0, then the far end of each
+    side chain in geodesic order) and ruptures tau_1..tau_g (the geodesic
+    vertex each side chain leaves). splittings lists (vertex, field
+    degree) in creation order. For a run stopped at a parameter-dependent
+    center, case is "III" and n_case3 is the contact order of the family
+    with the last component (else case is "I" and n_case3 None).
+    terminal is the InfNearRecord of the first point not blown up and
+    branch the normalized parametrization. All of it is read off the
+    records once the run ends (_graph_of).
     """
 
-    __slots__ = ("vertices", "edges", "geodesic", "n_case3", "splittings",
-                 "terminal", "branch")
+    __slots__ = ("self_ints", "edges", "geodesic", "dead_ends", "ruptures",
+                 "n_case3", "splittings", "terminal", "branch")
 
-    def __init__(self, vertices, edges, geodesic, n_case3, splittings,
-                 terminal, branch):
-        self._assign(tuple(vertices),
+    def __init__(self, self_ints, edges, geodesic, dead_ends, ruptures,
+                 n_case3, splittings, terminal, branch):
+        self._assign(tuple(self_ints),
                      frozenset(tuple(sorted(e)) for e in edges),
-                     tuple(geodesic), n_case3, tuple(splittings), terminal,
-                     branch)
+                     tuple(geodesic), tuple(dead_ends), tuple(ruptures),
+                     n_case3, tuple(splittings), terminal, branch)
 
     @property
     def case(self):
@@ -285,21 +279,7 @@ class QuotientGraph(Record):
         return self.branch.ambient
 
     def delta(self):
-        return len(self.vertices) - 1
-
-    def _tagged(self, kind):
-        """Vertex ids carrying a (kind, i) tag, ordered by i."""
-        found = {tag[1]: v.id for v in self.vertices for tag in v.tags
-                 if tag[0] == kind}
-        return [found[i] for i in sorted(found)]
-
-    def dead_end_leaves(self):
-        """Vertex ids sigma_0..sigma_g ordered by dead-end index."""
-        return self._tagged("DEAD_END")
-
-    def ruptures(self):
-        """Vertex ids tau_1..tau_g ordered by rupture index."""
-        return self._tagged("RUPTURE")
+        return len(self.self_ints) - 1
 
 
 def _default_cap(p, extra_steps):
@@ -315,9 +295,11 @@ def _graph_of(records, n_case3, terminal, branch):
     two components separates them. So the graph is a tree: each new
     component attaches to its hosts, and a satellite point replaces the
     edge between its two hosts. The geodesic from 0 to n - 1 is the one
-    path between them, and no neighbour order is needed to find it. A
-    splitting (k - 1, ell) sits where point k is the first with a larger
-    subfield, of degree ell over the subfield of point k - 1.
+    path between them, and no neighbour order is needed to find it. The
+    dead ends are vertex 0 and the far ends of the side chains, and the
+    ruptures the geodesic vertices the chains leave, both in geodesic
+    order. A splitting (k - 1, ell) sits where point k is the first with a
+    larger subfield, of degree ell over the subfield of point k - 1.
     """
     n = len(records)
     selfints = [-1] * n
@@ -337,19 +319,10 @@ def _graph_of(records, n_case3, terminal, branch):
         if rec.field_after is not before:
             splittings.append((k - 1, rel_degree(before, rec.field_after)))
     geodesic, chains = _geodesic_and_chains(adj)
-    tags = [set() for _ in range(n)]
-    for j, (vid, _ell) in enumerate(splittings, start=1):
-        tags[vid].add(("SPLITTING", j))
-    for i, (gv, leaf) in enumerate(chains, start=1):
-        tags[gv].add(("RUPTURE", i))
-        tags[leaf].add(("DEAD_END", i))
-    tags[0].update({("INITIAL",), ("DEAD_END", 0)})
-    tags[n - 1].add(("DELTA",))
-    vertices = [Vertex(id=k, tags=frozenset(tags[k] or {("PLAIN",)}),
-                       self_int=selfints[k], field_dim=rec.field_after.dim)
-                for k, rec in enumerate(records)]
     edges = [(a, b) for a, nbs in enumerate(adj) for b in nbs if a < b]
-    return QuotientGraph(vertices, edges, geodesic, n_case3, splittings,
+    return QuotientGraph(selfints, edges, geodesic,
+                         [0] + [leaf for _gv, leaf in chains],
+                         [gv for gv, _leaf in chains], n_case3, splittings,
                          terminal, branch)
 
 
@@ -436,7 +409,9 @@ def resolve(p, extra_steps=0):
     With a GENERIC coefficient the run stops at the first parameter-dependent
     center: graph.case == "III", graph.n_case3 is the contact order of the
     family with the final component, the terminal's center is GENERIC,
-    and no terminal translation exists.
+    and no terminal translation exists. Such a run ignores extra_steps:
+    they are spent only once the stop test holds, which it never does
+    before that center, and past it no single component exists.
     """
     p = normalize(p)
     max_steps = _default_cap(p, extra_steps)
@@ -638,10 +613,9 @@ def m_values(graph, recs):
     A fully resolved branch has the multiplicities of a curvette at the
     last component, so the same numbers are its own values in curve mode.
     They also form the last column of minus the inverse intersection
-    matrix.
+    matrix. Returns a tuple: m[k] is the value at vertex k.
     """
-    m = proximity_sums(recs, curvette_mults(recs, graph.delta()))
-    return {v.id: m[v.id] for v in graph.vertices}
+    return tuple(proximity_sums(recs, curvette_mults(recs, graph.delta())))
 
 
 def minus_inverse(mat):

@@ -134,7 +134,16 @@ MUTANTS = (
      "            adj[a].remove(b)\n            adj[b].remove(a)\n",
      "            pass\n", GRAPH_TESTS, False),
     ("ruptures are numbered from the far end of the geodesic", RESOLUTION,
-     "enumerate(chains, start=1)", "enumerate(reversed(chains), start=1)",
+     "[gv for gv, _leaf in chains]", "[gv for gv, _leaf in chains[::-1]]",
+     GRAPH_TESTS, False),
+    ("the dead ends leave out vertex 0", RESOLUTION,
+     "[0] + [leaf for _gv, leaf in chains]",
+     "[leaf for _gv, leaf in chains]", GRAPH_TESTS, False),
+    ("a splitting sits on the first vertex of the larger subfield",
+     RESOLUTION, "splittings.append((k - 1, rel_degree",
+     "splittings.append((k, rel_degree", GRAPH_TESTS, False),
+    ("the report numbers the ruptures from 0", CLI,
+     "enumerate(graph.ruptures, start=1)", "enumerate(graph.ruptures)",
      GRAPH_TESTS, False),
     ("a second dead-end chain at one vertex is accepted", RESOLUTION,
      "if chains and chains[-1][0] == gv:", "if False:", GRAPH_TESTS,

@@ -89,7 +89,6 @@ from artifact.resolution import (
     BranchParam,
     InfNearRecord,
     QuotientGraph,
-    Vertex,
     _chart_step,
     _constant,
     _default_cap,
@@ -469,11 +468,9 @@ def _assign_tags(n, edges, splittings):
     return tags, geodesic
 
 
-def reference_graph_of(records, n_case3, terminal, branch):
-    """resolution._graph_of with a breadth-first search over sorted
-    neighbours for the geodesic, a check of the attach points after every
-    side walk and a sort of the chains by geodesic position: the quotient
-    graph, its shape read off the records.
+def _reference_shape(records):
+    """Self-intersections, edges, splittings, tag sets and geodesic of the
+    quotient graph, read off the records.
 
     Point k creates component k with self-intersection -1; each component
     hosting point k loses one more and gains an edge to k, and a point on
@@ -496,11 +493,43 @@ def reference_graph_of(records, n_case3, terminal, branch):
         if rec.field_after is not before:
             splittings.append((k - 1, rel_degree(before, rec.field_after)))
     tags, geodesic = _assign_tags(n, edges, splittings)
-    vertices = [Vertex(id=k, tags=frozenset(tags[k]), self_int=selfints[k],
-                       field_dim=rec.field_after.dim)
-                for k, rec in enumerate(records)]
-    return QuotientGraph(vertices, edges, geodesic, n_case3, splittings,
+    return selfints, edges, splittings, tags, geodesic
+
+
+def _tagged(tags, kind):
+    """Vertices carrying a (kind, i) tag, ordered by i."""
+    found = {tag[1]: k for k, vertex_tags in enumerate(tags)
+             for tag in vertex_tags if tag[0] == kind}
+    return [found[i] for i in sorted(found)]
+
+
+def reference_graph_of(records, n_case3, terminal, branch):
+    """resolution._graph_of with a breadth-first search over sorted
+    neighbours for the geodesic, a check of the attach points after every
+    side walk and a sort of the chains by geodesic position: the quotient
+    graph, its shape read off the records, and its dead ends and ruptures
+    read off tag sets."""
+    selfints, edges, splittings, tags, geodesic = _reference_shape(records)
+    return QuotientGraph(selfints, edges, geodesic, _tagged(tags, "DEAD_END"),
+                         _tagged(tags, "RUPTURE"), n_case3, splittings,
                          terminal, branch)
+
+
+def tag_text(tags):
+    """A vertex's tag set as the report's kind text: the tags sorted,
+    each written NAME or NAME(i), joined by commas."""
+    rendered = []
+    for tag in sorted(tags):
+        name, args = tag[0], tag[1:]
+        rendered.append("%s(%s)" % (name, ",".join(str(a) for a in args))
+                        if args else name)
+    return ",".join(rendered)
+
+
+def reference_kinds(records):
+    """The kind text of each vertex of the graph read off the records,
+    from the tag sets of _assign_tags."""
+    return [tag_text(tags) for tags in _reference_shape(records)[3]]
 
 
 def reference_resolve(p, extra_steps=0):
@@ -695,10 +724,10 @@ def intersect_noether(a, b):
 
 def intersection_matrix(graph):
     """Integer matrix of component self-intersections and adjacencies."""
-    n = len(graph.vertices)
+    n = len(graph.self_ints)
     mat = [[0] * n for _ in range(n)]
-    for v in graph.vertices:
-        mat[v.id][v.id] = v.self_int
+    for k, self_int in enumerate(graph.self_ints):
+        mat[k][k] = self_int
     for a, b in graph.edges:
         mat[a][b] = 1
         mat[b][a] = 1
@@ -768,8 +797,8 @@ def noether_m_values(graph, recs):
     multiplicity products of curvettes at w and at the last component over
     the points 0..w."""
     last = curvette_mults(recs, graph.delta())
-    return {v.id: sum(a * b for a, b in zip(curvette_mults(recs, v.id), last))
-            for v in graph.vertices}
+    return tuple(sum(a * b for a, b in zip(curvette_mults(recs, w), last))
+                 for w in range(len(recs)))
 
 
 def noether_big_M(graph, recs, m_map, tower):
@@ -777,11 +806,10 @@ def noether_big_M(graph, recs, m_map, tower):
     curvette multiplicities of that component and of the last one
     (poincare.big_M's formula, one component at a time)."""
     last = curvette_mults(recs, graph.delta())
-    out = {}
-    for v in graph.vertices:
-        w = v.id
+    out = []
+    for w in range(len(recs)):
         below = [(rho, ell) for rho, ell in tower if rho < w]
-        total = int(m_map[w])
+        total = m_map[w]
         mults = curvette_mults(recs, w)
         for j, (rho, ell) in enumerate(below):
             later = 1
@@ -789,8 +817,8 @@ def noether_big_M(graph, recs, m_map, tower):
                 later *= ell_q
             total += (ell - 1) * later * sum(
                 last[i] * mults[i] for i in range(rho + 1))
-        out[w] = total
-    return out
+        out.append(total)
+    return tuple(out)
 
 
 def proximity_check(graph, recs, mults=None):
@@ -1028,12 +1056,11 @@ REFERENCE_RECORDS = {cls.__name__: cls for cls in (
     _reference_record("InfNearRecord", ["center", "field_after",
                                         "host_components"],
                       [("chart", None)]),
-    _reference_record("Vertex", ["id", "tags", "self_int", "field_dim"]),
     _reference_record("BranchParam", ["ambient", "x_order", "y_terms"],
                       [("x_coeff", None)]),
-    _reference_record("QuotientGraph", ["vertices", "edges", "geodesic",
-                                        "n_case3", "splittings", "terminal",
-                                        "branch"]),
+    _reference_record("QuotientGraph", ["self_ints", "edges", "geodesic",
+                                        "dead_ends", "ruptures", "n_case3",
+                                        "splittings", "terminal", "branch"]),
     _reference_record("GenericCurvette", ["x", "y"]),
     _reference_record("Subfield", ["field", "rows"], derived=["pivots"],
                       post_init=_subfield_derived),

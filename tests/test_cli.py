@@ -723,7 +723,13 @@ def test_mode_case_matrix_divisorial(tmp_path, capsys):
     code, out, _err = run_cli(capsys, ["verify", path, "--max-order", "12"])
     assert code == 0 and "match: yes" in out
 
+    # a generic marker takes no extra blow-ups: the family's run stops at
+    # the marker's center
     path = matrix_doc(tmp_path, GENERIC_TAIL_BRANCH, mode)
+    code, out, err = run_cli(capsys, ["analyze", path])
+    assert code == 3 and out == "" and "extra_steps" in err
+    path = matrix_doc(tmp_path, GENERIC_TAIL_BRANCH,
+                      {"divisorial": {"extra_steps": 0}})
     code, out, _err = run_cli(capsys, ["analyze", path])
     assert code == 0
     assert "case: III" in out and "\nn:" not in out

@@ -255,3 +255,24 @@ def test_trailing_zero_coefficient_is_refused_as_not_monic():
     code, err = exit_code_and_stderr(json.dumps(doc), "analyze")
     assert code == 3
     assert err == "validation error: defining polynomial must be monic\n"
+
+
+def test_generic_marker_with_extra_steps_is_refused():
+    """A generic-marker family's run stops at the first parameter-dependent
+    center, past which no single component exists, so it takes no extra
+    blow-ups. With extra_steps 2 analyze once printed the extra_steps 0
+    answer; analyze and verify now refuse the document and name
+    extra_steps, and extra_steps 0 still runs."""
+    doc = {"ambient": {"var": "z", "min_poly": [0, 1]},
+           "branch": {"x_order": 2,
+                      "y_terms": [{"exp": 3, "coeff": [1]},
+                                  {"exp": 5, "coeff": "generic"}]},
+           "mode": {"divisorial": {"extra_steps": 2}}}
+    for command in ("analyze", "verify"):
+        code, err = exit_code_and_stderr(json.dumps(doc), command)
+        assert code == 3
+        assert err == ("validation error: extra_steps must be 0 on a "
+                       "generic-marker branch: its run stops at the "
+                       "marker\n")
+    doc["mode"]["divisorial"]["extra_steps"] = 0
+    assert exit_code_and_stderr(json.dumps(doc), "analyze") == (0, "")

@@ -169,16 +169,16 @@ def test_big_M_without_jumps_is_the_plain_value():
     graph, recs = resolve(cusp())
     m = m_values(graph, recs)
     assert graph.splittings == ()
-    assert big_M(graph, recs, m) == m == {0: 2, 1: 3, 2: 6}
+    assert big_M(graph, recs, m) == m == (2, 3, 6)
 
 
 def test_big_M_orbit_sums():
     cases = [
-        (sqrt2_line(), {0: 1, 1: 3}),
-        (tower_line(), {0: 1, 1: 3, 2: 7}),
-        (cusp_sqrt2_tail(), {0: 2, 1: 3, 2: 6, 3: 7, 4: 15}),
-        (cbrt2_line(), {0: 1, 1: 4}),
-        (tangent_cusp(), {0: 2, 1: 5, 2: 10}),
+        (sqrt2_line(), (1, 3)),
+        (tower_line(), (1, 3, 7)),
+        (cusp_sqrt2_tail(), (2, 3, 6, 7, 15)),
+        (cbrt2_line(), (1, 4)),
+        (tangent_cusp(), (2, 5, 10)),
     ]
     for p, expected in cases:
         graph, recs = resolve(p)
@@ -521,7 +521,7 @@ def test_minimal_generator_check_on_corpus():
 
 
 def tree_path(graph, a, b):
-    nbrs = {v.id: [] for v in graph.vertices}
+    nbrs = [[] for _ in graph.self_ints]
     for x, y in graph.edges:
         nbrs[x].append(y)
         nbrs[y].append(x)
@@ -542,8 +542,8 @@ def assert_segment_values_divide(graph, recs, M_map):
     """Orbit sums along each segment from a dead end to its rupture are
     positive multiples of the dead-end value, increasing toward the
     rupture."""
-    sigmas = graph.dead_end_leaves()
-    taus = graph.ruptures()
+    sigmas = graph.dead_ends
+    taus = graph.ruptures
     for i, tau in enumerate(taus):
         for leaf in (sigmas[0], sigmas[i + 1]) if i == 0 else \
                 (sigmas[i + 1],):

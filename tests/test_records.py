@@ -3,11 +3,11 @@
 Each record class is compared with a frozen dataclass of the same fields
 and defaults (slow_paths.REFERENCE_RECORDS) on the records of a resolved
 corpus branch with a field jump and of a divisorial target past a jump
-(the branch, its quotient graph, a generic curvette and a subfield among
-them): field values, ==, !=, hash, repr, construction by position and by
-keyword, replace, and the errors for an unknown argument, a derived
-field and an assignment. The validation errors of the checked records
-are pinned.
+(the branch, its quotient graph, a generic curvette and the subfield of
+each component among them): field values, ==, !=, hash, repr,
+construction by position and by keyword, replace, and the errors for an
+unknown argument, a derived field and an assignment. The validation
+errors of the checked records are pinned.
 """
 
 import copy
@@ -33,7 +33,9 @@ DOCS = {item["id"]: item["doc"] for item in WORKLOADS.generate("corpus", 1)}
 
 
 def records_of(doc_id):
-    """Every record the pipeline makes for one corpus document."""
+    """Every record the pipeline makes for one corpus document, and last
+    the subfield of each component, which the report reads for its
+    field_dim."""
     doc = cli.parse_input(DOCS[doc_id])
     analysis = cli.build_analysis(doc)
     nd, graph = analysis.nd, analysis.graph
@@ -45,7 +47,8 @@ def records_of(doc_id):
     return ([doc, analysis, nd, classical_series(nd), report,
              graph.terminal, nd.replace(partial=True), graph.branch, graph,
              curvette, analysis.recs[-1].field_after]
-            + list(analysis.recs) + list(graph.vertices))
+            + list(analysis.recs)
+            + [rec.field_after for rec in analysis.recs])
 
 
 CASES = [(doc_id, i) for doc_id in ("curve_sq2_twopair",
@@ -154,9 +157,11 @@ def test_derived_properties_are_the_values_once_stored():
         assert curvette.x.ring == curvette.y.ring == PolyRing(
             branch.ambient, "c")
         assert curvette.ambient is branch.ambient
-        for rec, vertex in zip(analysis.recs, graph.vertices):
+        vertices = cli.build_report(analysis, 0)["graph"]["vertices"]
+        assert len(vertices) == len(analysis.recs)
+        for rec, vertex in zip(analysis.recs, vertices):
             sub = rec.field_after
-            assert sub.dim == len(sub.rows) == vertex.field_dim
+            assert sub.dim == len(sub.rows) == vertex["field_dim"]
             assert sub.basis == tuple(AlgNum(sub.field, row, 1)
                                       for row in sub.rows)
             assert all(sub.contains_num(b) for b in sub.basis)

@@ -53,6 +53,7 @@ from slow_paths import (
     is_negative_definite,
     proximity_check,
     reference_graph_of,
+    reference_kinds,
     reference_tail_ok,
     strict_mults,
 )
@@ -76,7 +77,11 @@ def cusp():
 
 
 def tag_sets(graph):
-    return [set(v.tags) for v in graph.vertices]
+    """The roles the report names on each vertex, as tag tuples: a role
+    NAME(i) is (NAME, i), and a role NAME is (NAME,)."""
+    return [{tuple(int(x) if x.isdigit() else x
+                   for x in role.rstrip(")").split("("))
+             for role in kind.split(",")} for kind in cli._kinds(graph)]
 
 
 # --- parametrization plumbing
@@ -204,8 +209,8 @@ def test_blow_up_chain_keeps_exponent_gcd():
 def test_resolve_smooth_line():
     graph, recs = resolve(BranchParam(Q, 1, []))
     assert graph.case == "I"
-    assert len(graph.vertices) == 1
-    assert graph.vertices[0].self_int == -1
+    assert len(graph.self_ints) == 1
+    assert graph.self_ints[0] == -1
     assert graph.geodesic == (0,)
     assert tag_sets(graph) == [{("INITIAL",), ("DEAD_END", 0), ("DELTA",)}]
     assert len(recs) == 1
@@ -218,7 +223,7 @@ def test_resolve_smooth_line():
 def test_resolve_cusp():
     graph, recs = resolve(cusp())
     assert graph.case == "I" and graph.splittings == ()
-    assert [v.self_int for v in graph.vertices] == [-3, -2, -1]
+    assert list(graph.self_ints) == [-3, -2, -1]
     assert graph.edges == {(0, 2), (1, 2)}
     assert graph.geodesic == (0, 2)
     assert tag_sets(graph) == [
@@ -226,7 +231,7 @@ def test_resolve_cusp():
         {("DEAD_END", 1)},
         {("RUPTURE", 1), ("DELTA",)},
     ]
-    assert [v.field_dim for v in graph.vertices] == [1, 1, 1]
+    assert [r.field_after.dim for r in recs] == [1, 1, 1]
     assert strict_mults(cusp(), recs) == [2, 1, 1]
     assert [r.host_components for r in recs] == [(), (0,), (1, 0)]
     assert recs[1].center == 0 and recs[2].center is AT_INFINITY
@@ -235,18 +240,18 @@ def test_resolve_cusp():
     assert [_shift(r) for r in recs] == [None, 0, None]
     assert graph.terminal.chart == "A" and _shift(graph.terminal) == 1
     assert graph.delta() == 2
-    assert graph.dead_end_leaves() == [0, 1]
-    assert graph.ruptures() == [2]
+    assert graph.dead_ends == (0, 1)
+    assert graph.ruptures == (2,)
     assert proximity_check(graph, recs)
 
 
 def test_resolve_sqrt2_line():
     z = SQ2.gen()
     graph, recs = resolve(BranchParam(SQ2, 1, [(1, z)]))
-    assert len(graph.vertices) == 2
+    assert len(graph.self_ints) == 2
     assert graph.splittings == ((0, 2),)
-    assert [v.field_dim for v in graph.vertices] == [1, 2]
-    assert [v.self_int for v in graph.vertices] == [-2, -1]
+    assert [r.field_after.dim for r in recs] == [1, 2]
+    assert list(graph.self_ints) == [-2, -1]
     assert graph.edges == {(0, 1)}
     assert graph.geodesic == (0, 1)
     assert tag_sets(graph) == [
@@ -262,10 +267,10 @@ def test_resolve_sqrt2_line():
 def test_resolve_sqrt2_tangent_line():
     z = SQ2.gen()
     graph, recs = resolve(BranchParam(SQ2, 1, [(2, z)]))
-    assert len(graph.vertices) == 3
+    assert len(graph.self_ints) == 3
     assert graph.splittings == ((1, 2),)
-    assert [v.field_dim for v in graph.vertices] == [1, 1, 2]
-    assert [v.self_int for v in graph.vertices] == [-2, -2, -1]
+    assert [r.field_after.dim for r in recs] == [1, 1, 2]
+    assert list(graph.self_ints) == [-2, -2, -1]
     assert graph.edges == {(0, 1), (1, 2)}
     assert tag_sets(graph) == [
         {("INITIAL",), ("DEAD_END", 0)},
@@ -280,8 +285,8 @@ def test_resolve_sqrt2_cusp_stays_rational():
     z = SQ2.gen()
     graph, recs = resolve(BranchParam(SQ2, 2, [(3, z)]))
     assert graph.splittings == ()
-    assert [v.field_dim for v in graph.vertices] == [1, 1, 1]
-    assert [v.self_int for v in graph.vertices] == [-3, -2, -1]
+    assert [r.field_after.dim for r in recs] == [1, 1, 1]
+    assert list(graph.self_ints) == [-3, -2, -1]
     assert graph.edges == {(0, 2), (1, 2)}
     assert strict_mults(graph.branch, recs) == [2, 1, 1]
     assert recs[1].center == 0 and recs[2].center is AT_INFINITY
@@ -292,12 +297,12 @@ def test_resolve_sqrt2_cusp_stays_rational():
 def test_resolve_cusp_with_sqrt2_tail():
     z = SQ2.gen()
     graph, recs = resolve(BranchParam(SQ2, 2, [(3, 1), (4, z)]))
-    assert len(graph.vertices) == 5
-    assert [v.self_int for v in graph.vertices] == [-3, -2, -2, -2, -1]
+    assert len(graph.self_ints) == 5
+    assert list(graph.self_ints) == [-3, -2, -2, -2, -1]
     assert graph.edges == {(0, 2), (1, 2), (2, 3), (3, 4)}
     assert graph.geodesic == (0, 2, 3, 4)
     assert graph.splittings == ((3, 2),)
-    assert [v.field_dim for v in graph.vertices] == [1, 1, 1, 1, 2]
+    assert [r.field_after.dim for r in recs] == [1, 1, 1, 1, 2]
     assert tag_sets(graph) == [
         {("INITIAL",), ("DEAD_END", 0)},
         {("DEAD_END", 1)},
@@ -315,8 +320,8 @@ def test_resolve_cusp_with_sqrt2_tail():
 
 def test_resolve_two_rupture_branch():
     graph, recs = resolve(BranchParam(Q, 4, [(6, 1), (7, 1)]))
-    assert len(graph.vertices) == 5
-    assert [v.self_int for v in graph.vertices] == [-3, -2, -3, -2, -1]
+    assert len(graph.self_ints) == 5
+    assert list(graph.self_ints) == [-3, -2, -3, -2, -1]
     assert graph.edges == {(0, 2), (1, 2), (2, 4), (3, 4)}
     assert graph.geodesic == (0, 2, 4)
     assert tag_sets(graph) == [
@@ -327,8 +332,8 @@ def test_resolve_two_rupture_branch():
         {("RUPTURE", 2), ("DELTA",)},
     ]
     assert strict_mults(graph.branch, recs) == [4, 2, 2, 1, 1]
-    assert graph.dead_end_leaves() == [0, 1, 3]
-    assert graph.ruptures() == [2, 4]
+    assert graph.dead_ends == (0, 1, 3)
+    assert graph.ruptures == (2, 4)
     assert graph.terminal.center == Fraction(1, 4)
     assert proximity_check(graph, recs)
 
@@ -336,10 +341,10 @@ def test_resolve_two_rupture_branch():
 def test_resolve_biquadratic_tower():
     field, s2, s3 = biquadratic()
     graph, recs = resolve(BranchParam(field, 1, [(1, s2), (2, s3)]))
-    assert len(graph.vertices) == 3
+    assert len(graph.self_ints) == 3
     assert graph.splittings == ((0, 2), (1, 2))
-    assert [v.field_dim for v in graph.vertices] == [1, 2, 4]
-    assert [v.self_int for v in graph.vertices] == [-2, -2, -1]
+    assert [r.field_after.dim for r in recs] == [1, 2, 4]
+    assert list(graph.self_ints) == [-2, -2, -1]
     assert graph.edges == {(0, 1), (1, 2)}
     assert tag_sets(graph) == [
         {("INITIAL",), ("DEAD_END", 0), ("SPLITTING", 1)},
@@ -354,14 +359,14 @@ def test_resolve_biquadratic_tower():
 
 def test_resolve_extra_steps_extends_chain():
     graph, recs = resolve(cusp(), extra_steps=2)
-    assert len(graph.vertices) == 5
-    assert [v.self_int for v in graph.vertices] == [-3, -2, -2, -2, -1]
+    assert len(graph.self_ints) == 5
+    assert list(graph.self_ints) == [-3, -2, -2, -2, -1]
     assert graph.edges == {(0, 2), (1, 2), (2, 3), (3, 4)}
     assert tag_sets(graph)[3] == {("PLAIN",)}
     assert tag_sets(graph)[4] == {("DELTA",)}
     assert strict_mults(cusp(), recs) == [2, 1, 1, 1, 1]
     assert graph.terminal.center == 0
-    assert m_values(graph, recs) == {0: 2, 1: 3, 2: 6, 3: 7, 4: 8}
+    assert m_values(graph, recs) == (2, 3, 6, 7, 8)
     assert proximity_check(graph, recs)
 
 
@@ -427,8 +432,9 @@ def test_graph_equals_the_sorted_search_reference(monkeypatch):
     1, and of 400 seeded random branches over six fields at extra_steps 0
     and 2, the graph read off in one walk over adjacency lists has every
     field equal to the one the breadth-first search over sorted
-    neighbours gives. Graphs with two or more ruptures and case III
-    graphs are among them."""
+    neighbours gives, and the report's kind text of every vertex is the
+    reference's tag set, sorted and joined. Graphs with two or more
+    ruptures and case III graphs are among them."""
     runs = []
 
     def recorded(p, extra_steps=0):
@@ -452,8 +458,9 @@ def test_graph_equals_the_sorted_search_reference(monkeypatch):
                                   graph.branch)
         for name in QuotientGraph.__slots__:
             assert getattr(graph, name) == getattr(want, name), (name, recs)
+        assert cli._kinds(graph) == reference_kinds(recs), recs
     assert len(runs) >= 680
-    assert sum(len(graph.ruptures()) >= 2 for graph, _ in runs) >= 20
+    assert sum(len(graph.ruptures) >= 2 for graph, _ in runs) >= 20
     assert sum(graph.case == "III" for graph, _ in runs) >= 100
 
 
@@ -507,7 +514,7 @@ def test_curvette_at_cusp_delta():
     assert cv == BranchParam(Q, 2, [(3, 2)], x_coeff=2)
     assert strict_mults(cv, recs) == [2, 1, 1]
     assert intersect_noether(cusp(), cv) == 6
-    assert m_values(graph, recs) == {0: 2, 1: 3, 2: 6}
+    assert m_values(graph, recs) == (2, 3, 6)
 
 
 def test_curvette_constants_validated():
@@ -529,7 +536,7 @@ def test_curvette_raw_chart_on_splitting_component():
     assert curvette_param(graph, recs, 0, 1) == BranchParam(SQ2, 1, [(1, 1)])
     assert curvette_param(graph, recs, 1, 1) == \
         BranchParam(SQ2, 1, [(1, z), (2, 1)])
-    assert m_values(graph, recs) == {0: 1, 1: 2}
+    assert m_values(graph, recs) == (1, 2)
 
 
 def test_curvette_coefficients_stay_in_component_subfield():
@@ -542,14 +549,14 @@ def test_curvette_coefficients_stay_in_component_subfield():
         BranchParam(field, 1, [(1, s2), (2, s3), (3, 1)])
     with pytest.raises(BadConstant):
         curvette_param(graph, recs, 0, s2)
-    assert m_values(graph, recs) == {0: 1, 1: 2, 2: 3}
+    assert m_values(graph, recs) == (1, 2, 3)
 
 
 def test_curvette_unrepresentable_x_part():
     graph, recs = resolve(BranchParam(Q, 4, [(6, 1), (7, 1)]))
     with pytest.raises(UnrepresentableCurvette):
         curvette_param(graph, recs, 4, 1)
-    assert m_values(graph, recs) == {0: 4, 1: 6, 2: 12, 3: 13, 4: 26}
+    assert m_values(graph, recs) == (4, 6, 12, 13, 26)
 
 
 def test_generic_curvette_cusp():
@@ -630,7 +637,7 @@ def test_minus_inverse_delta_column_matches_curvette_values():
         inv = minus_inverse(mat)
         m = m_values(graph, recs)
         delta = graph.delta()
-        assert [row[delta] for row in inv] == [m[v] for v in sorted(m)]
+        assert tuple(row[delta] for row in inv) == m
 
 
 # --- generic-coefficient reductions
@@ -639,7 +646,7 @@ def test_minus_inverse_delta_column_matches_curvette_values():
 def test_case_iii_transverse_line():
     graph, _ = resolve(BranchParam(Q, 1, [(1, GENERIC)]))
     assert graph.case == "III" and graph.n_case3 == 1
-    assert len(graph.vertices) == 1
+    assert len(graph.self_ints) == 1
     assert tag_sets(graph) == [{("INITIAL",), ("DEAD_END", 0), ("DELTA",)}]
     assert graph.terminal.center is GENERIC
 
@@ -647,7 +654,7 @@ def test_case_iii_transverse_line():
 def test_case_iii_cusp_prefix():
     graph, _ = resolve(BranchParam(Q, 2, [(3, GENERIC)]))
     assert graph.n_case3 == 1
-    assert [v.self_int for v in graph.vertices] == [-3, -2, -1]
+    assert list(graph.self_ints) == [-3, -2, -1]
     assert graph.edges == {(0, 2), (1, 2)}
     assert tag_sets(graph)[2] == {("RUPTURE", 1), ("DELTA",)}
 
@@ -655,8 +662,8 @@ def test_case_iii_cusp_prefix():
 def test_case_iii_past_the_cusp():
     graph, _ = resolve(BranchParam(Q, 2, [(3, 1), (5, GENERIC)]))
     assert graph.n_case3 == 1
-    assert len(graph.vertices) == 5
-    assert [v.self_int for v in graph.vertices] == [-3, -2, -2, -2, -1]
+    assert len(graph.self_ints) == 5
+    assert list(graph.self_ints) == [-3, -2, -2, -2, -1]
     assert graph.edges == {(0, 2), (1, 2), (2, 3), (3, 4)}
     assert tag_sets(graph)[3] == {("PLAIN",)}
 
@@ -664,8 +671,8 @@ def test_case_iii_past_the_cusp():
 def test_case_iii_higher_contact():
     graph, _ = resolve(BranchParam(Q, 4, [(6, GENERIC), (7, 1)]))
     assert graph.n_case3 == 2
-    assert len(graph.vertices) == 3
-    assert [v.self_int for v in graph.vertices] == [-3, -2, -1]
+    assert len(graph.self_ints) == 3
+    assert list(graph.self_ints) == [-3, -2, -1]
 
 
 def test_case_iii_requires_generic():
@@ -698,11 +705,11 @@ def test_conjugate_resolution_invariants():
     p = BranchParam(SQ2, 2, [(3, 1), (4, z)])
     graph, recs = resolve(p)
     cgraph, crecs = resolve(conjugate_param(p, -z))
-    assert [v.tags for v in cgraph.vertices] == [v.tags for v in graph.vertices]
-    assert [v.self_int for v in cgraph.vertices] == \
-        [v.self_int for v in graph.vertices]
-    assert [v.field_dim for v in cgraph.vertices] == \
-        [v.field_dim for v in graph.vertices]
+    assert cgraph.self_ints == graph.self_ints
+    assert cgraph.dead_ends == graph.dead_ends
+    assert cgraph.ruptures == graph.ruptures
+    assert [r.field_after.dim for r in crecs] == \
+        [r.field_after.dim for r in recs]
     assert cgraph.edges == graph.edges
     assert cgraph.geodesic == graph.geodesic
     assert cgraph.splittings == graph.splittings
@@ -748,7 +755,7 @@ def test_resolution_invariants_on_random_branches(data):
         terms[e] = c
     p = normalize(BranchParam(Q, m, sorted(terms.items())))
     graph, recs = resolve(p)
-    n = len(graph.vertices)
+    n = len(graph.self_ints)
     assert len(graph.edges) == n - 1 or n == 1
     mat = intersection_matrix(graph)
     assert is_negative_definite(mat)

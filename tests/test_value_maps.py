@@ -74,15 +74,15 @@ def replay_m_values(graph, recs):
     """m by joint replay of the branch against each curvette. A curvette
     that meets the branch past the degree bound ends the replay as
     INFINITY, so a wrong curvette fails the test instead of hanging it."""
-    out = {}
-    for v in graph.vertices:
-        ub, wb = replay_curvette(graph, recs, v.id)
+    out = []
+    for w in range(len(recs)):
+        ub, wb = replay_curvette(graph, recs, w)
         ua, wa = initial_state(graph.branch)
         val = _intersect_states(ua, wa, ub, wb, bound=degree_bound(ua, wa)
                                 * degree_bound(ub, wb))
         assert val is not INFINITY, "curvette coincides with the branch"
-        out[v.id] = val
-    return out
+        out.append(val)
+    return tuple(out)
 
 
 def replay_big_M(graph, recs, m_map, mults):
@@ -90,17 +90,16 @@ def replay_big_M(graph, recs, m_map, mults):
     shared chain weighted by the replayed multiplicities of curvettes at w
     and at the last component."""
     last = mults[graph.delta()]
-    out = {}
-    for v in graph.vertices:
-        w = v.id
+    out = []
+    for w in range(len(recs)):
         below = [(rho, ell) for rho, ell in graph.splittings if rho < w]
         total = m_map[w]
         for j, (rho, ell) in enumerate(below):
             later = prod(ell_q for _rho, ell_q in below[j + 1:])
             shared = sum(last[i] * mults[w][i] for i in range(rho + 1))
             total += (ell - 1) * later * shared
-        out[w] = total
-    return out
+        out.append(total)
+    return tuple(out)
 
 
 @pytest.mark.parametrize("name,p", CORPUS + CUSPS + MULTIPAIR,
@@ -112,13 +111,13 @@ def test_value_maps_match_the_blow_down_replay(name, p):
     # the branch is a curvette at the last component
     assert strict_mults(graph.branch, recs) == \
         curvette_mults(recs, graph.delta())
-    mults = {}
-    for v in graph.vertices:
-        replayed = _strict_mults_state(*replay_curvette(graph, recs, v.id),
+    mults = []
+    for w in range(len(recs)):
+        replayed = _strict_mults_state(*replay_curvette(graph, recs, w),
                                        recs)
-        assert replayed == curvette_mults(recs, v.id) + \
-            [0] * (len(recs) - v.id - 1)
-        mults[v.id] = replayed
+        assert replayed == curvette_mults(recs, w) + \
+            [0] * (len(recs) - w - 1)
+        mults.append(replayed)
     assert big_M(graph, recs, m) == replay_big_M(graph, recs, m, mults)
 
 
